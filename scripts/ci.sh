@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point: build Release + Debug, run the test suite in both, run
 # bench_simcore + bench_scale_fanout (Release) and enforce perf floors, then
-# diff three representative paper benches against committed golden stdout so
+# diff all 15 fig/table paper benches against committed golden stdout so
 # semantic regressions (timing, ordering, completion counting) fail loudly
-# instead of rotting silently.
+# instead of rotting silently, and smoke-run the repo benchmark (bench/e2e).
 #
 # An ASan+UBSan Debug build then re-runs the whole ctest suite — the
 # slab/inline-callback fast paths are exactly the code sanitizers exist
@@ -359,13 +359,23 @@ check_zero scale_recovery lost_acked_writes "sharded recovery lost acked writes"
 # means engine/device semantics changed — timing, ordering, or completion
 # counting — not just performance.
 echo "=== golden output diffs ==="
-for b in bench_fig7_verb_latency bench_fig8_ordering bench_table3_verb_throughput; do
-  if ! ./build-release/"${b}" | diff -u "tests/golden/${b}.golden" - ; then
-    echo "FAIL: ${b} output diverged from tests/golden/${b}.golden" >&2
+for golden in tests/golden/*.golden; do
+  b="$(basename "${golden}" .golden)"
+  if ! ./build-release/"${b}" | diff -u "${golden}" - ; then
+    echo "FAIL: ${b} output diverged from ${golden}" >&2
     fail=1
   else
     echo "OK:   ${b} matches golden"
   fi
 done
+
+# The repo benchmark (bench/e2e, declared by BENCHMARK.json) at 1/20 size:
+# run.py exits non-zero if any workload fails a check — same-seed simulated
+# identity across reps, zero failed ops, the kv_mixed write audits.
+echo "=== repo benchmark smoke ==="
+if ! python3 bench/e2e/run.py --smoke; then
+  echo "FAIL: bench/e2e/run.py --smoke" >&2
+  fail=1
+fi
 
 exit "${fail}"

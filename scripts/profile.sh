@@ -12,9 +12,9 @@
 #  - gprof attributes inlined callees to their caller; for per-line detail
 #    rebuild with -fno-inline (distorts timings) or read the annotated
 #    flat profile together with the source.
-#  - Wall-clock on this 1-vCPU container is ±20% noisy: use the *ranking*,
-#    not the absolute seconds, and confirm wins with interleaved A/B runs
-#    of the real benches (docs/PERF.md "Measuring").
+#  - Wall-clock on a shared multi-tenant VM is ±20% noisy: use the
+#    *ranking*, not the absolute seconds, and confirm wins with interleaved
+#    A/B runs of bench/e2e/run.py + compare.py (docs/PERF.md "Measuring").
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -1,5 +1,6 @@
 #include "offloads/hash_harness.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "rnic/device.h"
@@ -38,19 +39,26 @@ HashGetHarness::HashGetHarness(rnic::RnicDevice& client_dev,
 void HashGetHarness::Init(std::size_t max_value) {
   const sim::Nanos one_way = sdev_.cal().net_one_way;
 
-  const std::uint32_t resp_depth = 2u * cfg_.max_requests + 64;
-  auto make_pair = [&](rnic::QueuePair*& srv, rnic::QueuePair*& cli) {
+  // Client rings: at most one trigger SEND and one response RECV per armed
+  // request are outstanding; large configs cap at 4096 / 16384 slots.
+  const std::uint32_t client_depth =
+      static_cast<std::uint32_t>(cfg_.max_requests) +
+      HashGetOffload::kRingSlack;
+  auto make_pair = [&](rnic::QueuePair*& srv, rnic::QueuePair*& cli,
+                       int lane) {
+    const HashGetOffload::RingDepths depths =
+        HashGetOffload::Depths(cfg_, lane);
     rnic::QpConfig s;
-    s.sq_depth = resp_depth;
-    s.rq_depth = resp_depth;
+    s.sq_depth = depths.response;
+    s.rq_depth = depths.recv;
     s.port = cfg_.port;
     s.managed = true;  // holds the pre-posted response WRs
     s.send_cq = sdev_.CreateCq();
     s.recv_cq = sdev_.CreateCq();
     srv = sdev_.CreateQp(s);
     rnic::QpConfig c;
-    c.sq_depth = 4096;
-    c.rq_depth = 16384;
+    c.sq_depth = std::min(4096u, client_depth);
+    c.rq_depth = std::min(16384u, client_depth);
     c.managed = cfg_.managed_client_sq;  // parked detour triggers
     c.send_cq = cdev_.CreateCq();
     c.recv_cq = cli_recv_cq_ ? cli_recv_cq_ : (cli_recv_cq_ = cdev_.CreateCq());
@@ -63,8 +71,8 @@ void HashGetHarness::Init(std::size_t max_value) {
       rnic::Connect(cli, srv, one_way);
     }
   };
-  make_pair(srv_qp1_, cli_qp1_);
-  if (cfg_.parallel) make_pair(srv_qp2_, cli_qp2_);
+  make_pair(srv_qp1_, cli_qp1_, 0);
+  if (cfg_.parallel) make_pair(srv_qp2_, cli_qp2_, 1);
 
   resp_buf_ = std::make_unique<std::byte[]>(max_value);
   resp_mr_ = cdev_.pd().Register(resp_buf_.get(), max_value, rnic::kAccessAll);

@@ -80,6 +80,8 @@ class HashGetHarness {
   // the client QP's send CQ, fault injection stalls the server QP's RQ.
   rnic::QueuePair* client_qp() { return cli_qp1_; }
   rnic::QueuePair* server_qp() { return srv_qp1_; }
+  // The second server-side QP (parallel probing only, else null).
+  rnic::QueuePair* server_qp2() { return srv_qp2_; }
   rnic::RnicDevice& client_dev() { return cdev_; }
   std::uint64_t trigger_count() const { return triggers_; }
 

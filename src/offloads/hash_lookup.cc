@@ -10,6 +10,23 @@ namespace redn::offloads {
 using rnic::Opcode;
 using rnic::WqeField;
 
+HashGetOffload::RingDepths HashGetOffload::Depths(const Config& cfg,
+                                                 int lane) {
+  // Sequential probes share lane 0; parallel ones take a lane each.
+  const bool split = cfg.parallel && cfg.buckets == 2;
+  const std::uint32_t probes =
+      split ? 1u : (lane == 0 ? static_cast<std::uint32_t>(cfg.buckets) : 0u);
+  const std::uint32_t requests = static_cast<std::uint32_t>(cfg.max_requests);
+  const std::uint32_t per_lane = requests * probes;
+  return RingDepths{
+      .control = per_lane * kControlWrsPerProbe + kRingSlack,
+      .chain = per_lane * kChainWrsPerProbe + kRingSlack,
+      .response = per_lane * kResponseWrsPerProbe + kRingSlack,
+      // Every request's RECV lands on lane 0's QP, whichever lane answers.
+      .recv = (lane == 0 ? requests * kRecvsPerRequest : 0u) + kRingSlack,
+  };
+}
+
 HashGetOffload::HashGetOffload(rnic::RnicDevice& server,
                                kv::RdmaHashTable& table, kv::ValueHeap& heap,
                                QueuePair* client_qp, QueuePair* client_qp2,
@@ -20,16 +37,15 @@ HashGetOffload::HashGetOffload(rnic::RnicDevice& server,
       client_qp_(client_qp),
       client_qp2_(client_qp2),
       cfg_(cfg),
-      prog_(server, cfg.port, /*control_depth=*/16u * cfg.max_requests + 64),
-      prog2_(server, cfg.port, /*control_depth=*/16u * cfg.max_requests + 64),
+      prog_(server, cfg.port, Depths(cfg, 0).control),
+      prog2_(server, cfg.port, Depths(cfg, 1).control),
       armed_(cfg.first_seq) {
   assert(client_qp_->sq.managed() && "response queue must be managed");
   assert(cfg_.buckets == 1 || cfg_.buckets == 2);
-  const std::uint32_t chain_depth = 4u * cfg.max_requests + 16;
-  m1_ = prog_.NewChainQueue(chain_depth);
+  m1_ = prog_.NewChainQueue(Depths(cfg, 0).chain);
   if (cfg_.parallel) {
     assert(client_qp2_ != nullptr && client_qp2_->sq.managed());
-    m2_ = prog2_.NewChainQueue(chain_depth);
+    m2_ = prog2_.NewChainQueue(Depths(cfg, 1).chain);
   }
 }
 
@@ -39,7 +55,7 @@ void HashGetOffload::ArmBucketChain(Program& prog, QueuePair* chain,
                                     std::uint64_t recv_seq,
                                     std::uint64_t resp_addr,
                                     std::uint32_t resp_rkey, std::uint32_t imm,
-                                    std::vector<rnic::Sge>& recv_sges) {
+                                    rnic::Sge* recv_sges) {
   // R4: the response (posted first so READ/CAS can reference its fields).
   verbs::SendWr r4;
   r4.opcode = Opcode::kNoop;  // becomes kWriteImm on a hit
@@ -76,10 +92,8 @@ void HashGetOffload::ArmBucketChain(Program& prog, QueuePair* chain,
   WrRef cs = prog.Post(chain, cas);
 
   // Trigger injection points for this bucket probe.
-  recv_sges.push_back({cs.FieldAddr(WqeField::kCompareAdd), 8,
-                       chain->sq_mr.lkey});
-  recv_sges.push_back({rd.FieldAddr(WqeField::kRemoteAddr), 8,
-                       chain->sq_mr.lkey});
+  recv_sges[0] = {cs.FieldAddr(WqeField::kCompareAdd), 8, chain->sq_mr.lkey};
+  recv_sges[1] = {rd.FieldAddr(WqeField::kRemoteAddr), 8, chain->sq_mr.lkey};
 
   // Control glue (doorbell ordering): trigger -> READ -> CAS -> response.
   prog.Wait(trigger_cq, recv_seq);
@@ -96,30 +110,32 @@ void HashGetOffload::Arm(int n, std::uint64_t resp_addr,
     const std::uint64_t seq = ++armed_;
     const int before = prog_.budget().total() + prog2_.budget().total();
 
-    std::vector<rnic::Sge> recv_sges;
+    rnic::Sge recv_sges[4];  // two injection points per probed bucket
     // Bucket 1 probe rides prog_/m1_ and answers on client_qp_.
     ArmBucketChain(prog_, m1_, client_qp_, client_qp_->recv_cq, seq,
                    resp_addr, resp_rkey, static_cast<std::uint32_t>(seq),
-                   recv_sges);
+                   &recv_sges[0]);
     if (cfg_.buckets == 2) {
       if (cfg_.parallel) {
         // Triggers arrive on client_qp_; the parallel probe answers on the
         // second client-facing QP but gates on the same trigger CQ.
         ArmBucketChain(prog2_, m2_, client_qp2_, client_qp_->recv_cq, seq,
                        resp_addr, resp_rkey, static_cast<std::uint32_t>(seq),
-                       recv_sges);
+                       &recv_sges[2]);
       } else {
         ArmBucketChain(prog_, m1_, client_qp_, client_qp_->recv_cq, seq,
                        resp_addr, resp_rkey, static_cast<std::uint32_t>(seq),
-                       recv_sges);
+                       &recv_sges[2]);
       }
     }
 
     // One RECV consumes the trigger and feeds every probe in this request.
+    const std::uint32_t sge_count = static_cast<std::uint32_t>(cfg_.buckets * 2);
     verbs::RecvWr rwr;
     rwr.wr_id = seq;
-    rwr.sge_table = prog_.MakeSgeTable(std::move(recv_sges));
-    rwr.sge_count = static_cast<std::uint32_t>(cfg_.buckets * 2);
+    rwr.sge_table =
+        prog_.MakeSgeTable(std::span<const rnic::Sge>(recv_sges, sge_count));
+    rwr.sge_count = sge_count;
     verbs::PostRecv(client_qp_, rwr);
 
     wrs_per_request_ =

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "kv/table.h"
 #include "redn/program.h"
@@ -46,7 +45,7 @@ class HashGetOffload {
     // Probe the two buckets on parallel queues/PUs instead of sequentially.
     bool parallel = false;
     // Upper bound on Arm()-ed requests over the offload's lifetime; sizes
-    // the chain and control rings.
+    // every ring the offload and its harness allocate (see Depths).
     int max_requests = 4096;
     // Server NIC port carrying this offload's queues (Table 4 dual-port).
     int port = 0;
@@ -72,6 +71,28 @@ class HashGetOffload {
     bool managed_client_sq = false;
   };
 
+  // WRs ArmBucketChain posts per probed bucket, by ring, and the RECVs Arm
+  // posts per request. Every ring an offload (and its HashGetHarness)
+  // allocates is sized from these, so they must track the code that posts.
+  static constexpr std::uint32_t kControlWrsPerProbe = 6;   // 3 WAIT + 3 ENABLE
+  static constexpr std::uint32_t kChainWrsPerProbe = 2;     // READ + CAS
+  static constexpr std::uint32_t kResponseWrsPerProbe = 1;  // R4
+  static constexpr std::uint32_t kRecvsPerRequest = 1;      // trigger RECV
+  // Headroom each ring keeps past the WRs Arm(max_requests) posts into it.
+  static constexpr std::uint32_t kRingSlack = 64;
+
+  // Ring depths of one probe lane: lane 0 is prog_/m1_ answering on
+  // client_qp, lane 1 is prog2_/m2_ answering on client_qp2 (parallel
+  // only). A lane no probe rides keeps a kRingSlack-slot ring: its QPs are
+  // still created so QP ids and PU assignment do not depend on the config.
+  struct RingDepths {
+    std::uint32_t control;   // the lane program's control SQ
+    std::uint32_t chain;     // its managed chain SQ (READ + CAS)
+    std::uint32_t response;  // the server QP's managed SQ (R4 responses)
+    std::uint32_t recv;      // the server QP's RQ (trigger RECVs)
+  };
+  static RingDepths Depths(const Config& cfg, int lane);
+
   // `client_qp` (and `client_qp2` iff parallel) are server-side QPs already
   // connected to the client; their send queues MUST be managed.
   HashGetOffload(rnic::RnicDevice& server, kv::RdmaHashTable& table,
@@ -95,6 +116,13 @@ class HashGetOffload {
 
   std::uint64_t armed() const { return armed_; }
 
+  // Lane `lane`'s control and chain queues (see Depths; chain(1) is null
+  // unless parallel).
+  QueuePair* control(int lane) {
+    return lane == 0 ? prog_.control() : prog2_.control();
+  }
+  QueuePair* chain(int lane) { return lane == 0 ? m1_ : m2_; }
+
   // Tags the offload's chain/control queues with an owner pid (§5.6).
   void SetOwner(int pid) {
     prog_.SetOwner(pid);
@@ -102,11 +130,14 @@ class HashGetOffload {
   }
 
  private:
+  // Posts one bucket probe (kResponseWrsPerProbe + kChainWrsPerProbe +
+  // kControlWrsPerProbe WRs) and writes its two trigger injection points to
+  // recv_sges[0..1].
   void ArmBucketChain(Program& prog, QueuePair* chain, QueuePair* resp_qp,
                       rnic::CompletionQueue* trigger_cq,
                       std::uint64_t recv_seq, std::uint64_t resp_addr,
                       std::uint32_t resp_rkey, std::uint32_t imm,
-                      std::vector<rnic::Sge>& recv_sges);
+                      rnic::Sge* recv_sges);
 
   rnic::RnicDevice& server_;
   kv::RdmaHashTable& table_;

@@ -1,5 +1,7 @@
 #include "redn/program.h"
 
+#include <algorithm>
+
 namespace redn::core {
 namespace {
 
@@ -93,14 +95,21 @@ WrRef Program::Post(QueuePair* q, const verbs::SendWr& wr) {
   } else if (wr.opcode == Opcode::kWait || wr.opcode == Opcode::kEnable) {
     ++budget_.sync;
   }
-  if (wr.signaled) ++signals_[q->send_cq];
+  if (wr.signaled) ++SignalCount(q->send_cq);
   const std::uint64_t idx = verbs::PostSend(q, wr);
   return WrRef{q, idx};
 }
 
-const Sge* Program::MakeSgeTable(std::vector<Sge> sges) {
-  sge_arena_.push_back(std::move(sges));
-  return sge_arena_.back().data();
+const Sge* Program::MakeSgeTable(std::span<const Sge> sges) {
+  if (sge_used_ + sges.size() > sge_cap_) {
+    sge_cap_ = std::max(kSgeChunk, sges.size());
+    sge_chunks_.push_back(std::make_unique_for_overwrite<Sge[]>(sge_cap_));
+    sge_used_ = 0;
+  }
+  Sge* table = sge_chunks_.back().get() + sge_used_;
+  std::copy(sges.begin(), sges.end(), table);
+  sge_used_ += sges.size();
+  return table;
 }
 
 WrRef Program::Wait(CompletionQueue* cq, std::uint64_t count) {
@@ -137,8 +146,17 @@ WrRef Program::EmitEqualIf(CompletionQueue* trigger_cq,
 void Program::Launch() { dev_.RingDoorbell(control_); }
 
 std::uint64_t Program::SignalsPosted(const CompletionQueue* cq) const {
-  auto it = signals_.find(cq);
-  return it == signals_.end() ? 0 : it->second;
+  for (const auto& [c, n] : signals_) {
+    if (c == cq) return n;
+  }
+  return 0;
+}
+
+std::uint64_t& Program::SignalCount(const CompletionQueue* cq) {
+  for (auto& [c, n] : signals_) {
+    if (c == cq) return n;
+  }
+  return signals_.emplace_back(cq, 0).second;
 }
 
 }  // namespace redn::core

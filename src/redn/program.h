@@ -16,8 +16,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
+#include <initializer_list>
+#include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "rnic/device.h"
@@ -70,8 +72,13 @@ class Program {
   // Posts a WR (no doorbell) and tracks the WR budget + per-CQ signal count.
   WrRef Post(QueuePair* q, const verbs::SendWr& wr);
 
-  // Arena-owned scatter/gather table (stable storage the NIC reads late).
-  const Sge* MakeSgeTable(std::vector<Sge> sges);
+  // Arena-owned copy of a scatter/gather table (stable storage the NIC reads
+  // late). Tables are carved from fixed chunks, so posting a pre-armed chain
+  // costs no heap allocation per table.
+  const Sge* MakeSgeTable(std::span<const Sge> sges);
+  const Sge* MakeSgeTable(std::initializer_list<Sge> sges) {
+    return MakeSgeTable(std::span<const Sge>(sges.begin(), sges.size()));
+  }
 
   // --- control-queue emitters ----------------------------------------------
   WrRef Wait(CompletionQueue* cq, std::uint64_t count);
@@ -113,12 +120,21 @@ class Program {
   void Abort();
 
  private:
+  // `cq`'s entry in signals_, created at zero on first use.
+  std::uint64_t& SignalCount(const CompletionQueue* cq);
+
   rnic::RnicDevice& dev_;
   int port_;
   QueuePair* control_ = nullptr;
   std::vector<QueuePair*> owned_;
-  std::deque<std::vector<Sge>> sge_arena_;
-  std::unordered_map<const CompletionQueue*, std::uint64_t> signals_;
+  // SGE table arena: chunks never move and a table never straddles two.
+  static constexpr std::size_t kSgeChunk = 1024;
+  std::vector<std::unique_ptr<Sge[]>> sge_chunks_;
+  std::size_t sge_used_ = 0;  // entries taken from the newest chunk
+  std::size_t sge_cap_ = 0;   // entries in the newest chunk
+  // Signaled WRs posted per CQ. A program touches only a few CQs, so a
+  // linear scan beats hashing.
+  std::vector<std::pair<const CompletionQueue*, std::uint64_t>> signals_;
   WrBudget budget_;
 };
 

@@ -58,10 +58,9 @@ QueuePair* RnicDevice::CreateQp(const QpConfig& qcfg) {
 
   const std::size_t sq_bytes = qcfg.sq_depth * kWqeSize;
   const std::size_t rq_bytes = qcfg.rq_depth * kWqeSize;
+  // make_unique<T[]> value-initializes: the rings start zeroed.
   qp->sq_buf = std::make_unique<std::byte[]>(sq_bytes);
   qp->rq_buf = std::make_unique<std::byte[]>(rq_bytes);
-  std::fill_n(qp->sq_buf.get(), sq_bytes, std::byte{0});
-  std::fill_n(qp->rq_buf.get(), rq_bytes, std::byte{0});
   // The WQ rings are the "code region": registered so RDMA verbs (including
   // loopback CAS/WRITE/RECV-scatter) can rewrite posted WQEs.
   qp->sq_mr = pd_.Register(qp->sq_buf.get(), sq_bytes, kAccessAll);

@@ -170,7 +170,7 @@ class WorkQueue {
     return static_cast<std::uint64_t>(capacity_) * kWqeSize;
   }
 
-  // Fetched snapshot for absolute index `idx`.
+  // Fetched snapshot for absolute index `idx` (send queues only).
   WqeImage& ImageAt(std::uint64_t idx) { return images_[BufSlot(idx)]; }
   WqeImage& ImageAtB(std::size_t s) { return images_[s]; }
 
@@ -280,8 +280,8 @@ class WorkQueue {
   bool managed_ = false;
   CompletionQueue* cq_ = nullptr;
   int pu_index_ = 0;
-  std::vector<WqeImage> images_;
-  std::vector<std::uint8_t> decoded_;  // translation-cache candidate flags
+  std::vector<WqeImage> images_;       // send queues only (empty on an RQ)
+  std::vector<std::uint8_t> decoded_;  // translation-cache flags (SQ only)
   std::vector<SgePlan> plans_;         // per-slot validated SGE resolutions
 };
 

@@ -38,6 +38,15 @@ void ThrowSqOverflow(const QueuePair* qp) {
       "; size the QP for the full pre-posted chain");
 }
 
+void ThrowRqOverflow(const QueuePair* qp) {
+  throw std::runtime_error(
+      "receive queue overflow on qp " + std::to_string(qp->id) + " (" +
+      qp->device->name() + "): posted " + std::to_string(qp->rq.posted) +
+      " consumed " + std::to_string(qp->rq.consumed) + " capacity " +
+      std::to_string(qp->rq.capacity()) +
+      "; size the RQ for every RECV outstanding at once");
+}
+
 }  // namespace detail
 
 SendWr MakeNoop(bool signaled) {
@@ -163,6 +172,11 @@ SendWr MakeEnable(const QueuePair* target_qp, std::uint64_t limit,
 }
 
 std::uint64_t PostRecv(QueuePair* qp, const RecvWr& wr) {
+  // Same contract as PostSend (ibv_post_recv's ENOMEM): the next slot must
+  // not still hold an unconsumed RECV, or that RECV is silently lost.
+  if (qp->rq.posted - qp->rq.consumed >= qp->rq.capacity()) [[unlikely]] {
+    detail::ThrowRqOverflow(qp);
+  }
   rnic::WqeImage img;
   img.ctrl = rnic::PackCtrl(Opcode::kRecv, wr.wr_id);
   img.flags = rnic::kFlagSignaled;

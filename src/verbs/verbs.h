@@ -95,6 +95,7 @@ namespace detail {
 rnic::WqeImage ToImage(const SendWr& wr);
 // Cold path of PostSend, out of line so the hot path inlines cleanly.
 [[noreturn]] void ThrowSqOverflow(const QueuePair* qp);
+[[noreturn]] void ThrowRqOverflow(const QueuePair* qp);
 }  // namespace detail
 
 // Writes the WQE into the next send-queue slot. Returns the absolute WQE
@@ -122,6 +123,8 @@ inline std::uint64_t PostSendNow(QueuePair* qp, const SendWr& wr) {
   return idx;
 }
 
+// Writes the RECV into the next receive-queue slot and returns its absolute
+// index. Throws if the RQ already holds `capacity` unconsumed RECVs.
 std::uint64_t PostRecv(QueuePair* qp, const RecvWr& wr);
 
 inline void RingDoorbell(QueuePair* qp) { qp->device->RingDoorbell(qp); }

@@ -2,6 +2,11 @@
 // traversal (Fig 12), RPC triggers (Figs 3/4), and recycled loops (§3.4).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "offloads/hash_harness.h"
 #include "offloads/list_traversal.h"
 #include "offloads/recycled_loop.h"
@@ -130,6 +135,69 @@ TEST_F(OffloadTest, HashGetServesWithoutServerCpuAfterArming) {
   }
   EXPECT_EQ(bed.server.counters().doorbells, doorbells_before);
 }
+
+// Ring sizing: every ring a pre-armed hash get allocates holds what
+// Arm(max_requests) posts into it plus HashGetOffload::kRingSlack, no more;
+// arming past that budget must fail loudly instead of wrapping onto
+// unexecuted WRs.
+class HashGetRingSizing
+    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+
+TEST_P(HashGetRingSizing, RingsHoldArmedWrsPlusSlack) {
+  const auto [buckets, parallel] = GetParam();
+  constexpr int kMaxRequests = 40;
+  TestBed bed;
+  HashGetHarness h(bed.client, bed.server,
+                   {.buckets = buckets,
+                    .parallel = parallel,
+                    .max_requests = kMaxRequests},
+                   /*table_cfg=*/{}, /*heap_bytes=*/1 << 20);
+  h.Arm(kMaxRequests);
+
+  HashGetOffload& off = h.offload();
+  struct Ring {
+    const char* name;
+    const rnic::WorkQueue* wq;
+  };
+  // Lane 1's control queue exists even when no probe rides it (QP ids and
+  // PU assignment must not depend on `parallel`); it stays minimal.
+  std::vector<Ring> rings = {
+      {"control 0", &off.control(0)->sq},
+      {"control 1", &off.control(1)->sq},
+      {"chain 0", &off.chain(0)->sq},
+      {"response 0", &h.server_qp()->sq},
+      {"server RQ 0", &h.server_qp()->rq},
+  };
+  if (parallel) {
+    rings.push_back({"chain 1", &off.chain(1)->sq});
+    rings.push_back({"response 1", &h.server_qp2()->sq});
+    rings.push_back({"server RQ 1", &h.server_qp2()->rq});
+  }
+  for (const Ring& r : rings) {
+    ASSERT_LE(r.wq->posted, r.wq->capacity()) << r.name;
+    EXPECT_LE(r.wq->capacity() - r.wq->posted, HashGetOffload::kRingSlack)
+        << r.name << ": capacity " << r.wq->capacity() << ", posted "
+        << r.wq->posted;
+  }
+
+  try {
+    h.Arm(static_cast<int>(HashGetOffload::kRingSlack) + 1);
+    FAIL() << "arming past the ring budget did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "size the QP for the full pre-posted chain"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BucketsByParallel, HashGetRingSizing,
+    ::testing::Combine(::testing::Values(1, 2), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<int, bool>>& info) {
+      return std::to_string(std::get<0>(info.param)) + "Bucket" +
+             (std::get<1>(info.param) ? "Parallel" : "Sequential");
+    });
 
 // ---------------------------------------------------------------------------
 // Linked-list traversal

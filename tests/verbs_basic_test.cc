@@ -2,6 +2,9 @@
 // completions, latency calibration, and error paths.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "testbed.h"
 
 namespace redn::test {
@@ -143,6 +146,40 @@ TEST_F(VerbsTest, SendWithoutRecvIsRnr) {
   Cqe cqe;
   ASSERT_TRUE(AwaitCqe(bed.sim, bed.client, cqp->send_cq, &cqe));
   EXPECT_EQ(cqe.status, rnic::WcStatus::kRnrError);
+}
+
+TEST_F(VerbsTest, RecvOverflowThrowsInsteadOfOverwriting) {
+  // ibv_post_recv's ENOMEM: an RQ already holding `capacity` unconsumed
+  // RECVs refuses the next one instead of overwriting the oldest.
+  auto [cqp, sqp] = bed.ConnectedPair(/*server_managed=*/false, /*depth=*/4);
+  Buffer msg = bed.Alloc(bed.client, 8);
+  Buffer rbuf = bed.Alloc(bed.server, 8);
+  RecvWr rwr;
+  rwr.local_addr = rbuf.addr();
+  rwr.length = 8;
+  rwr.lkey = rbuf.lkey();
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    rwr.wr_id = i;
+    PostRecv(sqp, rwr);
+  }
+  rwr.wr_id = 4;
+  try {
+    PostRecv(sqp, rwr);
+    FAIL() << "fifth RECV on a 4-deep RQ did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("receive queue overflow"),
+              std::string::npos)
+        << e.what();
+  }
+
+  // The oldest RECV survived; consuming it frees exactly one slot.
+  PostSendNow(cqp, MakeSend(msg.addr(), 8, msg.lkey()));
+  Cqe rcqe;
+  ASSERT_TRUE(AwaitCqe(bed.sim, bed.server, sqp->recv_cq, &rcqe));
+  EXPECT_EQ(rcqe.status, rnic::WcStatus::kSuccess);
+  EXPECT_EQ(rcqe.wr_id, 0u);
+  EXPECT_NO_THROW(PostRecv(sqp, rwr));
+  EXPECT_THROW(PostRecv(sqp, rwr), std::runtime_error);
 }
 
 TEST_F(VerbsTest, CasSucceedsOnMatch) {
