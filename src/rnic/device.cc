@@ -357,6 +357,15 @@ void RnicDevice::ResolveSges(const WqeImage& img, SgeScratch& out) const {
   }
 }
 
+std::uint64_t RnicDevice::ReadLength(const WqeImage& img) const {
+  if (!img.uses_sge_table()) return img.length;
+  SgeScratch sges;
+  ResolveSges(img, sges);
+  std::uint64_t len = 0;
+  for (const Sge& sge : sges) len += sge.length;
+  return len;
+}
+
 bool RnicDevice::GatherLocal(WorkQueue& wq, std::uint64_t idx,
                              const WqeImage& img, std::vector<std::byte>& out,
                              WcStatus* err) {
@@ -481,29 +490,30 @@ void RnicDevice::ExecuteData(WorkQueue& wq, std::uint64_t idx, Payload* pl,
   const Opcode op = img.opcode();
   auto& port = ports_[qp->port];
 
+  if (op == Opcode::kNoop) {
+    // NOP executes inside the NIC: WAIT verbs observe its completion
+    // immediately (Fig 8's cheap completion ordering), but on a
+    // wire-connected QP the host-visible CQE still pays the RC ack round
+    // trip (Fig 7's remote-vs-local NOOP delta).
+    CompleteWr(qp, qp->send_cq, img, t_issue + cal_.exec_noop,
+               WcStatus::kSuccess, 0,
+               /*force_cqe=*/false, /*host_extra=*/wire ? 2 * ow : 0);
+    payloads_.Release(pl);
+    return;
+  }
+  // Only the compat path reads the peer's liveness at issue; a fabric or
+  // transport requester learns of a dead responder from its NAK.
+  if (peer == nullptr || (!via_fabric && !peer->alive)) {
+    FailWr(wq, img, t_issue, WcStatus::kRemoteAccessError);
+    payloads_.Release(pl);
+    return;
+  }
+
   switch (op) {
-    case Opcode::kNoop: {
-      // NOP executes inside the NIC: WAIT verbs observe its completion
-      // immediately (Fig 8's cheap completion ordering), but on a
-      // wire-connected QP the host-visible CQE still pays the RC ack round
-      // trip (Fig 7's remote-vs-local NOOP delta).
-      CompleteWr(qp, qp->send_cq, img, t_issue + cal_.exec_noop,
-                 WcStatus::kSuccess, 0,
-                 /*force_cqe=*/false, /*host_extra=*/wire ? 2 * ow : 0);
-      payloads_.Release(pl);
-      return;
-    }
     case Opcode::kWrite:
     case Opcode::kWriteImm:
     case Opcode::kSend:
     case Opcode::kSendImm: {
-      // A cross-shard peer's alive flag is the responder shard's state; the
-      // check runs there (SendAcrossFabric) and comes back as a NAK.
-      if (peer == nullptr || (!CrossShard(peer) && !peer->alive)) {
-        FailWr(wq, img, t_issue, WcStatus::kRemoteAccessError);
-        payloads_.Release(pl);
-        return;
-      }
       WcStatus err = WcStatus::kSuccess;
       if (!GatherLocal(wq, idx, img, pl->bytes, &err)) {
         FailWr(wq, img, t_issue, err);
@@ -511,161 +521,78 @@ void RnicDevice::ExecuteData(WorkQueue& wq, std::uint64_t idx, Payload* pl,
         return;
       }
       const std::uint64_t len = pl->bytes.size();
-      const sim::Nanos pcie_done = pcie_.Reserve(t_issue, len);
-      const sim::Nanos mem_done = membw_.Reserve(t_issue, len);
-      if (via_fabric && qp->transport != nullptr) {
-        const sim::Nanos ready = std::max(
-            {t_issue + ExecCost(op) + HostDataDelay(len), pcie_done, mem_done});
-        SendOverTransport(wq, qp, peer, pl, op, ready);
-        return;
-      }
-      sim::Nanos t_arrive;
       if (via_fabric) {
         // Egress waits for the host-side DMA, then the payload queues
         // through the shared links (src TX, then dst RX — the congested
         // server port under N-client load).
-        const sim::Nanos ready = std::max(
-            {t_issue + ExecCost(op) + HostDataDelay(len), pcie_done, mem_done});
-        if (CrossShard(peer)) {
-          SendAcrossFabric(wq, qp, peer, pl, op, ready);
-          return;
+        const sim::Nanos ready = DmaReady(t_issue, op, len);
+        if (qp->transport != nullptr) {
+          SendOverTransport(wq, peer, pl, ready);
+        } else {
+          SendOverFabric(wq, peer, pl, ready, ow);
         }
-        t_arrive = FabricDeliver(qp, peer, ready, len);
-      } else {
-        const sim::Nanos link_done =
-            wire ? port.link.Reserve(t_issue, len) : t_issue;
-        t_arrive = std::max({t_issue + ExecCost(op) +
-                                 DataDelay(len, wire ? &port.link : nullptr),
-                             pcie_done, mem_done, link_done}) +
-                   ow;
+        return;
       }
+      const sim::Nanos pcie_done = pcie_.Reserve(t_issue, len);
+      const sim::Nanos mem_done = membw_.Reserve(t_issue, len);
+      const sim::Nanos link_done =
+          wire ? port.link.Reserve(t_issue, len) : t_issue;
+      const sim::Nanos t_arrive =
+          std::max({t_issue + ExecCost(op) +
+                        DataDelay(len, wire ? &port.link : nullptr),
+                    pcie_done, mem_done, link_done}) +
+          ow;
       const sim::Nanos ack = wire ? ow + cal_.remote_ack_extra : 0;
-      sim_.At(t_arrive, [this, &wq, qp, peer, pl, op, ack] {
-        const WqeImage& img = pl->img;
-        const std::uint64_t len = pl->bytes.size();
+      sim_.At(t_arrive, [this, &wq, peer, pl, ack] {
         if (wq.error) {  // QP flushed after an earlier failure
           payloads_.Release(pl);
           return;
         }
-        WcStatus st = WcStatus::kSuccess;
-        if (!peer->alive) {
-          st = WcStatus::kRemoteAccessError;
-        } else if (op == Opcode::kWrite || op == Opcode::kWriteImm) {
-          st = peer->device->AcceptWrite(peer, img.remote_addr, img.rkey,
-                                         pl->bytes.data(), len);
-          if (st == WcStatus::kSuccess && op == Opcode::kWriteImm) {
-            st = peer->device->AcceptSend(peer, nullptr, 0, img.imm,
-                                          /*has_imm=*/true, len);
-          }
-        } else {
-          st = peer->device->AcceptSend(
-              peer, pl->bytes.data(), len, img.imm,
-              /*has_imm=*/op == Opcode::kSendImm, len);
-        }
-        if (!qp->alive) {
-          payloads_.Release(pl);
-          return;
-        }
-        if (st != WcStatus::kSuccess && st != WcStatus::kRnrError) {
-          // Remote failure: the QP enters error state immediately at the
-          // responder (NAK); later-arriving WRs of this QP are flushed.
-          wq.error = true;
-          ++counters_.error_completions;
-        }
-        CompleteWr(qp, qp->send_cq, img, sim_.now() + ack, st,
-                   static_cast<std::uint32_t>(len));
-        payloads_.Release(pl);
+        pl->st = peer->device->AcceptPayload(peer, *pl);
+        AckSend(wq, pl, sim_.now() + ack);
       });
       return;
     }
     case Opcode::kRead: {
-      if (peer == nullptr || (!CrossShard(peer) && !peer->alive)) {
-        FailWr(wq, img, t_issue, WcStatus::kRemoteAccessError);
-        payloads_.Release(pl);
+      if (via_fabric) {
+        if (qp->transport != nullptr) {
+          ReadOverTransport(wq, peer, pl, t_issue, ow);
+        } else {
+          ReadOverFabric(wq, peer, pl, t_issue, ow);
+        }
         return;
       }
-      if (via_fabric && qp->transport != nullptr) {
-        ReadOverTransport(wq, qp, peer, pl, t_issue, ow);
-        return;
-      }
-      if (via_fabric && CrossShard(peer)) {
-        ReadAcrossFabric(wq, qp, peer, pl, t_issue, ow);
-        return;
-      }
-      const sim::Nanos t_req = t_issue + ow;
-      sim_.At(t_req, [this, &wq, qp, peer, pl, ow, wire] {
+      sim_.At(t_issue + ow, [this, &wq, qp, peer, pl, ow, wire] {
         const WqeImage& img = pl->img;
         if (!qp->alive) {  // requester died: flush silently
           payloads_.Release(pl);
           return;
         }
-        if (!peer->alive) {
-          // Target died mid-flight (the RunFailover window): the request is
-          // NAKed instead of silently dropped — the requester must not hang.
-          FailWr(wq, img, sim_.now() + ow, WcStatus::kRemoteAccessError);
-          payloads_.Release(pl);
-          return;
-        }
-        RnicDevice* rdev = peer->device;
-        // Remote read length: with a scatter table, the WQE length field
-        // holds the SGE count, so the byte count is the sum of the entries.
-        std::uint64_t len = img.length;
-        if (img.uses_sge_table()) {
-          SgeScratch sges;
-          ResolveSges(img, sges);
-          len = 0;
-          for (const Sge& sge : sges) len += sge.length;
-        }
-        const MemCheck mc =
-            rdev->pd_.CheckRemote(img.remote_addr, len, img.rkey, kRemoteRead,
-                                  &peer->remote_mr_cache);
-        if (mc != MemCheck::kOk) {
-          FailWr(wq, img, sim_.now() + ow, WcStatus::kRemoteAccessError);
-          payloads_.Release(pl);
-          return;
-        }
+        // A target that died mid-flight (the RunFailover window) NAKs the
+        // request instead of dropping it — the requester must not hang.
         // Data is captured at the remote memory *now* (request arrival).
-        if (len > 0) dma::ReadAppend(pl->bytes, img.remote_addr, len);
-        const sim::Nanos t_req_now = sim_.now();
-        sim::Nanos t_done;
-        if (qp->via_fabric) {
-          // The response DMA happens at the responder: its PCIe/memory are
-          // what the transfer occupies, so N-client read scale-out contends
-          // on the server's host interface, not each requester's own.
-          const sim::Nanos pcie_done = rdev->pcie_.Reserve(t_req_now, len);
-          const sim::Nanos mem_done = rdev->membw_.Reserve(t_req_now, len);
-          const sim::Nanos ready = std::max(
-              {t_req_now + ExecCost(Opcode::kRead) + rdev->HostDataDelay(len),
-               pcie_done, mem_done});
-          // The response payload rides the responder's TX link back through
-          // the fabric, then pays the requester-side ack turnaround.
-          t_done = FabricDeliver(peer, qp, ready, len) + cal_.remote_ack_extra;
-        } else {
-          sim::BandwidthResource* rlink =
-              wire ? &rdev->ports_[peer->port].link : nullptr;
-          const sim::Nanos link_done =
-              wire ? rlink->Reserve(t_req_now, len) : t_req_now;
-          const sim::Nanos pcie_done = pcie_.Reserve(t_req_now, len);
-          const sim::Nanos mem_done = membw_.Reserve(t_req_now, len);
-          t_done = std::max({t_req_now + ExecCost(Opcode::kRead) +
-                                 DataDelay(len, rlink),
-                             link_done, pcie_done, mem_done}) +
-                   (wire ? ow + cal_.remote_ack_extra : 0);
+        RnicDevice* rdev = peer->device;
+        const std::uint64_t len = ReadLength(img);
+        const WcStatus nak = rdev->AcceptRead(peer, img, len, pl->bytes);
+        if (nak != WcStatus::kSuccess) {
+          FailWr(wq, img, sim_.now() + ow, nak);
+          payloads_.Release(pl);
+          return;
         }
-        sim_.At(t_done, [this, &wq, qp, pl] {
-          if (!qp->alive) {
-            payloads_.Release(pl);
-            return;
+        const sim::Nanos now = sim_.now();
+        sim::BandwidthResource* rlink =
+            wire ? &rdev->ports_[peer->port].link : nullptr;
+        const sim::Nanos link_done = wire ? rlink->Reserve(now, len) : now;
+        const sim::Nanos pcie_done = pcie_.Reserve(now, len);
+        const sim::Nanos mem_done = membw_.Reserve(now, len);
+        const sim::Nanos t_done =
+            std::max({now + ExecCost(Opcode::kRead) + DataDelay(len, rlink),
+                      link_done, pcie_done, mem_done}) +
+            (wire ? ow + cal_.remote_ack_extra : 0);
+        sim_.At(t_done, [this, &wq, pl] {
+          if (wq.qp()->alive) {
+            LandRead(wq, pl->img, pl->slot, pl->bytes, sim_.now());
           }
-          WcStatus st = WcStatus::kSuccess;
-          if (!ScatterList(wq, pl->slot, pl->img, pl->bytes.data(),
-                           pl->bytes.size(), &st)) {
-            FailWr(wq, pl->img, sim_.now(), st);
-            payloads_.Release(pl);
-            return;
-          }
-          CompleteWr(qp, qp->send_cq, pl->img, sim_.now(), WcStatus::kSuccess,
-                     static_cast<std::uint32_t>(pl->bytes.size()));
           payloads_.Release(pl);
         });
       });
@@ -675,121 +602,33 @@ void RnicDevice::ExecuteData(WorkQueue& wq, std::uint64_t idx, Payload* pl,
     case Opcode::kFetchAdd:
     case Opcode::kCalcMax:
     case Opcode::kCalcMin: {
-      if (peer == nullptr || (!CrossShard(peer) && !peer->alive)) {
-        FailWr(wq, img, t_issue, WcStatus::kRemoteAccessError);
-        payloads_.Release(pl);
-        return;
-      }
-      // If the peer dies before the RMW event runs, the completion below
-      // must observe that the op never executed (rmw_done stays false) and
+      // If the peer dies before the RMW event runs, the completion must
+      // observe that the op never executed (rmw_done stays false) and
       // flush instead of reporting a success that touched nothing.
       pl->scratch = 0;
       pl->rmw_done = false;
-      if (via_fabric && CrossShard(peer)) {
-        AtomicAcrossFabric(wq, qp, peer, pl, op, t_issue, ow);
+      if (via_fabric) {
+        AtomicOverFabric(wq, peer, pl, t_issue, ow);
         return;
       }
-      const sim::Nanos t_req = t_issue + ow;
-      sim_.At(t_req, [this, &wq, qp, peer, pl, op, ow, wire] {
-        const WqeImage& img = pl->img;
+      sim_.At(t_issue + ow, [this, &wq, qp, peer, pl, ow, wire] {
         if (!qp->alive) {  // requester died: flush silently
           payloads_.Release(pl);
           return;
         }
-        if (!peer->alive) {
-          FailWr(wq, img, sim_.now() + ow, WcStatus::kRemoteAccessError);
-          payloads_.Release(pl);
-          return;
-        }
-        RnicDevice* rdev = peer->device;
-        const MemCheck mc = rdev->pd_.CheckRemote(
-            img.remote_addr, 8, img.rkey, kRemoteAtomic, &peer->remote_mr_cache);
-        if (mc != MemCheck::kOk) {
-          FailWr(wq, img, sim_.now() + ow, WcStatus::kRemoteAccessError);
-          payloads_.Release(pl);
-          return;
-        }
-        if (img.remote_addr % 8 != 0) {
-          FailWr(wq, img, sim_.now() + ow, WcStatus::kAlignmentError);
-          payloads_.Release(pl);
-          return;
-        }
-        // True atomics (CAS/ADD) serialize on the responder port's atomic
-        // unit (PCIe concurrency control) — this is what limits CAS to
-        // 8.4M/s. Vendor calc verbs (MAX/MIN) are not atomic RMWs on the
-        // host bus and run at copy-verb rates (Table 3: MAX 63M/s).
-        const bool true_atomic =
-            op == Opcode::kCompSwap || op == Opcode::kFetchAdd;
-        auto& unit = rdev->ports_[peer->port].atomic_unit;
+        WcStatus nak = WcStatus::kSuccess;
         const sim::Nanos unit_done =
-            true_atomic
-                ? unit.Reserve(sim_.now(), rdev->cal_.atomic_unit_service)
-                : sim_.now() + rdev->cal_.atomic_unit_service;
-        // The RMW event below never releases `pl`; the completion event at
-        // t_done >= unit_done (scheduled after it, so also later in FIFO
-        // order at equal times) owns the release.
-        sim_.At(unit_done, [pl, op, peer] {
-          if (!peer->alive) return;  // died mid-flight: memory stays untouched
-          pl->rmw_done = true;
-          const WqeImage& img = pl->img;
-          const std::uint64_t cur = dma::ReadU64(img.remote_addr);
-          pl->scratch = cur;
-          std::uint64_t next = cur;
-          switch (op) {
-            case Opcode::kCompSwap:
-              if (cur == img.compare_add) next = img.swap;
-              break;
-            case Opcode::kFetchAdd:
-              next = cur + img.compare_add;
-              break;
-            case Opcode::kCalcMax:
-              next = std::max(cur, img.compare_add);
-              break;
-            case Opcode::kCalcMin:
-              next = std::min(cur, img.compare_add);
-              break;
-            default:
-              break;
-          }
-          dma::WriteU64(img.remote_addr, next);
-          // The RedN conditional: atomics landing on WQE fields are the
-          // canonical self-modification, so the write-through refresh here
-          // is what keeps recycled chain rings hitting the cache.
-          peer->device->NoteDmaWrite(img.remote_addr, 8);
-        });
-        const sim::Nanos t_done =
-            unit_done + ExecCost(op) + (wire ? ow + cal_.remote_ack_extra : 0);
-        sim_.At(t_done, [this, &wq, qp, pl] {
-          if (!qp->alive) {
-            payloads_.Release(pl);
-            return;
-          }
-          if (!pl->rmw_done) {
-            // The target died between the protection check and the RMW: the
-            // op never executed, so a success completion would lie about
-            // remote memory. NAK and flush instead.
-            FailWr(wq, pl->img, sim_.now(), WcStatus::kRemoteAccessError);
-            payloads_.Release(pl);
-            return;
-          }
-          // Return the old value into the local sge, if one was given.
-          if (pl->img.local_addr != 0) {
-            WcStatus st = WcStatus::kSuccess;
-            const std::byte* bytes =
-                reinterpret_cast<const std::byte*>(&pl->scratch);
-            WqeImage resp = pl->img;
-            resp.length = 8;
-            resp.flags &= ~kFlagSgeTable;
-            if (!ScatterList(wq, pl->slot, resp, bytes, 8, &st)) {
-              FailWr(wq, pl->img, sim_.now(), st);
-              payloads_.Release(pl);
-              return;
-            }
-          }
-          CompleteWr(qp, qp->send_cq, pl->img, sim_.now(), WcStatus::kSuccess,
-                     8);
+            peer->device->AcceptAtomic(peer, pl, &nak);
+        if (unit_done < 0) {
+          FailWr(wq, pl->img, sim_.now() + ow, nak);
           payloads_.Release(pl);
-        });
+          return;
+        }
+        // The completion at t_done >= unit_done is scheduled after the
+        // RMW, so it also runs later in FIFO order at equal times.
+        const sim::Nanos t_done = unit_done + ExecCost(pl->img.opcode()) +
+                                  (wire ? ow + cal_.remote_ack_extra : 0);
+        sim_.At(t_done, [this, &wq, pl] { FinishAtomic(wq, pl); });
       });
       return;
     }
@@ -800,11 +639,112 @@ void RnicDevice::ExecuteData(WorkQueue& wq, std::uint64_t idx, Payload* pl,
   }
 }
 
-void RnicDevice::SendOverTransport(WorkQueue& wq, QueuePair* qp,
-                                   QueuePair* peer, Payload* pl, Opcode op,
+// ---------------------------------------------------------------------------
+// Fabric and transport data paths (see device.h and docs/PARSIM.md).
+//
+// Timing is the compat formula with the wire terms taken from the fabric:
+// the requester reserves TX at `ready`, the responder reserves RX at port
+// arrival (TX-done + one-way propagation), and the ACK or response comes
+// back one way later. On one shard every SendTo below is a plain At; across
+// shards it is a mailbox message, and the pair's one-way latency is exactly
+// its registered lookahead floor, so every crossing is legal.
+// ---------------------------------------------------------------------------
+
+void RnicDevice::SendOverFabric(WorkQueue& wq, QueuePair* peer, Payload* pl,
+                                sim::Nanos ready, sim::Nanos ow) {
+  const FabricAttach& s = fabric_ports_[wq.qp()->port];
+  const sim::Nanos t_port =
+      s.fabric->ReserveTx(s.endpoint, ready, pl->bytes.size()) + ow;
+  const int src_shard = sim_.shard();
+  sim_.SendTo(
+      peer->device->sim_.shard(), t_port,
+      [this, &wq, peer, pl, ow, src_shard] {
+        RnicDevice* rdev = peer->device;
+        const FabricAttach& d = rdev->fabric_ports_[peer->port];
+        const sim::Nanos t_arrive =
+            d.fabric->ReserveRx(d.endpoint, rdev->sim_.now(), pl->bytes.size());
+        rdev->sim_.At(t_arrive, [this, &wq, peer, pl, ow, src_shard] {
+          RnicDevice* rdev = peer->device;
+          pl->st = rdev->AcceptPayload(peer, *pl);
+          rdev->sim_.SendTo(src_shard,
+                            rdev->sim_.now() + ow + cal_.remote_ack_extra,
+                            [this, &wq, pl] { AckSend(wq, pl, sim_.now()); });
+        });
+      });
+}
+
+void RnicDevice::ReadOverFabric(WorkQueue& wq, QueuePair* peer, Payload* pl,
+                                sim::Nanos t_issue, sim::Nanos ow) {
+  // The SGE-table byte count resolves here, at issue on the requester's
+  // shard — the table lives in requester host memory, which the responder
+  // must never read across the boundary.
+  const std::uint64_t len = ReadLength(pl->img);
+  const int src_shard = sim_.shard();
+  sim_.SendTo(
+      peer->device->sim_.shard(), t_issue + ow,
+      [this, &wq, peer, pl, ow, len, src_shard] {
+        RnicDevice* rdev = peer->device;
+        sim::Simulator& dsim = rdev->sim_;
+        const WcStatus nak = rdev->AcceptRead(peer, pl->img, len, pl->bytes);
+        if (nak != WcStatus::kSuccess) {
+          dsim.SendTo(src_shard, dsim.now() + ow,
+                      [this, &wq, pl, nak] { NakWr(wq, pl, nak); });
+          return;
+        }
+        // The response DMA happens at the responder: its PCIe/memory are
+        // what the transfer occupies, so N-client read scale-out contends
+        // on the server's host interface, not each requester's own.
+        const sim::Nanos ready = rdev->DmaReady(dsim.now(), Opcode::kRead, len);
+        const FabricAttach& rs = rdev->fabric_ports_[peer->port];
+        const sim::Nanos t_port =
+            rs.fabric->ReserveTx(rs.endpoint, ready, len) + ow;
+        dsim.SendTo(src_shard, t_port, [this, &wq, pl] {
+          // The response lands through the requester's RX pipe, then pays
+          // the requester-side ack turnaround.
+          const FabricAttach& rd = fabric_ports_[wq.qp()->port];
+          const sim::Nanos t_done =
+              rd.fabric->ReserveRx(rd.endpoint, sim_.now(), pl->bytes.size()) +
+              cal_.remote_ack_extra;
+          sim_.At(t_done, [this, &wq, pl] {
+            if (wq.qp()->alive) {
+              LandRead(wq, pl->img, pl->slot, pl->bytes, sim_.now());
+            }
+            payloads_.Release(pl);
+          });
+        });
+      });
+}
+
+void RnicDevice::AtomicOverFabric(WorkQueue& wq, QueuePair* peer, Payload* pl,
+                                  sim::Nanos t_issue, sim::Nanos ow) {
+  const int src_shard = sim_.shard();
+  sim_.SendTo(
+      peer->device->sim_.shard(), t_issue + ow,
+      [this, &wq, peer, pl, ow, src_shard] {
+        RnicDevice* rdev = peer->device;
+        sim::Simulator& dsim = rdev->sim_;
+        WcStatus nak = WcStatus::kSuccess;
+        const sim::Nanos unit_done = rdev->AcceptAtomic(peer, pl, &nak);
+        if (unit_done < 0) {
+          dsim.SendTo(src_shard, dsim.now() + ow,
+                      [this, &wq, pl, nak] { NakWr(wq, pl, nak); });
+          return;
+        }
+        // The completion message is due >= unit_done + lookahead — on two
+        // shards a strictly later round — so the requester reads
+        // rmw_done/scratch after the RMW ran.
+        const sim::Nanos t_done = unit_done +
+                                  rdev->ExecCost(pl->img.opcode()) + ow +
+                                  cal_.remote_ack_extra;
+        dsim.SendTo(src_shard, t_done,
+                    [this, &wq, pl] { FinishAtomic(wq, pl); });
+      });
+}
+
+void RnicDevice::SendOverTransport(WorkQueue& wq, QueuePair* peer, Payload* pl,
                                    sim::Nanos ready) {
-  pl->st = WcStatus::kSuccess;
-  pl->flushed = false;
+  QueuePair* qp = wq.qp();
+  const Opcode op = pl->img.opcode();
   const std::uint64_t rg = qp->reset_gen;
   sim::Transport::MessageOps ops;
   // Ops that consume a RECV probe the responder's RQ before delivery: an
@@ -813,7 +753,7 @@ void RnicDevice::SendOverTransport(WorkQueue& wq, QueuePair* qp,
   // when the transport's RNR engine is on — with rnr_retry_count == 0 the
   // probe is never consulted and AcceptSend keeps the legacy drop.
   if (op == Opcode::kSend || op == Opcode::kSendImm || op == Opcode::kWriteImm) {
-    ops.rnr_probe = [this, peer](sim::Nanos) {
+    ops.rnr_probe = [peer](sim::Nanos) {
       if (!peer->alive) return true;  // let delivery surface the real error
       if (peer->stall_recvs > 0) {
         --peer->stall_recvs;
@@ -827,254 +767,40 @@ void RnicDevice::SendOverTransport(WorkQueue& wq, QueuePair* qp,
       return true;
     };
   }
-  if (CrossShard(peer)) {
-    // Split-flow callback layout: on_deliver runs on the responder's shard
-    // and may only touch responder-side state plus pl fields the requester
-    // reads strictly later (pl->st — the ACK crossing orders it); every
-    // requester-side outcome (wq.error check + latch, CQE, release) moves
-    // to on_acked/on_failed on the requester's shard. One semantic shift vs
-    // the same-shard path, cross-shard only: delivered bytes land in the
-    // responder's memory even if the requester's WQ flushed mid-flight —
-    // the responder cannot observe that, which is what a real NIC does too.
-    ops.on_deliver =
-        [peer, pl, op](sim::Nanos) {
-          const std::uint64_t len = pl->bytes.size();
-          WcStatus st = WcStatus::kSuccess;
-          if (!peer->alive) {
-            st = WcStatus::kRemoteAccessError;
-          } else if (op == Opcode::kWrite || op == Opcode::kWriteImm) {
-            st = peer->device->AcceptWrite(peer, pl->img.remote_addr,
-                                           pl->img.rkey, pl->bytes.data(),
-                                           len);
-            if (st == WcStatus::kSuccess && op == Opcode::kWriteImm) {
-              st = peer->device->AcceptSend(peer, nullptr, 0, pl->img.imm,
-                                            /*has_imm=*/true, len);
-            }
-          } else {
-            st = peer->device->AcceptSend(peer, pl->bytes.data(), len,
-                                          pl->img.imm,
-                                          /*has_imm=*/op == Opcode::kSendImm,
-                                          len);
-          }
-          pl->st = st;
-        };
-    ops.on_acked =
-        [this, &wq, qp, pl](sim::Nanos) {
-          if (wq.error || !qp->alive) {
-            payloads_.Release(pl);
-            return;
-          }
-          if (pl->st != WcStatus::kSuccess && pl->st != WcStatus::kRnrError) {
-            // Remote failure surfaces at the ACK (the NAK's arrival) on this
-            // shard; later WRs of this QP flush from here on.
-            wq.error = true;
-            ++counters_.error_completions;
-          }
-          CompleteWr(qp, qp->send_cq, pl->img,
-                     sim_.now() + cal_.remote_ack_extra, pl->st,
-                     static_cast<std::uint32_t>(pl->bytes.size()));
-          payloads_.Release(pl);
-        };
-    ops.on_failed =
-        [this, qp, pl, rg](sim::Nanos t, sim::MsgFailure why) {
-          if (!qp->alive || qp->state == QpState::kReset ||
-              qp->reset_gen != rg) {
-            payloads_.Release(pl);
-            return;
-          }
-          FailQpOverTransport(qp, pl->img, t, StatusOf(why));
-          payloads_.Release(pl);
-        };
-    qp->transport->SendMessageEx(qp->flow, ready, pl->bytes.size(),
-                                 std::move(ops));
-    return;
-  }
-  ops.on_deliver =
-      [this, &wq, qp, peer, pl, op](sim::Nanos) {
-        if (wq.error) {  // QP flushed after an earlier failure: no CQE
-          pl->flushed = true;
-          return;
-        }
-        const std::uint64_t len = pl->bytes.size();
-        WcStatus st = WcStatus::kSuccess;
-        if (!peer->alive) {
-          st = WcStatus::kRemoteAccessError;
-        } else if (op == Opcode::kWrite || op == Opcode::kWriteImm) {
-          st = peer->device->AcceptWrite(peer, pl->img.remote_addr,
-                                         pl->img.rkey, pl->bytes.data(), len);
-          if (st == WcStatus::kSuccess && op == Opcode::kWriteImm) {
-            st = peer->device->AcceptSend(peer, nullptr, 0, pl->img.imm,
-                                          /*has_imm=*/true, len);
-          }
-        } else {
-          st = peer->device->AcceptSend(peer, pl->bytes.data(), len,
-                                        pl->img.imm,
-                                        /*has_imm=*/op == Opcode::kSendImm,
-                                        len);
-        }
-        if (!qp->alive) {
-          pl->flushed = true;
-          return;
-        }
-        if (st != WcStatus::kSuccess && st != WcStatus::kRnrError) {
-          wq.error = true;
-          ++counters_.error_completions;
-        }
-        pl->st = st;
-      };
-  ops.on_acked =
-      [this, qp, pl](sim::Nanos) {
-        if (pl->flushed || !qp->alive) {
-          payloads_.Release(pl);
-          return;
-        }
-        CompleteWr(qp, qp->send_cq, pl->img,
-                   sim_.now() + cal_.remote_ack_extra, pl->st,
-                   static_cast<std::uint32_t>(pl->bytes.size()));
-        payloads_.Release(pl);
-      };
-  ops.on_failed =
-      [this, qp, pl, rg](sim::Nanos t, sim::MsgFailure why) {
-        // kReset: ModifyQp is tearing the flow down under us — a reset
-        // discards in-flight work silently instead of erroring the QP it
-        // just cleared. Same-foreign-domain split flows flush at the fence
-        // echo, after the re-arm: the reset_gen mismatch covers them.
-        if (pl->flushed || !qp->alive || qp->state == QpState::kReset ||
-            qp->reset_gen != rg) {
-          payloads_.Release(pl);
-          return;
-        }
-        FailQpOverTransport(qp, pl->img, t, StatusOf(why));
-        payloads_.Release(pl);
-      };
+  // on_deliver runs on the responder's domain and touches only responder
+  // state plus pl->st, which the requester reads strictly later (the ACK
+  // orders it). Delivered bytes land even if the requester's WQ flushed
+  // mid-flight — the responder cannot observe that, and neither can a real
+  // NIC's. Every requester-side outcome waits for on_acked/on_failed.
+  ops.on_deliver = [peer, pl](sim::Nanos) {
+    pl->st = peer->device->AcceptPayload(peer, *pl);
+  };
+  ops.on_acked = [this, &wq, pl](sim::Nanos) {
+    AckSend(wq, pl, sim_.now() + cal_.remote_ack_extra);
+  };
+  ops.on_failed = [this, qp, pl, rg](sim::Nanos t, sim::MsgFailure why) {
+    // kReset or a newer reset_gen: ModifyQp tore the flow down under us
+    // (synchronously, or at a split flow's fence echo after the re-arm) —
+    // a reset discards in-flight work silently instead of erroring the QP
+    // it just cleared.
+    if (qp->alive && qp->state != QpState::kReset && qp->reset_gen == rg) {
+      FailQpOverTransport(qp, pl->img, t, StatusOf(why));
+    }
+    payloads_.Release(pl);
+  };
   qp->transport->SendMessageEx(qp->flow, ready, pl->bytes.size(),
                                std::move(ops));
 }
 
-void RnicDevice::ReadOverTransport(WorkQueue& wq, QueuePair* qp,
-                                   QueuePair* peer, Payload* pl,
-                                   sim::Nanos t_issue, sim::Nanos ow) {
-  if (CrossShard(peer)) {
-    ReadOverTransportSplit(wq, qp, peer, pl, t_issue, ow);
-    return;
-  }
-  // Protection and dead-peer NAKs return as constant-latency control
-  // messages (`ow`): they are tiny, generated unconditionally by the
-  // responder, and the requester must never hang on them — so they bypass
-  // the loss injector, while the request and the data-bearing response ride
-  // the lossy packetized flows.
-  const std::uint64_t rg = qp->reset_gen;
-  sim::Transport::MessageOps req;
-  req.on_deliver =
-      [this, &wq, qp, peer, pl, ow, rg](sim::Nanos) {
-        if (!qp->alive) {  // requester died: flush silently
-          payloads_.Release(pl);
-          return;
-        }
-        const std::uint64_t prg = peer->reset_gen;
-        if (!peer->alive) {
-          // Target died before the (possibly retransmitted) request landed:
-          // NAK instead of silently dropping — the requester must not hang
-          // even when the loss injector ate the original transmission.
-          FailWr(wq, pl->img, sim_.now() + ow, WcStatus::kRemoteAccessError);
-          payloads_.Release(pl);
-          return;
-        }
-        RnicDevice* rdev = peer->device;
-        const WqeImage& img = pl->img;
-        std::uint64_t len = img.length;
-        if (img.uses_sge_table()) {
-          SgeScratch sges;
-          ResolveSges(img, sges);
-          len = 0;
-          for (const Sge& sge : sges) len += sge.length;
-        }
-        const MemCheck mc =
-            rdev->pd_.CheckRemote(img.remote_addr, len, img.rkey, kRemoteRead,
-                                  &peer->remote_mr_cache);
-        if (mc != MemCheck::kOk) {
-          FailWr(wq, img, sim_.now() + ow, WcStatus::kRemoteAccessError);
-          payloads_.Release(pl);
-          return;
-        }
-        // Data captured at the remote memory now (request delivery).
-        if (len > 0) dma::ReadAppend(pl->bytes, img.remote_addr, len);
-        const sim::Nanos now = sim_.now();
-        const sim::Nanos pcie_done = rdev->pcie_.Reserve(now, len);
-        const sim::Nanos mem_done = rdev->membw_.Reserve(now, len);
-        const sim::Nanos ready = std::max(
-            {now + ExecCost(Opcode::kRead) + rdev->HostDataDelay(len),
-             pcie_done, mem_done});
-        // The response payload rides the responder's flow back; READs
-        // complete at in-order data delivery (no extra ack leg).
-        sim::Transport::MessageOps resp;
-        resp.on_deliver =
-            [this, &wq, qp, pl](sim::Nanos) {
-              if (!qp->alive) {
-                payloads_.Release(pl);
-                return;
-              }
-              WcStatus st = WcStatus::kSuccess;
-              if (!ScatterList(wq, pl->slot, pl->img, pl->bytes.data(),
-                               pl->bytes.size(), &st)) {
-                FailWr(wq, pl->img, sim_.now(), st);
-                payloads_.Release(pl);
-                return;
-              }
-              CompleteWr(qp, qp->send_cq, pl->img,
-                         sim_.now() + cal_.remote_ack_extra,
-                         WcStatus::kSuccess,
-                         static_cast<std::uint32_t>(pl->bytes.size()));
-              payloads_.Release(pl);
-            };
-        resp.on_failed =
-            [this, qp, peer, pl, rg, prg](sim::Nanos t, sim::MsgFailure why) {
-              // The responder's flow died under the response: the READ must
-              // still resolve on the requester CQ, and both ends of the
-              // connection are now broken — except a responder mid-reset,
-              // whose flow is being re-armed (not dying) and must stay
-              // clear of the error latches the reset just dropped.
-              if (peer->alive && peer->state != QpState::kReset &&
-                  peer->reset_gen == prg) {
-                peer->device->TransitionToError(peer);
-              }
-              if (!qp->alive || qp->state == QpState::kReset ||
-                  qp->reset_gen != rg) {
-                payloads_.Release(pl);
-                return;
-              }
-              FailQpOverTransport(qp, pl->img, t, StatusOf(why));
-              payloads_.Release(pl);
-            };
-        peer->transport->SendMessageEx(peer->flow, ready, len,
-                                       std::move(resp));
-      };
-  req.on_failed =
-      [this, qp, pl, rg](sim::Nanos t, sim::MsgFailure why) {
-        // A lost READ request exhausting its retries surfaces on the
-        // requester CQ instead of waiting forever on the response flow. A
-        // requester mid-reset flushes silently (see SendOverTransport).
-        if (!qp->alive || qp->state == QpState::kReset ||
-            qp->reset_gen != rg) {
-          payloads_.Release(pl);
-          return;
-        }
-        FailQpOverTransport(qp, pl->img, t, StatusOf(why));
-        payloads_.Release(pl);
-      };
-  qp->transport->SendMessageEx(qp->flow, t_issue, kReadRequestBytes,
-                               std::move(req));
-}
-
 namespace {
-// Cross-shard READ bundle. The requester's Payload stays owned by the
-// request leg (released at its ACK or failure, always on the requester's
-// shard); everything the other legs need rides here instead. `bytes` is
-// written by the responder before the response send and read by the
-// requester at response delivery — the mailbox crossing orders the two.
-// `resolved` collapses the racing resolution paths (response delivery, NAK
-// hop, response-flow failure hop, request-flow failure) to exactly one CQE;
-// it is only ever touched on the requester's shard.
+// READ bundle. The requester's Payload stays owned by the request leg
+// (released at its ACK or failure, always on the requester's domain);
+// everything the other legs need rides here instead. `bytes` is written by
+// the responder before the response send and read by the requester at
+// response delivery — the response crossing orders the two. `resolved`
+// collapses the racing resolution paths (response delivery, NAK, response-
+// flow failure, request-flow failure) to exactly one CQE; it is only ever
+// touched on the requester's domain.
 struct ReadCtx {
   WqeImage img{};
   std::uint64_t slot = 0;
@@ -1084,117 +810,84 @@ struct ReadCtx {
 };
 }  // namespace
 
-void RnicDevice::ReadOverTransportSplit(WorkQueue& wq, QueuePair* qp,
-                                        QueuePair* peer, Payload* pl,
-                                        sim::Nanos t_issue, sim::Nanos ow) {
+void RnicDevice::ReadOverTransport(WorkQueue& wq, QueuePair* peer, Payload* pl,
+                                   sim::Nanos t_issue, sim::Nanos ow) {
+  QueuePair* qp = wq.qp();
   auto ctx = std::make_shared<ReadCtx>();
   ctx->img = pl->img;
   ctx->slot = pl->slot;
-  // Resolve the SGE table at issue, on the requester's shard: the table
-  // lives in requester memory, and reading it from the responder's shard
-  // (where the same-shard path resolves it, at request arrival) would race
-  // with requester-side chain rewrites.
-  ctx->len = ctx->img.length;
-  if (ctx->img.uses_sge_table()) {
-    SgeScratch sges;
-    ResolveSges(ctx->img, sges);
-    ctx->len = 0;
-    for (const Sge& sge : sges) ctx->len += sge.length;
-  }
+  // Resolved at issue, on the requester's domain: the table lives in
+  // requester memory.
+  ctx->len = ReadLength(ctx->img);
   const std::uint64_t rg = qp->reset_gen;
   const int req_shard = sim_.shard();
   sim::Transport::MessageOps req;
-  req.on_deliver =
-      [this, &wq, qp, peer, ctx, ow, rg, req_shard](sim::Nanos) {
-        // Runs on the responder's shard: liveness, protection, DMA capture,
-        // and the response send are all local; requester-side outcomes hop
-        // back through the mailbox (ow is exactly the pair's registered
-        // lookahead floor, so now + ow is always a legal crossing).
-        RnicDevice* rdev = peer->device;
-        sim::Simulator& dsim = rdev->sim_;
-        const sim::Nanos dnow = dsim.now();
-        if (!peer->alive) {
-          // NAK: constant-latency control message (see the same-shard path).
-          dsim.SendTo(req_shard, dnow + ow, [this, &wq, qp, ctx] {
-            if (ctx->resolved || !qp->alive) return;
-            ctx->resolved = true;
-            FailWr(wq, ctx->img, sim_.now(), WcStatus::kRemoteAccessError);
-          });
-          return;
-        }
-        const std::uint64_t prg = peer->reset_gen;
-        const WqeImage& img = ctx->img;
-        const std::uint64_t len = ctx->len;
-        const MemCheck mc =
-            rdev->pd_.CheckRemote(img.remote_addr, len, img.rkey, kRemoteRead,
-                                  &peer->remote_mr_cache);
-        if (mc != MemCheck::kOk) {
-          dsim.SendTo(req_shard, dnow + ow, [this, &wq, qp, ctx] {
-            if (ctx->resolved || !qp->alive) return;
-            ctx->resolved = true;
-            FailWr(wq, ctx->img, sim_.now(), WcStatus::kRemoteAccessError);
-          });
-          return;
-        }
-        // Data captured at the remote memory now (request delivery).
-        if (len > 0) dma::ReadAppend(ctx->bytes, img.remote_addr, len);
-        const sim::Nanos pcie_done = rdev->pcie_.Reserve(dnow, len);
-        const sim::Nanos mem_done = rdev->membw_.Reserve(dnow, len);
-        const sim::Nanos ready = std::max(
-            {dnow + ExecCost(Opcode::kRead) + rdev->HostDataDelay(len),
-             pcie_done, mem_done});
-        sim::Transport::MessageOps resp;
-        resp.on_deliver =
-            [this, &wq, qp, ctx](sim::Nanos) {
-              // Back on the requester's shard.
-              if (ctx->resolved || !qp->alive) return;
-              ctx->resolved = true;
-              WcStatus st = WcStatus::kSuccess;
-              if (!ScatterList(wq, ctx->slot, ctx->img, ctx->bytes.data(),
-                               ctx->bytes.size(), &st)) {
-                FailWr(wq, ctx->img, sim_.now(), st);
-                return;
-              }
-              CompleteWr(qp, qp->send_cq, ctx->img,
-                         sim_.now() + cal_.remote_ack_extra,
-                         WcStatus::kSuccess,
-                         static_cast<std::uint32_t>(ctx->bytes.size()));
-            };
-        resp.on_failed =
-            [this, qp, peer, ctx, ow, rg, prg, req_shard](
-                sim::Nanos t, sim::MsgFailure why) {
-              // Fires on the responder's shard (sender half of the response
-              // flow): error the responder locally, hop the requester CQE.
-              if (peer->alive && peer->state != QpState::kReset &&
-                  peer->reset_gen == prg) {
-                peer->device->TransitionToError(peer);
-              }
-              peer->device->sim_.SendTo(
-                  req_shard, t + ow, [this, qp, ctx, why, rg] {
-                    if (ctx->resolved || !qp->alive ||
-                        qp->state == QpState::kReset || qp->reset_gen != rg) {
-                      return;
-                    }
-                    ctx->resolved = true;
-                    FailQpOverTransport(qp, ctx->img, sim_.now(),
-                                        StatusOf(why));
-                  });
-            };
-        peer->transport->SendMessageEx(peer->flow, ready, len,
-                                       std::move(resp));
-      };
-  req.on_acked =
-      [this, pl](sim::Nanos) { payloads_.Release(pl); };
-  req.on_failed =
-      [this, qp, pl, ctx, rg](sim::Nanos t, sim::MsgFailure why) {
-        payloads_.Release(pl);
+  req.on_deliver = [this, &wq, qp, peer, ctx, ow, rg, req_shard](sim::Nanos) {
+    // Runs on the responder's domain: liveness, protection, DMA capture,
+    // and the response send are all local. Protection and dead-peer NAKs
+    // return as constant-latency control messages (`ow`, the pair's
+    // lookahead floor): they are tiny, generated unconditionally by the
+    // responder, and the requester must never hang on them — so they
+    // bypass the loss injector, while the request and the data-bearing
+    // response ride the lossy packetized flows.
+    RnicDevice* rdev = peer->device;
+    sim::Simulator& dsim = rdev->sim_;
+    const WcStatus nak = rdev->AcceptRead(peer, ctx->img, ctx->len, ctx->bytes);
+    if (nak != WcStatus::kSuccess) {
+      dsim.SendTo(req_shard, dsim.now() + ow, [this, &wq, qp, ctx, nak] {
+        if (ctx->resolved || !qp->alive) return;
+        ctx->resolved = true;
+        FailWr(wq, ctx->img, sim_.now(), nak);
+      });
+      return;
+    }
+    const std::uint64_t prg = peer->reset_gen;
+    const sim::Nanos ready =
+        rdev->DmaReady(dsim.now(), Opcode::kRead, ctx->len);
+    // The response payload rides the responder's flow back; READs complete
+    // at in-order data delivery (no extra ack leg).
+    sim::Transport::MessageOps resp;
+    resp.on_deliver = [this, &wq, qp, ctx](sim::Nanos) {
+      if (ctx->resolved || !qp->alive) return;
+      ctx->resolved = true;
+      LandRead(wq, ctx->img, ctx->slot, ctx->bytes,
+               sim_.now() + cal_.remote_ack_extra);
+    };
+    resp.on_failed = [this, qp, peer, ctx, ow, rg, prg, req_shard](
+                         sim::Nanos t, sim::MsgFailure why) {
+      // Fires on the responder's domain: the READ must still resolve on
+      // the requester CQ, and both ends of the connection are now broken —
+      // except a responder mid-reset, whose flow is being re-armed (not
+      // dying) and must stay clear of the error latches the reset dropped.
+      if (peer->alive && peer->state != QpState::kReset &&
+          peer->reset_gen == prg) {
+        peer->device->TransitionToError(peer);
+      }
+      peer->device->sim_.SendTo(req_shard, t + ow, [this, qp, ctx, why, rg] {
         if (ctx->resolved || !qp->alive || qp->state == QpState::kReset ||
             qp->reset_gen != rg) {
           return;
         }
         ctx->resolved = true;
-        FailQpOverTransport(qp, ctx->img, t, StatusOf(why));
-      };
+        FailQpOverTransport(qp, ctx->img, sim_.now(), StatusOf(why));
+      });
+    };
+    peer->transport->SendMessageEx(peer->flow, ready, ctx->len,
+                                   std::move(resp));
+  };
+  req.on_acked = [this, pl](sim::Nanos) { payloads_.Release(pl); };
+  req.on_failed = [this, qp, pl, ctx, rg](sim::Nanos t, sim::MsgFailure why) {
+    // A lost READ request exhausting its retries surfaces on the requester
+    // CQ instead of waiting forever on the response flow. A requester
+    // mid-reset flushes silently (see SendOverTransport).
+    payloads_.Release(pl);
+    if (ctx->resolved || !qp->alive || qp->state == QpState::kReset ||
+        qp->reset_gen != rg) {
+      return;
+    }
+    ctx->resolved = true;
+    FailQpOverTransport(qp, ctx->img, t, StatusOf(why));
+  };
   qp->transport->SendMessageEx(qp->flow, t_issue, kReadRequestBytes,
                                std::move(req));
 }
@@ -1250,6 +943,152 @@ WcStatus RnicDevice::AcceptSend(QueuePair* dst_qp, const std::byte* data,
                           cal_.cq_internal;
   DeliverCqe(dst_qp->recv_cq, cqe, t_hw);
   return st;
+}
+
+WcStatus RnicDevice::AcceptPayload(QueuePair* dst_qp, const Payload& pl) {
+  const WqeImage& img = pl.img;
+  const Opcode op = img.opcode();
+  const std::size_t len = pl.bytes.size();
+  if (op == Opcode::kSend || op == Opcode::kSendImm) {
+    return AcceptSend(dst_qp, pl.bytes.data(), len, img.imm,
+                      /*has_imm=*/op == Opcode::kSendImm, len);
+  }
+  const WcStatus st =
+      AcceptWrite(dst_qp, img.remote_addr, img.rkey, pl.bytes.data(), len);
+  if (st != WcStatus::kSuccess || op != Opcode::kWriteImm) return st;
+  return AcceptSend(dst_qp, nullptr, 0, img.imm, /*has_imm=*/true, len);
+}
+
+WcStatus RnicDevice::AcceptRead(QueuePair* dst_qp, const WqeImage& img,
+                                std::uint64_t len,
+                                std::vector<std::byte>& out) {
+  if (!dst_qp->alive) return WcStatus::kRemoteAccessError;
+  const MemCheck mc = pd_.CheckRemote(img.remote_addr, len, img.rkey,
+                                      kRemoteRead, &dst_qp->remote_mr_cache);
+  if (mc != MemCheck::kOk) return WcStatus::kRemoteAccessError;
+  if (len > 0) dma::ReadAppend(out, img.remote_addr, len);
+  return WcStatus::kSuccess;
+}
+
+sim::Nanos RnicDevice::AcceptAtomic(QueuePair* dst_qp, Payload* pl,
+                                    WcStatus* nak) {
+  const WqeImage& img = pl->img;
+  *nak = WcStatus::kRemoteAccessError;
+  if (!dst_qp->alive) return -1;
+  const MemCheck mc = pd_.CheckRemote(img.remote_addr, 8, img.rkey,
+                                      kRemoteAtomic, &dst_qp->remote_mr_cache);
+  if (mc != MemCheck::kOk) return -1;
+  if (img.remote_addr % 8 != 0) {
+    *nak = WcStatus::kAlignmentError;
+    return -1;
+  }
+  *nak = WcStatus::kSuccess;
+  // True atomics (CAS/ADD) serialize on the responder port's atomic unit
+  // (PCIe concurrency control) — this is what limits CAS to 8.4M/s. Vendor
+  // calc verbs (MAX/MIN) are not atomic RMWs on the host bus and run at
+  // copy-verb rates (Table 3: MAX 63M/s).
+  const Opcode op = img.opcode();
+  const sim::Nanos now = sim_.now();
+  const sim::Nanos unit_done =
+      op == Opcode::kCompSwap || op == Opcode::kFetchAdd
+          ? ports_[dst_qp->port].atomic_unit.Reserve(now,
+                                                    cal_.atomic_unit_service)
+          : now + cal_.atomic_unit_service;
+  // The RMW never releases `pl`: the requester's completion, due at or
+  // after unit_done and scheduled later, owns the release.
+  sim_.At(unit_done, [this, pl, dst_qp] {
+    if (!dst_qp->alive) return;  // died mid-flight: memory stays untouched
+    pl->rmw_done = true;
+    const WqeImage& img = pl->img;
+    const std::uint64_t cur = dma::ReadU64(img.remote_addr);
+    pl->scratch = cur;
+    std::uint64_t next = cur;
+    switch (img.opcode()) {
+      case Opcode::kCompSwap:
+        if (cur == img.compare_add) next = img.swap;
+        break;
+      case Opcode::kFetchAdd:
+        next = cur + img.compare_add;
+        break;
+      case Opcode::kCalcMax:
+        next = std::max(cur, img.compare_add);
+        break;
+      case Opcode::kCalcMin:
+        next = std::min(cur, img.compare_add);
+        break;
+      default:
+        break;
+    }
+    dma::WriteU64(img.remote_addr, next);
+    // The RedN conditional: atomics landing on WQE fields are the
+    // canonical self-modification, so the write-through refresh here is
+    // what keeps recycled chain rings hitting the cache.
+    NoteDmaWrite(img.remote_addr, 8);
+  });
+  return unit_done;
+}
+
+void RnicDevice::AckSend(WorkQueue& wq, Payload* pl, sim::Nanos t_done) {
+  QueuePair* qp = wq.qp();
+  if (!wq.error && qp->alive) {
+    if (pl->st != WcStatus::kSuccess && pl->st != WcStatus::kRnrError) {
+      // A remote failure latches the WQ: later WRs of this QP flush.
+      wq.error = true;
+      ++counters_.error_completions;
+    }
+    CompleteWr(qp, qp->send_cq, pl->img, t_done, pl->st,
+               static_cast<std::uint32_t>(pl->bytes.size()));
+  }
+  payloads_.Release(pl);
+}
+
+void RnicDevice::LandRead(WorkQueue& wq, const WqeImage& img,
+                          std::uint64_t slot,
+                          const std::vector<std::byte>& bytes,
+                          sim::Nanos t_done) {
+  WcStatus st = WcStatus::kSuccess;
+  if (!ScatterList(wq, slot, img, bytes.data(), bytes.size(), &st)) {
+    FailWr(wq, img, sim_.now(), st);
+    return;
+  }
+  CompleteWr(wq.qp(), wq.qp()->send_cq, img, t_done, WcStatus::kSuccess,
+             static_cast<std::uint32_t>(bytes.size()));
+}
+
+void RnicDevice::FinishAtomic(WorkQueue& wq, Payload* pl) {
+  QueuePair* qp = wq.qp();
+  if (!qp->alive) {
+    payloads_.Release(pl);
+    return;
+  }
+  if (!pl->rmw_done) {
+    // The target died between the protection check and the RMW: the op
+    // never executed, so a success completion would lie about remote
+    // memory. NAK and flush instead.
+    FailWr(wq, pl->img, sim_.now(), WcStatus::kRemoteAccessError);
+    payloads_.Release(pl);
+    return;
+  }
+  // Return the old value into the local sge, if one was given.
+  if (pl->img.local_addr != 0) {
+    WcStatus st = WcStatus::kSuccess;
+    const std::byte* bytes = reinterpret_cast<const std::byte*>(&pl->scratch);
+    WqeImage resp = pl->img;
+    resp.length = 8;
+    resp.flags &= ~kFlagSgeTable;
+    if (!ScatterList(wq, pl->slot, resp, bytes, 8, &st)) {
+      FailWr(wq, pl->img, sim_.now(), st);
+      payloads_.Release(pl);
+      return;
+    }
+  }
+  CompleteWr(qp, qp->send_cq, pl->img, sim_.now(), WcStatus::kSuccess, 8);
+  payloads_.Release(pl);
+}
+
+void RnicDevice::NakWr(WorkQueue& wq, Payload* pl, WcStatus st) {
+  if (wq.qp()->alive) FailWr(wq, pl->img, sim_.now(), st);
+  payloads_.Release(pl);
 }
 
 void RnicDevice::CompleteWr(QueuePair* qp, CompletionQueue* cq,
@@ -1485,9 +1324,13 @@ sim::Nanos RnicDevice::DataDelay(std::uint64_t bytes,
   return d;
 }
 
-sim::Nanos RnicDevice::HostDataDelay(std::uint64_t bytes) const {
-  if (bytes == 0) return 0;
-  return pcie_.SerializationDelay(bytes) + membw_.SerializationDelay(bytes);
+sim::Nanos RnicDevice::DmaReady(sim::Nanos t, Opcode op, std::uint64_t len) {
+  const sim::Nanos pcie_done = pcie_.Reserve(t, len);
+  const sim::Nanos mem_done = membw_.Reserve(t, len);
+  const sim::Nanos host =
+      len == 0 ? 0
+               : pcie_.SerializationDelay(len) + membw_.SerializationDelay(len);
+  return std::max({t + ExecCost(op) + host, pcie_done, mem_done});
 }
 
 sim::Nanos RnicDevice::FabricOneWay(const QueuePair* from,
@@ -1495,269 +1338,6 @@ sim::Nanos RnicDevice::FabricOneWay(const QueuePair* from,
   const FabricAttach& s = from->device->fabric_ports_[from->port];
   const FabricAttach& d = to->device->fabric_ports_[to->port];
   return s.fabric->OneWay(s.endpoint, d.endpoint);
-}
-
-sim::Nanos RnicDevice::FabricDeliver(const QueuePair* from, const QueuePair* to,
-                                     sim::Nanos t, std::uint64_t bytes) {
-  const FabricAttach& s = from->device->fabric_ports_[from->port];
-  const FabricAttach& d = to->device->fabric_ports_[to->port];
-  return s.fabric->Deliver(s.endpoint, d.endpoint, t, bytes);
-}
-
-// ---------------------------------------------------------------------------
-// Cross-shard fabric data paths (see device.h and docs/PARSIM.md).
-//
-// Timing is the same formula as the same-shard paths with Fabric::Deliver
-// split at the shard boundary: the requester reserves TX at `ready`, the
-// responder reserves RX at port arrival (TX-done + one-way propagation).
-// The only semantic shifts, both confined to fault scenarios: requester-
-// side abort checks (wq.error, qp->alive) run at the ACK instant instead
-// of at arrival (the requester cannot read them from the responder's
-// thread), and ExecCost jitter for READ/atomic responses draws from the
-// responder's per-device stream (jitter is off by default, so the default
-// timing is identical).
-// ---------------------------------------------------------------------------
-
-void RnicDevice::SendAcrossFabric(WorkQueue& wq, QueuePair* qp, QueuePair* peer,
-                                  Payload* pl, Opcode op, sim::Nanos ready) {
-  const FabricAttach& s = fabric_ports_[qp->port];
-  const FabricAttach& d = peer->device->fabric_ports_[peer->port];
-  sim::Fabric* fab = s.fabric;
-  const std::uint64_t len = pl->bytes.size();
-  const sim::Nanos ow = fab->OneWay(s.endpoint, d.endpoint);
-  const sim::Nanos t_port = fab->ReserveTx(s.endpoint, ready, len) + ow;
-  RnicDevice* rdev = peer->device;
-  const int src_shard = sim_.shard();
-  sim_.SendTo(
-      rdev->sim_.shard(), t_port,
-      [this, &wq, qp, peer, pl, fab, dep = d.endpoint, src_shard] {
-        RnicDevice* rdev = peer->device;
-        sim::Simulator& dsim = rdev->sim_;
-        const std::uint64_t len = pl->bytes.size();
-        const sim::Nanos t_arrive = fab->ReserveRx(dep, dsim.now(), len);
-        dsim.At(t_arrive, [this, &wq, qp, peer, pl, src_shard] {
-          RnicDevice* rdev = peer->device;
-          const Opcode op = pl->img.opcode();
-          const std::uint64_t len = pl->bytes.size();
-          WcStatus st = WcStatus::kSuccess;
-          if (!peer->alive) {
-            st = WcStatus::kRemoteAccessError;
-          } else if (op == Opcode::kWrite || op == Opcode::kWriteImm) {
-            st = rdev->AcceptWrite(peer, pl->img.remote_addr, pl->img.rkey,
-                                   pl->bytes.data(), len);
-            if (st == WcStatus::kSuccess && op == Opcode::kWriteImm) {
-              st = rdev->AcceptSend(peer, nullptr, 0, pl->img.imm,
-                                    /*has_imm=*/true, len);
-            }
-          } else {
-            st = rdev->AcceptSend(peer, pl->bytes.data(), len, pl->img.imm,
-                                  /*has_imm=*/op == Opcode::kSendImm, len);
-          }
-          const sim::Nanos t_ack = rdev->sim_.now() + FabricOneWay(peer, qp) +
-                                   cal_.remote_ack_extra;
-          rdev->sim_.SendTo(src_shard, t_ack, [this, &wq, qp, pl, st] {
-            if (wq.error || !qp->alive) {  // flushed / requester died
-              payloads_.Release(pl);
-              return;
-            }
-            if (st != WcStatus::kSuccess && st != WcStatus::kRnrError) {
-              wq.error = true;
-              ++counters_.error_completions;
-            }
-            CompleteWr(qp, qp->send_cq, pl->img, sim_.now(), st,
-                       static_cast<std::uint32_t>(pl->bytes.size()));
-            payloads_.Release(pl);
-          });
-        });
-      });
-}
-
-void RnicDevice::ReadAcrossFabric(WorkQueue& wq, QueuePair* qp, QueuePair* peer,
-                                  Payload* pl, sim::Nanos t_issue,
-                                  sim::Nanos ow) {
-  // The SGE-table byte count resolves here, at issue on the requester's
-  // shard — the table lives in requester host memory, which the responder
-  // must never read across the boundary.
-  const WqeImage& img = pl->img;
-  std::uint64_t len = img.length;
-  if (img.uses_sge_table()) {
-    SgeScratch sges;
-    ResolveSges(img, sges);
-    len = 0;
-    for (const Sge& sge : sges) len += sge.length;
-  }
-  RnicDevice* rdev = peer->device;
-  const int src_shard = sim_.shard();
-  sim_.SendTo(
-      rdev->sim_.shard(), t_issue + ow,
-      [this, &wq, qp, peer, pl, ow, len, src_shard] {
-        RnicDevice* rdev = peer->device;
-        sim::Simulator& dsim = rdev->sim_;
-        const WqeImage& img = pl->img;
-        const auto nak = [&](WcStatus st) {
-          dsim.SendTo(src_shard, dsim.now() + ow, [this, &wq, qp, pl, st] {
-            if (!qp->alive) {  // requester died: flush silently
-              payloads_.Release(pl);
-              return;
-            }
-            FailWr(wq, pl->img, sim_.now(), st);
-            payloads_.Release(pl);
-          });
-        };
-        if (!peer->alive) {
-          nak(WcStatus::kRemoteAccessError);
-          return;
-        }
-        const MemCheck mc = rdev->pd_.CheckRemote(
-            img.remote_addr, len, img.rkey, kRemoteRead,
-            &peer->remote_mr_cache);
-        if (mc != MemCheck::kOk) {
-          nak(WcStatus::kRemoteAccessError);
-          return;
-        }
-        if (len > 0) dma::ReadAppend(pl->bytes, img.remote_addr, len);
-        const sim::Nanos t_req_now = dsim.now();
-        const sim::Nanos pcie_done = rdev->pcie_.Reserve(t_req_now, len);
-        const sim::Nanos mem_done = rdev->membw_.Reserve(t_req_now, len);
-        const sim::Nanos ready =
-            std::max({t_req_now + rdev->ExecCost(Opcode::kRead) +
-                          rdev->HostDataDelay(len),
-                      pcie_done, mem_done});
-        const FabricAttach& rs = rdev->fabric_ports_[peer->port];
-        const FabricAttach& rd = fabric_ports_[qp->port];
-        sim::Fabric* fab = rs.fabric;
-        const sim::Nanos t_port = fab->ReserveTx(rs.endpoint, ready, len) + ow;
-        dsim.SendTo(src_shard, t_port,
-                    [this, &wq, qp, pl, fab, dep = rd.endpoint] {
-                      const std::uint64_t rlen = pl->bytes.size();
-                      const sim::Nanos t_done =
-                          fab->ReserveRx(dep, sim_.now(), rlen) +
-                          cal_.remote_ack_extra;
-                      sim_.At(t_done, [this, &wq, qp, pl] {
-                        if (!qp->alive) {
-                          payloads_.Release(pl);
-                          return;
-                        }
-                        WcStatus st = WcStatus::kSuccess;
-                        if (!ScatterList(wq, pl->slot, pl->img,
-                                         pl->bytes.data(), pl->bytes.size(),
-                                         &st)) {
-                          FailWr(wq, pl->img, sim_.now(), st);
-                          payloads_.Release(pl);
-                          return;
-                        }
-                        CompleteWr(qp, qp->send_cq, pl->img, sim_.now(),
-                                   WcStatus::kSuccess,
-                                   static_cast<std::uint32_t>(pl->bytes.size()));
-                        payloads_.Release(pl);
-                      });
-                    });
-      });
-}
-
-void RnicDevice::AtomicAcrossFabric(WorkQueue& wq, QueuePair* qp,
-                                    QueuePair* peer, Payload* pl, Opcode op,
-                                    sim::Nanos t_issue, sim::Nanos ow) {
-  RnicDevice* rdev = peer->device;
-  const int src_shard = sim_.shard();
-  sim_.SendTo(
-      rdev->sim_.shard(), t_issue + ow,
-      [this, &wq, qp, peer, pl, op, ow, src_shard] {
-        RnicDevice* rdev = peer->device;
-        sim::Simulator& dsim = rdev->sim_;
-        const WqeImage& img = pl->img;
-        const auto nak = [&](WcStatus st) {
-          dsim.SendTo(src_shard, dsim.now() + ow, [this, &wq, qp, pl, st] {
-            if (!qp->alive) {
-              payloads_.Release(pl);
-              return;
-            }
-            FailWr(wq, pl->img, sim_.now(), st);
-            payloads_.Release(pl);
-          });
-        };
-        if (!peer->alive) {
-          nak(WcStatus::kRemoteAccessError);
-          return;
-        }
-        const MemCheck mc =
-            rdev->pd_.CheckRemote(img.remote_addr, 8, img.rkey, kRemoteAtomic,
-                                  &peer->remote_mr_cache);
-        if (mc != MemCheck::kOk) {
-          nak(WcStatus::kRemoteAccessError);
-          return;
-        }
-        if (img.remote_addr % 8 != 0) {
-          nak(WcStatus::kAlignmentError);
-          return;
-        }
-        const bool true_atomic =
-            op == Opcode::kCompSwap || op == Opcode::kFetchAdd;
-        auto& unit = rdev->ports_[peer->port].atomic_unit;
-        const sim::Nanos unit_done =
-            true_atomic
-                ? unit.Reserve(dsim.now(), rdev->cal_.atomic_unit_service)
-                : dsim.now() + rdev->cal_.atomic_unit_service;
-        // Same RMW body as the same-shard path; runs on the responder's
-        // shard, which owns the target memory. The completion message below
-        // is due >= unit_done + lookahead, i.e. in a strictly later round,
-        // so the requester reads rmw_done/scratch after a barrier.
-        dsim.At(unit_done, [pl, op, peer] {
-          if (!peer->alive) return;  // died mid-flight: memory stays untouched
-          pl->rmw_done = true;
-          const WqeImage& img = pl->img;
-          const std::uint64_t cur = dma::ReadU64(img.remote_addr);
-          pl->scratch = cur;
-          std::uint64_t next = cur;
-          switch (op) {
-            case Opcode::kCompSwap:
-              if (cur == img.compare_add) next = img.swap;
-              break;
-            case Opcode::kFetchAdd:
-              next = cur + img.compare_add;
-              break;
-            case Opcode::kCalcMax:
-              next = std::max(cur, img.compare_add);
-              break;
-            case Opcode::kCalcMin:
-              next = std::min(cur, img.compare_add);
-              break;
-            default:
-              break;
-          }
-          dma::WriteU64(img.remote_addr, next);
-          peer->device->NoteDmaWrite(img.remote_addr, 8);
-        });
-        const sim::Nanos t_done =
-            unit_done + rdev->ExecCost(op) + ow + cal_.remote_ack_extra;
-        dsim.SendTo(src_shard, t_done, [this, &wq, qp, pl] {
-          if (!qp->alive) {
-            payloads_.Release(pl);
-            return;
-          }
-          if (!pl->rmw_done) {
-            FailWr(wq, pl->img, sim_.now(), WcStatus::kRemoteAccessError);
-            payloads_.Release(pl);
-            return;
-          }
-          if (pl->img.local_addr != 0) {
-            WcStatus st = WcStatus::kSuccess;
-            const std::byte* bytes =
-                reinterpret_cast<const std::byte*>(&pl->scratch);
-            WqeImage resp = pl->img;
-            resp.length = 8;
-            resp.flags &= ~kFlagSgeTable;
-            if (!ScatterList(wq, pl->slot, resp, bytes, 8, &st)) {
-              FailWr(wq, pl->img, sim_.now(), st);
-              payloads_.Release(pl);
-              return;
-            }
-          }
-          CompleteWr(qp, qp->send_cq, pl->img, sim_.now(), WcStatus::kSuccess,
-                     8);
-          payloads_.Release(pl);
-        });
-      });
 }
 
 double RnicDevice::PuUtilisation(int port, sim::Nanos window) const {

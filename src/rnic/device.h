@@ -177,11 +177,9 @@ struct Payload {
   std::uint64_t slot = 0;     // absolute WQE index (SgePlan lookup at scatter)
   std::uint64_t scratch = 0;  // atomics: old value returned to the requester
   bool rmw_done = false;      // atomics: the RMW actually executed remotely
-  // Transport path only: the Accept* status carried from message delivery
-  // to the ACK-time completion, and whether that completion was flushed
-  // (QP/WQ died in between — release the payload, deliver no CQE).
+  // WRITE/SEND: the responder's acceptance status, carried from arrival to
+  // the ACK-time completion on the requester.
   WcStatus st = WcStatus::kSuccess;
-  bool flushed = false;
   Payload* next_free = nullptr;
 
   void Recycle() { bytes.clear(); }  // keeps capacity for the next op
@@ -358,45 +356,33 @@ class RnicDevice {
   // path releases it back to the pool when the op retires.
   void ExecuteData(WorkQueue& wq, std::uint64_t idx, Payload* pl,
                    sim::Nanos t_issue);
-  // Packetized-transport variants of the data paths (QP connected with
-  // ConnectOverTransport). WRITE/SEND: the gathered payload goes out as one
-  // transport message from `ready`; the responder Accept runs at in-order
-  // delivery and the requester CQE waits for the go-back-N cumulative ACK.
-  // READ: a header-only request message; the response payload rides back on
-  // the responder's flow and completes the requester at delivery.
-  void SendOverTransport(WorkQueue& wq, QueuePair* qp, QueuePair* peer,
-                         Payload* pl, Opcode op, sim::Nanos ready);
-  void ReadOverTransport(WorkQueue& wq, QueuePair* qp, QueuePair* peer,
-                         Payload* pl, sim::Nanos t_issue, sim::Nanos ow);
-  // Cross-shard READ over a split transport flow: the request's on_deliver
-  // runs on the responder's shard, so every requester-side outcome (NAK,
-  // scatter, CQE, error latch) hops back through a SendTo mailbox message
-  // and the response data rides a shared bundle instead of the requester's
-  // Payload (which stays owned by the request leg on the requester's shard).
-  void ReadOverTransportSplit(WorkQueue& wq, QueuePair* qp, QueuePair* peer,
-                              Payload* pl, sim::Nanos t_issue, sim::Nanos ow);
-  // True when the peer's device schedules on a different event domain
-  // (shard). The devices' domains are fixed at construction, so this is a
-  // pure pointer compare — safe from any shard's thread.
-  bool CrossShard(const QueuePair* peer) const {
-    return peer != nullptr && &peer->device->sim_ != &sim_;
-  }
-  // Cross-shard halves of the fabric data paths (sharded runs only; the
-  // same-shard code above is untouched). Each splits at the shard
-  // boundary: the requester's shard reserves its TX pipe and computes the
-  // port-arrival instant, a SendTo mailbox message carries the op to the
-  // responder's shard (which reserves its own RX pipe and runs every
-  // responder-side check — liveness, protection, RQ state — locally), and
-  // the ACK/NAK/response legs mail back. Requester-side state (wq.error,
-  // qp->alive, scatter) is only ever touched on the requester's shard, at
-  // the ACK instant.
-  void SendAcrossFabric(WorkQueue& wq, QueuePair* qp, QueuePair* peer,
-                        Payload* pl, Opcode op, sim::Nanos ready);
-  void ReadAcrossFabric(WorkQueue& wq, QueuePair* qp, QueuePair* peer,
-                        Payload* pl, sim::Nanos t_issue, sim::Nanos ow);
-  void AtomicAcrossFabric(WorkQueue& wq, QueuePair* qp, QueuePair* peer,
-                          Payload* pl, Opcode op, sim::Nanos t_issue,
-                          sim::Nanos ow);
+  // The one delivery path of a QP connected with ConnectOverFabric or
+  // ConnectOverTransport, at any shard count (a same-shard SendTo is a
+  // plain At). Each op splits at the wire: the requester's device reserves
+  // its TX pipe (or sends a transport message), the responder's device
+  // reserves its RX pipe and runs every responder-side check — liveness,
+  // protection, RQ state — on its own domain, and the ACK/NAK/response
+  // legs come back as messages. Requester-side state (wq.error,
+  // qp->alive, scatter) is only ever touched on the requester's domain, at
+  // the ACK instant, so a dead responder is learned from its NAK one round
+  // trip after issue (docs/PARSIM.md "Device paths"). Atomics on a
+  // transport QP take the fabric path, and NOOPs complete inside the NIC
+  // on every connection (see docs/NET.md).
+  void SendOverFabric(WorkQueue& wq, QueuePair* peer, Payload* pl,
+                      sim::Nanos ready, sim::Nanos ow);
+  void ReadOverFabric(WorkQueue& wq, QueuePair* peer, Payload* pl,
+                      sim::Nanos t_issue, sim::Nanos ow);
+  void AtomicOverFabric(WorkQueue& wq, QueuePair* peer, Payload* pl,
+                        sim::Nanos t_issue, sim::Nanos ow);
+  // Packetized-transport variants. WRITE/SEND: the gathered payload goes
+  // out as one transport message from `ready`; the responder accepts it at
+  // in-order delivery and the requester CQE waits for the cumulative ACK.
+  // READ: a header-only request message; the response payload rides back
+  // on the responder's flow and completes the requester at delivery.
+  void SendOverTransport(WorkQueue& wq, QueuePair* peer, Payload* pl,
+                         sim::Nanos ready);
+  void ReadOverTransport(WorkQueue& wq, QueuePair* peer, Payload* pl,
+                         sim::Nanos t_issue, sim::Nanos ow);
   // Snapshots slot `idx` through the translation cache: a verified cached
   // decode is a hit (no reload); anything else decodes and refills. Charges
   // no simulated time itself — callers pay the fetch latency exactly as
@@ -429,14 +415,37 @@ class RnicDevice {
   void FlushQueued(QueuePair* qp);
   static WcStatus StatusOf(sim::MsgFailure why);
 
-  // Incoming traffic from a peer device (or loopback), executed at arrival
-  // time on the responder device.
+  // Responder side, executed at arrival time on the responder device (this
+  // one). Every check reads only responder state, so the same code serves
+  // the compat path and the fabric/transport path at any shard count.
   WcStatus AcceptWrite(QueuePair* dst_qp, std::uint64_t addr,
                        std::uint32_t rkey, const std::byte* data,
                        std::size_t len);
   WcStatus AcceptSend(QueuePair* dst_qp, const std::byte* data,
                       std::size_t len, std::uint32_t imm, bool has_imm,
                       std::size_t reported_len);
+  // WRITE / WRITE_IMM / SEND / SEND_IMM carried by `pl`.
+  WcStatus AcceptPayload(QueuePair* dst_qp, const Payload& pl);
+  // READ: checks the target and appends its `len` bytes to `out`.
+  WcStatus AcceptRead(QueuePair* dst_qp, const WqeImage& img,
+                      std::uint64_t len, std::vector<std::byte>& out);
+  // Atomic: checks the target, reserves the port's atomic unit and
+  // schedules the read-modify-write at the grant instant (old value into
+  // pl->scratch, pl->rmw_done set). Returns that instant, or -1 with
+  // `*nak` set when the request is refused.
+  sim::Nanos AcceptAtomic(QueuePair* dst_qp, Payload* pl, WcStatus* nak);
+
+  // Requester side, on the requester device at the ACK/response instant.
+  // A WQ that flushed or a requester that died since issue swallows the
+  // outcome. AckSend completes a WRITE/SEND with pl->st (a remote error
+  // latches the WQ); LandRead scatters a READ's bytes and completes at
+  // `t_done`; FinishAtomic returns the old value; NakWr fails the WR.
+  // All but LandRead release `pl`.
+  void AckSend(WorkQueue& wq, Payload* pl, sim::Nanos t_done);
+  void LandRead(WorkQueue& wq, const WqeImage& img, std::uint64_t slot,
+                const std::vector<std::byte>& bytes, sim::Nanos t_done);
+  void FinishAtomic(WorkQueue& wq, Payload* pl);
+  void NakWr(WorkQueue& wq, Payload* pl, WcStatus st);
 
   // Gather/scatter helpers with protection checks. All SGE resolution goes
   // through caller-provided (stack) scratch — no per-op allocation. `wq` is
@@ -448,6 +457,9 @@ class RnicDevice {
   bool ScatterList(WorkQueue& wq, std::uint64_t idx, const WqeImage& img,
                    const std::byte* data, std::size_t len, WcStatus* err);
   void ResolveSges(const WqeImage& img, SgeScratch& out) const;
+  // Remote byte count of a READ: with a scatter table the WQE length field
+  // holds the SGE count, so the byte count is the sum of the entries.
+  std::uint64_t ReadLength(const WqeImage& img) const;
   // Tracked NIC-side store into this device's memory: routes the written
   // extent through the ring watch set so overlapped cached decodes are
   // refreshed (write-through) and counted as invalidations.
@@ -472,14 +484,13 @@ class RnicDevice {
   // loopback, which crosses PCIe twice instead.
   sim::Nanos DataDelay(std::uint64_t bytes,
                        const sim::BandwidthResource* wire_link) const;
-  // Host-side (PCIe + memory) store-and-forward terms only; the wire terms
-  // of a fabric-routed transfer come from Fabric::Deliver instead.
-  sim::Nanos HostDataDelay(std::uint64_t bytes) const;
-  // Fabric path helpers: propagation latency between two connected QPs'
-  // endpoints, and a contended delivery reservation `from` -> `to`.
+  // Instant `len` bytes of `op` are ready to leave this device's host
+  // memory on the fabric path: the PCIe and memory DMA reserved from `t`,
+  // plus the op's execution cost. The wire terms come from the fabric's
+  // pipes instead.
+  sim::Nanos DmaReady(sim::Nanos t, Opcode op, std::uint64_t len);
+  // Propagation latency between two fabric-connected QPs' endpoints.
   static sim::Nanos FabricOneWay(const QueuePair* from, const QueuePair* to);
-  static sim::Nanos FabricDeliver(const QueuePair* from, const QueuePair* to,
-                                  sim::Nanos t, std::uint64_t bytes);
 
   std::uint64_t ExecLimitOf(const WorkQueue& wq) const { return wq.exec_limit; }
   void SnapshotRange(WorkQueue& wq, std::uint64_t upto);

@@ -18,8 +18,8 @@
 // events (see sim/resource.h).
 //
 // The fabric is a pure timing layer: it moves no bytes and knows nothing
-// about verbs. Devices ask "when does a transfer of `bytes` leaving at `t`
-// arrive?" and schedule delivery themselves.
+// about verbs. Devices reserve the two halves of a transfer (ReserveTx,
+// ReserveRx) and schedule delivery themselves.
 #pragma once
 
 #include <cstdint>
@@ -83,27 +83,22 @@ class Fabric {
     return eps_[src].prop + switch_latency_ + eps_[dst].prop;
   }
 
-  // Reserves the path for `bytes` leaving src at `t`; returns the instant
-  // the last byte arrives at dst. Both pipes advance their horizons, so
-  // concurrent transfers queue exactly where real traffic would.
-  Nanos Deliver(int src, int dst, Nanos t, std::uint64_t bytes) {
-    Endpoint& s = eps_[src];
-    Endpoint& d = eps_[dst];
-    const Nanos tx_done = s.tx.Reserve(t, bytes);
-    const Nanos at_dst = tx_done + s.prop + switch_latency_ + d.prop;
-    return d.rx.Reserve(at_dst, bytes);
-  }
-
   // Pure serialization delay through an endpoint's pipe (no queueing).
   Nanos SerializationDelay(int ep, std::uint64_t bytes) const {
     return eps_[ep].tx.SerializationDelay(bytes);
   }
 
-  // --- packet-level access (sim::Transport) ---------------------------------
-  // One side of the path at a time, so the packetized transport can model
-  // partial traversals: a packet eaten at the sender's egress reserves TX
-  // only and never occupies the receiver's pipe, while one dropped or
-  // corrupted at the receiver has already burned both pipes' bandwidth.
+  // --- one side of the path at a time ---------------------------------------
+  // A transfer src -> dst leaving at `t` reserves ReserveTx(src, t, bytes),
+  // propagates OneWay(src, dst), then reserves ReserveRx(dst, ...): both
+  // pipes advance their horizons, so concurrent transfers queue exactly
+  // where real traffic would. The halves are separate calls because each
+  // runs on its own endpoint's event domain (the device's fabric path
+  // reserves RX at port arrival, possibly on another shard), and so the
+  // packetized transport can model partial traversals: a packet eaten at
+  // the sender's egress reserves TX only and never occupies the receiver's
+  // pipe, while one dropped or corrupted at the receiver has already burned
+  // both pipes' bandwidth.
   Nanos ReserveTx(int ep, Nanos t, std::uint64_t bytes) {
     return eps_[ep].tx.Reserve(t, bytes);
   }

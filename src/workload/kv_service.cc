@@ -5,9 +5,11 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "kv/resync.h"
@@ -195,9 +197,10 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
         ptr = heaps.back()->Reserve(cfg.value_len);
         kv::WriteVersionedValue(ptr, cfg.value_len, key, /*version=*/0);
       } else {
-        for (std::uint32_t i = 0; i < cfg.value_len; ++i) {
-          v[i] = static_cast<std::byte>((key + i) & 0xff);  // PutPattern layout
-        }
+        // PutPattern layout: byte i is (key + i) mod 256.
+        std::iota(reinterpret_cast<unsigned char*>(v.data()),
+                  reinterpret_cast<unsigned char*>(v.data()) + v.size(),
+                  static_cast<unsigned char>(key));
         ptr = heaps.back()->Store(v.data(), cfg.value_len);
       }
       tables.back()->Insert(key, ptr, cfg.value_len);
@@ -451,6 +454,10 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
   std::vector<ShardState> shard_state(static_cast<std::size_t>(cfg.shards),
                                       ShardState::kServing);
   std::vector<char> dirty(static_cast<std::size_t>(cfg.shards), 0);
+  // Keys a re-syncing shard missed while its current anti-entropy pass ran
+  // (see resync_pass); the next pass re-reads exactly these.
+  std::vector<std::vector<std::uint64_t>> missed(
+      static_cast<std::size_t>(cfg.shards));
   std::vector<std::unique_ptr<kv::ResyncSession>> sessions;
   struct AckedWrite {
     std::uint64_t key;
@@ -844,6 +851,18 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
                                                   /*signaled=*/false));
   };
 
+  // Shard `s` missed the write of `key` (another replica acked it alone):
+  // mark s dirty so its heal runs anti-entropy, and if s is re-syncing
+  // right now queue the key for a follow-up pass — the running pass may
+  // already have read the donor's older bytes.
+  auto note_missed = [&](int s, std::uint64_t key) {
+    dirty[static_cast<std::size_t>(s)] = 1;
+    ++degraded_acks;
+    if (shard_state[static_cast<std::size_t>(s)] == ShardState::kResyncing) {
+      missed[static_cast<std::size_t>(s)].push_back(key);
+    }
+  };
+
   // Applies one put at shard `s` and drives the chain: the primary
   // propagates to its successor and acks only on the WRITE's completion;
   // a degraded head (successor serving while the primary is down, or a
@@ -860,8 +879,7 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
     if (s != p) {
       // Degraded head: the tenant routed here because the primary was
       // unroutable — the primary is missing this write.
-      dirty[static_cast<std::size_t>(p)] = 1;
-      ++degraded_acks;
+      note_missed(p, key);
       send_put_ack(t, s, key, version, 1ULL << s);
       return;
     }
@@ -872,8 +890,7 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
                          E.req->alive && !E.req->sq.error &&
                          E.req->state == rnic::QpState::kRts;
     if (!peer_up) {
-      dirty[static_cast<std::size_t>(b)] = 1;
-      ++degraded_acks;
+      note_missed(b, key);
       send_put_ack(t, s, key, version, 1ULL << s);
       return;
     }
@@ -969,8 +986,7 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
                          (1ULL << s) | (1ULL << f.peer));
           } else {
             ++error_cqes;
-            dirty[static_cast<std::size_t>(f.peer)] = 1;
-            ++degraded_acks;
+            note_missed(f.peer, f.key);
             send_put_ack(f.tenant, s, f.key, f.version, 1ULL << s);
           }
         }
@@ -1099,8 +1115,7 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
           // so the tenant's put is not stranded, and mark the peer dirty.
           const Fwd f = E.ring[cqe.wr_id % kFwdRing];
           ++error_cqes;
-          dirty[static_cast<std::size_t>(f.peer)] = 1;
-          ++degraded_acks;
+          note_missed(f.peer, f.key);
           send_put_ack(f.tenant, x, f.key, f.version, 1ULL << x);
         }
       }
@@ -1234,8 +1249,8 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
   // Per-tenant client-side recovery for shard `s`. `crash` forces a full
   // transport re-arm (the server side was revived in ERROR even if the
   // client QP never noticed); `clear_dead` restores routing to s now,
-  // while a re-syncing shard instead CLOSES routing on sharded runs
-  // (dead[s] = 1 for every tenant in scope) and defers the reopen to
+  // while a re-syncing shard instead CLOSES routing (dead[s] = 1 for
+  // every tenant in scope, co-resident or spread) and defers the reopen to
   // finish_recovery — otherwise a tenant that never saw the outage
   // (e.g. parked on the put watchdog the whole window on its own
   // domain) could read the wiped store before anti-entropy drains.
@@ -1253,15 +1268,10 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
       rnic::QueuePair* qp = h->client_qp();
       const bool errored = qp->state == rnic::QpState::kError;
       const bool routed_off = T.dead[static_cast<std::size_t>(s)] != 0;
-      if (!clear_dead && cfg.sim_shards > 1) {
+      if (!clear_dead) {
         // Same stale-read guard as the spread leg: a re-syncing shard is
         // unroutable until finish_recovery, no matter what this tenant
-        // observed during the outage. Gated to sharded runs — classic
-        // single-domain runs keep their recorded schedules bit for bit
-        // (there a put reaching the re-syncing shard dies on its ERROR
-        // QP and retries off the watchdog; only gets could read stale,
-        // and the goldens' tight co-resident interleavings mark the
-        // shard dead through first-hand probe/detour evidence first).
+        // observed during the outage.
         T.dead[static_cast<std::size_t>(s)] = 1;
       }
       if (!errored && !crash && !routed_off) {
@@ -1352,13 +1362,38 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
     }
   };
 
-  // Streams shard s's key range back from its chain peers: for each key
-  // the donor is the other replica (the primary if s backs it up, the
-  // successor if s owns it). One session per donor over a dedicated QP.
-  auto start_resync = [&](int s, std::size_t ei, sim::Nanos down_at) {
+  // Anti-entropy runs in passes. Each pass streams a list of s's keys back
+  // from its chain peers: for each key the donor is the other replica (the
+  // primary if s backs it up, the successor if s owns it), one session per
+  // donor over a QP pair kept for the whole recovery. The first pass reads
+  // s's whole key range; a write s misses meanwhile is queued in missed[s]
+  // (note_missed), and the next pass re-reads exactly those keys. Only a
+  // pass that misses nothing lets s serve again.
+  std::vector<std::vector<std::pair<rnic::QueuePair*, rnic::QueuePair*>>>
+      resync_links(static_cast<std::size_t>(cfg.shards));
+  std::function<void(int, std::size_t, sim::Nanos,
+                     const std::vector<std::uint64_t>&)>
+      resync_pass;
+  auto pass_done = [&](int s, std::size_t ei, sim::Nanos down_at) {
+    std::vector<std::uint64_t> keys;
+    keys.swap(missed[static_cast<std::size_t>(s)]);
+    if (keys.empty()) {
+      finish_recovery(s, ei, down_at);
+      return;
+    }
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    // From a fresh event: the finishing session's CQ hook is still running,
+    // and the next pass's session takes that hook over.
+    sim.At(sim.now(), [&, s, ei, down_at, keys = std::move(keys)] {
+      resync_pass(s, ei, down_at, keys);
+    });
+  };
+  resync_pass = [&](int s, std::size_t ei, sim::Nanos down_at,
+                    const std::vector<std::uint64_t>& keys) {
     std::vector<std::vector<kv::ResyncSession::Item>> by_donor(
         static_cast<std::size_t>(cfg.shards));
-    for (std::uint64_t key : shard_keys[static_cast<std::size_t>(s)]) {
+    for (std::uint64_t key : keys) {
       const int p = ring.PrimaryOf(key);
       const int donor = p == s ? ring.SuccessorOf(p) : p;
       if (donor == s ||
@@ -1376,23 +1411,27 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
       if (!items.empty()) ++*outstanding;
     }
     if (*outstanding == 0) {
-      finish_recovery(s, ei, down_at);
+      pass_done(s, ei, down_at);
       return;
     }
     for (int d = 0; d < cfg.shards; ++d) {
       auto& items = by_donor[static_cast<std::size_t>(d)];
       if (items.empty()) continue;
-      rnic::QpConfig qc;
-      qc.send_cq = sdev[static_cast<std::size_t>(s)]->CreateCq();
-      qc.recv_cq = sdev[static_cast<std::size_t>(s)]->CreateCq();
-      rnic::QueuePair* rq = sdev[static_cast<std::size_t>(s)]->CreateQp(qc);
-      rq->owner_pid = kShardPidBase + s;
-      rnic::QpConfig dc;
-      dc.send_cq = sdev[static_cast<std::size_t>(d)]->CreateCq();
-      dc.recv_cq = sdev[static_cast<std::size_t>(d)]->CreateCq();
-      rnic::QueuePair* dq = sdev[static_cast<std::size_t>(d)]->CreateQp(dc);
-      dq->owner_pid = kShardPidBase + d;
-      rnic::ConnectOverTransport(rq, dq, transport);
+      auto& [rq, dq] =
+          resync_links[static_cast<std::size_t>(s)][static_cast<std::size_t>(d)];
+      if (rq == nullptr || qp_unhealthy(rq) || qp_unhealthy(dq)) {
+        rnic::QpConfig qc;
+        qc.send_cq = sdev[static_cast<std::size_t>(s)]->CreateCq();
+        qc.recv_cq = sdev[static_cast<std::size_t>(s)]->CreateCq();
+        rq = sdev[static_cast<std::size_t>(s)]->CreateQp(qc);
+        rq->owner_pid = kShardPidBase + s;
+        rnic::QpConfig dc;
+        dc.send_cq = sdev[static_cast<std::size_t>(d)]->CreateCq();
+        dc.recv_cq = sdev[static_cast<std::size_t>(d)]->CreateCq();
+        dq = sdev[static_cast<std::size_t>(d)]->CreateQp(dc);
+        dq->owner_pid = kShardPidBase + d;
+        rnic::ConnectOverTransport(rq, dq, transport);
+      }
       ++resyncs_started;
       kv::ResyncSession::Config rc;
       rc.qp = rq;
@@ -1407,10 +1446,17 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
             resync_kept += st.keys_kept_local;
             resync_bytes += st.bytes_read;
             if (st.failed) ++resync_failures;
-            if (--*outstanding == 0) finish_recovery(s, ei, down_at);
+            if (--*outstanding == 0) pass_done(s, ei, down_at);
           }));
       sessions.back()->Start();
     }
+  };
+  auto start_resync = [&](int s, std::size_t ei, sim::Nanos down_at) {
+    // A new recovery: fresh QPs, and the full pass re-reads every key.
+    resync_links[static_cast<std::size_t>(s)].assign(
+        static_cast<std::size_t>(cfg.shards), {nullptr, nullptr});
+    missed[static_cast<std::size_t>(s)].clear();
+    resync_pass(s, ei, down_at, shard_keys[static_cast<std::size_t>(s)]);
   };
 
   for (std::size_t ei = 0; ei < cfg.faults.entries.size(); ++ei) {

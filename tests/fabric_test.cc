@@ -16,6 +16,16 @@ using verbs::Cqe;
 using verbs::MakeWrite;
 using verbs::PostSendNow;
 
+// One store-and-forward transfer of `bytes` leaving `src` at `t`: TX
+// serialization, one-way propagation, then RX serialization — the walk the
+// device's fabric path splits across its requester and responder legs.
+// Returns the instant the last byte lands at `dst`.
+sim::Nanos Transfer(sim::Fabric& f, int src, int dst, sim::Nanos t,
+                    std::uint64_t bytes) {
+  const sim::Nanos at_dst = f.ReserveTx(src, t, bytes) + f.OneWay(src, dst);
+  return f.ReserveRx(dst, at_dst, bytes);
+}
+
 TEST(Fabric, OneWayAndUncontendedDelivery) {
   sim::Fabric f(/*switch_latency=*/10);
   // 8 Gbps = 1 ns/byte keeps the arithmetic legible.
@@ -23,10 +33,10 @@ TEST(Fabric, OneWayAndUncontendedDelivery) {
   const int b = f.Attach({8.0, 100});
   EXPECT_EQ(f.OneWay(a, b), 210);
   // 1000 B: TX serialization 1000, propagation 210, RX serialization 1000.
-  EXPECT_EQ(f.Deliver(a, b, 0, 1000), 2210);
+  EXPECT_EQ(Transfer(f, a, b, 0, 1000), 2210);
   // The pipes are free again by t=10000; a later transfer pays its own
   // serialization on each pipe plus propagation: 10000 + 500 + 210 + 500.
-  EXPECT_EQ(f.Deliver(a, b, 10'000, 500), 11'210);
+  EXPECT_EQ(Transfer(f, a, b, 10'000, 500), 11'210);
 }
 
 TEST(Fabric, ReceiverLinkQueuesConcurrentSenders) {
@@ -36,8 +46,8 @@ TEST(Fabric, ReceiverLinkQueuesConcurrentSenders) {
   const int c = f.Attach({8.0, 100});
   // Two senders, one receiver, both transfers leave at t=0: each serializes
   // its own TX in parallel, but c's RX pipe takes them one after the other.
-  EXPECT_EQ(f.Deliver(a, c, 0, 1000), 2200);
-  EXPECT_EQ(f.Deliver(b, c, 0, 1000), 3200);  // queued behind a's bytes
+  EXPECT_EQ(Transfer(f, a, c, 0, 1000), 2200);
+  EXPECT_EQ(Transfer(f, b, c, 0, 1000), 3200);  // queued behind a's bytes
   EXPECT_GT(f.RxUtilisation(c, 3200), 0.6);
 }
 
@@ -45,17 +55,17 @@ TEST(Fabric, SameSourceSerializesOnItsTxLink) {
   sim::Fabric f;
   const int a = f.Attach({8.0, 0});
   const int b = f.Attach({8.0, 0});
-  EXPECT_EQ(f.Deliver(a, b, 0, 1000), 2000);
+  EXPECT_EQ(Transfer(f, a, b, 0, 1000), 2000);
   // Second transfer from the same source departs only once the TX pipe
   // frees at t=2000, then serializes into RX right behind the first.
-  EXPECT_EQ(f.Deliver(a, b, 0, 1000), 3000);
+  EXPECT_EQ(Transfer(f, a, b, 0, 1000), 3000);
 }
 
 TEST(Fabric, UtilisationTruncatesAtWindowAndNeverExceedsOne) {
   sim::Fabric f;
   const int a = f.Attach({8.0, 0});  // 1 ns/byte
   const int b = f.Attach({8.0, 0});
-  f.Deliver(a, b, 0, 10'000);  // both pipes busy for 10 us
+  Transfer(f, a, b, 0, 10'000);  // both pipes busy for 10 us
   // A window shorter than the accumulated busy time used to report > 1.0;
   // the busy interval is truncated at the window boundary instead.
   EXPECT_EQ(f.TxUtilisation(a, 100), 1.0);  // TX busy solid over [0, 10000]

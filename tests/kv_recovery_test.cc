@@ -6,6 +6,7 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "kv/resync.h"
@@ -237,6 +238,48 @@ TEST(KvRecovery, SlowLinkStretchesTailsWithoutFailover) {
   // The window is reported as exactly the configured span.
   EXPECT_DOUBLE_EQ(r.degraded_window_us,
                    sim::ToMicros(slow.up_at - slow.down_at));
+}
+
+// --- writes missed mid-resync ------------------------------------------------
+
+// bench_scale_recovery's fault plan at 1000 ops per tenant. While shard 1
+// re-syncs, degraded puts at its successor can land after the session has
+// already read the donor's copy of the key; unless a follow-up pass
+// re-reads those keys, shard 1 later chain-forwards a version computed
+// from its stale copy over an acked one. Seeds 1 and 3 hit that window.
+TEST(KvRecovery, WritesMissedDuringResyncAreReReadBeforeServing) {
+  for (const std::uint64_t seed : {1u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    KvServiceConfig cfg;
+    cfg.shards = 4;
+    cfg.tenants = 4;
+    cfg.gets_per_tenant = 1000;
+    cfg.keys = 100'000;
+    cfg.put_fraction = 0.3;
+    cfg.seed = seed;
+    FaultEntry crash;
+    crash.server = 1;
+    crash.kind = FaultKind::kCrash;
+    crash.down_at = 60'000;
+    crash.up_at = sim::Millis(1);
+    cfg.faults.entries.push_back(crash);
+    FaultEntry slow;
+    slow.server = 2;
+    slow.kind = FaultKind::kSlow;
+    slow.down_at = crash.up_at + 500'000;
+    slow.up_at = slow.down_at + 500'000;
+    slow.slow_ns = 30'000;
+    cfg.faults.entries.push_back(slow);
+
+    const KvServiceResult r = RunKvService(cfg);
+    EXPECT_EQ(r.unanswered, 0u);
+    EXPECT_EQ(r.rejoins, 1u);
+    // The full pass plus at least one follow-up pass of missed keys.
+    EXPECT_GT(r.resyncs_started, 2u);
+    EXPECT_EQ(r.lost_acked_writes, 0u);
+    EXPECT_EQ(r.ryw_violations, 0u);
+    EXPECT_EQ(r.value_divergence, 0u);
+  }
 }
 
 // --- ResyncSession unit ------------------------------------------------------

@@ -260,6 +260,48 @@ TEST(ShardedDevice, CrossShardWriteMatchesSingleShardBitExactly) {
   EXPECT_EQ(two.end, again.end);
 }
 
+// The RunCrossWrite bed with the responder's process killed before issue.
+// A fabric or transport requester learns of the death only from the
+// responder's NAK, so the outcome and its instant must not depend on
+// whether the two NICs share a shard.
+rnic::Cqe RunDeadResponder(int shards, bool over_transport, bool read) {
+  ShardedPair bed(shards, 1);
+  sim::Transport transport(bed.ssim.shard(0), *bed.fabric,
+                           sim::TransportConfig{});
+  rnic::QueuePair* cqp = bed.cqp;
+  if (over_transport) {
+    cqp = ShardedPair::MakeQp(*bed.client);
+    rnic::ConnectOverTransport(cqp, ShardedPair::MakeQp(*bed.server),
+                               transport);
+  }
+  auto lbuf = std::make_unique<std::byte[]>(64);
+  auto rbuf = std::make_unique<std::byte[]>(64);
+  auto lmr = bed.client->pd().Register(lbuf.get(), 64, rnic::kAccessAll);
+  auto rmr = bed.server->pd().Register(rbuf.get(), 64, rnic::kAccessAll);
+  bed.server->KillProcessResources(/*pid=*/0);  // every server QP
+  verbs::PostSendNow(
+      cqp, read ? verbs::MakeRead(lmr.addr, 8, lmr.lkey, rmr.addr, rmr.rkey)
+                : verbs::MakeWrite(lmr.addr, 8, lmr.lkey, rmr.addr, rmr.rkey));
+  bed.ssim.Run();
+  verbs::Cqe cqe;
+  EXPECT_EQ(verbs::PollCq(cqp, cqp->send_cq, 1, &cqe), 1);
+  return cqe;
+}
+
+TEST(ShardedDevice, DeadResponderNakIsPlacementInvariant) {
+  for (const bool over_transport : {false, true}) {
+    for (const bool read : {false, true}) {
+      SCOPED_TRACE(std::string(over_transport ? "transport " : "fabric ") +
+                   (read ? "READ" : "WRITE"));
+      const rnic::Cqe one = RunDeadResponder(1, over_transport, read);
+      const rnic::Cqe two = RunDeadResponder(2, over_transport, read);
+      EXPECT_EQ(one.status, rnic::WcStatus::kRemoteAccessError);
+      EXPECT_EQ(two.status, rnic::WcStatus::kRemoteAccessError);
+      EXPECT_EQ(one.completed_at, two.completed_at);
+    }
+  }
+}
+
 TEST(ShardedDevice, CrossShardReadReturnsRemoteData) {
   ShardedPair bed(2, 1);
   auto src = std::make_unique<std::byte[]>(64);
