@@ -14,10 +14,10 @@
 // identical loss pattern at the first divergence point.
 //
 // All per-loss results are pure simulated time: the bench re-runs the
-// lossiest configuration and fails if any simulated field differs (the
-// transport's loss draws come from one seeded Rng in event order, so a
-// given config must replay bit-identically). Only the wall-clock events/s
-// line (the CI floor) varies run to run.
+// lossiest configuration and fails if any simulated field differs (each
+// transport flow draws its losses from its own seeded streams, so a given
+// config must replay bit-identically). Only the wall-clock events/s line
+// (the CI floor) varies run to run.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -100,8 +100,8 @@ int main(int argc, char** argv) {
   }
   // Seed-stability: the lossiest config must reproduce every simulated
   // field exactly — the loss injector is part of the deterministic replay.
-  // Both modes are checked: the SR engine adds draws-in-event-order state
-  // (SACK ranges, reassembly) that must replay just as exactly.
+  // Both modes are checked: the SR engine adds state (SACK ranges,
+  // reassembly) that must replay just as exactly.
   const auto again = run(losses[3], false);
   const auto sr_again = run(losses[3], true);
   total_events += again.events + sr_again.events;
@@ -136,8 +136,8 @@ int main(int argc, char** argv) {
 
   // --- sharded engine (--shards N): same lossy workload, one event domain
   // vs N, wall-clock A/B. Client NICs round-robin over shards, the server
-  // stays on shard 0, and every cross-shard flow runs the split
-  // sender/receiver-half protocol with DATA/ACKs in the mailboxes. All
+  // stays on shard 0, and every cross-shard flow's DATA/ACK legs ride the
+  // mailboxes between its sender and receiver halves. All
   // sharded output (and its JSON fields) is gated on the flag so the
   // default run stays byte-identical.
   double wall_speedup = 0;
@@ -220,7 +220,9 @@ int main(int argc, char** argv) {
   const double events_per_sec = static_cast<double>(total_events) / wall_secs;
   // The JSON goodput field is the 1% row: high enough loss to exercise
   // recovery constantly, low enough that a healthy go-back-N keeps most of
-  // the line rate (the CI floor).
+  // the line rate (the CI floor). events_per_get_lossless is the 0% GBN
+  // row's engine events per get: deterministic, and the CI ceiling that
+  // keeps a co-located flow's legs from costing extra events.
   bench::JsonWriter json("scale_lossy");
   json.Field("clients", static_cast<std::uint64_t>(clients))
       .Field("gets", lossiest.gets)
@@ -236,6 +238,9 @@ int main(int argc, char** argv) {
       .Field("rto_fires", lossiest.rto_fires)
       .Field("spurious_retransmits", lossiest.spurious_retransmits)
       .Field("packets_lost", lossiest.packets_lost)
+      .Field("events_per_get_lossless",
+             static_cast<double>(results[0].events) /
+                 static_cast<double>(results[0].gets))
       .Field("deterministic", static_cast<std::uint64_t>(stable ? 1 : 0))
       .Field("events_per_sec", events_per_sec);
   if (sim_shards > 1) {

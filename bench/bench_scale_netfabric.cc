@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
     scfg.shards = shards;
 
     const auto tb = std::chrono::steady_clock::now();
-    const auto base = run(max_clients);  // classic single-domain path
+    const auto base = run(max_clients);  // one event domain
     const double wall_1shard =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - tb)
             .count();

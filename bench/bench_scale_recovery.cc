@@ -190,7 +190,7 @@ int main(int argc, char** argv) {
       cfg.faults.entries.push_back(slow);
       cfg.sim_shards = n;
       if (n > 1) {
-        // Tenants off the service shard: their flows run split.
+        // Tenants off the service shard: their flows cross the mailbox.
         cfg.placement.resize(static_cast<std::size_t>(tenants));
         for (int t = 0; t < tenants; ++t) {
           cfg.placement[static_cast<std::size_t>(t)] = 1 + t % (n - 1);

@@ -52,8 +52,8 @@ class HashGetHarness {
   void RearmTransport(int n);
   // Two-phase RearmTransport for sharded runs where the client and server
   // NICs live on different shards: each half cycles only the QPs its
-  // shard's thread owns (a reset fences that QP's split flow, so the cycle
-  // must run on the flow's sender domain). The client half additionally
+  // shard's thread owns (a reset fences that QP's transport flow, so the
+  // cycle must run on the flow's sender domain). The client half additionally
   // drops the RECV accounting; the server half retires and rebuilds the
   // offload program. Calling client-half then server-half at one instant on
   // one shard is exactly RearmTransport(n).

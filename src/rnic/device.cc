@@ -780,9 +780,9 @@ void RnicDevice::SendOverTransport(WorkQueue& wq, QueuePair* peer, Payload* pl,
   };
   ops.on_failed = [this, qp, pl, rg](sim::Nanos t, sim::MsgFailure why) {
     // kReset or a newer reset_gen: ModifyQp tore the flow down under us
-    // (synchronously, or at a split flow's fence echo after the re-arm) —
-    // a reset discards in-flight work silently instead of erroring the QP
-    // it just cleared.
+    // (synchronously, or at a cross-shard flow's fence echo after the
+    // re-arm) — a reset discards in-flight work silently instead of
+    // erroring the QP it just cleared.
     if (qp->alive && qp->state != QpState::kReset && qp->reset_gen == rg) {
       FailQpOverTransport(qp, pl->img, t, StatusOf(why));
     }
@@ -1439,9 +1439,9 @@ void ConnectOverFabric(QueuePair* a, QueuePair* b) {
 
 void ConnectOverTransport(QueuePair* a, QueuePair* b, sim::Transport& t) {
   // Endpoints on different shards are fine: OpenFlow looks up each
-  // endpoint's EventDomain through the fabric and runs the flow split —
-  // SenderHalf on the source's shard, ReceiverHalf on the destination's,
-  // DATA/ACK as mailbox crossings (docs/NET.md "Split flows").
+  // endpoint's EventDomain through the fabric — SenderHalf on the source's
+  // shard, ReceiverHalf on the destination's, DATA/ACK as mailbox
+  // crossings between shards (docs/NET.md "Flow halves").
   ConnectOverFabric(a, b);
   assert(&t.fabric() == a->device->fabric(a->port) &&
          "transport must be built over the QPs' fabric");

@@ -85,9 +85,10 @@ struct QueuePair {
   // Bumped on every ModifyQp(kReset). Transport on_failed callbacks capture
   // the value at message-send time: a mismatch means a reset (and possibly a
   // re-arm) happened while the message was in flight, so the failure must
-  // flush silently instead of erroring the freshly re-armed QP. Same-shard
-  // flows flush synchronously inside the reset (state == kReset covers
-  // them); split flows flush at the fence echo, after the re-arm.
+  // flush silently instead of erroring the freshly re-armed QP. A flow
+  // whose halves share a domain flushes synchronously inside the reset
+  // (state == kReset covers it); a cross-shard flow flushes at the fence
+  // echo, after the re-arm.
   std::uint64_t reset_gen = 0;
 
   // WQ rate limiter (ibv_modify_qp_rate_limit analogue): minimum gap

@@ -50,33 +50,27 @@ Transport::Transport(Simulator& sim, Fabric& fabric, TransportConfig cfg)
     : sim_(sim),
       fabric_(fabric),
       cfg_(cfg),
-      rng_(cfg.seed),
       default_fault_{cfg.loss, cfg.corrupt} {
   assert(cfg_.mtu > 0 && "mtu must be positive");
   assert(cfg_.window > 0 && "window must be positive");
 }
 
 TransportCounters Transport::counters() const {
-  // Walks every half, including ones owned by foreign shards: legal only
-  // outside rounds, or mid-round when no flow is split (then every half
-  // lives on the home domain and the caller IS the home domain).
-  assert((EventDomain::Current() == nullptr ||
-          (!any_split_ && EventDomain::Current() == &sim_)) &&
-         "aggregate counters read every shard's halves; call between runs");
   TransportCounters total;
-  for (const auto& f : flows_) {
-    total += f->snd.ctr;
-    total += f->rcv.ctr;
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    total += FlowCounters(static_cast<int>(i));
   }
   return total;
 }
 
 TransportCounters Transport::FlowCounters(int flow) const {
   const Flow& f = *flows_[static_cast<std::size_t>(flow)];
+  // Mid-round, only a flow whose halves both live on the running domain
+  // is readable; anything else spans shards — snapshot between runs.
   assert((EventDomain::Current() == nullptr ||
           (EventDomain::Current() == f.sdom &&
            EventDomain::Current() == f.ddom)) &&
-         "a split flow's counters span two shards; snapshot between runs");
+         "a flow's counters span two shards; snapshot between runs");
   TransportCounters total = f.snd.ctr;
   total += f.rcv.ctr;
   return total;
@@ -84,8 +78,8 @@ TransportCounters Transport::FlowCounters(int flow) const {
 
 std::uint64_t Transport::FlowSeed(int flow, int side) const {
   // splitmix64-style finalizer over (config seed, flow id, half): two
-  // decorrelated streams per split flow whose draw order depends only on
-  // that half's own packet events — never on global event interleaving.
+  // decorrelated streams per flow whose draw order depends only on that
+  // half's own packet events — never on global event interleaving.
   std::uint64_t z =
       cfg_.seed ^ (0x9e3779b97f4a7c15ULL *
                    (static_cast<std::uint64_t>(flow) * 2 +
@@ -126,15 +120,8 @@ int Transport::OpenFlow(int src_ep, int dst_ep) {
   f.dst = dst_ep;
   f.sdom = DomainOf(src_ep);
   f.ddom = DomainOf(dst_ep);
-  // Legacy iff both halves advance on the home domain; anything else
-  // (either half foreign, even when both share one foreign domain) runs
-  // the split protocol with per-flow randomness.
-  f.split = !(f.sdom == &sim_ && f.ddom == &sim_);
-  if (f.split) {
-    any_split_ = true;
-    f.snd.rng = Rng(FlowSeed(f.id, 0));
-    f.rcv.rng = Rng(FlowSeed(f.id, 1));
-  }
+  f.snd.rng = Rng(FlowSeed(f.id, 0));
+  f.rcv.rng = Rng(FlowSeed(f.id, 1));
   // Size the per-endpoint fault/delay tables now, while single-threaded:
   // mid-round SetLinkFaults/SetLinkDelay then writes its own slot in place.
   EnsureLinkTables();
@@ -232,11 +219,6 @@ void Transport::SendMessageEx(int flow, Nanos t, std::uint64_t bytes,
   m.desc->last_psn = m.last_psn;
   m.desc->rnr_probe = std::move(ops.rnr_probe);
   m.desc->on_deliver = std::move(ops.on_deliver);
-  if (!f.split) {
-    // Same thread as the receiver half: file the delivery descriptor
-    // directly. Split flows ship it with every DATA packet instead.
-    f.rcv.rx_msgs.emplace(m.first_psn, m.desc);
-  }
   const bool was_idle = s.base == s.next_psn;
   s.next_psn += segs;
   s.msgs.push_back(std::move(m));
@@ -271,72 +253,49 @@ void Transport::SendPacket(Flow& f, std::uint64_t psn, const PacketView& p) {
   // downstream eats it; losses only decide how far along the path the
   // bytes billed.
   const Nanos tx_done = fabric_.ReserveTx(f.src, t, wire);
-  if (TakeForced(&force_drop_data_) ||
-      Draw(SndRng(f), FaultAt(f.src).loss)) {
+  if (TakeForced(&force_drop_data_) || Draw(s.rng, FaultAt(f.src).loss)) {
     ++s.ctr.dropped_tx;
     return;
   }
-  if (!f.split) {
-    const Nanos at_dst = tx_done + fabric_.OneWay(f.src, f.dst) +
-                         DelayAt(f.src) + DelayAt(f.dst);
-    const Nanos arrive = fabric_.ReserveRx(f.dst, at_dst, wire);
-    if (Draw(RcvRng(f), FaultAt(f.dst).loss)) {
-      ++f.rcv.ctr.dropped_rx;
-      return;
-    }
-    if (Draw(SndRng(f), FaultAt(f.src).corrupt) ||
-        Draw(RcvRng(f), FaultAt(f.dst).corrupt)) {
-      // Bad ICRC at the receiver: silently discarded, exactly like a loss
-      // except the bytes crossed the whole path first.
-      ++f.rcv.ctr.corrupted;
-      return;
-    }
-    sim_.At(arrive, [this, fp = &f, psn, gen = s.gen] {
-      if (gen != fp->rcv.gen) return;  // a reset/failure outlived this packet
-      OnData(*fp, psn);
-    });
-    return;
-  }
-  // Split flow: the sender's half of the wire crossing ends here. The
-  // src-side corruption draw happens now (its RNG lives on this shard);
-  // the verdict rides the DATA message, and the receiver finishes the path
-  // (its own delay, RX reservation, ingress loss/corruption) over there.
-  // OneWay(src,dst) >= the coordinator's lookahead for any cross-shard
-  // endpoint pair — the pair registered that floor at Attach — so the
-  // mailbox send is always legal.
-  const bool src_corrupt = Draw(SndRng(f), FaultAt(f.src).corrupt);
-  const Nanos due = tx_done + fabric_.OneWay(f.src, f.dst) + DelayAt(f.src);
-  f.sdom->SendTo(
-      f.ddom->shard(), due,
-      [this, fp = &f, psn, wire, gen = s.gen, src_corrupt,
-       desc = p.msg->desc]() mutable {
-        OnDataMail(*fp, psn, wire, gen, src_corrupt, std::move(desc));
-      });
+  // The sender's half of the wire crossing ends here: the src-side
+  // corruption verdict rides the leg, and the receiver half finishes the
+  // path (its own delay, RX reservation, ingress loss/corruption).
+  const bool src_corrupt = Draw(s.rng, FaultAt(f.src).corrupt);
+  std::shared_ptr<RxDesc> desc;
+  if (psn == p.msg->first_psn) desc = p.msg->desc;
+  Cross(f.sdom, f.ddom,
+        tx_done + fabric_.OneWay(f.src, f.dst) + DelayAt(f.src),
+        [this, fp = &f, psn, wire, gen = s.gen, src_corrupt,
+         desc = std::move(desc)](Nanos at) mutable {
+          OnDataIngress(*fp, at, psn, wire, gen, src_corrupt,
+                        std::move(desc));
+        });
 }
 
-void Transport::OnDataMail(Flow& f, std::uint64_t psn, std::uint64_t wire,
-                           std::uint64_t gen, bool src_corrupt,
-                           std::shared_ptr<RxDesc> desc) {
+void Transport::OnDataIngress(Flow& f, Nanos at, std::uint64_t psn,
+                              std::uint64_t wire, std::uint64_t gen,
+                              bool src_corrupt, std::shared_ptr<RxDesc> desc) {
   ReceiverHalf& r = f.rcv;
   if (gen < r.gen) return;  // a dead incarnation's packet; never bill it
   if (gen > r.gen) {
     // DATA of a newer life overtook its reset fence: restart now.
     AdoptGen(f, gen);
   }
-  const Nanos at_dst = DNow(f) + DelayAt(f.dst);
-  const Nanos arrive = fabric_.ReserveRx(f.dst, at_dst, wire);
-  if (Draw(RcvRng(f), FaultAt(f.dst).loss)) {
+  const Nanos arrive = fabric_.ReserveRx(f.dst, at + DelayAt(f.dst), wire);
+  if (Draw(r.rng, FaultAt(f.dst).loss)) {
     ++r.ctr.dropped_rx;
     return;
   }
-  if (src_corrupt || Draw(RcvRng(f), FaultAt(f.dst).corrupt)) {
+  if (src_corrupt || Draw(r.rng, FaultAt(f.dst).corrupt)) {
+    // Bad ICRC at the receiver: silently discarded, exactly like a loss
+    // except the bytes crossed the whole path first.
     ++r.ctr.corrupted;
     return;
   }
   if (desc && desc->last_psn >= r.expected) {
-    // Idempotent: the descriptor rides every packet of the message, and
-    // `expected` filters re-filing anything already delivered.
-    r.rx_msgs.emplace(desc->first_psn, std::move(desc));
+    // Idempotent: every transmission of the first packet carries the
+    // descriptor, and `expected` filters re-filing a delivered message.
+    r.rx_msgs.try_emplace(desc->first_psn, std::move(desc));
   }
   f.ddom->At(arrive, [this, fp = &f, psn, gen] {
     if (gen != fp->rcv.gen) return;
@@ -346,7 +305,6 @@ void Transport::OnDataMail(Flow& f, std::uint64_t psn, std::uint64_t wire,
 
 void Transport::OnData(Flow& f, std::uint64_t psn) {
   ReceiverHalf& r = f.rcv;
-  if (!f.split && f.snd.error) return;
   if (psn == r.expected) {
     ++r.expected;
     if (Sr()) {
@@ -467,45 +425,28 @@ void Transport::SendAck(Flow& f, AckKind kind) {
   r.ctr.wire_bytes_sent += wire;
   const std::uint64_t upto = r.expected;
   const Nanos tx_done = fabric_.ReserveTx(f.dst, DNow(f), wire);
-  if (TakeForced(&force_drop_acks_) ||
-      Draw(RcvRng(f), FaultAt(f.dst).loss)) {
+  if (TakeForced(&force_drop_acks_) || Draw(r.rng, FaultAt(f.dst).loss)) {
     ++r.ctr.acks_dropped;
     return;
   }
-  if (!f.split) {
-    const Nanos at_src = tx_done + fabric_.OneWay(f.dst, f.src) +
-                         DelayAt(f.dst) + DelayAt(f.src);
-    const Nanos arrive = fabric_.ReserveRx(f.src, at_src, wire);
-    if (Draw(SndRng(f), FaultAt(f.src).loss)) {
-      ++f.snd.ctr.acks_dropped;
-      return;
-    }
-    sim_.At(arrive, [this, fp = &f, upto, kind, gen = r.gen, high,
-                     ranges = std::move(ranges)] {
-      if (gen != fp->snd.gen) return;
-      OnAck(*fp, upto, kind, high, ranges);
-    });
-    return;
-  }
-  // Split flow: the ACK rides the mailbox back to the sender's shard,
-  // which finishes the reverse path (src delay, RX reservation, ingress
-  // loss) with its own RNG stream.
-  const Nanos due = tx_done + fabric_.OneWay(f.dst, f.src) + DelayAt(f.dst);
-  f.ddom->SendTo(f.sdom->shard(), due,
-                 [this, fp = &f, upto, kind, high, wire, gen = r.gen,
-                  ranges = std::move(ranges)]() mutable {
-                   OnAckMail(*fp, upto, kind, high, std::move(ranges), wire,
-                             gen);
-                 });
+  // The sender half finishes the reverse path (src delay, RX reservation,
+  // ingress loss) with its own stream.
+  Cross(f.ddom, f.sdom,
+        tx_done + fabric_.OneWay(f.dst, f.src) + DelayAt(f.dst),
+        [this, fp = &f, upto, kind, high, wire, gen = r.gen,
+         ranges = std::move(ranges)](Nanos at) mutable {
+          OnAckIngress(*fp, at, upto, kind, high, std::move(ranges), wire,
+                       gen);
+        });
 }
 
-void Transport::OnAckMail(Flow& f, std::uint64_t upto, AckKind kind,
-                          std::uint64_t high, SackRanges ranges,
-                          std::uint64_t wire, std::uint64_t gen) {
+void Transport::OnAckIngress(Flow& f, Nanos at, std::uint64_t upto,
+                             AckKind kind, std::uint64_t high,
+                             SackRanges ranges, std::uint64_t wire,
+                             std::uint64_t gen) {
   SenderHalf& s = f.snd;
-  const Nanos at_src = SNow(f) + DelayAt(f.src);
-  const Nanos arrive = fabric_.ReserveRx(f.src, at_src, wire);
-  if (Draw(SndRng(f), FaultAt(f.src).loss)) {
+  const Nanos arrive = fabric_.ReserveRx(f.src, at + DelayAt(f.src), wire);
+  if (Draw(s.rng, FaultAt(f.src).loss)) {
     ++s.ctr.acks_dropped;
     return;
   }
@@ -719,7 +660,7 @@ void Transport::ArmAckTimer(Flow& f) {
 void Transport::OnAckTimer(Flow& f, std::uint64_t epoch) {
   ReceiverHalf& r = f.rcv;
   r.ack_timer_armed = false;
-  if ((!f.split && f.snd.error) || r.rx_unacked == 0) return;
+  if (r.rx_unacked == 0) return;
   if (epoch != r.ack_epoch) {
     // An eager ACK superseded this timer but packets arrived since; cover
     // the current batch with a fresh delay.
@@ -764,8 +705,7 @@ void Transport::AdoptGen(Flow& f, std::uint64_t gen) {
   ResetReceiverHalf(f.rcv, gen, f.rcv.ack_epoch + 1);
 }
 
-void Transport::ParkAndFence(Flow& f, MsgFailure why) {
-  SenderHalf& s = f.snd;
+void Transport::Park(SenderHalf& s, MsgFailure why) {
   bool first = true;
   while (!s.msgs.empty()) {
     Message m = std::move(s.msgs.front());
@@ -774,30 +714,34 @@ void Transport::ParkAndFence(Flow& f, MsgFailure why) {
     first = false;
     s.limbo.push_back(std::move(m));
   }
-  // Reset fence: tells the receiver half to restart for incarnation
-  // s.gen and to echo back. Only the echo releases the limbo — by then no
-  // event of the old incarnation can be alive anywhere (everything it
-  // could schedule is bounded by one crossing, and the fence + echo is
-  // two), so the caller may reclaim per-message resources in on_failed.
-  f.sdom->SendTo(
-      f.ddom->shard(), SNow(f) + fabric_.OneWay(f.src, f.dst),
-      [this, fp = &f, gen = s.gen] {
-        if (gen > fp->rcv.gen) AdoptGen(*fp, gen);
-        // Echo unconditionally: the newest fence's echo must always come
-        // back to flush the limbo, and stale echoes die on the gen check.
-        fp->ddom->SendTo(fp->sdom->shard(),
-                         DNow(*fp) + fabric_.OneWay(fp->dst, fp->src),
-                         [this, fp, gen] { OnFenceEcho(*fp, gen); });
-      });
+}
+
+void Transport::Fence(Flow& f) {
+  // Only the echo releases the limbo — by then no event of the old
+  // incarnation can be alive anywhere (everything it could schedule is
+  // bounded by one crossing, and the fence + echo is two), so the caller
+  // may reclaim per-message resources in on_failed.
+  Cross(f.sdom, f.ddom, SNow(f) + fabric_.OneWay(f.src, f.dst),
+        [this, fp = &f, gen = f.snd.gen](Nanos at) {
+          OnFenceIngress(*fp, at, gen);
+        });
+}
+
+void Transport::OnFenceIngress(Flow& f, Nanos at, std::uint64_t gen) {
+  if (gen > f.rcv.gen) AdoptGen(f, gen);
+  // Echo unconditionally: the newest fence's echo must always come back to
+  // flush the limbo, and stale echoes die on the gen check.
+  Cross(f.ddom, f.sdom, at + fabric_.OneWay(f.dst, f.src),
+        [this, fp = &f, gen](Nanos) { OnFenceEcho(*fp, gen); });
 }
 
 void Transport::OnFenceEcho(Flow& f, std::uint64_t gen) {
-  if (gen != f.snd.gen) return;  // a newer fence owns the flush
-  FlushLimbo(f);
-}
-
-void Transport::FlushLimbo(Flow& f) {
   SenderHalf& s = f.snd;
+  if (gen != s.gen) return;  // a newer fence owns the flush
+  // The message under an exhausted budget carries the reason; everything
+  // queued behind it flushes. on_failed is the *only* hook fired — a
+  // delivered-but-unacked message is indistinguishable from an undelivered
+  // one at the requester, exactly the IB ambiguity ERROR state models.
   while (!s.limbo.empty()) {
     Message m = std::move(s.limbo.front());
     s.limbo.pop_front();
@@ -813,79 +757,31 @@ void Transport::FailFlow(Flow& f, MsgFailure why) {
   ++s.gen;  // in-flight packets, ACKs, and timers of this life die
   ++s.rto_epoch;
   s.rnr_paused = false;
+  s.goback_armed = false;
+  s.known_received.clear();
+  s.retx_outstanding.clear();
   if (why == MsgFailure::kRetryExceeded) {
     ++s.ctr.retry_exhausted;
   } else {
     ++s.ctr.rnr_exhausted;
   }
-  if (!f.split) {
-    ReceiverHalf& r = f.rcv;
-    r.gen = s.gen;  // legacy halves share one incarnation, in lockstep
-    ++r.ack_epoch;
-    r.ack_timer_armed = false;
-    // The message under the exhausted budget carries the reason; everything
-    // queued behind it flushes. on_failed is the *only* hook fired — a
-    // delivered-but-unacked message is indistinguishable from an
-    // undelivered one at the requester, exactly the IB ambiguity ERROR
-    // state models.
-    bool first = true;
-    while (!s.msgs.empty()) {
-      Message m = std::move(s.msgs.front());
-      s.msgs.pop_front();
-      ++s.ctr.messages_failed;
-      if (m.on_failed) {
-        m.on_failed(SNow(f), first ? why : MsgFailure::kFlushed);
-      }
-      first = false;
-    }
-    r.rx_ooo.clear();
-    r.rx_msgs.clear();
-    s.known_received.clear();
-    s.retx_outstanding.clear();
-    return;
-  }
-  // Split flow: the receiver half is on another shard, and its delivery
-  // events for this incarnation may still be in flight. Park the queue and
-  // flush only on the fence echo.
-  s.goback_armed = false;
-  s.known_received.clear();
-  s.retx_outstanding.clear();
-  ParkAndFence(f, why);
+  Park(s, why);
+  Fence(f);
 }
 
 void Transport::ResetFlow(int flow) {
   Flow& f = *flows_[static_cast<std::size_t>(flow)];
   AssertOn(f.sdom);
   SenderHalf& s = f.snd;
-  if (!f.split) {
-    // Tearing down a live flow flushes whatever is still queued; an errored
-    // flow already flushed everything in FailFlow.
-    while (!s.msgs.empty()) {
-      Message m = std::move(s.msgs.front());
-      s.msgs.pop_front();
-      ++s.ctr.messages_failed;
-      if (m.on_failed) m.on_failed(SNow(f), MsgFailure::kFlushed);
-    }
-    // Epochs and the generation survive the reset monotonically so events
-    // of the old incarnation can never match the new one's.
-    ResetSenderHalf(s, s.gen + 1, s.rto_epoch + 1);
-    ResetReceiverHalf(f.rcv, s.gen, f.rcv.ack_epoch + 1);
-    ++s.ctr.flow_resets;
-    return;
-  }
-  // Split flow: park the queue (everything flushes as kFlushed on the
-  // fence echo), restart the sender half now, and fence with the NEW
-  // incarnation — its echo flushes the limbo, including anything parked by
-  // an earlier FailFlow whose own echo lost the race.
-  while (!s.msgs.empty()) {
-    Message m = std::move(s.msgs.front());
-    s.msgs.pop_front();
-    m.why = MsgFailure::kFlushed;
-    s.limbo.push_back(std::move(m));
-  }
+  // Park the queue (an errored flow parked everything in FailFlow), restart
+  // the sender half now, and fence with the NEW incarnation — its echo
+  // flushes the limbo, including anything parked by an earlier FailFlow
+  // whose own echo lost the race. Epochs and the generation survive the
+  // reset monotonically so events of the old incarnation never match.
+  Park(s, MsgFailure::kFlushed);
   ResetSenderHalf(s, s.gen + 1, s.rto_epoch + 1);
   ++s.ctr.flow_resets;
-  ParkAndFence(f, MsgFailure::kFlushed);
+  Fence(f);
 }
 
 }  // namespace redn::sim

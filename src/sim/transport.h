@@ -54,43 +54,40 @@
 // completions to on_acked and READ/receiver semantics to on_deliver — see
 // RnicDevice::SendOverTransport / ReadOverTransport and docs/NET.md.
 //
-// --- Split flows: one protocol, two event domains -------------------------
+// --- One protocol, two halves ---------------------------------------------
 //
 // A flow's state machine is split into a SenderHalf (window/base, SACK
 // retransmit bookkeeping, RTO + retry budgets, RNR backoff) and a
 // ReceiverHalf (reassembly, duplicate discard, SACK/NAK generation,
 // delayed-ACK timers). Each half lives on its endpoint's EventDomain — the
-// domain its device attached the fabric port with:
+// domain its device attached the fabric port with — and draws its losses
+// and corruptions from its own seeded stream (keyed off cfg.seed and the
+// flow id). A flow's draw order therefore depends only on its own packets:
+// not on unrelated traffic, and not on the shard count.
 //
-//  - When BOTH endpoints resolve to the transport's home domain, the flow
-//    runs the *legacy* path: both halves advance on the home thread, every
-//    loss/corruption draw comes from the one seeded `rng_` in event order,
-//    and the wire crossing is the synchronous ReserveTx→ReserveRx walk —
-//    byte-for-byte the pre-split engine, so shards=1 runs (and every
-//    existing golden) stay bit-identical.
-//  - Any other flow runs *split*: DATA, ACK/NAK, and reset-fence messages
-//    cross between the halves as timestamped mailbox messages on the
-//    sharded engine's (time, src_shard, seq) path (EventDomain::SendTo),
-//    and all randomness moves to two per-flow seeded streams (sender-half
-//    egress draws, receiver-half ingress draws — keyed off cfg.seed and
-//    the flow id), so draw order is a pure function of seed × shard count.
-//    The fabric guarantees OneWay(src,dst) ≥ the coordinator's lookahead
-//    for any cross-shard endpoint pair (the pair itself registered a
-//    lookahead floor at attach), which is exactly what makes every
-//    cross-half SendTo legal.
+// DATA, ACK/NAK, and reset-fence legs reach the far half through one
+// crossing (Cross). When both halves share a domain, the far half's ingress
+// runs inline at send time with the arrival instant as a parameter, so a
+// packet still costs one event. Otherwise the leg posts a timestamped
+// mailbox message due at that instant, on the sharded engine's
+// (time, src_shard, seq) path (EventDomain::SendTo). The fabric guarantees
+// OneWay(src,dst) ≥ the coordinator's lookahead for any cross-shard
+// endpoint pair (the pair itself registered a lookahead floor at attach),
+// which is exactly what makes every cross-domain SendTo legal.
 //
 // Ownership discipline (Debug builds assert it, mirroring EventDomain's
 // tls check): sender-half state, the src endpoint's fabric pipes, and the
 // src link's fault/delay entries are touched only on the sender's domain;
 // likewise for the receiver half and dst. SendMessage/ResetFlow/
 // FlowErrored are sender-half calls; SetLinkFaults/SetLinkDelay belong to
-// the endpoint's owning shard. In split mode FailFlow/ResetFlow flush
-// asynchronously: the sender bumps its incarnation, parks unacked messages
-// in a limbo queue, and posts a reset fence to the receiver; only the
-// fence's echo (≈ one RTT later) fires their on_failed — guaranteeing no
+// the endpoint's owning shard. FailFlow/ResetFlow flush through a reset
+// fence: the sender bumps its incarnation, parks unacked messages in a
+// limbo queue, and fences the receiver half, which restarts and echoes
+// back; only the echo fires their on_failed — guaranteeing no
 // receiver-side delivery of the old incarnation can still be in flight
-// when the caller reclaims message resources. Legacy flows flush
-// synchronously, exactly as before.
+// when the caller reclaims message resources. Co-located halves run the
+// fence and its echo inline, so their flush is synchronous; a cross-domain
+// echo returns ≈ one RTT later.
 //
 // The transport is pure protocol + timing: like the fabric it moves no
 // payload bytes (the device's pooled Payload carries them) and it knows
@@ -105,6 +102,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/fabric.h"
@@ -184,6 +182,7 @@ struct TransportCounters {
   }
 
   TransportCounters& operator+=(const TransportCounters& o);
+  bool operator==(const TransportCounters&) const = default;
 };
 
 // Why a message failed (MessageOps::on_failed). The first unacked message
@@ -208,9 +207,7 @@ class Transport {
   // a message fires either {on_deliver, on_acked} or on_failed, never both.
   //
   // Shard affinity: rnr_probe and on_deliver run on the RECEIVER half's
-  // domain; on_acked and on_failed run on the SENDER half's domain. For a
-  // flow whose endpoints share the transport's home domain they all run
-  // there, exactly as before.
+  // domain; on_acked and on_failed run on the SENDER half's domain.
   struct MessageOps {
     std::function<bool(Nanos)> rnr_probe;
     Callback on_deliver;
@@ -218,9 +215,8 @@ class Transport {
     std::function<void(Nanos, MsgFailure)> on_failed;
   };
 
-  // `sim` is the transport's home domain: flows whose two endpoints both
-  // resolve to it run the single-threaded legacy path; every other flow
-  // runs split across its endpoints' domains (see the file comment).
+  // `sim` is the transport's home domain: a flow half whose endpoint has
+  // no domain of its own (no device attached it) runs there.
   Transport(Simulator& sim, Fabric& fabric, TransportConfig cfg = {});
 
   Transport(const Transport&) = delete;
@@ -272,9 +268,9 @@ class Transport {
   // Tears the flow back to a fresh PSN space (the ibv_modify_qp →RESET
   // analogue): pending messages flush via on_failed(kFlushed), in-flight
   // packets and timers of the old incarnation die, and both the sender and
-  // receiver halves restart from PSN 0. On a split flow the receiver half
-  // restarts when the reset fence reaches it (≈ OneWay later) and the
-  // flushes fire on the fence's echo; a legacy flow flushes synchronously.
+  // receiver halves restart from PSN 0. The flushes fire on the reset
+  // fence's echo, after both halves restarted: synchronously when they
+  // share a domain, ≈ one RTT later otherwise.
   // Must be called on the flow's sender-half domain.
   void ResetFlow(int flow);
 
@@ -294,8 +290,8 @@ class Transport {
 
   // Deterministic fault hooks for tests: eat the next `n` data packets /
   // ACKs crossing the fabric, bypassing the probabilistic model (and
-  // consuming no randomness). Atomic because split flows consume the data
-  // budget on sender shards and the ACK budget on receiver shards.
+  // consuming no randomness). Atomic because the data budget is consumed
+  // on sender shards and the ACK budget on receiver shards.
   void DropNextData(int n) {
     force_drop_data_.fetch_add(n, std::memory_order_relaxed);
   }
@@ -309,10 +305,10 @@ class Transport {
   // is receiver-not-ready, answered with backoff instead of retransmission.
   enum class AckKind : std::uint8_t { kAck, kNak, kRnr };
 
-  // Receiver-half view of one message: what the delivery logic needs. On a
-  // legacy flow it is filed into the receiver's reassembly map at
-  // SendMessage time (same thread); on a split flow every DATA packet of
-  // the message carries it, and the receiver files it idempotently.
+  // Receiver-half view of one message: what the delivery logic needs. It
+  // rides every transmission of the message's first DATA packet — the
+  // receiver cannot pass last_psn without taking first_psn — and the
+  // receiver files it idempotently.
   struct RxDesc {
     std::uint64_t len = 0;
     std::uint64_t first_psn = 0;
@@ -329,8 +325,8 @@ class Transport {
     Nanos ready = 0;  // earliest transmission instant (DMA/exec done)
     Callback on_acked;
     std::function<void(Nanos, MsgFailure)> on_failed;
-    std::shared_ptr<RxDesc> desc;  // split flows: shipped with each packet
-    MsgFailure why = MsgFailure::kFlushed;  // limbo flush reason (split)
+    std::shared_ptr<RxDesc> desc;  // shipped with the first packet
+    MsgFailure why = MsgFailure::kFlushed;  // limbo flush reason
   };
 
   struct SenderHalf {
@@ -352,11 +348,11 @@ class Transport {
     std::set<std::uint64_t> known_received;   // SACKed above base (SR)
     std::set<std::uint64_t> retx_outstanding; // SACK-resent, once per event
     std::deque<Message> msgs;       // FIFO, not yet fully acked
-    // Split flows: unacked messages of a failed/reset incarnation, held
-    // until the reset fence echoes back (no receiver-side event of the old
-    // life can still fire), then flushed via on_failed.
+    // Unacked messages of a failed/reset incarnation, held until the reset
+    // fence echoes back (no receiver-side event of the old life can still
+    // fire), then flushed via on_failed.
     std::deque<Message> limbo;
-    Rng rng{1};                     // split flows: egress-side draws
+    Rng rng{1};                     // egress-side draws (FlowSeed side 0)
     TransportCounters ctr;          // sender-half share of the counters
   };
 
@@ -369,7 +365,7 @@ class Transport {
     std::set<std::uint64_t> rx_ooo; // held out-of-order PSNs (SR only)
     // Reassembly/delivery queue, keyed by first PSN.
     std::map<std::uint64_t, std::shared_ptr<RxDesc>> rx_msgs;
-    Rng rng{1};                     // split flows: ingress-side draws
+    Rng rng{1};                     // ingress-side draws (FlowSeed side 1)
     TransportCounters ctr;          // receiver-half share of the counters
   };
 
@@ -382,7 +378,6 @@ class Transport {
     int dst = -1;
     EventDomain* sdom = nullptr;  // sender half's event domain
     EventDomain* ddom = nullptr;  // receiver half's event domain
-    bool split = false;           // false: both halves on the home domain
     SenderHalf snd;
     ReceiverHalf rcv;
   };
@@ -395,7 +390,7 @@ class Transport {
   struct PacketView {
     std::uint32_t bytes;  // payload bytes (wire adds header_bytes)
     Nanos ready;
-    const Message* msg;   // owning message (split flows ship msg->desc)
+    const Message* msg;   // owning message (its first packet ships desc)
   };
 
   // Missing-PSN ranges [first, last] carried by a selective-repeat ACK.
@@ -421,11 +416,20 @@ class Transport {
   }
   Nanos SNow(const Flow& f) const { return f.sdom->now(); }
   Nanos DNow(const Flow& f) const { return f.ddom->now(); }
-  // Randomness sources: the home stream for legacy flows (draws interleave
-  // in event order, exactly the pre-split behaviour), per-half streams for
-  // split flows (draw order invariant under shard count).
-  Rng& SndRng(Flow& f) { return f.split ? f.snd.rng : rng_; }
-  Rng& RcvRng(Flow& f) { return f.split ? f.rcv.rng : rng_; }
+  // Hands one leg to the far half, arriving at `at`: `ingress(at)` runs
+  // inline when both halves share a domain (the ingress schedules the
+  // leg's one arrival event itself), else as a mailbox message due at
+  // `at` on the far domain.
+  template <class F>
+  static void Cross(EventDomain* from, EventDomain* to, Nanos at,
+                    F&& ingress) {
+    if (from == to) {
+      ingress(at);
+      return;
+    }
+    from->SendTo(to->shard(), at,
+                 [at, fn = std::forward<F>(ingress)]() mutable { fn(at); });
+  }
   static bool Draw(Rng& rng, double p) {
     return p > 0.0 && rng.NextDouble() < p;
   }
@@ -463,21 +467,25 @@ class Transport {
   int SackRetransmit(Flow& f, const SackRanges& ranges);
   void OnAck(Flow& f, std::uint64_t upto, AckKind kind, std::uint64_t high,
              const SackRanges& ranges);
-  // ACK-leg ingress at the sender's endpoint (split flows: runs as the
-  // mailbox message the receiver posted).
-  void OnAckMail(Flow& f, std::uint64_t upto, AckKind kind,
-                 std::uint64_t high, SackRanges ranges, std::uint64_t wire,
-                 std::uint64_t gen);
+  // ACK-leg ingress at the sender's endpoint, reached through Cross at
+  // the leg's arrival instant `at`.
+  void OnAckIngress(Flow& f, Nanos at, std::uint64_t upto, AckKind kind,
+                    std::uint64_t high, SackRanges ranges, std::uint64_t wire,
+                    std::uint64_t gen);
   void RetransmitMissing(Flow& f);
   void ArmRto(Flow& f);
   void OnRto(Flow& f);
   void OnRnrResume(Flow& f);
   void FailFlow(Flow& f, MsgFailure why);
-  // Split flows: parks the unacked queue in limbo and posts the reset
-  // fence; the fence's echo (OnFenceEcho) flushes it.
-  void ParkAndFence(Flow& f, MsgFailure why);
+  // Parks the unacked queue in limbo (the head message carries `why`,
+  // the rest kFlushed) for the next reset fence's echo to flush.
+  static void Park(SenderHalf& s, MsgFailure why);
+  // Sends the reset fence for the sender's current incarnation: the
+  // receiver half restarts on its arrival (OnFenceIngress) and echoes
+  // back; the echo (OnFenceEcho) flushes the limbo.
+  void Fence(Flow& f);
+  void OnFenceIngress(Flow& f, Nanos at, std::uint64_t gen);
   void OnFenceEcho(Flow& f, std::uint64_t gen);
-  void FlushLimbo(Flow& f);
   // Protocol-state resets that preserve the half's counters and RNG stream.
   static void ResetSenderHalf(SenderHalf& s, std::uint64_t gen,
                               std::uint64_t rto_epoch);
@@ -485,11 +493,11 @@ class Transport {
                                 std::uint64_t ack_epoch);
 
   // --- receiver-half logic (runs on f.ddom) ---------------------------------
-  // DATA-leg ingress at the receiver's endpoint (split flows: runs as the
-  // mailbox message the sender posted).
-  void OnDataMail(Flow& f, std::uint64_t psn, std::uint64_t wire,
-                  std::uint64_t gen, bool src_corrupt,
-                  std::shared_ptr<RxDesc> desc);
+  // DATA-leg ingress at the receiver's endpoint, reached through Cross at
+  // the leg's arrival instant `at`.
+  void OnDataIngress(Flow& f, Nanos at, std::uint64_t psn, std::uint64_t wire,
+                     std::uint64_t gen, bool src_corrupt,
+                     std::shared_ptr<RxDesc> desc);
   void OnData(Flow& f, std::uint64_t psn);
   // Delivers every fully-arrived message at the head of the queue; returns
   // false if an rnr_probe rejected one (expected already rewound to its
@@ -506,12 +514,10 @@ class Transport {
   Simulator& sim_;  // home domain
   Fabric& fabric_;
   TransportConfig cfg_;
-  Rng rng_;  // legacy flows' shared stream
   std::vector<std::unique_ptr<Flow>> flows_;
   std::vector<LinkFault> faults_;  // indexed by endpoint
   std::vector<Nanos> delays_;      // per-endpoint added latency (kSlow)
   LinkFault default_fault_;
-  bool any_split_ = false;  // at least one flow crosses domains
   std::atomic<int> force_drop_data_{0};
   std::atomic<int> force_drop_acks_{0};
 };

@@ -54,43 +54,83 @@ std::vector<Writer> StartWriters(rnic::RnicDevice& cdev,
   return out;
 }
 
-// Builds the packetized transport from the shared FabricScaleConfig knobs.
-// `home` is the transport's legacy domain: flows whose two endpoints both
-// live there run the classic single-domain protocol; everything else splits.
-std::unique_ptr<sim::Transport> MakePacketizedTransport(
-    sim::Simulator& home, sim::Fabric& fabric, const FabricScaleConfig& cfg) {
-  sim::TransportConfig tc;
-  tc.mtu = cfg.mtu;
-  tc.loss = cfg.loss;
-  tc.corrupt = cfg.corrupt;
-  tc.rto = cfg.rto;
-  tc.seed = cfg.transport_seed;
-  tc.mode = cfg.selective_repeat ? sim::TransportMode::kSelectiveRepeat
-                                 : sim::TransportMode::kGoBackN;
-  tc.retry_count = cfg.retry_count;
-  tc.rnr_retry_count = cfg.rnr_retry_count;
-  tc.timeout_exp = cfg.timeout_exp;
-  tc.min_rnr_timer = cfg.min_rnr_timer;
-  return std::make_unique<sim::Transport>(home, fabric, tc);
-}
+}  // namespace
 
-// Sharded variant of RunFabricScale: same topology and closed loops, run on
-// a ShardedSimulator with per-client placement. Every piece of mutable
-// driver state (rng, recorder, timestamps) is per-client, because each
-// client's completion hook fires on its own shard's thread; results merge
-// in client order after the run, which keeps same-config reruns bit-stable.
-// With cfg.packetized, client<->server QPs ride split transport flows: the
-// sender half lives on the client's shard, the receiver half on the
-// server's, and DATA/ACK legs cross through the mailboxes (docs/NET.md).
-FabricScaleResult RunFabricScaleSharded(const FabricScaleConfig& cfg) {
+// One body at every shard count: shards = 1 is the degenerate case of the
+// sharded run (a one-domain ShardedSimulator, every SendTo a plain At).
+// Every piece of mutable driver state (rng, recorder, timestamps) is
+// per-client, because each client's completion hook fires on its own
+// shard's thread; results merge in client order after the run, which keeps
+// same-config reruns bit-stable. With cfg.packetized, client<->server QPs
+// ride transport flows whose sender half lives on the sending NIC's shard
+// and receiver half on the receiving NIC's (docs/NET.md).
+FabricScaleResult RunFabricScale(const FabricScaleConfig& cfg) {
+  if (cfg.shards < 1) {
+    throw std::invalid_argument("FabricScaleConfig: shards must be >= 1");
+  }
+  // Fail fast: the reliability engine and fault scripting only exist on the
+  // packetized transport — silently ignoring these knobs on the lossless
+  // message path has burned people before.
+  if (!cfg.packetized &&
+      (cfg.selective_repeat || cfg.retry_count != 0 ||
+       cfg.rnr_retry_count != 0 || cfg.timeout_exp != 0 ||
+       !cfg.faults.empty())) {
+    throw std::invalid_argument(
+        "FabricScaleConfig: selective_repeat/retry_count/rnr_retry_count/"
+        "timeout_exp and FaultPlan entries require packetized = true");
+  }
+  ValidateFaultPlan(cfg.faults);
+  for (const FaultEntry& e : cfg.faults.entries) {
+    if (e.client < 0 || e.client >= cfg.clients) {
+      throw std::invalid_argument(
+          "FabricScaleConfig: FaultPlan entry needs a valid client index");
+    }
+    if (e.server != -1) {
+      throw std::invalid_argument(
+          "FabricScaleConfig: shard-side faults belong to RunKvService");
+    }
+    if (e.kind == FaultKind::kCrash || e.kind == FaultKind::kFlaky ||
+        e.kind == FaultKind::kSlow) {
+      throw std::invalid_argument(
+          std::string("FabricScaleConfig: ") + FaultKindName(e.kind) +
+          " faults belong to RunKvService");
+    }
+  }
+  if (!cfg.placement.empty() &&
+      cfg.placement.size() != static_cast<std::size_t>(cfg.clients)) {
+    throw std::invalid_argument(
+        "FabricScaleConfig: placement must be empty or name a shard per "
+        "client");
+  }
+  for (const int p : cfg.placement) {
+    if (p < 0 || p >= cfg.shards) {
+      throw std::invalid_argument(
+          "FabricScaleConfig: placement entry out of shard range");
+    }
+  }
+  if (cfg.server_shard < 0 || cfg.server_shard >= cfg.shards) {
+    throw std::invalid_argument(
+        "FabricScaleConfig: server_shard out of shard range");
+  }
+
   sim::ShardedSimulator ssim(cfg.shards);
   sim::Fabric fabric(cfg.switch_latency);
   std::unique_ptr<sim::Transport> transport;
   if (cfg.packetized) {
-    // Home = the server's shard: a client co-resident with the server keeps
-    // the legacy single-domain flow; cross-shard pairs split per endpoint.
-    transport =
-        MakePacketizedTransport(ssim.shard(cfg.server_shard), fabric, cfg);
+    sim::TransportConfig tc;
+    tc.mtu = cfg.mtu;
+    tc.loss = cfg.loss;
+    tc.corrupt = cfg.corrupt;
+    tc.rto = cfg.rto;
+    tc.seed = cfg.transport_seed;
+    tc.mode = cfg.selective_repeat ? sim::TransportMode::kSelectiveRepeat
+                                   : sim::TransportMode::kGoBackN;
+    tc.retry_count = cfg.retry_count;
+    tc.rnr_retry_count = cfg.rnr_retry_count;
+    tc.timeout_exp = cfg.timeout_exp;
+    tc.min_rnr_timer = cfg.min_rnr_timer;
+    transport = std::make_unique<sim::Transport>(ssim.shard(cfg.server_shard),
+                                                 fabric, tc);
   }
   rnic::RnicDevice sdev(ssim.shard(cfg.server_shard),
                         rnic::NicConfig::ConnectX5(), {}, "server");
@@ -125,6 +165,8 @@ FabricScaleResult RunFabricScaleSharded(const FabricScaleConfig& cfg) {
     c.dev->AttachPort(0, fabric, {cfg.client_gbps, cfg.propagation});
     c.harness = std::make_unique<offloads::HashGetHarness>(
         *c.dev, sdev,
+        // Two probed buckets: keys displaced to H2 stay visible, so the
+        // depth-1 closed loop can never starve on a hash collision.
         offloads::HashGetOffload::Config{.buckets = 2,
                                          .max_requests = cfg.gets_per_client + 8,
                                          .fabric = &fabric,
@@ -138,6 +180,10 @@ FabricScaleResult RunFabricScaleSharded(const FabricScaleConfig& cfg) {
     c.remaining = cfg.gets_per_client;
   }
 
+  // Depth-1 closed loops starve forever on a miss, so draw only keys the
+  // 2-bucket NIC probe can actually see: a doubly-colliding key falls back
+  // to the hopscotch neighbourhood, which the offload never reads. Every
+  // table is built identically, so client 0's visibility map covers all.
   std::vector<std::uint64_t> visible;
   visible.reserve(static_cast<std::size_t>(cfg.keys));
   for (int k = 1; k <= cfg.keys; ++k) {
@@ -166,6 +212,7 @@ FabricScaleResult RunFabricScaleSharded(const FabricScaleConfig& cfg) {
       rnic::Cqe cqe;
       while (cl.dev->PollCq(cl.harness->client_recv_cq(), 1, &cqe) == 1) {
         if (cqe.status != rnic::WcStatus::kSuccess) {
+          // Flushed RECVs from a QP that died mid-partition; not a get.
           ++cl.error_cqes;
           continue;
         }
@@ -177,6 +224,7 @@ FabricScaleResult RunFabricScaleSharded(const FabricScaleConfig& cfg) {
         if (--cl.remaining > 0) issue(i);
       }
     });
+    // Staggered starts so clients do not issue in artificial lockstep.
     ssim.shard(c.shard).At(static_cast<sim::Nanos>(i) * 200,
                            [&issue, i] { issue(i); });
   }
@@ -184,9 +232,9 @@ FabricScaleResult RunFabricScaleSharded(const FabricScaleConfig& cfg) {
   // Fault windows run on the shard that owns the touched state: link-fault
   // flips on the faulted client's shard (the endpoint's owning domain),
   // RQ stalls on the server's, and the recovery re-arm splits — the client
-  // half locally, the server half via a mailbox hop of one fabric one-way
-  // (>= the pair's lookahead floor, and strictly ahead of any reissued
-  // trigger, whose data leg pays the same one-way plus NIC processing).
+  // half locally, the server half one fabric one-way later (>= the pair's
+  // lookahead floor, and strictly ahead of any reissued trigger, whose
+  // data leg pays the same one-way plus NIC processing).
   const sim::Nanos hop = 2 * cfg.propagation + cfg.switch_latency;
   for (const FaultEntry& e : cfg.faults.entries) {
     const int i = e.client;
@@ -228,7 +276,7 @@ FabricScaleResult RunFabricScaleSharded(const FabricScaleConfig& cfg) {
     }
   }
 
-  ssim.RunUntil(sim::Seconds(30));
+  ssim.RunUntil(sim::Seconds(30));  // drains when the last response lands
 
   FabricScaleResult out;
   out.shards = cfg.shards;
@@ -274,223 +322,6 @@ FabricScaleResult RunFabricScaleSharded(const FabricScaleConfig& cfg) {
     out.sack_retransmits = tc.sack_retransmits;
     out.rnr_naks = tc.rnr_naks;
     out.flow_resets = tc.flow_resets;
-    out.qp_errors = sdev.counters().qp_errors;
-    out.qp_rearms = sdev.counters().qp_rearms;
-    for (const Client& c : clients) {
-      out.qp_errors += c.dev->counters().qp_errors;
-      out.qp_rearms += c.dev->counters().qp_rearms;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-FabricScaleResult RunFabricScale(const FabricScaleConfig& cfg) {
-  if (cfg.shards < 1) {
-    throw std::invalid_argument("FabricScaleConfig: shards must be >= 1");
-  }
-  // Fail fast: the reliability engine and fault scripting only exist on the
-  // packetized transport — silently ignoring these knobs on the lossless
-  // message path has burned people before.
-  if (!cfg.packetized &&
-      (cfg.selective_repeat || cfg.retry_count != 0 ||
-       cfg.rnr_retry_count != 0 || cfg.timeout_exp != 0 ||
-       !cfg.faults.empty())) {
-    throw std::invalid_argument(
-        "FabricScaleConfig: selective_repeat/retry_count/rnr_retry_count/"
-        "timeout_exp and FaultPlan entries require packetized = true");
-  }
-  ValidateFaultPlan(cfg.faults);
-  for (const FaultEntry& e : cfg.faults.entries) {
-    if (e.client < 0 || e.client >= cfg.clients) {
-      throw std::invalid_argument(
-          "FabricScaleConfig: FaultPlan entry needs a valid client index");
-    }
-    if (e.server != -1) {
-      throw std::invalid_argument(
-          "FabricScaleConfig: shard-side faults belong to RunKvService");
-    }
-    if (e.kind == FaultKind::kCrash || e.kind == FaultKind::kFlaky ||
-        e.kind == FaultKind::kSlow) {
-      throw std::invalid_argument(
-          std::string("FabricScaleConfig: ") + FaultKindName(e.kind) +
-          " faults belong to RunKvService");
-    }
-  }
-  if (cfg.shards > 1) {
-    if (!cfg.placement.empty() &&
-        cfg.placement.size() != static_cast<std::size_t>(cfg.clients)) {
-      throw std::invalid_argument(
-          "FabricScaleConfig: placement must be empty or name a shard per "
-          "client");
-    }
-    for (const int p : cfg.placement) {
-      if (p < 0 || p >= cfg.shards) {
-        throw std::invalid_argument(
-            "FabricScaleConfig: placement entry out of shard range");
-      }
-    }
-    if (cfg.server_shard < 0 || cfg.server_shard >= cfg.shards) {
-      throw std::invalid_argument(
-          "FabricScaleConfig: server_shard out of shard range");
-    }
-    return RunFabricScaleSharded(cfg);
-  }
-  sim::Simulator sim;
-  sim::Fabric fabric(cfg.switch_latency);
-  std::unique_ptr<sim::Transport> transport;
-  if (cfg.packetized) {
-    transport = MakePacketizedTransport(sim, fabric, cfg);
-  }
-  rnic::RnicDevice sdev(sim, rnic::NicConfig::ConnectX5(), {}, "server");
-  sdev.AttachPort(0, fabric, {cfg.server_gbps, cfg.propagation});
-
-  struct Client {
-    std::unique_ptr<rnic::RnicDevice> dev;
-    std::unique_ptr<offloads::HashGetHarness> harness;
-    int remaining = 0;
-    sim::Nanos t_sent = 0;   // closed loop depth 1: one outstanding get
-    bool waiting = false;    // a get is outstanding (no response counted yet)
-  };
-  std::vector<Client> clients(static_cast<std::size_t>(cfg.clients));
-  sim::Rng rng(cfg.seed);
-  sim::LatencyRecorder rec;
-  sim::Nanos first_sent = -1;
-  sim::Nanos last_resp = 0;
-
-  const std::size_t heap_bytes =
-      static_cast<std::size_t>(cfg.keys + 1) * cfg.value_len + (64 << 10);
-  for (int i = 0; i < cfg.clients; ++i) {
-    Client& c = clients[static_cast<std::size_t>(i)];
-    c.dev = std::make_unique<rnic::RnicDevice>(
-        sim, rnic::NicConfig::ConnectX5(), rnic::Calibration{},
-        "client" + std::to_string(i));
-    c.dev->AttachPort(0, fabric, {cfg.client_gbps, cfg.propagation});
-    c.harness = std::make_unique<offloads::HashGetHarness>(
-        *c.dev, sdev,
-        // Two probed buckets: keys displaced to H2 stay visible, so the
-        // depth-1 closed loop can never starve on a hash collision.
-        offloads::HashGetOffload::Config{.buckets = 2,
-                                         .max_requests = cfg.gets_per_client + 8,
-                                         .fabric = &fabric,
-                                         .transport = transport.get()},
-        kv::RdmaHashTable::Config{.buckets = 1 << 12}, heap_bytes,
-        /*max_value=*/cfg.value_len + 64);
-    for (int k = 1; k <= cfg.keys; ++k) {
-      c.harness->PutPattern(static_cast<std::uint64_t>(k), cfg.value_len);
-    }
-    c.harness->Arm(cfg.gets_per_client + 4);
-    c.remaining = cfg.gets_per_client;
-  }
-
-  // Depth-1 closed loops starve forever on a miss, so draw only keys the
-  // 2-bucket NIC probe can actually see: a doubly-colliding key falls back
-  // to the hopscotch neighbourhood, which the offload never reads. Every
-  // table is built identically, so client 0's visibility map covers all.
-  std::vector<std::uint64_t> visible;
-  visible.reserve(static_cast<std::size_t>(cfg.keys));
-  for (int k = 1; k <= cfg.keys; ++k) {
-    if (clients[0].harness->table().NicVisible(static_cast<std::uint64_t>(k))) {
-      visible.push_back(static_cast<std::uint64_t>(k));
-    }
-  }
-  if (visible.empty()) {
-    throw std::runtime_error(
-        "RunFabricScale: no NIC-visible keys — table too small for keyspace");
-  }
-
-  std::uint64_t error_cqes = 0;
-  auto issue = [&](int i) {
-    Client& c = clients[static_cast<std::size_t>(i)];
-    c.t_sent = sim.now();
-    c.waiting = true;
-    if (first_sent < 0) first_sent = sim.now();
-    c.harness->SendTrigger(visible[rng.NextBelow(visible.size())]);
-  };
-  for (int i = 0; i < cfg.clients; ++i) {
-    Client& c = clients[static_cast<std::size_t>(i)];
-    c.harness->client_recv_cq()->SetHostNotify([&, i] {
-      Client& cl = clients[static_cast<std::size_t>(i)];
-      rnic::Cqe cqe;
-      while (cl.dev->PollCq(cl.harness->client_recv_cq(), 1, &cqe) == 1) {
-        if (cqe.status != rnic::WcStatus::kSuccess) {
-          // Flushed RECVs from a QP that died mid-partition; not a get.
-          ++error_cqes;
-          continue;
-        }
-        cl.harness->NoteOpenLoopResponse(cqe.qp_id);
-        cl.waiting = false;
-        rec.Add(sim.now() - cl.t_sent);
-        last_resp = std::max(last_resp, sim.now());
-        if (--cl.remaining > 0) issue(i);
-      }
-    });
-    // Staggered starts so clients do not issue in artificial lockstep.
-    sim.At(static_cast<sim::Nanos>(i) * 200, [&, i] { issue(i); });
-  }
-
-  for (const FaultEntry& e : cfg.faults.entries) {
-    const int i = e.client;
-    sim.At(e.down_at, [&, e, i] {
-      if (e.kind == FaultKind::kBlackhole) {
-        transport->SetLinkFaults(clients[static_cast<std::size_t>(i)]
-                                     .dev->fabric_endpoint(0),
-                                 1.0, 0.0);
-      } else {  // kRnrStall: drop the next N receiver probe attempts
-        sdev.StallRecvsFor(
-            clients[static_cast<std::size_t>(i)].harness->server_qp(),
-            e.rnr_count);
-      }
-    });
-    if (e.up_at > 0) {
-      sim.At(e.up_at, [&, e, i] {
-        Client& c = clients[static_cast<std::size_t>(i)];
-        if (e.kind == FaultKind::kBlackhole) {
-          transport->SetLinkFaults(c.dev->fabric_endpoint(0), cfg.loss,
-                                   cfg.corrupt);
-        } else if (c.harness->client_qp()->state != rnic::QpState::kError) {
-          return;  // stall drained transiently; nothing to repair
-        }
-        c.harness->RearmTransport(c.remaining + 4);
-        // Depth-1 loop: if the outstanding get died with the fault,
-        // nothing will ever poke the notify hook again — reissue it.
-        if (c.waiting && c.remaining > 0) issue(i);
-      });
-    }
-  }
-
-  sim.RunUntil(sim::Seconds(30));  // drains when the last response lands
-
-  FabricScaleResult out;
-  out.gets = rec.count();
-  const sim::Nanos span = last_resp > first_sent ? last_resp - first_sent : 1;
-  out.duration_us = sim::ToMicros(span);
-  out.gets_per_sec = static_cast<double>(out.gets) / sim::ToSeconds(span);
-  const sim::LatencySummary sum = rec.Summarize();
-  out.avg_us = sum.avg_us;
-  out.p50_us = sum.p50_us;
-  out.p99_us = sum.p99_us;
-  out.p999_us = sum.p999_us;
-  const int sep = sdev.fabric_endpoint(0);
-  out.server_tx_util = fabric.TxUtilisation(sep, last_resp);
-  out.server_rx_util = fabric.RxUtilisation(sep, last_resp);
-  out.events = sim.events_processed();
-  if (transport != nullptr) {
-    const sim::TransportCounters tc = transport->counters();
-    out.data_packets = tc.data_packets;
-    out.retransmits = tc.retransmits;
-    out.timeouts = tc.timeouts;
-    out.packets_lost = tc.PacketsLost();
-    out.acks = tc.acks_sent;
-    out.goodput_gbps = 8.0 * static_cast<double>(tc.payload_bytes_delivered) /
-                       static_cast<double>(span);
-    out.rto_fires = tc.rto_fires;
-    out.spurious_retransmits = tc.spurious_retransmits;
-    out.sack_retransmits = tc.sack_retransmits;
-    out.rnr_naks = tc.rnr_naks;
-    out.flow_resets = tc.flow_resets;
-    out.error_cqes = error_cqes;
     out.qp_errors = sdev.counters().qp_errors;
     out.qp_rearms = sdev.counters().qp_rearms;
     for (const Client& c : clients) {

@@ -61,17 +61,18 @@ struct FabricScaleConfig {
   std::uint32_t min_rnr_timer = 5;    // RNR backoff base exponent
 
   // --- sharded parallel engine ----------------------------------------------
-  // shards > 1 runs the topology on a ShardedSimulator: each client NIC is
+  // The topology runs on a ShardedSimulator of `shards` domains (1 = one
+  // domain, the degenerate case of the same driver): each client NIC is
   // pinned to `placement[i]` (empty = round-robin over shards), the server
   // to `server_shard`, and cross-shard verbs ride the conservative mailbox
-  // sync whose lookahead floor is the fabric's one-way link latency. The
-  // determinism key is (seed, shards): same-config reruns are bit-stable,
-  // but different shard counts may order same-instant RX reservations
-  // differently (see docs/PARSIM.md). shards == 1 is the classic
-  // single-domain path, bit-identical to the pre-sharding driver.
-  // Composes with `packetized`: cross-shard transport flows split into
-  // per-endpoint halves with per-flow RNG streams (docs/NET.md), so lossy
-  // GBN/SR recovery, RNR backoff, and fault windows all run sharded.
+  // sync whose lookahead floor is the fabric's one-way link latency. Both
+  // are validated at every shard count. The determinism key is
+  // (seed, shards): same-config reruns are bit-stable, but different shard
+  // counts may order same-instant RX reservations differently (see
+  // docs/PARSIM.md). Each client draws its keys from its own stream.
+  // Composes with `packetized`: every transport flow runs as per-endpoint
+  // halves with per-flow RNG streams (docs/NET.md), so lossy GBN/SR
+  // recovery, RNR backoff, and fault windows all run sharded.
   int shards = 1;
   std::vector<int> placement;      // client i -> shard id; empty = i % shards
   int server_shard = 0;
@@ -116,7 +117,7 @@ struct FabricScaleResult {
   std::uint64_t error_cqes = 0;        // non-success CQEs seen by client loops
   std::uint64_t qp_errors = 0;         // QPs that entered ERROR (all devices)
   std::uint64_t qp_rearms = 0;         // ERROR -> reset -> RTS recoveries
-  // Sharded-engine accounting (defaults on the classic single-domain path).
+  // Sharded-engine accounting (no mailbox sends or rounds at shards = 1).
   int shards = 1;
   std::uint64_t mailbox_sends = 0;     // cross-shard messages posted
   std::uint64_t sync_rounds = 0;       // conservative windows executed

@@ -117,10 +117,8 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
 
   // The KV shards (and the transport's home) live on service_shard; each
   // tenant's NIC lives on placement[t] (empty = co-resident with the
-  // service). Co-resident flows stay single-domain legacy flows; a spread
-  // tenant's flows split into per-endpoint halves riding the mailbox sync
-  // (docs/NET.md "Split flows"). sim_shards == 1 is the classic
-  // single-domain path, bit-identical to the pre-sharding driver.
+  // service). A co-resident tenant's flow halves cross inline; a spread
+  // tenant's ride the mailbox sync (docs/NET.md "Flow halves").
   sim::ShardedSimulator ssim(cfg.sim_shards);
   sim::Simulator& sim = ssim.shard(cfg.service_shard);
   sim::Fabric fabric(cfg.switch_latency);

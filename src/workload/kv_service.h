@@ -114,15 +114,14 @@ struct KvServiceConfig {
   // sim_shards > 1 runs the service on a ShardedSimulator. The KV shards
   // (and the transport's home) live on `service_shard`; `placement` pins
   // each tenant's NIC and host loop to its own domain (empty = co-resident
-  // with the service — the classic single-domain path, bit-identical to
-  // the pre-sharding driver). A spread tenant's transport flows split into
-  // per-endpoint sender/receiver halves whose DATA/ACK packets ride the
-  // conservative mailbox sync, with per-flow RNG streams whose draw order
-  // depends only on each half's own packets (docs/NET.md "Split flows");
-  // heals
-  // and fault windows route each QP re-arm to the shard that owns it. Same
-  // (seed, placement) reruns are bit-stable; moving tenants between
-  // domains may reorder same-instant arrivals (docs/PARSIM.md).
+  // with the service). Every transport flow runs as per-endpoint
+  // sender/receiver halves with per-flow RNG streams whose draw order
+  // depends only on the flow's own packets; a spread tenant's DATA/ACK
+  // packets ride the conservative mailbox sync (docs/NET.md "Flow
+  // halves"), and heals and fault windows route each QP re-arm to the
+  // shard that owns it. Same (seed, placement) reruns are bit-stable;
+  // moving tenants between domains may reorder same-instant arrivals
+  // (docs/PARSIM.md).
   int sim_shards = 1;
   int service_shard = 0;
   std::vector<int> placement;  // per-tenant shard; empty = all service_shard

@@ -386,8 +386,9 @@ TEST(ShardedDevice, CrossShardTransportConnectsAndDelivers) {
 }
 
 // ---------------------------------------------------------------------------
-// Transport-level: split flows — sender half on shard 0, receiver half on
-// shard 1, every DATA/ACK/NAK/RNR packet a timestamped mailbox message.
+// Transport-level: cross-shard flows — sender half on shard 0, receiver
+// half on shard 1, every DATA/ACK/NAK/RNR packet a timestamped mailbox
+// message.
 // ---------------------------------------------------------------------------
 
 // Same legible arithmetic as transport_test.cc: 8 Gbps = 1 ns/byte.
@@ -403,7 +404,7 @@ sim::TransportConfig SplitConfig() {
 }
 
 // Raw protocol endpoints on two shards; the transport is homed on shard 0,
-// so the a->b flow runs the split sender/receiver-half protocol.
+// and the a->b flow's sender and receiver halves sit on different shards.
 struct SplitFlowBed {
   explicit SplitFlowBed(int shards, const sim::TransportConfig& cfg)
       : ssim(shards),
@@ -572,15 +573,20 @@ TEST(ShardedWorkload, FabricScaleBitStableAcrossReruns) {
 }
 
 TEST(ShardedWorkload, FabricScaleValidatesShardConfig) {
-  auto cfg = SweepConfig(2);
-  cfg.placement = {0};  // 4 clients need 4 entries
-  EXPECT_THROW(workload::RunFabricScale(cfg), std::invalid_argument);
-  cfg = SweepConfig(2);
-  cfg.placement = {0, 1, 2, 0};  // shard 2 does not exist
-  EXPECT_THROW(workload::RunFabricScale(cfg), std::invalid_argument);
-  cfg = SweepConfig(2);
-  cfg.server_shard = 5;
-  EXPECT_THROW(workload::RunFabricScale(cfg), std::invalid_argument);
+  // One shard is no exemption: a bad placement or server shard throws at
+  // every shard count instead of silently running a different topology.
+  for (const int shards : {1, 2}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    auto cfg = SweepConfig(shards);
+    cfg.placement = {0};  // 4 clients need 4 entries
+    EXPECT_THROW(workload::RunFabricScale(cfg), std::invalid_argument);
+    cfg = SweepConfig(shards);
+    cfg.placement = {0, 1, 2, 0};  // shard 2 does not exist
+    EXPECT_THROW(workload::RunFabricScale(cfg), std::invalid_argument);
+    cfg = SweepConfig(shards);
+    cfg.server_shard = 5;
+    EXPECT_THROW(workload::RunFabricScale(cfg), std::invalid_argument);
+  }
 }
 
 TEST(ShardedWorkload, PacketizedLossySweepBitStableAcrossReruns) {

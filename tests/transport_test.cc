@@ -8,6 +8,7 @@
 
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/fabric.h"
@@ -82,6 +83,10 @@ TEST(Transport, SegmentsAndDeliversExactTiming) {
   EXPECT_EQ(tr.counters().retransmits, 0u);
   EXPECT_EQ(tr.counters().acks_sent, 1u);  // coalesced: one boundary ACK
   EXPECT_EQ(tr.counters().payload_bytes_delivered, 2500u);
+  // Co-located halves cross inline: one event per packet (3 DATA + 1 ACK
+  // arrivals) plus the RTO and delayed-ACK timers, never a second event
+  // per leg.
+  EXPECT_EQ(s.events_processed(), 6u);
 }
 
 TEST(Transport, ZeroByteMessageStillCrossesTheWire) {
@@ -190,8 +195,8 @@ TEST(Transport, CorruptionCountsAndRecovers) {
 }
 
 TEST(Transport, FlowCountersIsolatePerFlow) {
-  // The per-flow snapshot carves the global totals by flow id, legacy path
-  // included: traffic on one flow must not bleed into another's counters.
+  // The per-flow snapshot carves the global totals by flow id: traffic on
+  // one flow must not bleed into another's counters.
   sim::Simulator s;
   sim::Fabric f;
   const int a = f.Attach({8.0, 100});
@@ -217,6 +222,53 @@ TEST(Transport, FlowCountersIsolatePerFlow) {
   EXPECT_EQ(fab.data_packets + fac.data_packets,
             tr.counters().data_packets);
   EXPECT_EQ(fab.acks_sent + fac.acks_sent, tr.counters().acks_sent);
+}
+
+TEST(Transport, LossesDoNotDependOnUnrelatedTraffic) {
+  // Every flow draws from its own streams, so a->b's loss realization —
+  // and with it every delivery and ack instant — is the same whether or
+  // not c->d (disjoint endpoints, same Simulator) carries traffic.
+  struct Trace {
+    std::vector<Nanos> delivered, acked;
+    sim::TransportCounters ctr;
+  };
+  auto run = [](sim::TransportMode mode, bool busy_neighbour) {
+    sim::Simulator s;
+    sim::Fabric f;
+    const int a = f.Attach({8.0, 100});
+    const int b = f.Attach({8.0, 100});
+    const int c = f.Attach({8.0, 100});
+    const int d = f.Attach({8.0, 100});
+    TransportConfig cfg = LegibleConfig();
+    cfg.loss = 0.1;
+    cfg.seed = 42;
+    cfg.mode = mode;
+    Transport tr(s, f, cfg);
+    const int ab = tr.OpenFlow(a, b);
+    const int cd = tr.OpenFlow(c, d);
+    Trace out;
+    for (int i = 0; i < 40; ++i) {
+      tr.SendMessage(ab, 0, 2500,
+                     [&](Nanos t) { out.delivered.push_back(t); },
+                     [&](Nanos t) { out.acked.push_back(t); });
+      if (busy_neighbour) tr.SendMessage(cd, 0, 2500, [](Nanos) {});
+    }
+    s.Run();
+    out.ctr = tr.FlowCounters(ab);
+    return out;
+  };
+  for (const auto mode :
+       {sim::TransportMode::kGoBackN, sim::TransportMode::kSelectiveRepeat}) {
+    SCOPED_TRACE(mode == sim::TransportMode::kGoBackN ? "GBN" : "SR");
+    const Trace quiet = run(mode, false);
+    const Trace busy = run(mode, true);
+    ASSERT_EQ(quiet.delivered.size(), 40u);
+    EXPECT_GT(quiet.ctr.retransmits, 0u);  // the loss actually bit
+    EXPECT_EQ(quiet.delivered, busy.delivered);
+    EXPECT_EQ(quiet.acked, busy.acked);
+    EXPECT_EQ(quiet.ctr.retransmits, busy.ctr.retransmits);
+    EXPECT_TRUE(quiet.ctr == busy.ctr);
+  }
 }
 
 TEST(Transport, SameSeedReplaysBitIdentically) {
@@ -990,34 +1042,40 @@ TEST(TransportScale, KillAndReconnectErrorsRearmsAndStillAnswersEveryGet) {
   fe.down_at = 50'000;
   fe.up_at = 250'000;
   cfg.faults.entries.push_back(fe);
-  cfg.transport_seed += SeedOffset();
-  const auto r1 = workload::RunFabricScale(cfg);
-  // The run completes bounded — client 0's dead window costs wall time, not
-  // gets: its failed request is reissued after the reset->RTS re-arm.
-  EXPECT_EQ(r1.gets, 90u);
-  EXPECT_GT(r1.qp_errors, 0u);
-  EXPECT_GT(r1.qp_rearms, 0u);
-  if (SeedOffset() == 0) {
-    // Flushed RECVs surfaced as error CQEs, not counted as gets. Only
-    // checked at the base seed: whether the *client-side* QP errors (vs
-    // just the server side) depends on what was unacked at partition time.
-    EXPECT_GT(r1.error_cqes, 0u);
+  // Four loss realizations: base + k, where base keeps the CI seed offset.
+  const std::uint64_t base = cfg.transport_seed + SeedOffset();
+  std::uint64_t error_cqes = 0;
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    SCOPED_TRACE("transport seed base+" + std::to_string(k));
+    cfg.transport_seed = base + k;
+    const auto r1 = workload::RunFabricScale(cfg);
+    // The run completes bounded — client 0's dead window costs wall time,
+    // not gets: its failed request is reissued after the reset->RTS re-arm.
+    EXPECT_EQ(r1.gets, 90u);
+    EXPECT_GT(r1.qp_errors, 0u);
+    EXPECT_GT(r1.qp_rearms, 0u);
+    EXPECT_GE(r1.flow_resets, 2u);  // both directions of client 0's QP pair
+    EXPECT_GT(r1.rto_fires, 0u);
+    error_cqes += r1.error_cqes;
+    // Same-seed bit-stability across every new fault hook.
+    const auto r2 = workload::RunFabricScale(cfg);
+    EXPECT_EQ(r1.duration_us, r2.duration_us);
+    EXPECT_EQ(r1.avg_us, r2.avg_us);
+    EXPECT_EQ(r1.p99_us, r2.p99_us);
+    EXPECT_EQ(r1.retransmits, r2.retransmits);
+    EXPECT_EQ(r1.sack_retransmits, r2.sack_retransmits);
+    EXPECT_EQ(r1.rto_fires, r2.rto_fires);
+    EXPECT_EQ(r1.goodput_gbps, r2.goodput_gbps);
+    EXPECT_EQ(r1.error_cqes, r2.error_cqes);
+    EXPECT_EQ(r1.qp_errors, r2.qp_errors);
+    EXPECT_EQ(r1.qp_rearms, r2.qp_rearms);
+    EXPECT_EQ(r1.flow_resets, r2.flow_resets);
   }
-  EXPECT_GE(r1.flow_resets, 2u);  // both directions of client 0's QP pair
-  EXPECT_GT(r1.rto_fires, 0u);
-  // Same-seed bit-stability across every new fault hook.
-  const auto r2 = workload::RunFabricScale(cfg);
-  EXPECT_EQ(r1.duration_us, r2.duration_us);
-  EXPECT_EQ(r1.avg_us, r2.avg_us);
-  EXPECT_EQ(r1.p99_us, r2.p99_us);
-  EXPECT_EQ(r1.retransmits, r2.retransmits);
-  EXPECT_EQ(r1.sack_retransmits, r2.sack_retransmits);
-  EXPECT_EQ(r1.rto_fires, r2.rto_fires);
-  EXPECT_EQ(r1.goodput_gbps, r2.goodput_gbps);
-  EXPECT_EQ(r1.error_cqes, r2.error_cqes);
-  EXPECT_EQ(r1.qp_errors, r2.qp_errors);
-  EXPECT_EQ(r1.qp_rearms, r2.qp_rearms);
-  EXPECT_EQ(r1.flow_resets, r2.flow_resets);
+  // Flushed RECVs surface as error CQEs, not counted as gets — but only
+  // when client 0's own QP errors, which depends on whether it had unacked
+  // data at partition time: one loss realization's detail. Some seed of
+  // the four must show it.
+  EXPECT_GT(error_cqes, 0u);
 }
 
 }  // namespace
