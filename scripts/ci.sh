@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # CI entry point: build Release + Debug, run the test suite in both, run
 # bench_simcore + bench_scale_fanout (Release) and enforce perf floors, then
-# diff all 15 fig/table paper benches against committed golden stdout so
-# semantic regressions (timing, ordering, completion counting) fail loudly
-# instead of rotting silently, and smoke-run the repo benchmark (bench/e2e).
+# diff all 15 fig/table paper benches against committed golden stdout (and
+# the KV scale benches' seed-1 --quick JSON records against
+# tests/golden/scale/) so semantic regressions (timing, ordering,
+# completion counting) fail loudly instead of rotting silently, and
+# smoke-run the repo benchmark (bench/e2e).
 #
 # An ASan+UBSan Debug build then re-runs the whole ctest suite — the
 # slab/inline-callback fast paths are exactly the code sanitizers exist
@@ -215,6 +217,18 @@ check_zero() {  # check_zero <bench> <field> <label>
     echo "OK:   $3: 0"
   fi
 }
+# The KV scale benches' JSON records are pure simulated results apart from
+# events_per_sec. Their seed-1 --quick records, with that field removed,
+# must match the committed ones in tests/golden/scale/ byte for byte.
+check_record() {  # check_record <bench> <golden>
+  if ! echo "${bench_out}" | grep "\"bench\":\"$1\"" \
+      | sed -E 's/^JSON //; s/,"events_per_sec":[^,}]*//' \
+      | diff -u "$2" - ; then
+    echo "FAIL: $1 seed-1 --quick record diverged from $2" >&2; fail=1
+  else
+    echo "OK:   $1 seed-1 --quick record matches $2"
+  fi
+}
 for b in dispatch_chain dispatch_burst remote_write; do
   check_floor "$b" slab_hit_rate 0.99 "$b slab-hit rate"
   check_zero "$b" heap_fallbacks "$b heap fallbacks"
@@ -308,6 +322,7 @@ for seed in 1 2 3; do
   bench_out="$(./build-release/bench_scale_failover --quick --seed "${seed}")"
   if [[ "${seed}" == "1" ]]; then
     echo "${bench_out}"
+    check_record scale_failover tests/golden/scale/scale_failover.json
   else
     echo "${bench_out}" | grep '"bench":"scale_failover"'
   fi
@@ -331,6 +346,7 @@ for seed in 1 2 3; do
   bench_out="$(./build-release/bench_scale_recovery --quick --seed "${seed}")"
   if [[ "${seed}" == "1" ]]; then
     echo "${bench_out}"
+    check_record scale_recovery tests/golden/scale/scale_recovery.json
   else
     echo "${bench_out}" | grep '"bench":"scale_recovery"'
   fi

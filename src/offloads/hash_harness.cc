@@ -144,11 +144,6 @@ void CycleQp(rnic::QueuePair* qp) {
 }
 }  // namespace
 
-void HashGetHarness::RearmTransport(int n) {
-  RearmTransportClientHalf();
-  RearmTransportServerHalf(n);
-}
-
 void HashGetHarness::RearmTransportClientHalf() {
   CycleQp(cli_qp1_);
   CycleQp(cli_qp2_);

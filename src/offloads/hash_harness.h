@@ -43,20 +43,17 @@ class HashGetHarness {
   // Pre-posts chains for `n` more requests.
   void Arm(int n);
 
-  // Transport-connected recovery (the kill-and-reconnect path): cycles every
-  // QP through reset->init->rtr->rts, retires the current offload program in
-  // place (a QP error flushed its pre-posted responses and trigger RECVs,
-  // so its surviving chains can never run usefully again), and arms a fresh
+  // Transport-connected recovery (the kill-and-reconnect path), in two
+  // halves so each runs on the event domain that owns its NIC (a reset
+  // fences that QP's transport flow, so the cycle must run on the flow's
+  // sender domain). The client half cycles the client QPs through
+  // reset->init->rtr->rts and drops the RECV accounting. The server half
+  // cycles the server QPs, retires the current offload program in place (a
+  // QP error flushed its pre-posted responses and trigger RECVs, so its
+  // surviving chains can never run usefully again), and arms a fresh
   // program for `n` further requests whose trigger thresholds continue from
-  // the CQ count the server has already consumed.
-  void RearmTransport(int n);
-  // Two-phase RearmTransport for sharded runs where the client and server
-  // NICs live on different shards: each half cycles only the QPs its
-  // shard's thread owns (a reset fences that QP's transport flow, so the
-  // cycle must run on the flow's sender domain). The client half additionally
-  // drops the RECV accounting; the server half retires and rebuilds the
-  // offload program. Calling client-half then server-half at one instant on
-  // one shard is exactly RearmTransport(n).
+  // the CQ count the server has already consumed. A full re-arm is the
+  // client half, then the server half.
   void RearmTransportClientHalf();
   void RearmTransportServerHalf(int n);
 
@@ -148,7 +145,7 @@ class HashGetHarness {
   rnic::MemoryRegion msg_mr_;
 
   std::unique_ptr<HashGetOffload> offload_;
-  // Offloads abandoned by RearmTransport. Kept alive: their control queues
+  // Offloads abandoned by RearmTransportServerHalf. Kept alive: their control queues
   // still reference WQEs and SGE tables they own, and a stale trigger-CQ
   // waiter may fire them once more (harmlessly — every enable they issue
   // lands below the reset queues' execution horizon) before going quiet.

@@ -61,7 +61,7 @@ class HashGetOffload {
     // Starting request sequence number. Chain r waits for the trigger CQ's
     // hw count to reach first_seq + r, so a replacement offload built after
     // a QP error must seed this with the CQ count already consumed by its
-    // predecessor (HashGetHarness::RearmTransport does).
+    // predecessor (HashGetHarness::RearmTransportServerHalf does).
     std::uint64_t first_seq = 0;
     // Make the CLIENT-side send queues of a HashGetHarness built with this
     // config managed (doorbell-ignoring): trigger SENDs posted to them park

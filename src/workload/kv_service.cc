@@ -32,6 +32,11 @@ namespace {
 constexpr int kShardPidBase = 100;
 // Detour fires a chain can serve per (tenant, shard) over the run.
 constexpr int kDetourArms = 16;
+// Write path: receive slots per put link, ack record size, and the chain
+// edge's in-flight forward ring.
+constexpr int kPutSlots = 4;
+constexpr std::uint32_t kAckBytes = 24;
+constexpr std::uint64_t kFwdRing = 256;
 
 std::size_t Pow2AtLeast(std::size_t n) {
   std::size_t p = 1024;
@@ -52,6 +57,117 @@ bool Versioned(const KvServiceConfig& cfg) {
 
 // Shard lifecycle during fault windows.
 enum class ShardState : std::uint8_t { kServing, kDead, kResyncing };
+
+struct AckedWrite {
+  std::uint64_t key;
+  std::uint64_t version;
+  std::uint64_t mask;  // bit s = shard s confirmed durable at ack time
+};
+
+struct Fwd {
+  int tenant = 0;
+  int peer = 0;
+  std::uint64_t key = 0;
+  std::uint64_t version = 0;
+};
+
+// Chain propagation rides one QP pair per directed ring edge
+// s -> SuccessorOf(s).
+struct Edge {
+  rnic::QueuePair* req = nullptr;  // requester at s
+  rnic::QueuePair* rsp = nullptr;  // responder at SuccessorOf(s)
+  std::vector<Fwd> ring;           // wr_id -> in-flight forward context
+  std::uint64_t next = 0;
+};
+
+// One KV shard: its NIC, store, lifecycle and anti-entropy bookkeeping.
+struct Shard {
+  std::unique_ptr<rnic::RnicDevice> dev;
+  std::vector<std::uint64_t> keys;  // primary and backup keys
+  std::unique_ptr<kv::RdmaHashTable> table;
+  std::unique_ptr<kv::ValueHeap> heap;
+  // Key -> value address (stable for the run: puts and re-sync rewrite
+  // values in place, so replication and anti-entropy can target fixed
+  // remote addresses).
+  std::unordered_map<std::uint64_t, std::uint64_t> vaddr;
+  ShardState state = ShardState::kServing;
+  // The shard missed at least one chain write while unreachable: its heal
+  // must run a re-sync before tenants may route reads back to it.
+  bool dirty = false;
+  // Keys missed while the current anti-entropy pass ran (see resync_pass);
+  // the next pass re-reads exactly these.
+  std::vector<std::uint64_t> missed;
+  // Per-donor (local, donor) QP pair, kept for one whole recovery.
+  std::vector<std::pair<rnic::QueuePair*, rnic::QueuePair*>> resync_links;
+  Edge edge;  // write path: the chain edge out of this shard
+};
+
+// Everything one tenant holds toward one shard s.
+struct Link {
+  std::unique_ptr<offloads::HashGetHarness> get;
+  // Offload policy: a pre-built get against s's chain successor, the WAIT
+  // chain that releases it, and the keepalive probe pair.
+  std::unique_ptr<offloads::HashGetHarness> detour;
+  std::unique_ptr<offloads::ClientFailoverChain> chain;
+  rnic::QueuePair* probe_cli = nullptr;
+  rnic::QueuePair* probe_srv = nullptr;
+  // Write path: a request pair carries tenant -> shard SENDs of
+  // [key u64 | payload], an ack pair shard -> tenant SENDs of
+  // [key, version, replica mask].
+  rnic::QueuePair* req_cli = nullptr;  // tenant-side requester
+  rnic::QueuePair* req_srv = nullptr;
+  rnic::QueuePair* ack_srv = nullptr;  // shard-side requester
+  rnic::QueuePair* ack_cli = nullptr;
+  std::unique_ptr<std::byte[]> req_rx;  // shard: kPutSlots x value_len
+  rnic::MemoryRegion req_rx_mr;
+  std::unique_ptr<std::byte[]> ack_tx;  // shard: kPutSlots x kAckBytes
+  rnic::MemoryRegion ack_tx_mr;
+  std::unique_ptr<std::byte[]> ack_rx;  // tenant: kPutSlots x kAckBytes
+  rnic::MemoryRegion ack_rx_mr;
+  std::uint64_t ack_seq = 0;
+};
+
+struct Tenant {
+  int place = 0;  // event domain of the tenant's NIC and host loop
+  std::unique_ptr<rnic::RnicDevice> dev;
+  std::vector<Link> links;  // one per shard
+  std::unique_ptr<std::byte[]> ptx;  // put request buffer
+  rnic::MemoryRegion ptx_mr;
+  sim::Rng rng{1};
+  int remaining = 0;
+  bool started = false;
+  bool waiting = false;
+  std::uint64_t key = 0;
+  int primary = 0;
+  int target = 0;
+  sim::Nanos t_sent = 0;
+  std::uint64_t seq = 0;      // one per op
+  std::uint64_t attempt = 0;  // one per send (watchdog staleness guard)
+  std::vector<char> dead;     // per-shard "stop routing there" flags
+  sim::LatencyRecorder rec;
+  sim::Nanos last_mark = 0;
+  sim::Nanos max_blip = 0;
+  std::uint64_t detours = 0, reroutes = 0, host_reissues = 0;
+  // Write path.
+  bool is_put = false;
+  std::uint64_t puts = 0;
+  sim::LatencyRecorder put_rec;
+  // Highest fully-acked (both replicas) version per key — the tenant's
+  // read-your-writes floor.
+  std::unordered_map<std::uint64_t, std::uint64_t> ryw;
+  // Shard-local accounting: the tenant's domain owns these, and the
+  // run-wide totals are merged after RunUntil (tenant order), so spread
+  // placements never write run-global counters from a shard thread.
+  sim::Nanos first_sent = -1;
+  sim::Nanos last_resp = 0;
+  std::uint64_t err_cqes = 0, stale = 0, probes = 0;
+  std::uint64_t heal_resends = 0, put_retry = 0, ryw_viol = 0, full_acks = 0;
+  std::vector<AckedWrite> ledger;
+  // Nonzero while a heal is mid-flight between its tenant-domain and
+  // service-domain legs: the server-side offload program is being swapped
+  // over there, so sends park until the final leg resumes them.
+  int healing = 0;
+};
 
 void Validate(const KvServiceConfig& cfg) {
   if (cfg.shards < 2) {
@@ -136,73 +252,80 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
   sim::Transport transport(sim, fabric, tc);
 
   const kv::ConsistentHashRing ring(cfg.shards, cfg.ring_vnodes, cfg.seed);
+  // Service-side code counts straight into the result; tenant-side
+  // counters are merged in after the run.
+  KvServiceResult out;
 
-  std::vector<std::unique_ptr<rnic::RnicDevice>> sdev;
-  for (int s = 0; s < cfg.shards; ++s) {
-    sdev.push_back(std::make_unique<rnic::RnicDevice>(
-        sim, rnic::NicConfig::ConnectX5(), rnic::Calibration{},
-        "shard" + std::to_string(s)));
-    sdev.back()->AttachPort(0, fabric, {cfg.gbps, cfg.propagation});
-  }
-  // Tenant t's host logic and NIC run on place[t]'s domain; tsim(t) is the
-  // clock and scheduler every tenant-side callback must use.
-  std::vector<int> place(static_cast<std::size_t>(cfg.tenants),
-                         cfg.service_shard);
-  for (std::size_t t = 0; t < cfg.placement.size(); ++t) {
-    place[t] = cfg.placement[t];
-  }
-  auto tsim = [&](int t) -> sim::Simulator& {
-    return ssim.shard(place[static_cast<std::size_t>(t)]);
+  std::vector<Shard> shards(static_cast<std::size_t>(cfg.shards));
+  std::vector<Tenant> tenants(static_cast<std::size_t>(cfg.tenants));
+  auto shard = [&](int s) -> Shard& {
+    return shards[static_cast<std::size_t>(s)];
   };
-  std::vector<std::unique_ptr<rnic::RnicDevice>> tdev;
+  auto tenant = [&](int t) -> Tenant& {
+    return tenants[static_cast<std::size_t>(t)];
+  };
+  auto link = [&](int t, int s) -> Link& {
+    return tenant(t).links[static_cast<std::size_t>(s)];
+  };
+  // Tenant t's host logic and NIC run on its place's domain; tsim(t) is
+  // the clock and scheduler every tenant-side callback must use.
+  auto tsim = [&](int t) -> sim::Simulator& {
+    return ssim.shard(tenant(t).place);
+  };
+
+  for (int s = 0; s < cfg.shards; ++s) {
+    Shard& S = shard(s);
+    S.dev = std::make_unique<rnic::RnicDevice>(
+        sim, rnic::NicConfig::ConnectX5(), rnic::Calibration{},
+        "shard" + std::to_string(s));
+    S.dev->AttachPort(0, fabric, {cfg.gbps, cfg.propagation});
+  }
   for (int t = 0; t < cfg.tenants; ++t) {
-    tdev.push_back(std::make_unique<rnic::RnicDevice>(
+    Tenant& T = tenant(t);
+    T.place = cfg.placement.empty()
+                  ? cfg.service_shard
+                  : cfg.placement[static_cast<std::size_t>(t)];
+    T.dev = std::make_unique<rnic::RnicDevice>(
         tsim(t), rnic::NicConfig::ConnectX5(), rnic::Calibration{},
-        "tenant" + std::to_string(t)));
-    tdev.back()->AttachPort(0, fabric, {cfg.gbps, cfg.propagation});
+        "tenant" + std::to_string(t));
+    T.dev->AttachPort(0, fabric, {cfg.gbps, cfg.propagation});
+    T.links.resize(static_cast<std::size_t>(cfg.shards));
+    T.rng = sim::Rng(cfg.seed * 0x9e3779b97f4a7c15ULL +
+                     static_cast<std::uint64_t>(t + 1));
+    T.remaining = cfg.gets_per_tenant;
+    T.dead.assign(static_cast<std::size_t>(cfg.shards), 0);
   }
 
   // --- key placement + shard stores ----------------------------------------
   // Every key lives on its ring primary AND the primary's chain successor.
-  std::vector<std::vector<std::uint64_t>> shard_keys(
-      static_cast<std::size_t>(cfg.shards));
   for (int k = 1; k <= cfg.keys; ++k) {
     const std::uint64_t key = static_cast<std::uint64_t>(k);
     const int p = ring.PrimaryOf(key);
-    shard_keys[static_cast<std::size_t>(p)].push_back(key);
-    shard_keys[static_cast<std::size_t>(ring.SuccessorOf(p))].push_back(key);
+    shard(p).keys.push_back(key);
+    shard(ring.SuccessorOf(p)).keys.push_back(key);
   }
   const bool versioned = Versioned(cfg);
   const std::size_t slot = (static_cast<std::size_t>(cfg.value_len) + 7) & ~std::size_t{7};
-  std::vector<std::unique_ptr<kv::RdmaHashTable>> tables;
-  std::vector<std::unique_ptr<kv::ValueHeap>> heaps;
-  // Per-shard key -> value address (stable for the run: puts and re-sync
-  // rewrite values in place, so replication and anti-entropy can target
-  // fixed remote addresses).
-  std::vector<std::unordered_map<std::uint64_t, std::uint64_t>> vaddr(
-      static_cast<std::size_t>(cfg.shards));
-  for (int s = 0; s < cfg.shards; ++s) {
-    const std::size_t cnt = shard_keys[static_cast<std::size_t>(s)].size();
-    tables.push_back(std::make_unique<kv::RdmaHashTable>(
-        *sdev[static_cast<std::size_t>(s)],
-        kv::RdmaHashTable::Config{.buckets = Pow2AtLeast(4 * cnt + 16)}));
-    heaps.push_back(std::make_unique<kv::ValueHeap>(
-        *sdev[static_cast<std::size_t>(s)], cnt * slot + (64 << 10)));
+  for (Shard& S : shards) {
+    const std::size_t cnt = S.keys.size();
+    S.table = std::make_unique<kv::RdmaHashTable>(
+        *S.dev, kv::RdmaHashTable::Config{.buckets = Pow2AtLeast(4 * cnt + 16)});
+    S.heap = std::make_unique<kv::ValueHeap>(*S.dev, cnt * slot + (64 << 10));
     std::vector<std::byte> v(cfg.value_len);
-    for (std::uint64_t key : shard_keys[static_cast<std::size_t>(s)]) {
+    for (std::uint64_t key : S.keys) {
       std::uint64_t ptr;
       if (versioned) {
-        ptr = heaps.back()->Reserve(cfg.value_len);
+        ptr = S.heap->Reserve(cfg.value_len);
         kv::WriteVersionedValue(ptr, cfg.value_len, key, /*version=*/0);
       } else {
         // PutPattern layout: byte i is (key + i) mod 256.
         std::iota(reinterpret_cast<unsigned char*>(v.data()),
                   reinterpret_cast<unsigned char*>(v.data()) + v.size(),
                   static_cast<unsigned char>(key));
-        ptr = heaps.back()->Store(v.data(), cfg.value_len);
+        ptr = S.heap->Store(v.data(), cfg.value_len);
       }
-      tables.back()->Insert(key, ptr, cfg.value_len);
-      vaddr[static_cast<std::size_t>(s)][key] = ptr;
+      S.table->Insert(key, ptr, cfg.value_len);
+      S.vaddr[key] = ptr;
     }
   }
 
@@ -213,9 +336,8 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
   for (int k = 1; k <= cfg.keys; ++k) {
     const std::uint64_t key = static_cast<std::uint64_t>(k);
     const int p = ring.PrimaryOf(key);
-    const int b = ring.SuccessorOf(p);
-    if (tables[static_cast<std::size_t>(p)]->NicVisible(key) &&
-        tables[static_cast<std::size_t>(b)]->NicVisible(key)) {
+    if (shard(p).table->NicVisible(key) &&
+        shard(ring.SuccessorOf(p)).table->NicVisible(key)) {
       eligible.push_back(key);
     }
   }
@@ -226,87 +348,73 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
   // --- harnesses, detour chains ---------------------------------------------
   const bool offloaded = cfg.policy == FailoverPolicy::kOffloadChain;
   const int arm0 = cfg.gets_per_tenant + 8;
-  using HarnessRow = std::vector<std::unique_ptr<offloads::HashGetHarness>>;
-  std::vector<HarnessRow> H(static_cast<std::size_t>(cfg.tenants));
-  std::vector<HarnessRow> F(static_cast<std::size_t>(cfg.tenants));
-  std::vector<std::vector<std::unique_ptr<offloads::ClientFailoverChain>>>
-      chains(static_cast<std::size_t>(cfg.tenants));
   for (int t = 0; t < cfg.tenants; ++t) {
+    Tenant& T = tenant(t);
     for (int s = 0; s < cfg.shards; ++s) {
-      auto h = std::make_unique<offloads::HashGetHarness>(
-          *tdev[static_cast<std::size_t>(t)],
-          *sdev[static_cast<std::size_t>(s)],
+      Shard& S = shard(s);
+      Link& L = link(t, s);
+      L.get = std::make_unique<offloads::HashGetHarness>(
+          *T.dev, *S.dev,
           offloads::HashGetOffload::Config{
               .buckets = 2,
               .max_requests = cfg.gets_per_tenant + 32,
               .fabric = &fabric,
               .transport = &transport},
-          *tables[static_cast<std::size_t>(s)],
-          *heaps[static_cast<std::size_t>(s)],
-          /*max_value=*/cfg.value_len + 64);
-      h->SetServerOwner(kShardPidBase + s);
-      h->Arm(arm0);
-      H[static_cast<std::size_t>(t)].push_back(std::move(h));
+          *S.table, *S.heap, /*max_value=*/cfg.value_len + 64);
+      L.get->SetServerOwner(kShardPidBase + s);
+      L.get->Arm(arm0);
     }
-    if (offloaded) {
-      for (int s = 0; s < cfg.shards; ++s) {
-        const int b = ring.SuccessorOf(s);
-        auto f = std::make_unique<offloads::HashGetHarness>(
-            *tdev[static_cast<std::size_t>(t)],
-            *sdev[static_cast<std::size_t>(b)],
-            offloads::HashGetOffload::Config{.buckets = 2,
-                                             .max_requests = kDetourArms + 4,
-                                             .fabric = &fabric,
-                                             .transport = &transport,
-                                             .managed_client_sq = true},
-            *tables[static_cast<std::size_t>(b)],
-            *heaps[static_cast<std::size_t>(b)],
-            /*max_value=*/cfg.value_len + 64);
-        f->SetServerOwner(kShardPidBase + b);
-        f->Arm(kDetourArms);
-        f->PrepostResponseRecvs(kDetourArms + 4);
-        F[static_cast<std::size_t>(t)].push_back(std::move(f));
-      }
-      for (int s = 0; s < cfg.shards; ++s) {
-        auto c = std::make_unique<offloads::ClientFailoverChain>(
-            *H[static_cast<std::size_t>(t)][static_cast<std::size_t>(s)],
-            *F[static_cast<std::size_t>(t)][static_cast<std::size_t>(s)],
-            kDetourArms);
-        c->Arm();
-        chains[static_cast<std::size_t>(t)].push_back(std::move(c));
-      }
+    if (!offloaded) continue;
+    for (int s = 0; s < cfg.shards; ++s) {
+      const int b = ring.SuccessorOf(s);
+      Shard& B = shard(b);
+      Link& L = link(t, s);
+      L.detour = std::make_unique<offloads::HashGetHarness>(
+          *T.dev, *B.dev,
+          offloads::HashGetOffload::Config{.buckets = 2,
+                                           .max_requests = kDetourArms + 4,
+                                           .fabric = &fabric,
+                                           .transport = &transport,
+                                           .managed_client_sq = true},
+          *B.table, *B.heap, /*max_value=*/cfg.value_len + 64);
+      L.detour->SetServerOwner(kShardPidBase + b);
+      L.detour->Arm(kDetourArms);
+      L.detour->PrepostResponseRecvs(kDetourArms + 4);
+    }
+    for (Link& L : T.links) {
+      L.chain = std::make_unique<offloads::ClientFailoverChain>(
+          *L.get, *L.detour, kDetourArms);
+      L.chain->Arm();
     }
   }
+
+  // One end of a QP pair on `dev`, owned by pid `owner` (a shard end dies
+  // with its shard's crash). A null `send_cq` gets a fresh CQ.
+  const std::uint32_t rq_default = rnic::QpConfig{}.rq_depth;
+  auto make_qp = [](rnic::RnicDevice& dev, int owner, std::uint32_t rq_depth,
+                    rnic::CompletionQueue* send_cq) {
+    rnic::QpConfig qc;
+    qc.rq_depth = rq_depth;
+    qc.send_cq = send_cq != nullptr ? send_cq : dev.CreateCq();
+    qc.recv_cq = dev.CreateCq();
+    qc.owner_pid = owner;
+    return dev.CreateQp(qc);
+  };
 
   // Keepalive probe QPs (offload policy): one per (tenant, shard), the
   // client end sharing the primary connection's send CQ so a probe failure
   // CQE trips the same WAIT the trigger failures do. Probes are unsignaled
   // zero-byte SENDs — healthy probes keep the CQ silent.
-  std::vector<std::vector<rnic::QueuePair*>> probe_cli(
-      static_cast<std::size_t>(cfg.tenants));
-  std::vector<std::vector<rnic::QueuePair*>> probe_srv(
-      static_cast<std::size_t>(cfg.tenants));
   if (offloaded) {
     for (int t = 0; t < cfg.tenants; ++t) {
       for (int s = 0; s < cfg.shards; ++s) {
-        rnic::QpConfig sc;
-        sc.rq_depth = 512;
-        sc.send_cq = sdev[static_cast<std::size_t>(s)]->CreateCq();
-        sc.recv_cq = sdev[static_cast<std::size_t>(s)]->CreateCq();
-        rnic::QueuePair* ps =
-            sdev[static_cast<std::size_t>(s)]->CreateQp(sc);
-        ps->owner_pid = kShardPidBase + s;
-        rnic::QpConfig cc;
-        cc.send_cq = H[static_cast<std::size_t>(t)][static_cast<std::size_t>(
-                          s)]->client_qp()->send_cq;
-        cc.recv_cq = tdev[static_cast<std::size_t>(t)]->CreateCq();
-        rnic::QueuePair* pc =
-            tdev[static_cast<std::size_t>(t)]->CreateQp(cc);
-        rnic::ConnectOverTransport(pc, ps, transport);
+        Link& L = link(t, s);
+        L.probe_srv = make_qp(*shard(s).dev, kShardPidBase + s, 512, nullptr);
+        L.probe_cli = make_qp(*tenant(t).dev, 0, rq_default,
+                              L.get->client_qp()->send_cq);
+        rnic::ConnectOverTransport(L.probe_cli, L.probe_srv, transport);
         verbs::RecvWr rwr;
-        for (int i = 0; i < 64; ++i) verbs::PostRecv(ps, rwr);
-        probe_cli[static_cast<std::size_t>(t)].push_back(pc);
-        probe_srv[static_cast<std::size_t>(t)].push_back(ps);
+        for (int i = 0; i < 64; ++i) verbs::PostRecv(L.probe_srv, rwr);
       }
     }
   }
@@ -314,46 +422,12 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
   // --- write path: put links + chain edges -----------------------------------
   // Puts ride dedicated QP pairs (the get path's trigger/response plumbing
   // is an offload program with a fixed request shape): per (tenant, shard)
-  // a request pair carries tenant -> shard SENDs of [key u64 | payload] and
-  // an ack pair carries shard -> tenant SENDs of [key, version, replica
-  // mask]. Chain propagation rides one QP pair per directed ring edge
-  // s -> SuccessorOf(s): the primary RDMA-WRITEs the whole versioned value
-  // into the successor's heap slot and treats the WRITE's completion as
-  // "the peer durably applied" — only then does it ack the tenant.
+  // a request pair and an ack pair (Link). Along each chain edge the
+  // primary RDMA-WRITEs the whole versioned value into the successor's
+  // heap slot and treats the WRITE's completion as "the peer durably
+  // applied" — only then does it ack the tenant.
   const bool writes = cfg.put_fraction > 0.0;
-  constexpr int kPutSlots = 4;
-  constexpr std::uint32_t kAckBytes = 24;
-  constexpr std::uint64_t kFwdRing = 256;
-  struct PutLink {
-    rnic::QueuePair* req_cli = nullptr;  // tenant-side requester
-    rnic::QueuePair* req_srv = nullptr;
-    rnic::QueuePair* ack_srv = nullptr;  // shard-side requester
-    rnic::QueuePair* ack_cli = nullptr;
-    std::unique_ptr<std::byte[]> req_rx;  // shard: kPutSlots x value_len
-    rnic::MemoryRegion req_rx_mr;
-    std::unique_ptr<std::byte[]> ack_tx;  // shard: kPutSlots x kAckBytes
-    rnic::MemoryRegion ack_tx_mr;
-    std::unique_ptr<std::byte[]> ack_rx;  // tenant: kPutSlots x kAckBytes
-    rnic::MemoryRegion ack_rx_mr;
-    std::uint64_t ack_seq = 0;
-  };
-  struct Fwd {
-    int tenant = 0;
-    int peer = 0;
-    std::uint64_t key = 0;
-    std::uint64_t version = 0;
-  };
-  struct Edge {
-    rnic::QueuePair* req = nullptr;  // requester at s
-    rnic::QueuePair* rsp = nullptr;  // responder at SuccessorOf(s)
-    std::vector<Fwd> ring;           // wr_id -> in-flight forward context
-    std::uint64_t next = 0;
-  };
-  std::vector<std::vector<PutLink>> plinks;
-  std::vector<Edge> edges;
-  std::vector<std::unique_ptr<std::byte[]>> ptx;  // per-tenant request buffer
-  std::vector<rnic::MemoryRegion> ptx_mr;
-  auto post_req_slot = [&](PutLink& L, int slot) {
+  auto post_req_slot = [&](Link& L, int slot) {
     verbs::RecvWr r;
     r.wr_id = static_cast<std::uint64_t>(slot);
     r.local_addr = L.req_rx_mr.addr +
@@ -362,7 +436,7 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
     r.lkey = L.req_rx_mr.lkey;
     verbs::PostRecv(L.req_srv, r);
   };
-  auto post_ack_slot = [&](PutLink& L, int slot) {
+  auto post_ack_slot = [&](Link& L, int slot) {
     verbs::RecvWr r;
     r.wr_id = static_cast<std::uint64_t>(slot);
     r.local_addr = L.ack_rx_mr.addr +
@@ -372,44 +446,24 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
     verbs::PostRecv(L.ack_cli, r);
   };
   if (writes) {
-    plinks.resize(static_cast<std::size_t>(cfg.tenants));
     for (int t = 0; t < cfg.tenants; ++t) {
-      auto& td = *tdev[static_cast<std::size_t>(t)];
-      ptx.push_back(std::make_unique<std::byte[]>(cfg.value_len));
-      ptx_mr.push_back(
-          td.pd().Register(ptx.back().get(), cfg.value_len, rnic::kAccessAll));
-      plinks[static_cast<std::size_t>(t)].resize(
-          static_cast<std::size_t>(cfg.shards));
+      Tenant& T = tenant(t);
+      auto& td = *T.dev;
+      T.ptx = std::make_unique<std::byte[]>(cfg.value_len);
+      T.ptx_mr = td.pd().Register(T.ptx.get(), cfg.value_len, rnic::kAccessAll);
       for (int s = 0; s < cfg.shards; ++s) {
-        auto& sd = *sdev[static_cast<std::size_t>(s)];
-        PutLink& L =
-            plinks[static_cast<std::size_t>(t)][static_cast<std::size_t>(s)];
-        rnic::QpConfig rs;
-        rs.rq_depth = 64;
-        rs.send_cq = sd.CreateCq();
-        rs.recv_cq = sd.CreateCq();
-        L.req_srv = sd.CreateQp(rs);
-        L.req_srv->owner_pid = kShardPidBase + s;
-        rnic::QpConfig rc;
-        rc.send_cq = td.CreateCq();
-        rc.recv_cq = td.CreateCq();
-        L.req_cli = td.CreateQp(rc);
+        auto& sd = *shard(s).dev;
+        Link& L = link(t, s);
+        L.req_srv = make_qp(sd, kShardPidBase + s, 64, nullptr);
+        L.req_cli = make_qp(td, 0, rq_default, nullptr);
         rnic::ConnectOverTransport(L.req_cli, L.req_srv, transport);
         L.req_rx = std::make_unique<std::byte[]>(
             static_cast<std::size_t>(kPutSlots) * cfg.value_len);
         L.req_rx_mr = sd.pd().Register(
             L.req_rx.get(), static_cast<std::size_t>(kPutSlots) * cfg.value_len,
             rnic::kAccessAll);
-        rnic::QpConfig as;
-        as.send_cq = sd.CreateCq();
-        as.recv_cq = sd.CreateCq();
-        L.ack_srv = sd.CreateQp(as);
-        L.ack_srv->owner_pid = kShardPidBase + s;
-        rnic::QpConfig ac;
-        ac.rq_depth = 64;
-        ac.send_cq = td.CreateCq();
-        ac.recv_cq = td.CreateCq();
-        L.ack_cli = td.CreateQp(ac);
+        L.ack_srv = make_qp(sd, kShardPidBase + s, rq_default, nullptr);
+        L.ack_cli = make_qp(td, 0, 64, nullptr);
         rnic::ConnectOverTransport(L.ack_srv, L.ack_cli, transport);
         L.ack_tx = std::make_unique<std::byte[]>(
             static_cast<std::size_t>(kPutSlots) * kAckBytes);
@@ -427,42 +481,15 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
         }
       }
     }
-    edges.resize(static_cast<std::size_t>(cfg.shards));
     for (int s = 0; s < cfg.shards; ++s) {
       const int b = ring.SuccessorOf(s);
-      Edge& E = edges[static_cast<std::size_t>(s)];
+      Edge& E = shard(s).edge;
       E.ring.resize(kFwdRing);
-      rnic::QpConfig es;
-      es.send_cq = sdev[static_cast<std::size_t>(s)]->CreateCq();
-      es.recv_cq = sdev[static_cast<std::size_t>(s)]->CreateCq();
-      E.req = sdev[static_cast<std::size_t>(s)]->CreateQp(es);
-      E.req->owner_pid = kShardPidBase + s;
-      rnic::QpConfig er;
-      er.send_cq = sdev[static_cast<std::size_t>(b)]->CreateCq();
-      er.recv_cq = sdev[static_cast<std::size_t>(b)]->CreateCq();
-      E.rsp = sdev[static_cast<std::size_t>(b)]->CreateQp(er);
-      E.rsp->owner_pid = kShardPidBase + b;
+      E.req = make_qp(*shard(s).dev, kShardPidBase + s, rq_default, nullptr);
+      E.rsp = make_qp(*shard(b).dev, kShardPidBase + b, rq_default, nullptr);
       rnic::ConnectOverTransport(E.req, E.rsp, transport);
     }
   }
-
-  // Shard lifecycle + anti-entropy bookkeeping. `dirty[s]` records that s
-  // missed at least one chain write while unreachable — its heal must run
-  // a re-sync before tenants may route reads back to it.
-  std::vector<ShardState> shard_state(static_cast<std::size_t>(cfg.shards),
-                                      ShardState::kServing);
-  std::vector<char> dirty(static_cast<std::size_t>(cfg.shards), 0);
-  // Keys a re-syncing shard missed while its current anti-entropy pass ran
-  // (see resync_pass); the next pass re-reads exactly these.
-  std::vector<std::vector<std::uint64_t>> missed(
-      static_cast<std::size_t>(cfg.shards));
-  std::vector<std::unique_ptr<kv::ResyncSession>> sessions;
-  struct AckedWrite {
-    std::uint64_t key;
-    std::uint64_t version;
-    std::uint64_t mask;  // bit s = shard s confirmed durable at ack time
-  };
-  std::vector<AckedWrite> ledger;
 
   // --- Zipf sampling ---------------------------------------------------------
   // p(rank r) ~ 1/(r+1)^theta over the eligible keyspace; per-tenant streams
@@ -479,52 +506,6 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
   }
   const std::size_t rot = std::max<std::size_t>(1, nkeys / static_cast<std::size_t>(cfg.tenants));
 
-  // --- tenant state ----------------------------------------------------------
-  struct Tenant {
-    sim::Rng rng{1};
-    int remaining = 0;
-    bool started = false;
-    bool waiting = false;
-    std::uint64_t key = 0;
-    int primary = 0;
-    int target = 0;
-    sim::Nanos t_sent = 0;
-    std::uint64_t seq = 0;      // one per op
-    std::uint64_t attempt = 0;  // one per send (watchdog staleness guard)
-    std::vector<char> dead;     // per-shard "stop routing there" flags
-    sim::LatencyRecorder rec;
-    sim::Nanos last_mark = 0;
-    sim::Nanos max_blip = 0;
-    std::uint64_t detours = 0, reroutes = 0, host_reissues = 0;
-    // Write path.
-    bool is_put = false;
-    std::uint64_t puts = 0;
-    sim::LatencyRecorder put_rec;
-    // Highest fully-acked (both replicas) version per key — the tenant's
-    // read-your-writes floor.
-    std::unordered_map<std::uint64_t, std::uint64_t> ryw;
-    // Shard-local accounting: the tenant's domain owns these, and the
-    // run-wide totals are merged after RunUntil (tenant order), so spread
-    // placements never write run-global counters from a shard thread.
-    sim::Nanos first_sent = -1;
-    sim::Nanos last_resp = 0;
-    std::uint64_t err_cqes = 0, stale = 0, probes = 0;
-    std::uint64_t heal_resends = 0, put_retry = 0, ryw_viol = 0, full_acks = 0;
-    std::vector<AckedWrite> ledger;
-    // Nonzero while a spread heal is mid-flight between its tenant-shard
-    // and service-shard legs: the server-side offload program is being
-    // swapped over there, so sends park until the final leg resumes them.
-    int healing = 0;
-  };
-  std::vector<Tenant> tenants(static_cast<std::size_t>(cfg.tenants));
-  for (int t = 0; t < cfg.tenants; ++t) {
-    Tenant& T = tenants[static_cast<std::size_t>(t)];
-    T.rng = sim::Rng(cfg.seed * 0x9e3779b97f4a7c15ULL +
-                     static_cast<std::uint64_t>(t + 1));
-    T.remaining = cfg.gets_per_tenant;
-    T.dead.assign(static_cast<std::size_t>(cfg.shards), 0);
-  }
-
   const sim::Nanos base_rto =
       cfg.timeout_exp > 0 ? (sim::Nanos{4096} << cfg.timeout_exp) : tc.rto;
   const sim::Nanos host_timeout =
@@ -533,20 +514,22 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
   // mailbox hop between a spread tenant's domain and the service shard.
   const sim::Nanos hop = 2 * cfg.propagation + cfg.switch_latency;
 
-  sim::Nanos first_sent = -1;
-  sim::Nanos last_resp = 0;
-  std::uint64_t error_cqes = 0, stale_responses = 0, heal_reissues = 0;
-  std::uint64_t faults_applied = 0, heals_applied = 0, probes_sent = 0;
-  std::uint64_t acked_full = 0, degraded_acks = 0, chain_forwards = 0;
-  std::uint64_t put_retries = 0, ryw_violations = 0;
-  std::uint64_t rejoins = 0, resyncs_started = 0, resync_failures = 0;
-  std::uint64_t resync_scanned = 0, resync_applied = 0, resync_kept = 0;
-  std::uint64_t resync_bytes = 0;
-  // Per fault-plan-entry degraded window (down_at -> back to serving), us.
-  std::vector<double> degraded_win(cfg.faults.entries.size(), 0.0);
+  // Runs `fn` on domain `to` from domain `from`: inline when they are one
+  // domain (a co-resident tenant and the service), else as a mailbox
+  // message one fabric hop later — a spread client really would learn of
+  // a heal over the wire. Heal legs, routing reopens and probe RQ top-ups
+  // all cross here, so every placement runs the same code.
+  auto cross = [&](int from, int to, auto fn) {
+    if (from == to) {
+      fn();
+      return;
+    }
+    sim::Simulator& src = ssim.shard(from);
+    src.SendTo(to, src.now() + hop, std::move(fn));
+  };
 
   auto draw = [&](int t) -> std::uint64_t {
-    Tenant& T = tenants[static_cast<std::size_t>(t)];
+    Tenant& T = tenant(t);
     std::size_t rank;
     if (cdf.empty()) {
       rank = static_cast<std::size_t>(T.rng.NextBelow(nkeys));
@@ -568,44 +551,34 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
   // shard turns a probe into the failure CQE that fires the detour chain;
   // a completed get cancels the next tick via the seq/attempt guard.
   probe_fn = [&](int t, std::uint64_t seq, std::uint64_t attempt, int p) {
-    Tenant& T = tenants[static_cast<std::size_t>(t)];
+    Tenant& T = tenant(t);
     if (!T.waiting || T.seq != seq || T.attempt != attempt) return;
-    rnic::QueuePair* pq =
-        probe_cli[static_cast<std::size_t>(t)][static_cast<std::size_t>(p)];
-    if (pq->sq.error || pq->state != rnic::QpState::kRts) {
+    const Link& L = link(t, p);
+    if (L.probe_cli->sq.error || L.probe_cli->state != rnic::QpState::kRts) {
       return;  // a probe already tripped; the chain fired or is firing
     }
-    verbs::PostSendNow(pq, verbs::MakeSend(0, 0, 0, /*signaled=*/false));
+    verbs::PostSendNow(L.probe_cli,
+                       verbs::MakeSend(0, 0, 0, /*signaled=*/false));
     ++T.probes;
-    sim::Simulator& ts = tsim(t);
-    rnic::QueuePair* ps =
-        probe_srv[static_cast<std::size_t>(t)][static_cast<std::size_t>(p)];
-    if (place[static_cast<std::size_t>(t)] == cfg.service_shard) {
+    // Keep the responder's RQ topped up. It belongs to the service shard,
+    // so a spread tenant's top-up rides the mailbox at the one-way latency
+    // (the probe itself takes at least as long to arrive).
+    cross(T.place, cfg.service_shard, [ps = L.probe_srv] {
       if (ps->alive && ps->state == rnic::QpState::kRts) {
         verbs::RecvWr rwr;
-        verbs::PostRecv(ps, rwr);  // keep the responder's RQ topped up
+        verbs::PostRecv(ps, rwr);
       }
-    } else {
-      // The responder's RQ belongs to the service shard; the top-up rides
-      // the mailbox at the one-way latency (the probe itself takes at
-      // least as long to arrive, so the RQ is replenished in time).
-      ts.SendTo(cfg.service_shard, ts.now() + hop, [ps] {
-        if (ps->alive && ps->state == rnic::QpState::kRts) {
-          verbs::RecvWr rwr;
-          verbs::PostRecv(ps, rwr);
-        }
-      });
-    }
-    ts.After(cfg.probe_interval,
-             [&, t, seq, attempt, p] { probe_fn(t, seq, attempt, p); });
+    });
+    tsim(t).After(cfg.probe_interval,
+                  [&, t, seq, attempt, p] { probe_fn(t, seq, attempt, p); });
   };
 
   auto schedule_watchdog = [&](int t) {
-    Tenant& T = tenants[static_cast<std::size_t>(t)];
+    Tenant& T = tenant(t);
     const std::uint64_t seq = T.seq, attempt = T.attempt;
     sim::Simulator& ts = tsim(t);
     ts.At(ts.now() + host_timeout, [&, t, seq, attempt] {
-      Tenant& W = tenants[static_cast<std::size_t>(t)];
+      Tenant& W = tenant(t);
       if (!W.waiting || W.seq != seq || W.attempt != attempt) return;
       // The send is stuck past the application RPC timer: declare its
       // target dead and re-issue from the CPU (the multi-RTO stall).
@@ -617,26 +590,32 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
         ++W.host_reissues;
       }
       tsim(t).After(cfg.host_reissue_cost, [&, t, seq] {
-        Tenant& W2 = tenants[static_cast<std::size_t>(t)];
+        Tenant& W2 = tenant(t);
         if (!W2.waiting || W2.seq != seq) return;
         send_fn(t);
       });
     });
   };
 
+  // Parks tenant t's op host-side (not in flight) and retries it in 1 ms,
+  // unless a heal resumed it first.
+  auto park = [&](int t) {
+    tsim(t).After(sim::Millis(1), [&, t] {
+      Tenant& W = tenant(t);
+      if (W.waiting || W.remaining <= 0) return;
+      send_fn(t);
+    });
+    tenant(t).waiting = false;
+  };
+
   send_fn = [&](int t) {
-    Tenant& T = tenants[static_cast<std::size_t>(t)];
+    Tenant& T = tenant(t);
     sim::Simulator& ts = tsim(t);
     if (T.healing > 0) {
-      // A spread heal is rebuilding this tenant's server-side programs on
-      // the service shard; park like the no-live-replica case and let the
+      // A heal is rebuilding this tenant's server-side programs on the
+      // service shard; park like the no-live-replica case and let the
       // heal's final leg (or this retry) resume.
-      ts.After(sim::Millis(1), [&, t] {
-        Tenant& W = tenants[static_cast<std::size_t>(t)];
-        if (W.waiting || W.remaining <= 0) return;
-        send_fn(t);
-      });
-      T.waiting = false;
+      park(t);
       return;
     }
     const int p = ring.PrimaryOf(T.key);
@@ -651,25 +630,20 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
       // the backstop for a put swallowed by a fault.
       for (const int target : {pref, alt}) {
         if (T.dead[static_cast<std::size_t>(target)]) continue;
-        PutLink& L = plinks[static_cast<std::size_t>(t)]
-                           [static_cast<std::size_t>(target)];
+        Link& L = link(t, target);
         if (L.req_cli->sq.error || L.req_cli->state != rnic::QpState::kRts) {
           T.dead[static_cast<std::size_t>(target)] = 1;
           continue;
         }
-        rnic::dma::WriteU64(ptx_mr[static_cast<std::size_t>(t)].addr, T.key);
-        auto* pay = reinterpret_cast<std::uint8_t*>(
-            ptx_mr[static_cast<std::size_t>(t)].addr);
+        rnic::dma::WriteU64(T.ptx_mr.addr, T.key);
+        auto* pay = reinterpret_cast<std::uint8_t*>(T.ptx_mr.addr);
         for (std::uint32_t i = kv::kValueVersionBytes; i < cfg.value_len;
              ++i) {
           pay[i] = static_cast<std::uint8_t>((T.key + i) & 0xff);
         }
-        verbs::PostSendNow(
-            L.req_cli,
-            verbs::MakeSend(ptx_mr[static_cast<std::size_t>(t)].addr,
-                            cfg.value_len,
-                            ptx_mr[static_cast<std::size_t>(t)].lkey,
-                            /*signaled=*/false));
+        verbs::PostSendNow(L.req_cli,
+                           verbs::MakeSend(T.ptx_mr.addr, cfg.value_len,
+                                           T.ptx_mr.lkey, /*signaled=*/false));
         if (target != p) ++T.reroutes;
         T.target = target;
         T.waiting = true;
@@ -678,25 +652,18 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
         schedule_watchdog(t);
         return;
       }
-      ts.After(sim::Millis(1), [&, t] {
-        Tenant& W = tenants[static_cast<std::size_t>(t)];
-        if (W.waiting || W.remaining <= 0) return;
-        send_fn(t);
-      });
-      T.waiting = false;
+      park(t);
       return;
     }
     for (const int target : {pref, alt}) {
       if (T.dead[static_cast<std::size_t>(target)]) continue;
-      auto& h =
-          H[static_cast<std::size_t>(t)][static_cast<std::size_t>(target)];
+      Link& L = link(t, target);
       if (target == p && offloaded) {
         // Healthy-path host work: keep the parked detour's trigger bytes
         // pointing at the in-flight key.
-        chains[static_cast<std::size_t>(t)][static_cast<std::size_t>(p)]
-            ->SetKey(T.key);
+        L.chain->SetKey(T.key);
       }
-      if (!h->SendTriggerBlind(T.key)) {
+      if (!L.get->SendTriggerBlind(T.key)) {
         // The local QP is wrecked (errored earlier and not yet healed) —
         // that much the host can see without peering into the server.
         T.dead[static_cast<std::size_t>(target)] = 1;
@@ -720,17 +687,11 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
       return;
     }
     // No live replica right now — retry once a heal had a chance to land.
-    ts.After(sim::Millis(1), [&, t] {
-      Tenant& W = tenants[static_cast<std::size_t>(t)];
-      if (W.waiting || W.remaining <= 0) return;
-      send_fn(t);
-    });
-    // Not waiting: the get is parked host-side, not in flight.
-    T.waiting = false;
+    park(t);
   };
 
   issue_next = [&](int t) {
-    Tenant& T = tenants[static_cast<std::size_t>(t)];
+    Tenant& T = tenant(t);
     if (T.remaining <= 0) return;
     sim::Simulator& ts = tsim(t);
     if (!T.started) {
@@ -746,7 +707,7 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
   };
 
   auto complete = [&](int t, bool via_detour) {
-    Tenant& T = tenants[static_cast<std::size_t>(t)];
+    Tenant& T = tenant(t);
     sim::Simulator& ts = tsim(t);
     T.waiting = false;
     if (T.is_put) {
@@ -767,62 +728,39 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
     if (T.remaining > 0) issue_next(t);
   };
 
+  // Completes the op in flight toward shard s with the responses of `h`:
+  // tenant t's get harness for s, or (`via_detour`) the detour that fires
+  // when primary s fails.
+  auto hook_responses = [&](int t, int s, offloads::HashGetHarness* h,
+                            bool via_detour) {
+    h->client_recv_cq()->SetHostNotify([&, t, s, h, via_detour] {
+      Tenant& T = tenant(t);
+      rnic::Cqe cqe;
+      while (T.dev->PollCq(h->client_recv_cq(), 1, &cqe) == 1) {
+        if (cqe.status != rnic::WcStatus::kSuccess) {
+          ++T.err_cqes;  // flushed RECVs from an errored QP
+          continue;
+        }
+        h->NoteOpenLoopResponse(cqe.qp_id);
+        if (!T.waiting || T.target != s) {
+          ++T.stale;
+          continue;
+        }
+        if (versioned && !T.is_put) {
+          const auto it = T.ryw.find(T.key);
+          if (it != T.ryw.end() && h->ResponseVersion() < it->second) {
+            ++T.ryw_viol;  // older than this tenant's own acked write
+          }
+        }
+        complete(t, via_detour);
+      }
+    });
+  };
   for (int t = 0; t < cfg.tenants; ++t) {
     for (int s = 0; s < cfg.shards; ++s) {
-      offloads::HashGetHarness* h =
-          H[static_cast<std::size_t>(t)][static_cast<std::size_t>(s)].get();
-      h->client_recv_cq()->SetHostNotify([&, t, s, h] {
-        rnic::Cqe cqe;
-        while (tdev[static_cast<std::size_t>(t)]->PollCq(h->client_recv_cq(),
-                                                         1, &cqe) == 1) {
-          Tenant& T = tenants[static_cast<std::size_t>(t)];
-          if (cqe.status != rnic::WcStatus::kSuccess) {
-            ++T.err_cqes;  // flushed RECVs from an errored QP
-            continue;
-          }
-          h->NoteOpenLoopResponse(cqe.qp_id);
-          if (!T.waiting || T.target != s) {
-            ++T.stale;
-            continue;
-          }
-          if (versioned && !T.is_put) {
-            const auto it = T.ryw.find(T.key);
-            if (it != T.ryw.end() && h->ResponseVersion() < it->second) {
-              ++T.ryw_viol;  // older than this tenant's own acked write
-            }
-          }
-          complete(t, /*via_detour=*/false);
-        }
-      });
-      if (offloaded) {
-        offloads::HashGetHarness* f =
-            F[static_cast<std::size_t>(t)][static_cast<std::size_t>(s)].get();
-        f->client_recv_cq()->SetHostNotify([&, t, s, f] {
-          rnic::Cqe cqe;
-          while (tdev[static_cast<std::size_t>(t)]->PollCq(f->client_recv_cq(),
-                                                           1, &cqe) == 1) {
-            Tenant& T = tenants[static_cast<std::size_t>(t)];
-            if (cqe.status != rnic::WcStatus::kSuccess) {
-              ++T.err_cqes;
-              continue;
-            }
-            f->NoteOpenLoopResponse(cqe.qp_id);
-            // The detour watching primary `s` answered the get that was in
-            // flight toward it.
-            if (!T.waiting || T.target != s) {
-              ++T.stale;
-              continue;
-            }
-            if (versioned && !T.is_put) {
-              const auto it = T.ryw.find(T.key);
-              if (it != T.ryw.end() && f->ResponseVersion() < it->second) {
-                ++T.ryw_viol;
-              }
-            }
-            complete(t, /*via_detour=*/true);
-          }
-        });
-      }
+      Link& L = link(t, s);
+      hook_responses(t, s, L.get.get(), /*via_detour=*/false);
+      if (offloaded) hook_responses(t, s, L.detour.get(), /*via_detour=*/true);
     }
     tsim(t).At(static_cast<sim::Nanos>(t) * 311 + 17,
                [&, t] { issue_next(t); });
@@ -831,8 +769,7 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
   // --- write path: apply, propagate, ack -------------------------------------
   auto send_put_ack = [&](int t, int s, std::uint64_t key,
                           std::uint64_t version, std::uint64_t mask) {
-    PutLink& L =
-        plinks[static_cast<std::size_t>(t)][static_cast<std::size_t>(s)];
+    Link& L = link(t, s);
     if (!L.ack_srv->alive || L.ack_srv->sq.error ||
         L.ack_srv->state != rnic::QpState::kRts) {
       return;  // the tenant's watchdog re-issues; the apply is durable
@@ -854,11 +791,10 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
   // right now queue the key for a follow-up pass — the running pass may
   // already have read the donor's older bytes.
   auto note_missed = [&](int s, std::uint64_t key) {
-    dirty[static_cast<std::size_t>(s)] = 1;
-    ++degraded_acks;
-    if (shard_state[static_cast<std::size_t>(s)] == ShardState::kResyncing) {
-      missed[static_cast<std::size_t>(s)].push_back(key);
-    }
+    Shard& S = shard(s);
+    S.dirty = true;
+    ++out.degraded_acks;
+    if (S.state == ShardState::kResyncing) S.missed.push_back(key);
   };
 
   // Applies one put at shard `s` and drives the chain: the primary
@@ -867,9 +803,9 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
   // primary whose successor is unreachable) acks alone and marks the
   // absent peer dirty so its heal runs anti-entropy.
   auto apply_put = [&](int t, int s, std::uint64_t key) {
-    auto& amap = vaddr[static_cast<std::size_t>(s)];
-    const auto it = amap.find(key);
-    if (it == amap.end()) return;  // not a replica of this key
+    Shard& S = shard(s);
+    const auto it = S.vaddr.find(key);
+    if (it == S.vaddr.end()) return;  // not a replica of this key
     const std::uint64_t addr = it->second;
     const std::uint64_t version = kv::ValueVersion(addr) + 1;
     kv::WriteVersionedValue(addr, cfg.value_len, key, version);
@@ -882,10 +818,10 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
       return;
     }
     const int b = ring.SuccessorOf(p);
-    Edge& E = edges[static_cast<std::size_t>(s)];
-    const bool peer_up = shard_state[static_cast<std::size_t>(b)] !=
-                             ShardState::kDead &&
-                         E.req->alive && !E.req->sq.error &&
+    Shard& B = shard(b);
+    Edge& E = S.edge;
+    const bool peer_up = B.state != ShardState::kDead && E.req->alive &&
+                         !E.req->sq.error &&
                          E.req->state == rnic::QpState::kRts;
     if (!peer_up) {
       note_missed(b, key);
@@ -896,29 +832,25 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
     // forwards to cfg.tenants, far below the ring size.
     const std::uint64_t idx = E.next++;
     E.ring[idx % kFwdRing] = Fwd{t, b, key, version};
-    verbs::SendWr wr = verbs::MakeWrite(
-        addr, cfg.value_len, heaps[static_cast<std::size_t>(s)]->lkey(),
-        vaddr[static_cast<std::size_t>(b)][key],
-        heaps[static_cast<std::size_t>(b)]->rkey(), /*signaled=*/true);
+    verbs::SendWr wr =
+        verbs::MakeWrite(addr, cfg.value_len, S.heap->lkey(), B.vaddr[key],
+                         B.heap->rkey(), /*signaled=*/true);
     wr.wr_id = idx % kFwdRing;
     verbs::PostSendNow(E.req, wr);
-    ++chain_forwards;
+    ++out.chain_forwards;
   };
 
   if (writes) {
     for (int t = 0; t < cfg.tenants; ++t) {
       for (int s = 0; s < cfg.shards; ++s) {
-        PutLink& L =
-            plinks[static_cast<std::size_t>(t)][static_cast<std::size_t>(s)];
+        Link& L = link(t, s);
         // Shard side: request arrival -> host apply after put_apply_cost.
         L.req_srv->recv_cq->SetHostNotify([&, t, s] {
-          PutLink& LL = plinks[static_cast<std::size_t>(t)]
-                              [static_cast<std::size_t>(s)];
+          Link& LL = link(t, s);
           rnic::Cqe cqe;
-          while (sdev[static_cast<std::size_t>(s)]->PollCq(
-                     LL.req_srv->recv_cq, 1, &cqe) == 1) {
+          while (shard(s).dev->PollCq(LL.req_srv->recv_cq, 1, &cqe) == 1) {
             if (cqe.status != rnic::WcStatus::kSuccess) {
-              ++error_cqes;
+              ++out.error_cqes;
               continue;
             }
             const int slot = static_cast<int>(cqe.wr_id);
@@ -934,12 +866,10 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
         });
         // Tenant side: ack arrival -> ledger + RYW floor + completion.
         L.ack_cli->recv_cq->SetHostNotify([&, t, s] {
-          PutLink& LL = plinks[static_cast<std::size_t>(t)]
-                              [static_cast<std::size_t>(s)];
+          Tenant& T = tenant(t);
+          Link& LL = link(t, s);
           rnic::Cqe cqe;
-          while (tdev[static_cast<std::size_t>(t)]->PollCq(
-                     LL.ack_cli->recv_cq, 1, &cqe) == 1) {
-            Tenant& T = tenants[static_cast<std::size_t>(t)];
+          while (T.dev->PollCq(LL.ack_cli->recv_cq, 1, &cqe) == 1) {
             if (cqe.status != rnic::WcStatus::kSuccess) {
               ++T.err_cqes;
               continue;
@@ -973,17 +903,16 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
       // Forward completion at the primary: the successor durably holds the
       // bytes -> full-chain ack. An error CQE means the propagation died
       // (peer crashed / link black) -> degraded ack + dirty peer.
-      edges[static_cast<std::size_t>(s)].req->send_cq->SetHostNotify([&, s] {
-        Edge& E = edges[static_cast<std::size_t>(s)];
+      shard(s).edge.req->send_cq->SetHostNotify([&, s] {
+        Edge& E = shard(s).edge;
         rnic::Cqe cqe;
-        while (sdev[static_cast<std::size_t>(s)]->PollCq(E.req->send_cq, 1,
-                                                         &cqe) == 1) {
+        while (shard(s).dev->PollCq(E.req->send_cq, 1, &cqe) == 1) {
           const Fwd f = E.ring[cqe.wr_id % kFwdRing];
           if (cqe.status == rnic::WcStatus::kSuccess) {
             send_put_ack(f.tenant, s, f.key, f.version,
                          (1ULL << s) | (1ULL << f.peer));
           } else {
-            ++error_cqes;
+            ++out.error_cqes;
             note_missed(f.peer, f.key);
             send_put_ack(f.tenant, s, f.key, f.version, 1ULL << s);
           }
@@ -1005,8 +934,10 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
   auto qp_unhealthy = [](rnic::QueuePair* q) {
     return q->state == rnic::QpState::kError || q->sq.error || !q->alive;
   };
-  auto note_window = [&](std::size_t ei, sim::Nanos down_at) {
-    degraded_win[ei] = sim::ToMicros(sim.now() - down_at);
+  // Closes a fault window: the degraded span runs from its down_at to now.
+  auto note_window = [&](sim::Nanos down_at) {
+    out.degraded_window_us =
+        std::max(out.degraded_window_us, sim::ToMicros(sim.now() - down_at));
   };
 
   // Gray failure: flaky links drop seeded loss bursts. Burst and gap
@@ -1022,7 +953,7 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
                                                           int s) {
     if (!flaky_on[ei]) return;
     const FaultEntry& e = cfg.faults.entries[ei];
-    const int ep = sdev[static_cast<std::size_t>(s)]->fabric_endpoint(0);
+    const int ep = shard(s).dev->fabric_endpoint(0);
     transport.SetLinkFaults(ep, e.flaky_loss, cfg.corrupt);
     const sim::Nanos burst = static_cast<sim::Nanos>(
         (0.5 + flaky_rng[ei].NextDouble()) *
@@ -1036,83 +967,54 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
     });
   };
 
-  // Heals the write-path plumbing touching shard `s`: put links of every
-  // tenant, plus the chain edges into and out of s.
+  // Heals the write-path plumbing touching shard `s`: every tenant's put
+  // link to s, then the chain edges into and out of s. A link heals in two
+  // legs: the tenant's domain checks its own ends (told whether the shard
+  // ends went bad) and cycles them, then the service's domain cycles the
+  // shard ends and re-posts the request slots once both ends are fresh (a
+  // put racing a spread tenant's legs just RNR-retries).
   auto heal_put_links = [&](int s) {
     if (!writes) return;
     for (int t = 0; t < cfg.tenants; ++t) {
-      PutLink& L =
-          plinks[static_cast<std::size_t>(t)][static_cast<std::size_t>(s)];
-      if (place[static_cast<std::size_t>(t)] != cfg.service_shard) {
-        // Spread tenant: only the shard-side ends may be inspected here.
-        // The tenant-shard leg checks its own ends, cycles them, and hops
-        // back so the request slots are re-posted after both ends are
-        // fresh (a put racing the middle leg just RNR-retries).
-        const bool srv_bad =
-            qp_unhealthy(L.req_srv) || qp_unhealthy(L.ack_srv);
-        sim.SendTo(
-            place[static_cast<std::size_t>(t)], sim.now() + hop,
-            [&, t, s, srv_bad] {
-              PutLink& LL = plinks[static_cast<std::size_t>(t)]
-                                  [static_cast<std::size_t>(s)];
-              Tenant& T = tenants[static_cast<std::size_t>(t)];
-              if (!srv_bad && !qp_unhealthy(LL.req_cli) &&
-                  !qp_unhealthy(LL.ack_cli)) {
-                return;
-              }
-              rnic::Cqe cqe;
-              for (rnic::QueuePair* q : {LL.req_cli, LL.ack_cli}) {
-                while (tdev[static_cast<std::size_t>(t)]->PollCq(
-                           q->send_cq, 1, &cqe) == 1) {
-                  if (cqe.status != rnic::WcStatus::kSuccess) ++T.err_cqes;
-                }
-              }
-              cycle_qp(LL.req_cli);
-              cycle_qp(LL.ack_cli);
-              for (int i = 0; i < kPutSlots; ++i) post_ack_slot(LL, i);
-              sim::Simulator& ts = tsim(t);
-              ts.SendTo(cfg.service_shard, ts.now() + hop, [&, t, s] {
-                PutLink& LS = plinks[static_cast<std::size_t>(t)]
-                                    [static_cast<std::size_t>(s)];
-                cycle_qp(LS.req_srv);
-                cycle_qp(LS.ack_srv);
-                for (int i = 0; i < kPutSlots; ++i) post_req_slot(LS, i);
-              });
-            });
-        continue;
-      }
-      if (!(qp_unhealthy(L.req_cli) || qp_unhealthy(L.req_srv) ||
-            qp_unhealthy(L.ack_srv) || qp_unhealthy(L.ack_cli))) {
-        continue;
-      }
-      // Drain flushed/error CQEs nothing else polls.
-      rnic::Cqe cqe;
-      for (rnic::QueuePair* q : {L.req_cli, L.ack_cli}) {
-        while (tdev[static_cast<std::size_t>(t)]->PollCq(q->send_cq, 1,
-                                                         &cqe) == 1) {
-          if (cqe.status != rnic::WcStatus::kSuccess) ++error_cqes;
+      const Link& L = link(t, s);
+      const bool srv_bad = qp_unhealthy(L.req_srv) || qp_unhealthy(L.ack_srv);
+      const int home = tenant(t).place;
+      cross(cfg.service_shard, home, [&, t, s, srv_bad, home] {
+        Tenant& T = tenant(t);
+        Link& LT = link(t, s);
+        if (!srv_bad && !qp_unhealthy(LT.req_cli) &&
+            !qp_unhealthy(LT.ack_cli)) {
+          return;
         }
-      }
-      for (rnic::QueuePair* q : {L.req_cli, L.req_srv, L.ack_srv, L.ack_cli}) {
-        cycle_qp(q);
-      }
-      for (int i = 0; i < kPutSlots; ++i) {
-        post_req_slot(L, i);
-        post_ack_slot(L, i);
-      }
+        // Drain flushed/error CQEs nothing else polls.
+        rnic::Cqe cqe;
+        for (rnic::QueuePair* q : {LT.req_cli, LT.ack_cli}) {
+          while (T.dev->PollCq(q->send_cq, 1, &cqe) == 1) {
+            if (cqe.status != rnic::WcStatus::kSuccess) ++T.err_cqes;
+          }
+        }
+        cycle_qp(LT.req_cli);
+        cycle_qp(LT.ack_cli);
+        for (int i = 0; i < kPutSlots; ++i) post_ack_slot(LT, i);
+        cross(home, cfg.service_shard, [&, t, s] {
+          Link& LS = link(t, s);
+          cycle_qp(LS.req_srv);
+          cycle_qp(LS.ack_srv);
+          for (int i = 0; i < kPutSlots; ++i) post_req_slot(LS, i);
+        });
+      });
     }
     for (int x = 0; x < cfg.shards; ++x) {
       if (x != s && ring.SuccessorOf(x) != s) continue;
-      Edge& E = edges[static_cast<std::size_t>(x)];
+      Edge& E = shard(x).edge;
       if (!(qp_unhealthy(E.req) || qp_unhealthy(E.rsp))) continue;
       rnic::Cqe cqe;
-      while (sdev[static_cast<std::size_t>(x)]->PollCq(E.req->send_cq, 1,
-                                                       &cqe) == 1) {
+      while (shard(x).dev->PollCq(E.req->send_cq, 1, &cqe) == 1) {
         if (cqe.status != rnic::WcStatus::kSuccess) {
           // A flushed forward: the peer never confirmed. Degraded-ack it
           // so the tenant's put is not stranded, and mark the peer dirty.
           const Fwd f = E.ring[cqe.wr_id % kFwdRing];
-          ++error_cqes;
+          ++out.error_cqes;
           note_missed(f.peer, f.key);
           send_put_ack(f.tenant, x, f.key, f.version, 1ULL << x);
         }
@@ -1122,241 +1024,138 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
     }
   };
 
-  // Spread-tenant heal: the same recovery as the co-resident body below,
-  // split into a tenant-shard leg (client-side QP halves), a service-shard
-  // leg (server-side halves + offload program rebuilds), and a final
-  // tenant-shard leg that resumes sends only once the fresh server program
-  // is armed. Each leg rides the mailbox at the fabric one-way latency —
-  // a client really would learn of the heal over the wire. T.healing parks
-  // sends across the window so no trigger races the program swap.
-  auto heal_tenant_spread = [&](int s, bool crash, bool clear_dead, int t) {
-    sim.SendTo(place[static_cast<std::size_t>(t)], sim.now() + hop,
-               [&, s, crash, clear_dead, t] {
-      Tenant& T = tenants[static_cast<std::size_t>(t)];
-      offloads::HashGetHarness* h =
-          H[static_cast<std::size_t>(t)][static_cast<std::size_t>(s)].get();
-      rnic::QueuePair* qp = h->client_qp();
-      const bool errored = qp->state == rnic::QpState::kError;
-      const bool routed_off = T.dead[static_cast<std::size_t>(s)] != 0;
-      if (!clear_dead) {
-        // The shard is rejoining with a wiped store: close routing even
-        // for a tenant that never saw the failure first-hand (its op may
-        // have been parked on the watchdog the whole window), or a stale
-        // read slips out before anti-entropy drains. finish_recovery
-        // reopens the flag once the resync completes.
-        T.dead[static_cast<std::size_t>(s)] = 1;
-      }
-      if (!errored && !crash && !routed_off) return;
-      ++T.healing;
-      rnic::Cqe cqe;
-      while (tdev[static_cast<std::size_t>(t)]->PollCq(qp->send_cq, 1,
-                                                       &cqe) == 1) {
-        if (cqe.status != rnic::WcStatus::kSuccess) ++T.err_cqes;
-      }
-      const bool rearm = errored || crash;
-      const int arm_n = T.remaining + 8;
-      if (rearm) h->RearmTransportClientHalf();
-      if (clear_dead) T.dead[static_cast<std::size_t>(s)] = 0;
-      bool pc_err = false;
-      std::vector<std::pair<int, char>> detours;  // (column, client errored)
-      if (offloaded) {
-        auto& chain =
-            chains[static_cast<std::size_t>(t)][static_cast<std::size_t>(s)];
-        if (qp->send_cq->hw_count() >= chain->wait_threshold()) {
-          chain->Rearm();
-        }
-        rnic::QueuePair* pc = probe_cli[static_cast<std::size_t>(t)]
-                                      [static_cast<std::size_t>(s)];
-        pc_err = pc->state == rnic::QpState::kError;
-        if (pc_err) cycle_qp(pc);
-        if (crash) {
-          for (int x = 0; x < cfg.shards; ++x) {
-            if (ring.SuccessorOf(x) != s) continue;
-            offloads::HashGetHarness* f =
-                F[static_cast<std::size_t>(t)][static_cast<std::size_t>(x)]
-                    .get();
-            const bool fc = f->client_qp()->state == rnic::QpState::kError;
-            if (fc) f->RearmTransportClientHalf();
-            detours.emplace_back(x, fc ? 1 : 0);
-          }
-        }
-      }
-      sim::Simulator& ts = tsim(t);
-      ts.SendTo(
-          cfg.service_shard, ts.now() + hop,
-          [&, s, t, rearm, arm_n, pc_err, detours = std::move(detours)] {
-        if (rearm) {
-          offloads::HashGetHarness* h =
-              H[static_cast<std::size_t>(t)][static_cast<std::size_t>(s)]
-                  .get();
-          h->RearmTransportServerHalf(arm_n);
-          h->SetServerOwner(kShardPidBase + s);
-        }
-        bool cycle_pc = false;
-        // Detour columns the final tenant leg must finish: (column,
-        // client half still to cycle).
-        std::vector<std::pair<int, char>> fresh;
-        if (offloaded) {
-          rnic::QueuePair* ps = probe_srv[static_cast<std::size_t>(t)]
-                                        [static_cast<std::size_t>(s)];
-          if (pc_err || ps->state == rnic::QpState::kError) {
-            cycle_pc = !pc_err;  // only the server end tripped
-            cycle_qp(ps);
-            verbs::RecvWr rwr;
-            for (int i = 0; i < 64; ++i) verbs::PostRecv(ps, rwr);
-          }
-          for (const auto& [x, fc] : detours) {
-            offloads::HashGetHarness* f =
-                F[static_cast<std::size_t>(t)][static_cast<std::size_t>(x)]
-                    .get();
-            const bool fs = f->server_qp()->state == rnic::QpState::kError;
-            if (!fc && !fs) continue;
-            f->RearmTransportServerHalf(kDetourArms);
-            f->SetServerOwner(kShardPidBase + s);
-            fresh.emplace_back(x, fc ? 0 : 1);
-          }
-        }
-        sim.SendTo(place[static_cast<std::size_t>(t)], sim.now() + hop,
-                   [&, s, t, cycle_pc, fresh = std::move(fresh)] {
-          if (cycle_pc) {
-            cycle_qp(probe_cli[static_cast<std::size_t>(t)]
-                             [static_cast<std::size_t>(s)]);
-          }
-          for (const auto& [x, nc] : fresh) {
-            offloads::HashGetHarness* f =
-                F[static_cast<std::size_t>(t)][static_cast<std::size_t>(x)]
-                    .get();
-            if (nc) f->RearmTransportClientHalf();
-            f->PrepostResponseRecvs(kDetourArms + 4);
-            chains[static_cast<std::size_t>(t)][static_cast<std::size_t>(x)]
-                ->Rearm();
-          }
-          Tenant& T = tenants[static_cast<std::size_t>(t)];
-          --T.healing;
-          if (T.waiting && T.target == s) {
-            ++T.heal_resends;
-            send_fn(t);
-          } else if (!T.waiting && T.remaining > 0 && T.started) {
-            send_fn(t);
-          }
-        });
-      });
-    });
-  };
-
-  // Per-tenant client-side recovery for shard `s`. `crash` forces a full
-  // transport re-arm (the server side was revived in ERROR even if the
-  // client QP never noticed); `clear_dead` restores routing to s now,
-  // while a re-syncing shard instead CLOSES routing (dead[s] = 1 for
-  // every tenant in scope, co-resident or spread) and defers the reopen to
-  // finish_recovery — otherwise a tenant that never saw the outage
-  // (e.g. parked on the put watchdog the whole window on its own
-  // domain) could read the wiped store before anti-entropy drains.
+  // Per-tenant get-path recovery for shard `s`, in three legs: the
+  // tenant's domain (client-side QP halves, routing flags), the service's
+  // domain (server-side halves and offload program rebuilds), and the
+  // tenant's domain again, which resumes sends only once the fresh server
+  // program is armed. The legs cross through `cross`: a co-resident
+  // tenant runs all three inline at the heal instant, and T.healing parks
+  // a spread tenant's sends across the window so no trigger races the
+  // program swap. `crash` forces a full transport re-arm (the server side
+  // was revived in ERROR even if the client QP never noticed);
+  // `clear_dead` restores routing to s now, while a re-syncing shard
+  // instead CLOSES routing for every tenant in scope and defers the reopen
+  // to finish_recovery — otherwise a tenant that never saw the outage
+  // (e.g. parked on the put watchdog the whole window) could read the
+  // wiped store before anti-entropy drains.
   auto heal_tenants = [&](const FaultEntry& e, int s, bool crash,
                           bool clear_dead) {
     for (int t = 0; t < cfg.tenants; ++t) {
       if (!tenant_in_scope(e, t)) continue;
-      if (place[static_cast<std::size_t>(t)] != cfg.service_shard) {
-        heal_tenant_spread(s, crash, clear_dead, t);
-        continue;
-      }
-      Tenant& T = tenants[static_cast<std::size_t>(t)];
-      offloads::HashGetHarness* h =
-          H[static_cast<std::size_t>(t)][static_cast<std::size_t>(s)].get();
-      rnic::QueuePair* qp = h->client_qp();
-      const bool errored = qp->state == rnic::QpState::kError;
-      const bool routed_off = T.dead[static_cast<std::size_t>(s)] != 0;
-      if (!clear_dead) {
-        // Same stale-read guard as the spread leg: a re-syncing shard is
-        // unroutable until finish_recovery, no matter what this tenant
-        // observed during the outage.
-        T.dead[static_cast<std::size_t>(s)] = 1;
-      }
-      if (!errored && !crash && !routed_off) {
-        continue;
-      }
-      // Drain the failure CQEs nothing else polls (the WAIT chain
-      // consumed them NIC-side; this is host bookkeeping).
-      rnic::Cqe cqe;
-      while (tdev[static_cast<std::size_t>(t)]->PollCq(qp->send_cq, 1,
-                                                       &cqe) == 1) {
-        if (cqe.status != rnic::WcStatus::kSuccess) ++error_cqes;
-      }
-      if (errored || crash) {
-        h->RearmTransport(T.remaining + 8);
-        h->SetServerOwner(kShardPidBase + s);  // re-tag the fresh program
-      }
-      if (clear_dead) T.dead[static_cast<std::size_t>(s)] = 0;
-      if (offloaded) {
-        auto& chain =
-            chains[static_cast<std::size_t>(t)][static_cast<std::size_t>(s)];
-        if (qp->send_cq->hw_count() >= chain->wait_threshold()) {
-          chain->Rearm();  // the old WAIT fired; park a fresh detour
+      const int home = tenant(t).place;
+      // A response that ran out of retries errors only the server half:
+      // the client sees no CQE, and the keepalives ride their own healthy
+      // QP pair, so only the service's domain can tell.
+      const bool srv_err =
+          link(t, s).get->server_qp()->state == rnic::QpState::kError;
+      cross(cfg.service_shard, home,
+            [&, s, t, home, crash, clear_dead, srv_err] {
+        Tenant& T = tenant(t);
+        Link& L = link(t, s);
+        rnic::QueuePair* qp = L.get->client_qp();
+        const bool errored = qp->state == rnic::QpState::kError;
+        const bool routed_off = T.dead[static_cast<std::size_t>(s)] != 0;
+        if (!clear_dead) T.dead[static_cast<std::size_t>(s)] = 1;
+        if (!errored && !srv_err && !crash && !routed_off) return;
+        ++T.healing;
+        // Drain the failure CQEs nothing else polls (the WAIT chain
+        // consumed them NIC-side; this is host bookkeeping).
+        rnic::Cqe cqe;
+        while (T.dev->PollCq(qp->send_cq, 1, &cqe) == 1) {
+          if (cqe.status != rnic::WcStatus::kSuccess) ++T.err_cqes;
         }
-        rnic::QueuePair* pc = probe_cli[static_cast<std::size_t>(t)]
-                                      [static_cast<std::size_t>(s)];
-        rnic::QueuePair* ps = probe_srv[static_cast<std::size_t>(t)]
-                                      [static_cast<std::size_t>(s)];
-        if (pc->state == rnic::QpState::kError ||
-            ps->state == rnic::QpState::kError) {
-          cycle_qp(pc);
-          cycle_qp(ps);
-          verbs::RecvWr rwr;
-          for (int i = 0; i < 64; ++i) verbs::PostRecv(ps, rwr);
-        }
-        if (crash) {
-          // Detours whose BACKUP is the re-joined shard parked their get
-          // on QPs the crash flushed; re-arm them and park fresh detours.
-          for (int x = 0; x < cfg.shards; ++x) {
-            if (ring.SuccessorOf(x) != s) continue;
-            offloads::HashGetHarness* f =
-                F[static_cast<std::size_t>(t)][static_cast<std::size_t>(x)]
-                    .get();
-            if (f->client_qp()->state == rnic::QpState::kError ||
-                f->server_qp()->state == rnic::QpState::kError) {
-              f->RearmTransport(kDetourArms);
-              f->SetServerOwner(kShardPidBase + s);
-              f->PrepostResponseRecvs(kDetourArms + 4);
-              chains[static_cast<std::size_t>(t)]
-                    [static_cast<std::size_t>(x)]
-                        ->Rearm();
+        const bool rearm = errored || srv_err || crash;
+        const int arm_n = T.remaining + 8;
+        if (rearm) L.get->RearmTransportClientHalf();
+        if (clear_dead) T.dead[static_cast<std::size_t>(s)] = 0;
+        bool pc_err = false;
+        std::vector<std::pair<int, char>> detours;  // (column, client errored)
+        if (offloaded) {
+          if (qp->send_cq->hw_count() >= L.chain->wait_threshold()) {
+            L.chain->Rearm();  // the old WAIT fired; park a fresh detour
+          }
+          pc_err = L.probe_cli->state == rnic::QpState::kError;
+          if (pc_err) cycle_qp(L.probe_cli);
+          if (crash) {
+            // Detours whose BACKUP is the re-joined shard parked their get
+            // on QPs the crash flushed; re-arm them and park fresh detours.
+            for (int x = 0; x < cfg.shards; ++x) {
+              if (ring.SuccessorOf(x) != s) continue;
+              offloads::HashGetHarness& f = *link(t, x).detour;
+              const bool fc = f.client_qp()->state == rnic::QpState::kError;
+              if (fc) f.RearmTransportClientHalf();
+              detours.emplace_back(x, fc ? 1 : 0);
             }
           }
         }
-      }
-      if (T.waiting && T.target == s) {
-        // The pending op died in the reset's flush — re-send it (its
-        // latency keeps accruing from the original t_sent; send_fn
-        // respects the dead flags, so a re-syncing s is avoided).
-        ++T.heal_resends;
-        send_fn(t);
-      } else if (!T.waiting && T.remaining > 0 && T.started) {
-        // The tenant parked because both replicas looked dead.
-        send_fn(t);
-      }
+        cross(home, cfg.service_shard,
+              [&, s, t, home, rearm, arm_n, pc_err,
+               detours = std::move(detours)] {
+          Link& LS = link(t, s);
+          if (rearm) {
+            LS.get->RearmTransportServerHalf(arm_n);
+            LS.get->SetServerOwner(kShardPidBase + s);  // re-tag the program
+          }
+          bool cycle_pc = false;
+          // Detour columns the final leg must finish: (column, client half
+          // still to cycle).
+          std::vector<std::pair<int, char>> fresh;
+          if (offloaded) {
+            if (pc_err || LS.probe_srv->state == rnic::QpState::kError) {
+              cycle_pc = !pc_err;  // only the server end tripped
+              cycle_qp(LS.probe_srv);
+              verbs::RecvWr rwr;
+              for (int i = 0; i < 64; ++i) verbs::PostRecv(LS.probe_srv, rwr);
+            }
+            for (const auto& [x, fc] : detours) {
+              offloads::HashGetHarness& f = *link(t, x).detour;
+              const bool fs = f.server_qp()->state == rnic::QpState::kError;
+              if (!fc && !fs) continue;
+              f.RearmTransportServerHalf(kDetourArms);
+              f.SetServerOwner(kShardPidBase + s);
+              fresh.emplace_back(x, fc ? 0 : 1);
+            }
+          }
+          cross(cfg.service_shard, home,
+                [&, s, t, cycle_pc, fresh = std::move(fresh)] {
+            Tenant& TF = tenant(t);
+            if (cycle_pc) cycle_qp(link(t, s).probe_cli);
+            for (const auto& [x, nc] : fresh) {
+              Link& LX = link(t, x);
+              if (nc) LX.detour->RearmTransportClientHalf();
+              LX.detour->PrepostResponseRecvs(kDetourArms + 4);
+              LX.chain->Rearm();
+            }
+            --TF.healing;
+            if (TF.waiting && TF.target == s) {
+              // The pending op died in the reset's flush — re-send it (its
+              // latency keeps accruing from the original t_sent; send_fn
+              // respects the dead flags, so a re-syncing s is avoided).
+              ++TF.heal_resends;
+              send_fn(t);
+            } else if (!TF.waiting && TF.remaining > 0 && TF.started) {
+              // The tenant parked because both replicas looked dead.
+              send_fn(t);
+            }
+          });
+        });
+      });
     }
   };
 
   // Recovery completes only when anti-entropy has drained: the shard
   // returns to kServing, routing re-opens, and the degraded window closes.
-  auto finish_recovery = [&](int s, std::size_t ei, sim::Nanos down_at) {
-    shard_state[static_cast<std::size_t>(s)] = ShardState::kServing;
-    dirty[static_cast<std::size_t>(s)] = 0;
-    note_window(ei, down_at);
+  auto finish_recovery = [&](int s, sim::Nanos down_at) {
+    shard(s).state = ShardState::kServing;
+    shard(s).dirty = false;
+    note_window(down_at);
     for (int t = 0; t < cfg.tenants; ++t) {
-      if (place[static_cast<std::size_t>(t)] != cfg.service_shard) {
-        // The routing flag and resume belong to the tenant's domain.
-        sim.SendTo(place[static_cast<std::size_t>(t)], sim.now() + hop,
-                   [&, t, s] {
-          Tenant& T = tenants[static_cast<std::size_t>(t)];
-          T.dead[static_cast<std::size_t>(s)] = 0;
-          if (!T.waiting && T.remaining > 0 && T.started) send_fn(t);
-        });
-        continue;
-      }
-      Tenant& T = tenants[static_cast<std::size_t>(t)];
-      T.dead[static_cast<std::size_t>(s)] = 0;
-      if (!T.waiting && T.remaining > 0 && T.started) send_fn(t);
+      // The routing flag and resume belong to the tenant's domain.
+      cross(cfg.service_shard, tenant(t).place, [&, t, s] {
+        Tenant& T = tenant(t);
+        T.dead[static_cast<std::size_t>(s)] = 0;
+        if (!T.waiting && T.remaining > 0 && T.started) send_fn(t);
+      });
     }
   };
 
@@ -1364,155 +1163,132 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
   // from its chain peers: for each key the donor is the other replica (the
   // primary if s backs it up, the successor if s owns it), one session per
   // donor over a QP pair kept for the whole recovery. The first pass reads
-  // s's whole key range; a write s misses meanwhile is queued in missed[s]
-  // (note_missed), and the next pass re-reads exactly those keys. Only a
-  // pass that misses nothing lets s serve again.
-  std::vector<std::vector<std::pair<rnic::QueuePair*, rnic::QueuePair*>>>
-      resync_links(static_cast<std::size_t>(cfg.shards));
-  std::function<void(int, std::size_t, sim::Nanos,
-                     const std::vector<std::uint64_t>&)>
+  // s's whole key range; a write s misses meanwhile is queued in its
+  // `missed` list (note_missed), and the next pass re-reads exactly those
+  // keys. Only a pass that misses nothing lets s serve again.
+  std::vector<std::unique_ptr<kv::ResyncSession>> sessions;
+  std::function<void(int, sim::Nanos, const std::vector<std::uint64_t>&)>
       resync_pass;
-  auto pass_done = [&](int s, std::size_t ei, sim::Nanos down_at) {
+  auto pass_done = [&](int s, sim::Nanos down_at) {
     std::vector<std::uint64_t> keys;
-    keys.swap(missed[static_cast<std::size_t>(s)]);
+    keys.swap(shard(s).missed);
     if (keys.empty()) {
-      finish_recovery(s, ei, down_at);
+      finish_recovery(s, down_at);
       return;
     }
     std::sort(keys.begin(), keys.end());
     keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
     // From a fresh event: the finishing session's CQ hook is still running,
     // and the next pass's session takes that hook over.
-    sim.At(sim.now(), [&, s, ei, down_at, keys = std::move(keys)] {
-      resync_pass(s, ei, down_at, keys);
+    sim.At(sim.now(), [&, s, down_at, keys = std::move(keys)] {
+      resync_pass(s, down_at, keys);
     });
   };
-  resync_pass = [&](int s, std::size_t ei, sim::Nanos down_at,
+  resync_pass = [&](int s, sim::Nanos down_at,
                     const std::vector<std::uint64_t>& keys) {
+    Shard& S = shard(s);
     std::vector<std::vector<kv::ResyncSession::Item>> by_donor(
         static_cast<std::size_t>(cfg.shards));
     for (std::uint64_t key : keys) {
       const int p = ring.PrimaryOf(key);
       const int donor = p == s ? ring.SuccessorOf(p) : p;
-      if (donor == s ||
-          shard_state[static_cast<std::size_t>(donor)] !=
-              ShardState::kServing) {
+      if (donor == s || shard(donor).state != ShardState::kServing) {
         continue;  // no live donor; the key keeps its local (wiped) value
       }
       by_donor[static_cast<std::size_t>(donor)].push_back(
-          kv::ResyncSession::Item{
-              key, vaddr[static_cast<std::size_t>(donor)][key],
-              vaddr[static_cast<std::size_t>(s)][key], cfg.value_len});
+          kv::ResyncSession::Item{key, shard(donor).vaddr[key], S.vaddr[key],
+                                  cfg.value_len});
     }
     auto outstanding = std::make_shared<int>(0);
     for (const auto& items : by_donor) {
       if (!items.empty()) ++*outstanding;
     }
     if (*outstanding == 0) {
-      pass_done(s, ei, down_at);
+      pass_done(s, down_at);
       return;
     }
     for (int d = 0; d < cfg.shards; ++d) {
       auto& items = by_donor[static_cast<std::size_t>(d)];
       if (items.empty()) continue;
-      auto& [rq, dq] =
-          resync_links[static_cast<std::size_t>(s)][static_cast<std::size_t>(d)];
+      auto& [rq, dq] = S.resync_links[static_cast<std::size_t>(d)];
       if (rq == nullptr || qp_unhealthy(rq) || qp_unhealthy(dq)) {
-        rnic::QpConfig qc;
-        qc.send_cq = sdev[static_cast<std::size_t>(s)]->CreateCq();
-        qc.recv_cq = sdev[static_cast<std::size_t>(s)]->CreateCq();
-        rq = sdev[static_cast<std::size_t>(s)]->CreateQp(qc);
-        rq->owner_pid = kShardPidBase + s;
-        rnic::QpConfig dc;
-        dc.send_cq = sdev[static_cast<std::size_t>(d)]->CreateCq();
-        dc.recv_cq = sdev[static_cast<std::size_t>(d)]->CreateCq();
-        dq = sdev[static_cast<std::size_t>(d)]->CreateQp(dc);
-        dq->owner_pid = kShardPidBase + d;
+        rq = make_qp(*S.dev, kShardPidBase + s, rq_default, nullptr);
+        dq = make_qp(*shard(d).dev, kShardPidBase + d, rq_default, nullptr);
         rnic::ConnectOverTransport(rq, dq, transport);
       }
-      ++resyncs_started;
+      ++out.resyncs_started;
       kv::ResyncSession::Config rc;
       rc.qp = rq;
-      rc.remote_rkey = heaps[static_cast<std::size_t>(d)]->rkey();
+      rc.remote_rkey = shard(d).heap->rkey();
       rc.window = cfg.resync_window;
       sessions.push_back(std::make_unique<kv::ResyncSession>(
           sim, rc, std::move(items),
-          [&, s, ei, down_at, outstanding](
-              const kv::ResyncSession::Stats& st) {
-            resync_scanned += st.keys_scanned;
-            resync_applied += st.keys_applied;
-            resync_kept += st.keys_kept_local;
-            resync_bytes += st.bytes_read;
-            if (st.failed) ++resync_failures;
-            if (--*outstanding == 0) pass_done(s, ei, down_at);
+          [&, s, down_at, outstanding](const kv::ResyncSession::Stats& st) {
+            out.resync_keys_scanned += st.keys_scanned;
+            out.resync_keys_applied += st.keys_applied;
+            out.resync_keys_kept += st.keys_kept_local;
+            out.resync_bytes += st.bytes_read;
+            if (st.failed) ++out.resync_failures;
+            if (--*outstanding == 0) pass_done(s, down_at);
           }));
       sessions.back()->Start();
     }
   };
-  auto start_resync = [&](int s, std::size_t ei, sim::Nanos down_at) {
+  auto start_resync = [&](int s, sim::Nanos down_at) {
     // A new recovery: fresh QPs, and the full pass re-reads every key.
-    resync_links[static_cast<std::size_t>(s)].assign(
-        static_cast<std::size_t>(cfg.shards), {nullptr, nullptr});
-    missed[static_cast<std::size_t>(s)].clear();
-    resync_pass(s, ei, down_at, shard_keys[static_cast<std::size_t>(s)]);
+    Shard& S = shard(s);
+    S.resync_links.assign(static_cast<std::size_t>(cfg.shards),
+                          {nullptr, nullptr});
+    S.missed.clear();
+    resync_pass(s, down_at, S.keys);
   };
 
   for (std::size_t ei = 0; ei < cfg.faults.entries.size(); ++ei) {
     const FaultEntry& e = cfg.faults.entries[ei];
     const int s = e.server;
-    sim.At(e.down_at, [&, e, s, ei] {
-      ++faults_applied;
+    const int ep = shard(s).dev->fabric_endpoint(0);
+    sim.At(e.down_at, [&, e, s, ei, ep] {
+      ++out.faults_applied;
       switch (e.kind) {
         case FaultKind::kBlackhole:
-          transport.SetLinkFaults(
-              sdev[static_cast<std::size_t>(s)]->fabric_endpoint(0), 1.0, 0.0);
+          transport.SetLinkFaults(ep, 1.0, 0.0);
           break;
         case FaultKind::kRnrStall:
           for (int t = 0; t < cfg.tenants; ++t) {
             if (!tenant_in_scope(e, t)) continue;
-            sdev[static_cast<std::size_t>(s)]->StallRecvsFor(
-                H[static_cast<std::size_t>(t)][static_cast<std::size_t>(s)]
-                    ->server_qp(),
-                e.rnr_count);
+            shard(s).dev->StallRecvsFor(link(t, s).get->server_qp(),
+                                        e.rnr_count);
           }
           break;
         case FaultKind::kCrash:
-          sdev[static_cast<std::size_t>(s)]->KillProcessResources(
-              kShardPidBase + s);
-          shard_state[static_cast<std::size_t>(s)] = ShardState::kDead;
+          shard(s).dev->KillProcessResources(kShardPidBase + s);
+          shard(s).state = ShardState::kDead;
           break;
         case FaultKind::kFlaky:
           flaky_on[ei] = 1;
           flaky_burst(ei, s);
           break;
         case FaultKind::kSlow:
-          transport.SetLinkDelay(
-              sdev[static_cast<std::size_t>(s)]->fabric_endpoint(0),
-              e.slow_ns);
+          transport.SetLinkDelay(ep, e.slow_ns);
           break;
       }
     });
     if (e.up_at > 0) {
-      sim.At(e.up_at, [&, e, s, ei] {
-        ++heals_applied;
+      sim.At(e.up_at, [&, e, s, ei, ep] {
+        ++out.heals_applied;
         switch (e.kind) {
           case FaultKind::kBlackhole:
-            transport.SetLinkFaults(
-                sdev[static_cast<std::size_t>(s)]->fabric_endpoint(0),
-                cfg.loss, cfg.corrupt);
+            transport.SetLinkFaults(ep, cfg.loss, cfg.corrupt);
             break;
           case FaultKind::kFlaky:
             flaky_on[ei] = 0;
-            transport.SetLinkFaults(
-                sdev[static_cast<std::size_t>(s)]->fabric_endpoint(0),
-                cfg.loss, cfg.corrupt);
+            transport.SetLinkFaults(ep, cfg.loss, cfg.corrupt);
             break;
           case FaultKind::kSlow:
             // Added latency drops nothing: no QP errored, no write was
             // missed — restore the link and close the window.
-            transport.SetLinkDelay(
-                sdev[static_cast<std::size_t>(s)]->fabric_endpoint(0), 0);
-            note_window(ei, e.down_at);
+            transport.SetLinkDelay(ep, 0);
+            note_window(e.down_at);
             return;
           case FaultKind::kRnrStall:
             break;
@@ -1522,35 +1298,31 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
             // memory, so surviving higher-version tags would be phantom
             // state — then re-arm the plumbing and anti-entropy the key
             // range back before serving.
-            ++rejoins;
-            sdev[static_cast<std::size_t>(s)]->ReviveProcessResources(
-                kShardPidBase + s);
-            shard_state[static_cast<std::size_t>(s)] = ShardState::kResyncing;
-            for (std::uint64_t key :
-                 shard_keys[static_cast<std::size_t>(s)]) {
-              kv::WriteVersionedValue(
-                  vaddr[static_cast<std::size_t>(s)][key], cfg.value_len,
-                  key, /*version=*/0);
+            ++out.rejoins;
+            Shard& S = shard(s);
+            S.dev->ReviveProcessResources(kShardPidBase + s);
+            S.state = ShardState::kResyncing;
+            for (std::uint64_t key : S.keys) {
+              kv::WriteVersionedValue(S.vaddr[key], cfg.value_len, key,
+                                      /*version=*/0);
             }
             heal_tenants(e, s, /*crash=*/true, /*clear_dead=*/false);
             heal_put_links(s);
-            start_resync(s, ei, e.down_at);
+            start_resync(s, e.down_at);
             return;
           }
         }
         // Blackhole / rnr-stall / flaky heal. A dirty shard (missed chain
         // writes while unreachable) must anti-entropy before it serves
         // reads again; a clean one re-opens immediately.
-        const bool resync = versioned && dirty[static_cast<std::size_t>(s)];
-        if (resync) {
-          shard_state[static_cast<std::size_t>(s)] = ShardState::kResyncing;
-        }
+        const bool resync = versioned && shard(s).dirty;
+        if (resync) shard(s).state = ShardState::kResyncing;
         heal_tenants(e, s, /*crash=*/false, /*clear_dead=*/!resync);
         heal_put_links(s);
         if (resync) {
-          start_resync(s, ei, e.down_at);
+          start_resync(s, e.down_at);
         } else {
-          note_window(ei, e.down_at);
+          note_window(e.down_at);
         }
       });
     }
@@ -1558,38 +1330,26 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
 
   ssim.RunUntil(cfg.horizon);
 
-  // Merge the shard-local tenant accounting into the run-wide totals
-  // (tenant order: deterministic, and order-independent anyway — sums,
-  // extrema, and an order-insensitive ledger).
-  for (int t = 0; t < cfg.tenants; ++t) {
-    Tenant& T = tenants[static_cast<std::size_t>(t)];
+  // --- results ---------------------------------------------------------------
+  // Merge the shard-local tenant accounting (tenant order: deterministic,
+  // and order-independent anyway — sums and extrema).
+  out.keys_visible = eligible.size();
+  sim::Nanos first_sent = -1;
+  sim::Nanos last_resp = 0;
+  sim::LatencyRecorder all;
+  sim::LatencyRecorder put_all;
+  for (const Tenant& T : tenants) {
     if (T.first_sent >= 0 && (first_sent < 0 || T.first_sent < first_sent)) {
       first_sent = T.first_sent;
     }
     last_resp = std::max(last_resp, T.last_resp);
-    error_cqes += T.err_cqes;
-    stale_responses += T.stale;
-    heal_reissues += T.heal_resends;
-    probes_sent += T.probes;
-    put_retries += T.put_retry;
-    ryw_violations += T.ryw_viol;
-    acked_full += T.full_acks;
-    ledger.insert(ledger.end(), T.ledger.begin(), T.ledger.end());
-  }
-
-  // --- results ---------------------------------------------------------------
-  KvServiceResult out;
-  out.keys_visible = eligible.size();
-  out.faults_applied = faults_applied;
-  out.heals_applied = heals_applied;
-  out.error_cqes = error_cqes;
-  out.stale_responses = stale_responses;
-  out.heal_reissues = heal_reissues;
-  out.probes_sent = probes_sent;
-  sim::LatencyRecorder all;
-  sim::LatencyRecorder put_all;
-  for (int t = 0; t < cfg.tenants; ++t) {
-    Tenant& T = tenants[static_cast<std::size_t>(t)];
+    out.error_cqes += T.err_cqes;
+    out.stale_responses += T.stale;
+    out.heal_reissues += T.heal_resends;
+    out.probes_sent += T.probes;
+    out.put_retries += T.put_retry;
+    out.ryw_violations += T.ryw_viol;
+    out.acked_puts_full += T.full_acks;
     KvTenantStats ts;
     ts.gets = T.rec.count();
     ts.puts = T.puts;
@@ -1623,36 +1383,21 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
   out.put_p50_us = psum.p50_us;
   out.put_p99_us = psum.p99_us;
   out.put_p999_us = psum.p999_us;
-  out.acked_puts_full = acked_full;
-  out.degraded_acks = degraded_acks;
-  out.chain_forwards = chain_forwards;
-  out.put_retries = put_retries;
-  out.ryw_violations = ryw_violations;
-  out.rejoins = rejoins;
-  out.resyncs_started = resyncs_started;
-  out.resync_keys_scanned = resync_scanned;
-  out.resync_keys_applied = resync_applied;
-  out.resync_keys_kept = resync_kept;
-  out.resync_bytes = resync_bytes;
-  out.resync_failures = resync_failures;
-  for (double w : degraded_win) {
-    out.degraded_window_us = std::max(out.degraded_window_us, w);
-  }
 
   // --- end-of-run audits -----------------------------------------------------
   // Zero-loss invariant: every acked write must still be durable on every
   // replica that confirmed it (skipping replicas not serving at the end —
   // a still-dead shard attests nothing). The `>=` is because later puts
   // legitimately overwrite with higher versions.
-  for (const AckedWrite& w : ledger) {
-    for (int s = 0; s < cfg.shards; ++s) {
-      if (!(w.mask & (1ULL << s))) continue;
-      if (shard_state[static_cast<std::size_t>(s)] != ShardState::kServing) {
-        continue;
-      }
-      if (kv::ValueVersion(vaddr[static_cast<std::size_t>(s)][w.key]) <
-          w.version) {
-        ++out.lost_acked_writes;
+  for (const Tenant& T : tenants) {
+    for (const AckedWrite& w : T.ledger) {
+      for (int s = 0; s < cfg.shards; ++s) {
+        if (!(w.mask & (1ULL << s))) continue;
+        Shard& S = shard(s);
+        if (S.state != ShardState::kServing) continue;
+        if (kv::ValueVersion(S.vaddr[w.key]) < w.version) {
+          ++out.lost_acked_writes;
+        }
       }
     }
   }
@@ -1660,14 +1405,13 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
   // consistent values, and equal versions must mean equal bytes.
   if (versioned) {
     for (std::uint64_t key : eligible) {
-      const int p = ring.PrimaryOf(key);
-      const int b = ring.SuccessorOf(p);
-      if (shard_state[static_cast<std::size_t>(p)] != ShardState::kServing ||
-          shard_state[static_cast<std::size_t>(b)] != ShardState::kServing) {
+      Shard& P = shard(ring.PrimaryOf(key));
+      Shard& B = shard(ring.SuccessorOf(ring.PrimaryOf(key)));
+      if (P.state != ShardState::kServing || B.state != ShardState::kServing) {
         continue;
       }
-      const std::uint64_t pa = vaddr[static_cast<std::size_t>(p)][key];
-      const std::uint64_t ba = vaddr[static_cast<std::size_t>(b)][key];
+      const std::uint64_t pa = P.vaddr[key];
+      const std::uint64_t ba = B.vaddr[key];
       const bool pi = kv::VersionedValueIntact(pa, cfg.value_len, key);
       const bool bi = kv::VersionedValueIntact(ba, cfg.value_len, key);
       if (!pi || !bi) {
@@ -1690,13 +1434,13 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
   out.rto_fires = tcs.rto_fires;
   out.rnr_naks = tcs.rnr_naks;
   out.sack_retransmits = tcs.sack_retransmits;
-  for (const auto& d : sdev) {
-    out.qp_errors += d->counters().qp_errors;
-    out.qp_rearms += d->counters().qp_rearms;
+  for (const Shard& S : shards) {
+    out.qp_errors += S.dev->counters().qp_errors;
+    out.qp_rearms += S.dev->counters().qp_rearms;
   }
-  for (const auto& d : tdev) {
-    out.qp_errors += d->counters().qp_errors;
-    out.qp_rearms += d->counters().qp_rearms;
+  for (const Tenant& T : tenants) {
+    out.qp_errors += T.dev->counters().qp_errors;
+    out.qp_rearms += T.dev->counters().qp_rearms;
   }
   out.events = ssim.events_processed();
   out.sim_shards = cfg.sim_shards;

@@ -6,6 +6,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rnic/device.h"
@@ -669,28 +670,98 @@ TEST(ShardedWorkload, KillAndReconnectSpansShards) {
 }
 
 TEST(ShardedWorkload, KvServiceSpreadPlacementRunsAndValidates) {
-  // Spread tenants across domains: the run completes every get, reruns are
-  // bit-stable, and the placement validation still rejects bad shards.
-  workload::KvServiceConfig cfg;
-  cfg.shards = 2;
-  cfg.tenants = 2;
-  cfg.gets_per_tenant = 20;
-  cfg.keys = 256;
-  cfg.value_len = 64;
-  cfg.sim_shards = 2;
-  cfg.placement = {0, 1};  // tenant 1 off the service shard
-  const auto a = workload::RunKvService(cfg);
-  EXPECT_EQ(a.gets, 40u);
-  EXPECT_EQ(a.unanswered, 0u);
-  EXPECT_EQ(a.sim_shards, 2);
-  const auto b = workload::RunKvService(cfg);
-  EXPECT_EQ(a.duration_us, b.duration_us);
-  EXPECT_EQ(a.avg_us, b.avg_us);
-  EXPECT_EQ(a.p99_us, b.p99_us);
-  EXPECT_EQ(a.data_packets, b.data_packets);
-  EXPECT_EQ(a.events, b.events);
-  auto bad = cfg;
-  bad.placement = {0, 5};  // shard 5 does not exist
+  // One heal path at every placement. Each heal plan runs with every
+  // tenant co-resident with the service, with tenant 1 on a second domain,
+  // and with every tenant off the service's domain (the heal's legs then
+  // cross the mailbox). Every op is answered, the write audits hold, the
+  // window heals once, and reruns are bit-stable. Each tenant's own RNG
+  // fixes its get/put mix, so the per-tenant counts agree across
+  // placements. The placement validation still rejects bad shards.
+  workload::KvServiceConfig base;
+  base.shards = 3;
+  base.tenants = 3;
+  base.gets_per_tenant = 60;
+  base.keys = 2'000;
+  base.put_fraction = 0.3;
+  auto window = [](workload::FaultKind kind, int server, Nanos down,
+                   Nanos up) {
+    workload::FaultEntry e;
+    e.kind = kind;
+    e.server = server;
+    e.down_at = down;
+    e.up_at = up;
+    return e;
+  };
+  std::vector<std::pair<std::string, workload::KvServiceConfig>> plans;
+  {
+    auto cfg = base;
+    cfg.faults.entries.push_back(
+        window(workload::FaultKind::kBlackhole, 0, 30'000, sim::Millis(3)));
+    plans.emplace_back("blackhole", cfg);
+  }
+  {
+    auto cfg = base;
+    cfg.faults.entries.push_back(
+        window(workload::FaultKind::kCrash, 1, 40'000, sim::Millis(2)));
+    plans.emplace_back("crash re-join", cfg);
+  }
+  {
+    auto cfg = base;
+    cfg.rnr_retry_count = 1;
+    auto e = window(workload::FaultKind::kRnrStall, 0, 20'000, sim::Millis(2));
+    e.rnr_count = 40;
+    cfg.faults.entries.push_back(e);
+    plans.emplace_back("rnr stall", cfg);
+  }
+  {
+    auto cfg = base;
+    cfg.retry_count = 8;
+    cfg.faults.entries.push_back(
+        window(workload::FaultKind::kFlaky, 0, 30'000, sim::Millis(4)));
+    plans.emplace_back("flaky", cfg);
+  }
+  const std::vector<std::pair<int, std::vector<int>>> placements = {
+      {1, {}}, {2, {0, 1, 0}}, {3, {1, 2, 1}}};
+  for (const auto& [name, plan] : plans) {
+    std::vector<workload::KvServiceResult> runs;
+    for (const auto& [domains, placement] : placements) {
+      SCOPED_TRACE(name + " on " + std::to_string(domains) + " domain(s)");
+      auto cfg = plan;
+      cfg.sim_shards = domains;
+      cfg.placement = placement;
+      const auto a = workload::RunKvService(cfg);
+      EXPECT_EQ(a.gets + a.puts, 180u);
+      EXPECT_EQ(a.unanswered, 0u);
+      EXPECT_EQ(a.lost_acked_writes, 0u);
+      EXPECT_EQ(a.ryw_violations, 0u);
+      EXPECT_EQ(a.value_divergence, 0u);
+      EXPECT_EQ(a.heals_applied, 1u);
+      EXPECT_EQ(a.sim_shards, domains);
+      const auto b = workload::RunKvService(cfg);
+      EXPECT_EQ(a.duration_us, b.duration_us);
+      EXPECT_EQ(a.avg_us, b.avg_us);
+      EXPECT_EQ(a.p99_us, b.p99_us);
+      EXPECT_EQ(a.p999_us, b.p999_us);
+      EXPECT_EQ(a.put_p99_us, b.put_p99_us);
+      EXPECT_EQ(a.degraded_window_us, b.degraded_window_us);
+      EXPECT_EQ(a.data_packets, b.data_packets);
+      EXPECT_EQ(a.qp_rearms, b.qp_rearms);
+      EXPECT_EQ(a.heal_reissues, b.heal_reissues);
+      EXPECT_EQ(a.events, b.events);
+      runs.push_back(a);
+    }
+    for (const auto& r : runs) {
+      SCOPED_TRACE(name);
+      ASSERT_EQ(r.tenants.size(), runs.front().tenants.size());
+      for (std::size_t t = 0; t < r.tenants.size(); ++t) {
+        EXPECT_EQ(r.tenants[t].gets, runs.front().tenants[t].gets);
+        EXPECT_EQ(r.tenants[t].puts, runs.front().tenants[t].puts);
+      }
+    }
+  }
+  auto bad = base;
+  bad.sim_shards = 2;
+  bad.placement = {0, 5, 0};  // shard 5 does not exist
   EXPECT_THROW(workload::RunKvService(bad), std::invalid_argument);
 }
 
