@@ -39,8 +39,9 @@ HashGetHarness::HashGetHarness(rnic::RnicDevice& client_dev,
 void HashGetHarness::Init(std::size_t max_value) {
   const sim::Nanos one_way = sdev_.cal().net_one_way;
 
-  // Client rings: at most one trigger SEND and one response RECV per armed
-  // request are outstanding; large configs cap at 4096 / 16384 slots.
+  // Client rings: at most one trigger SEND and one response RECV per
+  // request armed ahead are outstanding; large configs cap at 4096 / 16384
+  // slots.
   const std::uint32_t client_depth =
       static_cast<std::uint32_t>(cfg_.max_requests) +
       HashGetOffload::kRingSlack;
@@ -133,6 +134,10 @@ void HashGetHarness::Arm(int n) {
   offload_->Arm(n, resp_mr_.addr, resp_mr_.rkey);
 }
 
+void HashGetHarness::ArmAhead(int n) {
+  offload_->ArmAhead(n, resp_mr_.addr, resp_mr_.rkey);
+}
+
 namespace {
 void CycleQp(rnic::QueuePair* qp) {
   if (qp == nullptr) return;
@@ -158,11 +163,12 @@ void HashGetHarness::RearmTransportServerHalf(int n) {
   // The replacement program's chain r gates on trigger-CQ count
   // first_seq + r; seed it with what the wrecked program consumed (error
   // flushes bumped the count too, so read the CQ rather than triggers_).
+  offload_->Retire();
   retired_.push_back(std::move(offload_));
   cfg_.first_seq = srv_qp1_->recv_cq->hw_count();
   offload_ = std::make_unique<HashGetOffload>(sdev_, *table_, *heap_, srv_qp1_,
                                               srv_qp2_, cfg_);
-  Arm(n);
+  ArmAhead(n);
 }
 
 void HashGetHarness::PrepostResponseRecvs(int n) {

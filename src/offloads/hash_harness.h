@@ -40,8 +40,18 @@ class HashGetHarness {
   void PutPattern(std::uint64_t key, std::uint32_t len,
                   bool force_second = false);
 
-  // Pre-posts chains for `n` more requests.
+  // Requests a closed-loop driver's get harness keeps armed ahead of the
+  // NIC: its max_requests, and the window ArmAhead refills.
+  static constexpr int kClosedLoopWindow = 128;
+
+  // Pre-posts chains for `n` more requests now, for the rest of the run:
+  // the rings must hold them all (cfg.max_requests), or this throws.
   void Arm(int n);
+  // Serves `n` more requests from a window of cfg.max_requests armed at
+  // once, refilled from the server's own domain as triggers arrive
+  // (HashGetOffload::ArmAhead). For closed-loop drivers: a client must
+  // keep fewer than max_requests / 2 triggers in flight.
+  void ArmAhead(int n);
 
   // Transport-connected recovery (the kill-and-reconnect path), in two
   // halves so each runs on the event domain that owns its NIC (a reset
@@ -50,10 +60,11 @@ class HashGetHarness {
   // reset->init->rtr->rts and drops the RECV accounting. The server half
   // cycles the server QPs, retires the current offload program in place (a
   // QP error flushed its pre-posted responses and trigger RECVs, so its
-  // surviving chains can never run usefully again), and arms a fresh
-  // program for `n` further requests whose trigger thresholds continue from
-  // the CQ count the server has already consumed. A full re-arm is the
-  // client half, then the server half.
+  // surviving chains can never run usefully again; it drops what it still
+  // owed), and serves `n` further requests from a fresh program through
+  // ArmAhead, whose trigger thresholds continue from the CQ count the
+  // server has already consumed. When `n` fits the rings that is exactly
+  // Arm(n). A full re-arm is the client half, then the server half.
   void RearmTransportClientHalf();
   void RearmTransportServerHalf(int n);
 
@@ -149,6 +160,7 @@ class HashGetHarness {
   // still reference WQEs and SGE tables they own, and a stale trigger-CQ
   // waiter may fire them once more (harmlessly — every enable they issue
   // lands below the reset queues' execution horizon) before going quiet.
+  // A stale refill wake-up finds nothing owed (Retire) and posts nothing.
   std::vector<std::unique_ptr<HashGetOffload>> retired_;
   int recvs_outstanding_1_ = 0;
   int recvs_outstanding_2_ = 0;

@@ -44,8 +44,10 @@ class HashGetOffload {
     int buckets = 2;
     // Probe the two buckets on parallel queues/PUs instead of sequentially.
     bool parallel = false;
-    // Upper bound on Arm()-ed requests over the offload's lifetime; sizes
-    // every ring the offload and its harness allocate (see Depths).
+    // Requests armed ahead of the NIC at once; sizes every ring the offload
+    // and its harness allocate (see Depths). Arm() posts into these rings
+    // for the offload's lifetime, so there it bounds the requests ever
+    // armed; ArmAhead() refills them, so there it is the window.
     int max_requests = 4096;
     // Server NIC port carrying this offload's queues (Table 4 dual-port).
     int port = 0;
@@ -81,10 +83,18 @@ class HashGetOffload {
   // Headroom each ring keeps past the WRs Arm(max_requests) posts into it.
   static constexpr std::uint32_t kRingSlack = 64;
 
+  // The smallest window ArmAhead accepts: a refill fires with W/2 - 1
+  // requests still armed, and at least one must be, or the next trigger
+  // could beat the refill to the RQ.
+  static constexpr int kMinWindow = 4;
+
   // Ring depths of one probe lane: lane 0 is prog_/m1_ answering on
   // client_qp, lane 1 is prog2_/m2_ answering on client_qp2 (parallel
   // only). A lane no probe rides keeps a kRingSlack-slot ring: its QPs are
   // still created so QP ids and PU assignment do not depend on the config.
+  // Throws std::invalid_argument unless buckets is 1 or 2 and max_requests
+  // is at least 1: every ring is sized here, so a bad config fails before
+  // any ring exists, in every build type.
   struct RingDepths {
     std::uint32_t control;   // the lane program's control SQ
     std::uint32_t chain;     // its managed chain SQ (READ + CAS)
@@ -101,8 +111,26 @@ class HashGetOffload {
 
   // Pre-posts chains for `n` further get requests. The response for request
   // r is written to (resp_addr, resp_rkey) on the client and announced with
-  // immediate = the request's sequence number.
+  // immediate = the request's sequence number. Throws (SQ/RQ overflow) when
+  // the rings cannot hold them.
   void Arm(int n, std::uint64_t resp_addr, std::uint32_t resp_rkey);
+
+  // Serves `n` further requests from rings sized for W = max_requests
+  // armed at once. Posts what fits now, W minus the armed requests no
+  // trigger has reached, and owes the rest. While requests are owed, the
+  // lane-0 trigger WAIT of the request W/2 - 1 short of the armed end is
+  // signaled; its CQE wakes a host hook on the server's domain that reaps
+  // this offload's CQs and posts the next W/2 + 1 owed requests. The hook
+  // throws std::runtime_error ("window too small") if triggers have
+  // consumed every armed request while some are still owed: an open-loop
+  // burst past the window fails loudly instead of stalling on RNR. Throws
+  // std::invalid_argument for a window below kMinWindow.
+  void ArmAhead(int n, std::uint64_t resp_addr, std::uint32_t resp_rkey);
+  // Drops every owed request, so a retired program never posts again.
+  void Retire() { owed_ = 0; }
+  std::uint64_t owed() const { return owed_; }
+  // Host wake-ups that posted owed requests.
+  std::uint64_t refills() const { return refills_; }
 
   // Total WRs posted per armed request (for the WR-budget reports).
   int WrsPerRequest() const { return wrs_per_request_; }
@@ -132,12 +160,20 @@ class HashGetOffload {
  private:
   // Posts one bucket probe (kResponseWrsPerProbe + kChainWrsPerProbe +
   // kControlWrsPerProbe WRs) and writes its two trigger injection points to
-  // recv_sges[0..1].
+  // recv_sges[0..1]. `signal_trigger` signals the probe's trigger WAIT.
   void ArmBucketChain(Program& prog, QueuePair* chain, QueuePair* resp_qp,
                       rnic::CompletionQueue* trigger_cq,
                       std::uint64_t recv_seq, std::uint64_t resp_addr,
                       std::uint32_t resp_rkey, std::uint32_t imm,
-                      rnic::Sge* recv_sges);
+                      rnic::Sge* recv_sges, bool signal_trigger);
+  // Arm, with request `signaled_seq`'s lane-0 trigger WAIT signaled (0:
+  // none).
+  void Post(std::uint64_t n, std::uint64_t resp_addr, std::uint32_t resp_rkey,
+            std::uint64_t signaled_seq);
+  // Posts up to `limit` owed requests; signals a refill if some stay owed.
+  void PostOwed(std::uint64_t limit);
+  // The refill hook on the lane-0 control CQ (see ArmAhead).
+  void Refill();
 
   rnic::RnicDevice& server_;
   kv::RdmaHashTable& table_;
@@ -152,6 +188,13 @@ class HashGetOffload {
   QueuePair* m2_ = nullptr;
   std::uint64_t armed_ = 0;
   int wrs_per_request_ = 0;
+  // ArmAhead state: requests owed, whether a signaled WAIT will refill
+  // them, and the response target they are armed with.
+  std::uint64_t owed_ = 0;
+  bool refill_pending_ = false;
+  std::uint64_t refills_ = 0;
+  std::uint64_t resp_addr_ = 0;
+  std::uint32_t resp_rkey_ = 0;
 };
 
 }  // namespace redn::offloads

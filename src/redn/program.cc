@@ -112,8 +112,8 @@ const Sge* Program::MakeSgeTable(std::span<const Sge> sges) {
   return table;
 }
 
-WrRef Program::Wait(CompletionQueue* cq, std::uint64_t count) {
-  return Post(control_, verbs::MakeWait(cq, count));
+WrRef Program::Wait(CompletionQueue* cq, std::uint64_t count, bool signaled) {
+  return Post(control_, verbs::MakeWait(cq, count, signaled));
 }
 
 WrRef Program::Enable(QueuePair* q, std::uint64_t limit) {

@@ -55,8 +55,9 @@ struct WrBudget {
 
 class Program {
  public:
-  // `control_depth` must be large enough to hold every orchestration WR the
-  // program will ever post (pre-armed chains are not recycled).
+  // `control_depth` must hold every orchestration WR the program has posted
+  // but not yet executed: a chain armed for its whole run needs them all,
+  // one refilled from a window (HashGetOffload::ArmAhead) only the window's.
   explicit Program(rnic::RnicDevice& dev, int port = 0,
                    std::uint32_t control_depth = 4096);
 
@@ -81,7 +82,10 @@ class Program {
   }
 
   // --- control-queue emitters ----------------------------------------------
-  WrRef Wait(CompletionQueue* cq, std::uint64_t count);
+  // A signaled WAIT also delivers a CQE to the control CQ when it
+  // completes, for a host hook there to wake on. It reserves no more NIC
+  // time than an unsignaled one.
+  WrRef Wait(CompletionQueue* cq, std::uint64_t count, bool signaled = false);
   WrRef Enable(QueuePair* q, std::uint64_t limit);
   // CAS on `target`'s ctrl word: {from, operand} -> {to, operand}. The
   // signaled completion lands on the control CQ so a WAIT can order the

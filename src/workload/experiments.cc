@@ -166,17 +166,19 @@ FabricScaleResult RunFabricScale(const FabricScaleConfig& cfg) {
     c.harness = std::make_unique<offloads::HashGetHarness>(
         *c.dev, sdev,
         // Two probed buckets: keys displaced to H2 stay visible, so the
-        // depth-1 closed loop can never starve on a hash collision.
-        offloads::HashGetOffload::Config{.buckets = 2,
-                                         .max_requests = cfg.gets_per_client + 8,
-                                         .fabric = &fabric,
-                                         .transport = transport.get()},
+        // depth-1 closed loop can never starve on a hash collision. The
+        // loop is served from a window the server's domain refills.
+        offloads::HashGetOffload::Config{
+            .buckets = 2,
+            .max_requests = offloads::HashGetHarness::kClosedLoopWindow,
+            .fabric = &fabric,
+            .transport = transport.get()},
         kv::RdmaHashTable::Config{.buckets = 1 << 12}, heap_bytes,
         /*max_value=*/cfg.value_len + 64);
     for (int k = 1; k <= cfg.keys; ++k) {
       c.harness->PutPattern(static_cast<std::uint64_t>(k), cfg.value_len);
     }
-    c.harness->Arm(cfg.gets_per_client + 4);
+    c.harness->ArmAhead(cfg.gets_per_client + 4);
     c.remaining = cfg.gets_per_client;
   }
 

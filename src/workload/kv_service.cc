@@ -346,8 +346,9 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
   }
 
   // --- harnesses, detour chains ---------------------------------------------
+  // Get harnesses serve a depth-1 closed loop from a fixed window that the
+  // service's domain refills; detours keep a small lifetime arm.
   const bool offloaded = cfg.policy == FailoverPolicy::kOffloadChain;
-  const int arm0 = cfg.gets_per_tenant + 8;
   for (int t = 0; t < cfg.tenants; ++t) {
     Tenant& T = tenant(t);
     for (int s = 0; s < cfg.shards; ++s) {
@@ -357,12 +358,12 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
           *T.dev, *S.dev,
           offloads::HashGetOffload::Config{
               .buckets = 2,
-              .max_requests = cfg.gets_per_tenant + 32,
+              .max_requests = offloads::HashGetHarness::kClosedLoopWindow,
               .fabric = &fabric,
               .transport = &transport},
           *S.table, *S.heap, /*max_value=*/cfg.value_len + 64);
       L.get->SetServerOwner(kShardPidBase + s);
-      L.get->Arm(arm0);
+      L.get->ArmAhead(cfg.gets_per_tenant + 8);
     }
     if (!offloaded) continue;
     for (int s = 0; s < cfg.shards; ++s) {

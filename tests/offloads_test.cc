@@ -139,9 +139,48 @@ TEST_F(OffloadTest, HashGetServesWithoutServerCpuAfterArming) {
 // Ring sizing: every ring a pre-armed hash get allocates holds what
 // Arm(max_requests) posts into it plus HashGetOffload::kRingSlack, no more;
 // arming past that budget must fail loudly instead of wrapping onto
-// unexecuted WRs.
+// unexecuted WRs. ArmAhead serves any number of requests from those same
+// rings, one window of max_requests at a time.
 class HashGetRingSizing
-    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<int, bool>> {
+ protected:
+  struct Ring {
+    const char* name;
+    const rnic::WorkQueue* wq;
+  };
+  // Every server-side ring of `h`. Lane 1's control queue exists even when
+  // no probe rides it (QP ids and PU assignment must not depend on
+  // `parallel`); it stays minimal.
+  static std::vector<Ring> Rings(HashGetHarness& h, bool parallel) {
+    HashGetOffload& off = h.offload();
+    std::vector<Ring> rings = {
+        {"control 0", &off.control(0)->sq},
+        {"control 1", &off.control(1)->sq},
+        {"chain 0", &off.chain(0)->sq},
+        {"response 0", &h.server_qp()->sq},
+        {"server RQ 0", &h.server_qp()->rq},
+    };
+    if (parallel) {
+      rings.push_back({"chain 1", &off.chain(1)->sq});
+      rings.push_back({"response 1", &h.server_qp2()->sq});
+      rings.push_back({"server RQ 1", &h.server_qp2()->rq});
+    }
+    return rings;
+  }
+
+  // Arming past the rings throws the SQ overflow guard's error.
+  static void ExpectArmOverflows(HashGetHarness& h) {
+    try {
+      h.Arm(static_cast<int>(HashGetOffload::kRingSlack) + 1);
+      FAIL() << "arming past the ring budget did not throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "size the QP for the full pre-posted chain"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+};
 
 TEST_P(HashGetRingSizing, RingsHoldArmedWrsPlusSlack) {
   const auto [buckets, parallel] = GetParam();
@@ -154,38 +193,109 @@ TEST_P(HashGetRingSizing, RingsHoldArmedWrsPlusSlack) {
                    /*table_cfg=*/{}, /*heap_bytes=*/1 << 20);
   h.Arm(kMaxRequests);
 
-  HashGetOffload& off = h.offload();
-  struct Ring {
-    const char* name;
-    const rnic::WorkQueue* wq;
-  };
-  // Lane 1's control queue exists even when no probe rides it (QP ids and
-  // PU assignment must not depend on `parallel`); it stays minimal.
-  std::vector<Ring> rings = {
-      {"control 0", &off.control(0)->sq},
-      {"control 1", &off.control(1)->sq},
-      {"chain 0", &off.chain(0)->sq},
-      {"response 0", &h.server_qp()->sq},
-      {"server RQ 0", &h.server_qp()->rq},
-  };
-  if (parallel) {
-    rings.push_back({"chain 1", &off.chain(1)->sq});
-    rings.push_back({"response 1", &h.server_qp2()->sq});
-    rings.push_back({"server RQ 1", &h.server_qp2()->rq});
-  }
-  for (const Ring& r : rings) {
+  for (const Ring& r : Rings(h, parallel)) {
     ASSERT_LE(r.wq->posted, r.wq->capacity()) << r.name;
     EXPECT_LE(r.wq->capacity() - r.wq->posted, HashGetOffload::kRingSlack)
         << r.name << ": capacity " << r.wq->capacity() << ", posted "
         << r.wq->posted;
   }
+  ExpectArmOverflows(h);
+}
 
+TEST_P(HashGetRingSizing, ArmAheadPostsOneWindow) {
+  const auto [buckets, parallel] = GetParam();
+  constexpr int kWindow = 8;
+  const HashGetOffload::Config cfg{
+      .buckets = buckets, .parallel = parallel, .max_requests = kWindow};
+  TestBed lifetime_bed;
+  TestBed window_bed;
+  HashGetHarness lifetime(lifetime_bed.client, lifetime_bed.server, cfg,
+                          /*table_cfg=*/{}, /*heap_bytes=*/1 << 20);
+  HashGetHarness windowed(window_bed.client, window_bed.server, cfg,
+                          /*table_cfg=*/{}, /*heap_bytes=*/1 << 20);
+  lifetime.Arm(kWindow);
+  windowed.ArmAhead(10 * kWindow);
+
+  const std::vector<Ring> want = Rings(lifetime, parallel);
+  const std::vector<Ring> got = Rings(windowed, parallel);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].wq->capacity(), want[i].wq->capacity()) << got[i].name;
+    EXPECT_EQ(got[i].wq->posted, want[i].wq->posted) << got[i].name;
+  }
+  EXPECT_EQ(windowed.offload().owed(), 9u * kWindow);
+  ExpectArmOverflows(windowed);
+}
+
+// A closed loop served through ArmAhead is the closed loop served from
+// rings armed for the whole run: same bytes, same simulated latency per
+// get. Only the server's doorbells differ, one per launch plus one per
+// refill, and a refill posts W/2 + 1 requests. Every window wraps every
+// ring many times over the run.
+TEST_P(HashGetRingSizing, ArmAheadServesLikeLifetimeArm) {
+  const auto [buckets, parallel] = GetParam();
+  constexpr int kGets = 1000;
+  constexpr int kKeys = 64;
+  const std::uint64_t lanes = parallel ? 2 : 1;  // control doorbells per Arm
+  for (const int window : {4, 8, 128}) {
+    SCOPED_TRACE("window " + std::to_string(window));
+    TestBed full_bed;
+    TestBed window_bed;
+    HashGetHarness full(
+        full_bed.client, full_bed.server,
+        {.buckets = buckets, .parallel = parallel, .max_requests = kGets},
+        /*table_cfg=*/{}, /*heap_bytes=*/1 << 20);
+    HashGetHarness windowed(
+        window_bed.client, window_bed.server,
+        {.buckets = buckets, .parallel = parallel, .max_requests = window},
+        /*table_cfg=*/{}, /*heap_bytes=*/1 << 20);
+    for (std::uint64_t k = 1; k <= kKeys; ++k) {
+      const auto len = static_cast<std::uint32_t>(32 + k);
+      full.PutPattern(k, len);
+      windowed.PutPattern(k, len);
+    }
+    full.Arm(kGets);
+    windowed.ArmAhead(kGets);
+
+    for (int i = 0; i < kGets; ++i) {
+      const std::uint64_t key = 1 + (static_cast<std::uint64_t>(i) * 7) % kKeys;
+      const HashGetHarness::Result a = full.Get(key);
+      const HashGetHarness::Result b = windowed.Get(key);
+      ASSERT_TRUE(a.found) << "get " << i << " key " << key;
+      ASSERT_TRUE(b.found) << "get " << i << " key " << key;
+      ASSERT_EQ(b.latency, a.latency) << "get " << i;
+      ASSERT_EQ(b.len, a.len) << "get " << i;
+      ASSERT_TRUE(windowed.ResponseMatchesPattern(key, b.len)) << "get " << i;
+    }
+    window_bed.sim.Run();
+
+    const std::uint64_t w = static_cast<std::uint64_t>(window);
+    const std::uint64_t refills = (kGets - w + w / 2) / (w / 2 + 1);
+    EXPECT_EQ(windowed.offload().owed(), 0u);
+    EXPECT_EQ(windowed.offload().refills(), refills);
+    EXPECT_EQ(window_bed.server.counters().doorbells, lanes * (1 + refills));
+  }
+}
+
+// ArmAhead serves a closed loop: an open-loop burst that outruns the
+// window must fail loudly, not stall on RNR.
+TEST_P(HashGetRingSizing, ArmAheadBurstPastTheWindowThrows) {
+  const auto [buckets, parallel] = GetParam();
+  constexpr int kWindow = 8;
+  TestBed bed;
+  HashGetHarness h(
+      bed.client, bed.server,
+      {.buckets = buckets, .parallel = parallel, .max_requests = kWindow},
+      /*table_cfg=*/{}, /*heap_bytes=*/1 << 20);
+  h.PutPattern(7, 64);
+  h.ArmAhead(10 * kWindow);
+  for (int i = 0; i < 5 * kWindow; ++i) ASSERT_TRUE(h.SendTrigger(7));
   try {
-    h.Arm(static_cast<int>(HashGetOffload::kRingSlack) + 1);
-    FAIL() << "arming past the ring budget did not throw";
+    bed.sim.Run();
+    FAIL() << "a burst of " << 5 * kWindow << " triggers on a window of "
+           << kWindow << " did not throw";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find(
-                  "size the QP for the full pre-posted chain"),
+    EXPECT_NE(std::string(e.what()).find("window too small"),
               std::string::npos)
         << e.what();
   }
@@ -198,6 +308,84 @@ INSTANTIATE_TEST_SUITE_P(
       return std::to_string(std::get<0>(info.param)) + "Bucket" +
              (std::get<1>(info.param) ? "Parallel" : "Sequential");
     });
+
+// A windowed harness heals like a fully armed one. A re-arm retires the
+// old program, which then owes nothing: its stale wake-up must not post
+// RECVs into the shared server QP, where the fresh program's triggers
+// would consume them. A server QP error flushes the armed RECVs, so the
+// trigger count passes every armed request; when the next request's
+// trigger WAIT is the signaled one, the refill hook wakes and must read
+// that as an error for the heal to handle, not as a window overrun. At W =
+// 8 a refill posts 5 requests, so erroring after 20..24 gets hits every
+// phase of the refill cycle.
+TEST_F(OffloadTest, HashGetWindowSurvivesRearms) {
+  constexpr int kWindow = 8;
+  const HashGetOffload::Config cfg{.buckets = 2, .max_requests = kWindow};
+  {
+    HashGetHarness h(bed.client, bed.server, cfg, /*table_cfg=*/{},
+                     /*heap_bytes=*/1 << 20);
+    h.PutPattern(7, 64);
+    h.ArmAhead(100);
+    for (int i = 0; i < 20; ++i) ASSERT_TRUE(h.Get(7).found) << "get " << i;
+    const HashGetOffload* old = &h.offload();
+    ASSERT_GT(old->owed(), 0u);
+    h.RearmTransportClientHalf();
+    h.RearmTransportServerHalf(100);
+    EXPECT_EQ(old->owed(), 0u);
+    for (int i = 0; i < 40; ++i) {
+      ASSERT_TRUE(h.Get(7).found) << "get " << i << " after the re-arm";
+      ASSERT_TRUE(h.ResponseMatchesPattern(7, 64));
+    }
+  }
+  for (int gets = 20; gets < 25; ++gets) {
+    SCOPED_TRACE("server QP errored after " + std::to_string(gets) + " gets");
+    TestBed tb;
+    HashGetHarness h(tb.client, tb.server, cfg, /*table_cfg=*/{},
+                     /*heap_bytes=*/1 << 20);
+    h.PutPattern(7, 64);
+    h.ArmAhead(100);
+    for (int i = 0; i < gets; ++i) ASSERT_TRUE(h.Get(7).found) << "get " << i;
+    const HashGetOffload* old = &h.offload();
+    const std::uint64_t refills = old->refills();
+    tb.server.ModifyQp(h.server_qp(), rnic::QpState::kError);
+    tb.sim.Run();
+    EXPECT_EQ(old->refills(), refills);
+    h.RearmTransportClientHalf();
+    h.RearmTransportServerHalf(40);
+    for (int i = 0; i < 40; ++i) {
+      ASSERT_TRUE(h.Get(7).found) << "get " << i << " after the heal";
+    }
+    EXPECT_GT(h.offload().refills(), 0u);
+  }
+}
+
+// Out-of-range configs fail before any ring is sized, in every build type:
+// buckets = 3 would overrun the trigger and RECV scatter arrays, buckets = 0
+// would miss every get, and max_requests < 1 would wrap into a
+// multi-gigabyte ring. ArmAhead needs a window of at least kMinWindow.
+TEST_F(OffloadTest, HashGetRejectsOutOfRangeConfigs) {
+  auto expect_invalid = [&](HashGetOffload::Config cfg, const char* what) {
+    try {
+      HashGetHarness h(bed.client, bed.server, cfg, /*table_cfg=*/{},
+                       /*heap_bytes=*/1 << 20);
+      FAIL() << "accepted a config with " << what;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_invalid({.buckets = 3}, "buckets");
+  expect_invalid({.buckets = 0}, "buckets");
+  expect_invalid({.buckets = 2, .max_requests = 0}, "max_requests");
+  expect_invalid({.buckets = 1, .max_requests = -5}, "max_requests");
+
+  HashGetHarness small(bed.client, bed.server,
+                       {.buckets = 1,
+                        .max_requests = HashGetOffload::kMinWindow - 1},
+                       /*table_cfg=*/{}, /*heap_bytes=*/1 << 20);
+  small.Arm(HashGetOffload::kMinWindow - 1);  // a lifetime arm is fine
+  EXPECT_THROW(small.ArmAhead(1), std::invalid_argument);
+}
 
 // ---------------------------------------------------------------------------
 // Linked-list traversal
