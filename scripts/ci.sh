@@ -125,12 +125,17 @@ tsan_stage() {
   echo "=== TSan build (sharded engine) ==="
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DREDN_TSAN=ON >/dev/null
   cmake --build build-tsan -j"$(nproc)" --target \
-    sharded_sim_test transport_test bench_scale_fanout bench_scale_netfabric \
-    bench_scale_lossy bench_scale_recovery
+    sharded_sim_test transport_test kv_recovery_test bench_scale_fanout \
+    bench_scale_netfabric bench_scale_lossy bench_scale_recovery
   (cd build-tsan && TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
      ./sharded_sim_test)
   (cd build-tsan && TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
      ./transport_test)
+  # A heal that joins a running recovery, with spread tenants: the only
+  # ctest runs where a joined recovery's heal legs cross domains.
+  (cd build-tsan && TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
+     ./kv_recovery_test \
+     --gtest_filter='KvRecovery.SecondFaultMidResyncJoinsTheRecovery')
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     ./build-tsan/bench_scale_fanout --quick --shards 4 --tenants 8
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \

@@ -65,8 +65,8 @@ void ResyncSession::Start() {
       ++stats_.keys_scanned;
       if (cqe.status != rnic::WcStatus::kSuccess) {
         // Donor died (or the QP flushed) mid-sync: the staged bytes never
-        // arrived. Leave the local value alone and mark the session so the
-        // orchestrator can retry against the new chain.
+        // arrived. Leave the local value alone and mark the session failed:
+        // the orchestrator re-reads every key of a failed session.
         stats_.failed = true;
       } else {
         stats_.bytes_read += it.len;
@@ -89,7 +89,8 @@ void ResyncSession::Start() {
     }
     if (stats_.failed) {
       // The QP is wrecked; further posts would vanish without flush CQEs.
-      // Finish now with whatever reconciled — the orchestrator retries.
+      // Finish now with whatever reconciled — the orchestrator puts the
+      // session's keys back on its missed list for the next pass.
       Finish();
       return;
     }

@@ -10,8 +10,8 @@
 //   staged_version <  local_version  ->  keep the local value
 //
 // Ties go to the peer: a crashed re-joiner was wiped to version 0, so a tie
-// means "seed value on both sides" and adopting is a no-op; on a dirty-heal
-// resync a tie means both replicas already applied the same put. The >= is
+// means "seed value on both sides" and adopting is a no-op; on a stale
+// shard's resync a tie means both replicas already applied the same put. The >= is
 // what makes re-running a session idempotent.
 //
 // The session runs open-loop over a window of in-flight READs (wr_id =
@@ -59,7 +59,9 @@ class ResyncSession {
     std::uint64_t bytes_read = 0;
     sim::Nanos started = 0;
     sim::Nanos finished = 0;
-    bool failed = false;  // a READ completed in error (donor died mid-sync)
+    // A READ completed in error (the donor's or this shard's link died
+    // mid-sync); the orchestrator re-reads every key of a failed session.
+    bool failed = false;
   };
 
   using DoneFn = std::function<void(const Stats&)>;

@@ -126,8 +126,6 @@ void HashGetOffload::Post(std::uint64_t n, std::uint64_t resp_addr,
                           std::uint64_t signaled_seq) {
   for (std::uint64_t i = 0; i < n; ++i) {
     const std::uint64_t seq = ++armed_;
-    const int before = prog_.budget().total() + prog2_.budget().total();
-
     rnic::Sge recv_sges[4];  // two injection points per probed bucket
     // Bucket 1 probe rides prog_/m1_ and answers on client_qp_.
     ArmBucketChain(prog_, m1_, client_qp_, client_qp_->recv_cq, seq,
@@ -155,9 +153,6 @@ void HashGetOffload::Post(std::uint64_t n, std::uint64_t resp_addr,
         prog_.MakeSgeTable(std::span<const rnic::Sge>(recv_sges, sge_count));
     rwr.sge_count = sge_count;
     verbs::PostRecv(client_qp_, rwr);
-
-    wrs_per_request_ =
-        prog_.budget().total() + prog2_.budget().total() - before + 1;
   }
   prog_.Launch();
   if (cfg_.parallel) prog2_.Launch();

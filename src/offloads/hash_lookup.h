@@ -132,9 +132,6 @@ class HashGetOffload {
   // Host wake-ups that posted owed requests.
   std::uint64_t refills() const { return refills_; }
 
-  // Total WRs posted per armed request (for the WR-budget reports).
-  int WrsPerRequest() const { return wrs_per_request_; }
-
   // Size of the trigger message a client must SEND (bytes).
   std::uint32_t TriggerBytes() const { return cfg_.buckets * 16u; }
 
@@ -187,7 +184,6 @@ class HashGetOffload {
   QueuePair* m1_;
   QueuePair* m2_ = nullptr;
   std::uint64_t armed_ = 0;
-  int wrs_per_request_ = 0;
   // ArmAhead state: requests owed, whether a signaled WAIT will refill
   // them, and the response target they are armed with.
   std::uint64_t owed_ = 0;

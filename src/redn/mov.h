@@ -53,8 +53,6 @@ class MovMachine {
   std::uint64_t AllocCells(std::size_t count);
   std::uint64_t Cell(std::uint64_t addr) const { return rnic::dma::ReadU64(addr); }
   void SetCell(std::uint64_t addr, std::uint64_t v) { rnic::dma::WriteU64(addr, v); }
-  std::uint32_t ArenaRkey() const { return arena_mr_.rkey; }
-  std::uint32_t ArenaLkey() const { return arena_mr_.lkey; }
 
   // --- instruction emitters (pre-posted; nothing executes until Run) ------
   void MovImmediate(int rdst, std::uint64_t constant);

@@ -103,10 +103,6 @@ struct QueuePair {
   std::unique_ptr<std::byte[]> rq_buf;
   MemoryRegion sq_mr;  // the registered "code region" (self-modification)
   MemoryRegion rq_mr;
-
-  std::uint64_t SqWqeAddr(std::uint64_t idx, WqeField f) const {
-    return sq.SlotAddr(idx, f);
-  }
 };
 
 struct QpConfig {
@@ -493,7 +489,6 @@ class RnicDevice {
   // Propagation latency between two fabric-connected QPs' endpoints.
   static sim::Nanos FabricOneWay(const QueuePair* from, const QueuePair* to);
 
-  std::uint64_t ExecLimitOf(const WorkQueue& wq) const { return wq.exec_limit; }
   void SnapshotRange(WorkQueue& wq, std::uint64_t upto);
 
   sim::Simulator& sim_;

@@ -7,8 +7,6 @@
 
 #include <cstdint>
 
-#include "sim/time.h"
-
 namespace redn::sim {
 
 class Rng {
@@ -31,12 +29,6 @@ class Rng {
 
   // Bernoulli trial.
   bool NextBool(double p_true);
-
-  // Duration helpers.
-  Nanos NextNanos(Nanos lo, Nanos hi) {
-    return static_cast<Nanos>(NextInRange(static_cast<std::uint64_t>(lo),
-                                          static_cast<std::uint64_t>(hi)));
-  }
 
  private:
   std::uint64_t s_[4];

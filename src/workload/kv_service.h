@@ -112,9 +112,9 @@ struct KvServiceConfig {
 
   // --- sharded parallel engine ----------------------------------------------
   // sim_shards > 1 runs the service on a ShardedSimulator. The KV shards
-  // (and the transport's home) live on `service_shard`; `placement` pins
-  // each tenant's NIC and host loop to its own domain (empty = co-resident
-  // with the service). Every transport flow runs as per-endpoint
+  // (and the transport's home) live on domain 0; `placement` pins each
+  // tenant's NIC and host loop to its own domain (empty = co-resident with
+  // the service on domain 0). Every transport flow runs as per-endpoint
   // sender/receiver halves with per-flow RNG streams whose draw order
   // depends only on the flow's own packets; a spread tenant's DATA/ACK
   // packets ride the conservative mailbox sync (docs/NET.md "Flow
@@ -123,8 +123,7 @@ struct KvServiceConfig {
   // moving tenants between domains may reorder same-instant arrivals
   // (docs/PARSIM.md).
   int sim_shards = 1;
-  int service_shard = 0;
-  std::vector<int> placement;  // per-tenant shard; empty = all service_shard
+  std::vector<int> placement;  // per-tenant domain; empty = all on domain 0
 };
 
 struct KvServiceResult {
@@ -196,11 +195,14 @@ struct KvServiceResult {
 //
 // A kCrash entry with up_at > 0 is a crash + re-join: the shard's process
 // resources are revived at up_at with an EMPTY store (the crash lost its
-// memory), QPs are cycled, and an anti-entropy ResyncSession streams the
+// memory), QPs are cycled, and anti-entropy ResyncSessions stream the
 // shard's key range back from its chain peers via RDMA READs, reconciling
-// by version tag. The shard serves again only once re-sync completes;
-// writes forwarded to it while re-syncing dual-apply and are never
-// clobbered by the stale bytes the transfer stages.
+// by version tag; a shard that missed chain writes re-syncs the same way
+// at its heal. It serves again only after a pass with nothing left to
+// re-read (missed writes and a failed session's keys go to the next pass).
+// A heal during a re-sync joins it, and a crash drops it. Writes forwarded
+// to a re-syncing shard dual-apply and are never clobbered by the stale
+// bytes the transfer stages.
 KvServiceResult RunKvService(const KvServiceConfig& cfg);
 
 }  // namespace redn::workload

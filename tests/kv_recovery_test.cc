@@ -103,10 +103,10 @@ TEST(KvRecovery, PutsDuringBlackholeDegradeToLoneReplicaAndHealResyncs) {
   EXPECT_EQ(Ops(r), 300u);
   EXPECT_EQ(r.unanswered, 0u);
   // Writes inside the window could not reach shard 0: the surviving
-  // replica acked alone and marked shard 0 dirty.
+  // replica acked alone and shard 0 went stale.
   EXPECT_GT(r.degraded_acks, 0u);
   EXPECT_LT(r.degraded_acks, r.puts);
-  // The heal noticed the dirt and ran anti-entropy before re-opening.
+  // The stale shard's heal ran anti-entropy before re-opening.
   EXPECT_GE(r.resyncs_started, 1u);
   EXPECT_GT(r.resync_keys_scanned, 0u);
   EXPECT_EQ(r.resync_failures, 0u);
@@ -320,6 +320,87 @@ TEST(KvRecovery, WritesMissedDuringResyncAreReReadBeforeServing) {
     EXPECT_EQ(r.ryw_violations, 0u);
     EXPECT_EQ(r.value_divergence, 0u);
   }
+}
+
+// --- a second fault mid-resync -----------------------------------------------
+
+// Shard 1 crashes over [50 us, 1 ms] and re-joins; a second window opens
+// while its re-sync still runs. The second heal must join the running
+// recovery rather than start one beside it: two recoveries shared QP pairs
+// and CQ hooks (a heap overflow in a session's staging slots, seed 1 on 2
+// domains and the flaky window at seed 2), or the first reopened routing
+// mid-transfer (a lost acked write at seed 1). A session whose own or
+// donor's link dies must hand its keys to the next pass: counted as
+// drained, a blackhole on donor 2 let shard 1 serve keys it never read
+// (a lost acked write at seed 3). A second crash mid-re-sync drops the
+// recovery, and the re-join runs a fresh one.
+TEST(KvRecovery, SecondFaultMidResyncJoinsTheRecovery) {
+  struct Cell {
+    const char* name;
+    FaultEntry second;
+    std::uint64_t seed;
+    int sim_shards;
+    std::vector<int> placement;
+  };
+  auto window = [](int server, FaultKind kind, sim::Nanos down_at,
+                   sim::Nanos up_at) {
+    FaultEntry e;
+    e.server = server;
+    e.kind = kind;
+    e.down_at = down_at;
+    e.up_at = up_at;
+    return e;
+  };
+  const FaultEntry blackhole1 =
+      window(1, FaultKind::kBlackhole, 1'100'000, 1'600'000);
+  FaultEntry flaky1 = window(1, FaultKind::kFlaky, 1'100'000, 1'600'000);
+  flaky1.flaky_loss = 0.5;
+  const FaultEntry blackhole2 =
+      window(2, FaultKind::kBlackhole, 1'100'000, 1'600'000);
+  const FaultEntry crash1 = window(1, FaultKind::kCrash, 1'200'000, 2'000'000);
+  const std::vector<Cell> cells = {
+      {"blackhole on shard 1", blackhole1, 1, 1, {}},
+      {"blackhole on shard 1", blackhole1, 1, 2, {0, 1, 0}},
+      {"flaky shard 1", flaky1, 2, 1, {}},
+      {"flaky shard 1", flaky1, 2, 2, {0, 1, 0}},
+      {"flaky shard 1", flaky1, 2, 3, {1, 2, 1}},
+      {"blackhole on donor 2", blackhole2, 3, 1, {}},
+      {"shard 1 crashes again", crash1, 1, 1, {}},
+  };
+  auto config = [&](const Cell& c) {
+    KvServiceConfig cfg = MixedConfig();
+    cfg.gets_per_tenant = 300;
+    cfg.keys = 20'000;
+    cfg.seed = c.seed;
+    cfg.sim_shards = c.sim_shards;
+    cfg.placement = c.placement;
+    cfg.faults.entries.push_back(
+        window(1, FaultKind::kCrash, 50'000, sim::Millis(1)));
+    cfg.faults.entries.push_back(c.second);
+    return cfg;
+  };
+  for (const Cell& c : cells) {
+    SCOPED_TRACE(std::string(c.name) + ", seed " + std::to_string(c.seed) +
+                 ", " + std::to_string(c.sim_shards) + " domain(s)");
+    const KvServiceResult r = RunKvService(config(c));
+    EXPECT_EQ(r.unanswered, 0u);
+    EXPECT_EQ(Ops(r), 900u);
+    EXPECT_EQ(r.lost_acked_writes, 0u);
+    EXPECT_EQ(r.ryw_violations, 0u);
+    EXPECT_EQ(r.value_divergence, 0u);
+    EXPECT_EQ(r.heals_applied, 2u);
+    // The crash's recovery closed its window (a recovery that never
+    // finishes leaves it open), and promptly.
+    EXPECT_GE(r.degraded_window_us, 950.0);
+    EXPECT_LT(r.degraded_window_us, 5000.0);
+  }
+  const KvServiceConfig cfg = config(cells[4]);
+  const KvServiceResult a = RunKvService(cfg);
+  const KvServiceResult b = RunKvService(cfg);
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(a.resyncs_started, b.resyncs_started);
+  EXPECT_EQ(a.degraded_window_us, b.degraded_window_us);
+  EXPECT_EQ(a.p999_us, b.p999_us);
 }
 
 // --- ResyncSession unit ------------------------------------------------------
