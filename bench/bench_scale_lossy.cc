@@ -81,12 +81,14 @@ int main(int argc, char** argv) {
   std::vector<workload::FabricScaleResult> results;     // go-back-N rows
   std::vector<workload::FabricScaleResult> sr_results;  // selective repeat
   std::uint64_t total_events = 0;
+  std::uint64_t heap_fallbacks = 0;
   const auto t0 = std::chrono::steady_clock::now();
   for (double loss : losses) {
     for (const bool sr : {false, true}) {
       const auto r = run(loss, sr);
       (sr ? sr_results : results).push_back(r);
       total_events += r.events;
+      heap_fallbacks += r.heap_fallbacks;
       std::printf(
           "  %7.2f%% %4s %8llu %12.1f %10.2f %12.2f %9llu %9llu %9llu %9llu\n",
           100.0 * loss, sr ? "sr" : "gbn",
@@ -105,6 +107,7 @@ int main(int argc, char** argv) {
   const auto again = run(losses[3], false);
   const auto sr_again = run(losses[3], true);
   total_events += again.events + sr_again.events;
+  heap_fallbacks += again.heap_fallbacks + sr_again.heap_fallbacks;
   const double wall_secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -223,6 +226,8 @@ int main(int argc, char** argv) {
   // the line rate (the CI floor). events_per_get_lossless is the 0% GBN
   // row's engine events per get: deterministic, and the CI ceiling that
   // keeps a co-located flow's legs from costing extra events.
+  // heap_fallbacks sums every sweep run's events that overflowed the
+  // engine's inline slot; CI holds it at zero.
   bench::JsonWriter json("scale_lossy");
   json.Field("clients", static_cast<std::uint64_t>(clients))
       .Field("gets", lossiest.gets)
@@ -241,6 +246,7 @@ int main(int argc, char** argv) {
       .Field("events_per_get_lossless",
              static_cast<double>(results[0].events) /
                  static_cast<double>(results[0].gets))
+      .Field("heap_fallbacks", heap_fallbacks)
       .Field("deterministic", static_cast<std::uint64_t>(stable ? 1 : 0))
       .Field("events_per_sec", events_per_sec);
   if (sim_shards > 1) {

@@ -2,7 +2,10 @@
 # gprof profiling wrapper — the recipe used for the PR 1-4 hot-path work.
 # The container has no perf or valgrind, so profiling is a -pg Release
 # build + gprof flat profile. Builds into build-prof/ (separate cache so it
-# never dirties the normal build trees).
+# never dirties the normal build trees). The binary is linked -static so
+# libc's memmove/memset, malloc and the page-fault-heavy mmap path land in
+# the flat profile by name; a dynamic -pg build (like the layer breakdown
+# of `bench/e2e/run.py --trace 1`) cannot see time spent inside libc.
 #
 # Usage: scripts/profile.sh [bench_binary] [bench args...]
 #   scripts/profile.sh                       # bench_simcore, default args
@@ -25,7 +28,7 @@ shift || true
 cmake -B build-prof -S . -DCMAKE_BUILD_TYPE=Release \
   -DREDN_BUILD_TESTS=OFF -DREDN_BUILD_EXAMPLES=OFF -DREDN_LTO=OFF \
   -DCMAKE_CXX_FLAGS="-O2 -pg -fno-omit-frame-pointer" \
-  -DCMAKE_EXE_LINKER_FLAGS="-pg" >/dev/null
+  -DCMAKE_EXE_LINKER_FLAGS="-pg -static" >/dev/null
 cmake --build build-prof -j"$(nproc)" --target "${BENCH}"
 
 (cd build-prof &&

@@ -1,5 +1,6 @@
 #include "kv/table.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace redn::kv {
@@ -38,8 +39,18 @@ bool VersionedValueIntact(std::uint64_t addr, std::uint32_t len,
                           std::uint64_t key) {
   const std::uint64_t version = rnic::dma::ReadU64(addr);
   const auto* p = reinterpret_cast<const std::uint8_t*>(addr);
-  for (std::uint32_t i = kValueVersionBytes; i < len; ++i) {
-    if (p[i] != VersionedPatternByte(key, version, i)) return false;
+  // The pattern repeats every 256 bytes, so two periods hold every
+  // 256-byte window of it: build them once (the loop vectorizes) and
+  // memcmp the value a window at a time.
+  std::uint8_t pattern[512];
+  const std::uint32_t built = std::min<std::uint32_t>(len, sizeof pattern);
+  for (std::uint32_t i = 0; i < built; ++i) {
+    pattern[i] = VersionedPatternByte(key, version, i);
+  }
+  for (std::uint32_t i = kValueVersionBytes; i < len;) {
+    const std::uint32_t n = std::min<std::uint32_t>(len - i, 256);
+    if (std::memcmp(p + i, pattern + (i & 255), n) != 0) return false;
+    i += n;
   }
   return true;
 }

@@ -115,6 +115,7 @@ int Transport::OpenFlow(int src_ep, int dst_ep) {
          "mid-round OpenFlow without ReserveFlows headroom");
   auto fl = std::make_unique<Flow>();
   Flow& f = *fl;
+  f.tr = this;
   f.id = static_cast<int>(flows_.size());
   f.src = src_ep;
   f.dst = dst_ep;
@@ -295,12 +296,22 @@ void Transport::OnDataIngress(Flow& f, Nanos at, std::uint64_t psn,
   if (desc && desc->last_psn >= r.expected) {
     // Idempotent: every transmission of the first packet carries the
     // descriptor, and `expected` filters re-filing a delivered message.
-    r.rx_msgs.try_emplace(desc->first_psn, std::move(desc));
+    FileDesc(r, std::move(desc));
   }
   f.ddom->At(arrive, [this, fp = &f, psn, gen] {
     if (gen != fp->rcv.gen) return;
     OnData(*fp, psn);
   });
+}
+
+void Transport::FileDesc(ReceiverHalf& r, std::shared_ptr<RxDesc> desc) {
+  // Almost always an append: first packets arrive in PSN order unless one
+  // was lost and resent behind a later message's.
+  auto& q = r.rx_msgs;
+  auto at = q.end();
+  while (at != q.begin() && (*(at - 1))->first_psn > desc->first_psn) --at;
+  if (at != q.begin() && (*(at - 1))->first_psn == desc->first_psn) return;
+  q.insert(at, std::move(desc));
 }
 
 void Transport::OnData(Flow& f, std::uint64_t psn) {
@@ -309,12 +320,10 @@ void Transport::OnData(Flow& f, std::uint64_t psn) {
     ++r.expected;
     if (Sr()) {
       // Drain the reassembly window: contiguous held packets are as good
-      // as arrived now.
-      auto it = r.rx_ooo.begin();
-      while (it != r.rx_ooo.end() && *it == r.expected) {
-        it = r.rx_ooo.erase(it);
-        ++r.expected;
-      }
+      // as arrived now. Every held PSN is above `expected`, so what the
+      // drain passed is exactly what it consumed.
+      r.expected = r.rx_ooo.NextAbsentAtOrAfter(r.expected);
+      r.rx_ooo.EraseBelow(r.expected);
     }
     bool boundary = false;
     const bool ready = DeliverReady(f, &boundary);
@@ -333,7 +342,7 @@ void Transport::OnData(Flow& f, std::uint64_t psn) {
   } else if (psn > r.expected) {
     ++r.ctr.out_of_order;
     if (Sr()) {
-      if (!r.rx_ooo.insert(psn).second) {
+      if (!r.rx_ooo.Insert(psn)) {
         // Already held: the sender resent something we have.
         ++r.ctr.duplicates;
         ++r.ctr.spurious_retransmits;
@@ -358,9 +367,8 @@ void Transport::OnData(Flow& f, std::uint64_t psn) {
 
 bool Transport::DeliverReady(Flow& f, bool* boundary) {
   ReceiverHalf& r = f.rcv;
-  auto it = r.rx_msgs.begin();
-  while (it != r.rx_msgs.end()) {
-    RxDesc& d = *it->second;
+  while (!r.rx_msgs.empty()) {
+    RxDesc& d = *r.rx_msgs.front();
     if (d.last_psn >= r.expected) break;
     if (cfg_.rnr_retry_count > 0 && d.rnr_probe && !d.rnr_probe(DNow(f))) {
       // Receiver not ready (no RECV posted): rewind to the message start.
@@ -368,10 +376,8 @@ bool Transport::DeliverReady(Flow& f, bool* boundary) {
       // packet; go-back-N discards it — the sender rewinds anyway.
       const std::uint64_t arrived_to = r.expected;
       r.expected = d.first_psn;
-      if (Sr()) {
-        for (std::uint64_t p = d.first_psn + 1; p < arrived_to; ++p) {
-          r.rx_ooo.insert(p);
-        }
+      if (Sr() && arrived_to > d.first_psn + 1) {
+        r.rx_ooo.InsertRange(d.first_psn + 1, arrived_to - 1);
       }
       ++r.ctr.rnr_naks;
       return false;
@@ -379,11 +385,11 @@ bool Transport::DeliverReady(Flow& f, bool* boundary) {
     ++r.ctr.messages_delivered;
     r.ctr.payload_bytes_delivered += d.len;
     *boundary = true;
-    // Erase before the callback (keeping the descriptor alive through it):
-    // map iterators survive inserts a delivery callback might make, and a
-    // delivered message can never be re-filed — `expected` is past it.
-    std::shared_ptr<RxDesc> keep = std::move(it->second);
-    it = r.rx_msgs.erase(it);
+    // Take the head out before the callback (keeping the descriptor alive
+    // through it): the callback may file into the queue, and a delivered
+    // message can never be re-filed — `expected` is past it.
+    std::shared_ptr<RxDesc> keep = std::move(r.rx_msgs.front());
+    r.rx_msgs.erase(r.rx_msgs.begin());
     if (keep->on_deliver) keep->on_deliver(DNow(f));
   }
   return true;
@@ -391,13 +397,16 @@ bool Transport::DeliverReady(Flow& f, bool* boundary) {
 
 Transport::SackRanges Transport::MissingRanges(const Flow& f) const {
   SackRanges r;
+  const PsnSet& held = f.rcv.rx_ooo;
   std::uint64_t need = f.rcv.expected;
-  for (const std::uint64_t psn : f.rcv.rx_ooo) {
+  // One step per run of held PSNs: the gap before it is a missing range.
+  for (std::uint64_t psn = held.NextAtOrAfter(need); psn != PsnSet::kNone;
+       psn = held.NextAtOrAfter(need)) {
     if (psn > need) {
       if (r.size() == kMaxSackRanges) break;
       r.push_back({need, psn - 1});
     }
-    need = psn + 1;
+    need = held.NextAbsentAtOrAfter(psn);
   }
   return r;
 }
@@ -417,7 +426,7 @@ void Transport::SendAck(Flow& f, AckKind kind) {
       // the sender. When the range cap truncated the report, high clamps
       // to the last reported hole so unreported holes are not mis-learned.
       high = ranges.size() == kMaxSackRanges ? ranges.back().second
-                                             : *r.rx_ooo.rbegin();
+                                             : r.rx_ooo.Max();
     }
   }
   const std::uint64_t wire =
@@ -450,10 +459,12 @@ void Transport::OnAckIngress(Flow& f, Nanos at, std::uint64_t upto,
     ++s.ctr.acks_dropped;
     return;
   }
-  f.sdom->At(arrive, [this, fp = &f, upto, kind, high,
-                      ranges = std::move(ranges), gen] {
+  // The capture reaches the transport through the flow, so it fits the
+  // event's inline slot (no heap allocation per ACK).
+  f.sdom->At(arrive, [fp = &f, upto, kind, high, ranges = std::move(ranges),
+                      gen] {
     if (gen != fp->snd.gen) return;  // echo of a dead incarnation
-    OnAck(*fp, upto, kind, high, ranges);
+    fp->tr->OnAck(*fp, upto, kind, high, ranges);
   });
 }
 
@@ -462,13 +473,17 @@ void Transport::MarkKnownReceived(Flow& f, std::uint64_t upto,
                                   const SackRanges& ranges) {
   SenderHalf& s = f.snd;
   if (!Sr() || ranges.empty()) return;
-  std::size_t ri = 0;
-  for (std::uint64_t psn = std::max(upto, s.base); psn <= high; ++psn) {
-    while (ri < ranges.size() && psn > ranges[ri].second) ++ri;
-    const bool missing = ri < ranges.size() && psn >= ranges[ri].first &&
-                         psn <= ranges[ri].second;
-    if (!missing) s.known_received.insert(psn);
+  // Everything in [max(upto, base), high] outside the missing ranges
+  // (ascending, disjoint) arrived.
+  std::uint64_t from = std::max(upto, s.base);
+  for (const auto& [first, last] : ranges) {
+    if (from > high) return;
+    if (first > from) {
+      s.known_received.InsertRange(from, std::min(first - 1, high));
+    }
+    from = std::max(from, last + 1);
   }
+  if (from <= high) s.known_received.InsertRange(from, high);
 }
 
 int Transport::SackRetransmit(Flow& f, const SackRanges& ranges) {
@@ -478,11 +493,11 @@ int Transport::SackRetransmit(Flow& f, const SackRanges& ranges) {
     const std::uint64_t lo = std::max(first, s.base);
     const std::uint64_t hi = std::min(last + 1, s.high_water);
     for (std::uint64_t psn = lo; psn < hi; ++psn) {
-      if (s.known_received.count(psn) != 0) continue;
+      if (s.known_received.Contains(psn)) continue;
       // Once per loss event: a hole named by several SACKs (every arrival
       // behind it generates one) is resent on the first report only; the
       // RTO clears the set and covers a lost retransmission.
-      if (!s.retx_outstanding.insert(psn).second) continue;
+      if (!s.retx_outstanding.Insert(psn)) continue;
       ++s.ctr.sack_retransmits;
       SendPacket(f, psn, PacketOf(f, psn));
       ++resent;
@@ -514,10 +529,8 @@ void Transport::OnAck(Flow& f, std::uint64_t upto, AckKind kind,
     }
     if (s.send_cursor < s.base) s.send_cursor = s.base;
     if (Sr()) {
-      s.known_received.erase(s.known_received.begin(),
-                             s.known_received.lower_bound(s.base));
-      s.retx_outstanding.erase(s.retx_outstanding.begin(),
-                               s.retx_outstanding.lower_bound(s.base));
+      s.known_received.EraseBelow(s.base);
+      s.retx_outstanding.EraseBelow(s.base);
     }
   }
   if (kind == AckKind::kRnr) {
@@ -542,7 +555,7 @@ void Transport::OnAck(Flow& f, std::uint64_t upto, AckKind kind,
     }
     ++s.ctr.rnr_backoffs;
     s.rnr_paused = true;
-    ++s.rto_epoch;  // the backoff owns the clock; silence the RTO
+    SilenceRto(s);  // the backoff owns the clock
     f.sdom->After(RnrDelay(s.rnr_attempts), [this, fp = &f, gen = s.gen] {
       if (gen != fp->snd.gen) return;
       OnRnrResume(*fp);
@@ -588,23 +601,51 @@ void Transport::RetransmitMissing(Flow& f) {
   SenderHalf& s = f.snd;
   const std::uint64_t hi = std::min(s.high_water, s.base + cfg_.window);
   for (std::uint64_t psn = s.base; psn < hi; ++psn) {
-    if (s.known_received.count(psn) != 0) continue;
+    if (s.known_received.Contains(psn)) continue;
     SendPacket(f, psn, PacketOf(f, psn));
   }
 }
 
 void Transport::ArmRto(Flow& f) {
   SenderHalf& s = f.snd;
-  const std::uint64_t epoch = ++s.rto_epoch;  // supersede any pending timer
-  if (s.base == s.next_psn || s.error) return;  // nothing outstanding
+  if (s.base == s.next_psn || s.error) {  // nothing outstanding
+    s.rto_deadline = kNever;
+    return;
+  }
   // Consecutive timeouts on one base PSN double the interval: a feedback
   // loop with a fixed period and a lossy channel otherwise retransmits in
   // lockstep with whatever is eating the packets.
   const std::uint32_t shift = std::min(s.consec_rtos, kMaxBackoffShift);
-  f.sdom->After(BaseRto() << shift, [this, fp = &f, epoch] {
-    if (epoch != fp->snd.rto_epoch) return;
-    OnRto(*fp);
+  s.rto_deadline = SNow(f) + (BaseRto() << shift);
+  // A later deadline is caught up by the pending event; an earlier one
+  // (progress reset the backoff) must not wait for it.
+  if (s.rto_timer > s.rto_deadline) ScheduleRto(f);
+}
+
+void Transport::ScheduleRto(Flow& f) {
+  SenderHalf& s = f.snd;
+  s.rto_timer = s.rto_deadline;
+  f.sdom->At(s.rto_timer, [fp = &f, epoch = ++s.rto_epoch] {
+    fp->tr->OnRtoTimer(*fp, epoch);
   });
+}
+
+void Transport::OnRtoTimer(Flow& f, std::uint64_t epoch) {
+  SenderHalf& s = f.snd;
+  if (epoch != s.rto_epoch) return;  // superseded or silenced
+  s.rto_timer = kNever;
+  if (s.rto_deadline == kNever) return;  // disarmed since it was scheduled
+  if (SNow(f) < s.rto_deadline) {
+    ScheduleRto(f);  // progress pushed the deadline back
+    return;
+  }
+  OnRto(f);
+}
+
+void Transport::SilenceRto(SenderHalf& s) {
+  ++s.rto_epoch;
+  s.rto_deadline = kNever;
+  s.rto_timer = kNever;
 }
 
 void Transport::OnRto(Flow& f) {
@@ -622,7 +663,7 @@ void Transport::OnRto(Flow& f) {
   if (Sr()) {
     // The timeout invalidates what we thought was in flight: every hole
     // may be resent again on the next SACK.
-    s.retx_outstanding.clear();
+    s.retx_outstanding.Clear();
     RetransmitMissing(f);
   } else {
     s.send_cursor = s.base;
@@ -637,7 +678,7 @@ void Transport::OnRnrResume(Flow& f) {
   s.rnr_paused = false;
   if (s.base == s.next_psn) return;  // acked away during the pause
   if (Sr()) {
-    s.retx_outstanding.clear();
+    s.retx_outstanding.Clear();
     RetransmitMissing(f);
     TrySend(f);
   } else {
@@ -670,21 +711,20 @@ void Transport::OnAckTimer(Flow& f, std::uint64_t epoch) {
   SendAck(f, AckKind::kAck);
 }
 
-void Transport::ResetSenderHalf(SenderHalf& s, std::uint64_t gen,
-                                std::uint64_t rto_epoch) {
+void Transport::ResetSenderHalf(SenderHalf& s, std::uint64_t gen) {
   s.gen = gen;
   s.error = false;
   s.next_psn = 0;
   s.base = 0;
   s.send_cursor = 0;
   s.high_water = 0;
-  s.rto_epoch = rto_epoch;
+  SilenceRto(s);
   s.consec_rtos = 0;
   s.rnr_attempts = 0;
   s.goback_armed = false;
   s.rnr_paused = false;
-  s.known_received.clear();
-  s.retx_outstanding.clear();
+  s.known_received.Clear();
+  s.retx_outstanding.Clear();
   assert(s.msgs.empty() && "flush before resetting the sender half");
   // ctr, rng, and limbo survive: counters are cumulative, the RNG stream
   // continues, and limbo waits for its fence echo.
@@ -697,7 +737,7 @@ void Transport::ResetReceiverHalf(ReceiverHalf& r, std::uint64_t gen,
   r.rx_unacked = 0;
   r.ack_epoch = ack_epoch;
   r.ack_timer_armed = false;
-  r.rx_ooo.clear();
+  r.rx_ooo.Clear();
   r.rx_msgs.clear();
 }
 
@@ -755,11 +795,11 @@ void Transport::FailFlow(Flow& f, MsgFailure why) {
   if (s.error) return;
   s.error = true;
   ++s.gen;  // in-flight packets, ACKs, and timers of this life die
-  ++s.rto_epoch;
+  SilenceRto(s);
   s.rnr_paused = false;
   s.goback_armed = false;
-  s.known_received.clear();
-  s.retx_outstanding.clear();
+  s.known_received.Clear();
+  s.retx_outstanding.Clear();
   if (why == MsgFailure::kRetryExceeded) {
     ++s.ctr.retry_exhausted;
   } else {
@@ -779,7 +819,7 @@ void Transport::ResetFlow(int flow) {
   // whose own echo lost the race. Epochs and the generation survive the
   // reset monotonically so events of the old incarnation never match.
   Park(s, MsgFailure::kFlushed);
-  ResetSenderHalf(s, s.gen + 1, s.rto_epoch + 1);
+  ResetSenderHalf(s, s.gen + 1);
   ++s.ctr.flow_resets;
   Fence(f);
 }

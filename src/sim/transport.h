@@ -29,7 +29,9 @@
 //        missing PSNs; the sender retransmits exactly those (once per SACK
 //        event), so one lost packet costs one retransmission.
 //    In both modes a retransmission timeout clocked off the simulator
-//    covers tail losses and eaten ACKs. Consecutive timeouts on the same
+//    covers tail losses and eaten ACKs; each flow keeps at most one
+//    pending RTO event, which re-arms itself to the latest deadline when
+//    progress pushed the deadline past it. Consecutive timeouts on the same
 //    base PSN double the interval (bounded exponential backoff, the
 //    D2TCP-instability lesson); cumulative progress resets the exponent.
 //  - Retry budgets: `retry_count` bounds consecutive timeouts on one base
@@ -99,13 +101,13 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
+#include <limits>
 #include <memory>
-#include <set>
 #include <utility>
 #include <vector>
 
 #include "sim/fabric.h"
+#include "sim/psn_set.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
@@ -305,6 +307,8 @@ class Transport {
   // is receiver-not-ready, answered with backoff instead of retransmission.
   enum class AckKind : std::uint8_t { kAck, kNak, kRnr };
 
+  static constexpr Nanos kNever = std::numeric_limits<Nanos>::max();
+
   // Receiver-half view of one message: what the delivery logic needs. It
   // rides every transmission of the message's first DATA packet — the
   // receiver cannot pass last_psn without taking first_psn — and the
@@ -340,13 +344,18 @@ class Transport {
     std::uint64_t base = 0;         // lowest unacked PSN
     std::uint64_t send_cursor = 0;  // next PSN to (re)transmit
     std::uint64_t high_water = 0;   // PSNs transmitted at least once
-    std::uint64_t rto_epoch = 0;    // invalidates superseded RTO events
+    // One RTO event per flow: rto_timer is when the pending one is due
+    // (kNever: none), rto_deadline when the RTO is due (kNever: disarmed),
+    // and rto_epoch names the pending event so a superseded one dies.
+    std::uint64_t rto_epoch = 0;
+    Nanos rto_deadline = kNever;
+    Nanos rto_timer = kNever;
     std::uint32_t consec_rtos = 0;  // RTO fires since last cumulative progress
     std::uint32_t rnr_attempts = 0; // consecutive RNR NAKs received
     bool goback_armed = false;      // one NAK rewind per loss event
     bool rnr_paused = false;        // backing off; transmit nothing
-    std::set<std::uint64_t> known_received;   // SACKed above base (SR)
-    std::set<std::uint64_t> retx_outstanding; // SACK-resent, once per event
+    PsnSet known_received;          // SACKed above base (SR)
+    PsnSet retx_outstanding;        // SACK-resent, once per event
     std::deque<Message> msgs;       // FIFO, not yet fully acked
     // Unacked messages of a failed/reset incarnation, held until the reset
     // fence echoes back (no receiver-side event of the old life can still
@@ -362,17 +371,20 @@ class Transport {
     std::uint32_t rx_unacked = 0;   // in-order packets since the last ACK
     std::uint64_t ack_epoch = 0;    // invalidates superseded delayed ACKs
     bool ack_timer_armed = false;
-    std::set<std::uint64_t> rx_ooo; // held out-of-order PSNs (SR only)
-    // Reassembly/delivery queue, keyed by first PSN.
-    std::map<std::uint64_t, std::shared_ptr<RxDesc>> rx_msgs;
+    // Held out-of-order PSNs (SR only), all above `expected`.
+    PsnSet rx_ooo;
+    // Reassembly/delivery queue, sorted by first PSN.
+    std::vector<std::shared_ptr<RxDesc>> rx_msgs;
     Rng rng{1};                     // ingress-side draws (FlowSeed side 1)
     TransportCounters ctr;          // receiver-half share of the counters
   };
 
   // One flow = one sender half + one receiver half + immutable routing.
   // unique_ptr keeps the address stable — in-flight events capture Flow*,
-  // which is also what lets mailbox messages skip the flow-table lookup.
+  // which is also what lets mailbox messages skip the flow-table lookup,
+  // and reach the transport through `tr` instead of capturing `this`.
   struct Flow {
+    Transport* tr = nullptr;
     int id = -1;
     int src = -1;
     int dst = -1;
@@ -473,7 +485,16 @@ class Transport {
                     std::uint64_t high, SackRanges ranges, std::uint64_t wire,
                     std::uint64_t gen);
   void RetransmitMissing(Flow& f);
+  // Sets the RTO deadline one (backed-off) interval from now, or disarms
+  // it when nothing is outstanding. Schedules an event only when none is
+  // pending or the pending one is due after the new deadline; a pending
+  // event that fires early re-arms itself to the deadline (OnRtoTimer).
   void ArmRto(Flow& f);
+  void ScheduleRto(Flow& f);
+  void OnRtoTimer(Flow& f, std::uint64_t epoch);
+  // Disarms the RTO and forgets the pending event: the RNR backoff, a
+  // failed flow and a reset incarnation own the clock instead.
+  static void SilenceRto(SenderHalf& s);
   void OnRto(Flow& f);
   void OnRnrResume(Flow& f);
   void FailFlow(Flow& f, MsgFailure why);
@@ -487,8 +508,7 @@ class Transport {
   void OnFenceIngress(Flow& f, Nanos at, std::uint64_t gen);
   void OnFenceEcho(Flow& f, std::uint64_t gen);
   // Protocol-state resets that preserve the half's counters and RNG stream.
-  static void ResetSenderHalf(SenderHalf& s, std::uint64_t gen,
-                              std::uint64_t rto_epoch);
+  static void ResetSenderHalf(SenderHalf& s, std::uint64_t gen);
   static void ResetReceiverHalf(ReceiverHalf& r, std::uint64_t gen,
                                 std::uint64_t ack_epoch);
 
@@ -498,6 +518,8 @@ class Transport {
   void OnDataIngress(Flow& f, Nanos at, std::uint64_t psn, std::uint64_t wire,
                      std::uint64_t gen, bool src_corrupt,
                      std::shared_ptr<RxDesc> desc);
+  // Files a message's descriptor in first-PSN order, once.
+  static void FileDesc(ReceiverHalf& r, std::shared_ptr<RxDesc> desc);
   void OnData(Flow& f, std::uint64_t psn);
   // Delivers every fully-arrived message at the head of the queue; returns
   // false if an rnr_probe rejected one (expected already rewound to its

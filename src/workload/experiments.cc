@@ -308,6 +308,7 @@ FabricScaleResult RunFabricScale(const FabricScaleConfig& cfg) {
   out.server_tx_util = fabric.TxUtilisation(sep, last_resp);
   out.server_rx_util = fabric.RxUtilisation(sep, last_resp);
   out.events = ssim.events_processed();
+  out.heap_fallbacks = ssim.heap_fallbacks();
   if (transport != nullptr) {
     // counters() sums every flow's two halves; safe here — the run is over,
     // no shard thread is live.

@@ -101,6 +101,7 @@ struct FabricScaleResult {
   double server_tx_util = 0;       // server-link TX busy fraction
   double server_rx_util = 0;
   std::uint64_t events = 0;        // engine events processed (perf floors)
+  std::uint64_t heap_fallbacks = 0;  // events whose capture overflowed the slot
   // Transport accounting (all zero unless cfg.packetized).
   std::uint64_t data_packets = 0;
   std::uint64_t retransmits = 0;

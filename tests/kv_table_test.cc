@@ -1,6 +1,9 @@
 // Unit tests for the RDMA-visible hash table and value heap.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "kv/table.h"
 #include "testbed.h"
 
@@ -131,6 +134,28 @@ TEST_F(TableTest, ValueHeapThrowsWhenFull) {
   heap.Reserve(32);
   heap.Reserve(32);
   EXPECT_THROW(heap.Reserve(8), std::bad_alloc);
+}
+
+TEST_F(TableTest, VersionedValueIntactFlagsAnyFlippedPayloadByte) {
+  // 600 B spans three 256-byte windows of the pattern.
+  ValueHeap heap(bed.server, 1 << 12);
+  for (const std::uint32_t len : {16u, 256u, 600u}) {
+    const std::uint64_t addr = heap.Reserve(len);
+    kv::WriteVersionedValue(addr, len, /*key=*/77, /*version=*/3);
+    EXPECT_TRUE(kv::VersionedValueIntact(addr, len, 77)) << len;
+    EXPECT_FALSE(kv::VersionedValueIntact(addr, len, 78)) << len;
+    auto* p = reinterpret_cast<std::uint8_t*>(addr);
+    for (const std::uint32_t off : {8u, 9u, len / 2 + 3, len - 1}) {
+      p[off] ^= 0x10;
+      EXPECT_FALSE(kv::VersionedValueIntact(addr, len, 77))
+          << "len " << len << " off " << off;
+      p[off] ^= 0x10;
+      EXPECT_TRUE(kv::VersionedValueIntact(addr, len, 77));
+    }
+    // A bumped version tag no longer matches the payload it heads.
+    kv::SetValueVersion(addr, 4);
+    EXPECT_FALSE(kv::VersionedValueIntact(addr, len, 77)) << len;
+  }
 }
 
 TEST_F(TableTest, NeighborhoodCoversConfiguredBuckets) {

@@ -6,6 +6,7 @@
 // injector eats the original transmission.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -564,6 +565,67 @@ TEST(TransportSr, OutRetransmitsGoBackNUnderRandomLossSameSeed) {
   EXPECT_EQ(sr.sacks_sent, sr2.sacks_sent);
 }
 
+TEST(TransportSr, LossyFlowsOfBothModesPutNoEventOnTheHeap) {
+  // Every per-packet and per-ACK event fits the engine's inline slot; the
+  // ACK-arrival capture reaches the transport through its flow, so even an
+  // ACK carrying SACK ranges schedules without a heap fallback.
+  for (const auto mode :
+       {sim::TransportMode::kGoBackN, sim::TransportMode::kSelectiveRepeat}) {
+    sim::Simulator s;
+    sim::Fabric f;
+    const int a = f.Attach({8.0, 100});
+    const int b = f.Attach({8.0, 100});
+    TransportConfig cfg = LegibleConfig();
+    cfg.mode = mode;
+    cfg.loss = 0.05;
+    cfg.seed = 42 + SeedOffset();
+    Transport tr(s, f, cfg);
+    const int flow = tr.OpenFlow(a, b);
+    int delivered = 0;
+    for (int i = 0; i < 40; ++i) {
+      tr.SendMessage(flow, 0, 2500, [&](Nanos) { ++delivered; });
+    }
+    s.Run();
+    EXPECT_EQ(delivered, 40);
+    EXPECT_GT(tr.counters().retransmits, 0u);
+    EXPECT_EQ(s.heap_fallbacks(), 0u);
+  }
+}
+
+TEST(TransportSr, HolesOnBothSidesOfPsnWordEdgesResendOnceInOrder) {
+  // A window of 256 keeps four 64-PSN words of holes and SACK state live
+  // at once. Each hole is one lost single-packet message, placed on both
+  // sides of the word edges; each must be resent exactly once from the
+  // SACK ranges, and everything delivered once, in order.
+  sim::Simulator s;
+  sim::Fabric f;
+  const int a = f.Attach({8.0, 100});
+  const int b = f.Attach({8.0, 100});
+  TransportConfig cfg = LegibleConfig();
+  cfg.mode = sim::TransportMode::kSelectiveRepeat;
+  cfg.window = 256;
+  cfg.rto = 10'000'000;  // the SACKs alone must recover every hole
+  Transport tr(s, f, cfg);
+  const int flow = tr.OpenFlow(a, b);
+  const std::vector<int> holes = {63, 64, 127, 128, 191};
+  std::vector<int> order;
+  for (int i = 0; i < 200; ++i) {
+    // The window is open, so message i's one packet (PSN i) leaves now.
+    if (std::find(holes.begin(), holes.end(), i) != holes.end()) {
+      tr.DropNextData(1);
+    }
+    tr.SendMessage(flow, 0, 500, [&order, i](Nanos) { order.push_back(i); });
+  }
+  s.Run();
+  ASSERT_EQ(order.size(), 200u);
+  for (int i = 0; i < 200; ++i) EXPECT_EQ(order[i], i);
+  EXPECT_EQ(tr.counters().dropped_tx, holes.size());
+  EXPECT_EQ(tr.counters().sack_retransmits, holes.size());
+  EXPECT_EQ(tr.counters().retransmits, holes.size());
+  EXPECT_EQ(tr.counters().rto_fires, 0u);
+  EXPECT_EQ(tr.counters().messages_acked, 200u);
+}
+
 TEST(TransportRnr, NakBacksOffThenDeliversWhenReceiverTurnsReady) {
   sim::Simulator s;
   sim::Fabric f;
@@ -702,6 +764,51 @@ TEST(TransportRnr, MidMessageAckedIntoBodyThenRnrRewindStillRecovers) {
   EXPECT_EQ(sr.retransmits, 1u);
 }
 
+TEST(TransportRnr, RewindOfAMessageWiderThanTheWindowResendsOnePacket) {
+  // The shape above at window 64 with 80- and 200-segment messages: the
+  // RNR rewind takes the sender's base back to PSN 0 while the NAK's SACK
+  // marks PSNs 1 to segs - 1 received, and the receiver re-holds that
+  // same span. Both PSN sets then span more than the window, so a ring of
+  // `window` bits would file PSN 64 as PSN 0 and never resend it; the
+  // sets must grow instead, and only PSN 0 is resent.
+  for (const int segs : {80, 200}) {
+    sim::Simulator s;
+    sim::Fabric f;
+    const int a = f.Attach({8.0, 100});
+    const int b = f.Attach({8.0, 100});
+    TransportConfig cfg = LegibleConfig();
+    cfg.mode = sim::TransportMode::kSelectiveRepeat;
+    cfg.window = 64;
+    cfg.rnr_retry_count = 7;
+    cfg.min_rnr_timer = 1;
+    cfg.retry_count = 3;  // a regression fails fast here instead of hanging
+    Transport tr(s, f, cfg);
+    const int flow = tr.OpenFlow(a, b);
+
+    int rejects = 1;
+    int delivered = 0;
+    int acked = 0;
+    int failed = 0;
+    Transport::MessageOps ops;
+    ops.rnr_probe = [&](Nanos) { return rejects-- <= 0; };
+    ops.on_deliver = [&](Nanos) { ++delivered; };
+    ops.on_acked = [&](Nanos) { ++acked; };
+    ops.on_failed = [&](Nanos, sim::MsgFailure) { ++failed; };
+    tr.SendMessageEx(flow, 0, static_cast<std::uint64_t>(segs) * 1000,
+                     std::move(ops));
+    s.Run();
+
+    SCOPED_TRACE(segs);
+    EXPECT_EQ(failed, 0);
+    EXPECT_EQ(delivered, 1);
+    EXPECT_EQ(acked, 1);
+    EXPECT_EQ(tr.counters().rnr_naks, 1u);
+    EXPECT_EQ(tr.counters().rnr_backoffs, 1u);
+    EXPECT_EQ(tr.counters().retransmits, 1u);
+    EXPECT_EQ(tr.counters().rto_fires, 0u);
+  }
+}
+
 TEST(Transport, TimeoutExponentSetsBaseRtoAndDoublesPerConsecutiveFire) {
   sim::Simulator s;
   sim::Fabric f;
@@ -725,6 +832,43 @@ TEST(Transport, TimeoutExponentSetsBaseRtoAndDoublesPerConsecutiveFire) {
   EXPECT_LT(acked[0], Nanos{20'000});
   EXPECT_EQ(tr.counters().rto_fires, 1u);
   EXPECT_EQ(tr.counters().timeouts, 1u);
+}
+
+TEST(Transport, ProgressAfterABackedOffTimeoutRearmsAtTheBaseInterval) {
+  // A flow keeps one pending RTO event and re-arms it lazily, but an
+  // earlier deadline must still win. The first timeout doubles the
+  // interval, so the event it leaves pending is due 2 x rto later.
+  // Cumulative progress then resets the doubling while a second, lost
+  // message is outstanding: the next timeout is due one base interval
+  // after that progress, not at the doubled instant.
+  sim::Simulator s;
+  sim::Fabric f;
+  const int a = f.Attach({8.0, 100});
+  const int b = f.Attach({8.0, 100});
+  Transport tr(s, f, LegibleConfig());  // rto 20 us, go-back-N
+  const int flow = tr.OpenFlow(a, b);
+  std::vector<Nanos> acked;
+  auto on_acked = [&](Nanos t) { acked.push_back(t); };
+  tr.DropNextData(1);
+  tr.SendMessage(flow, 0, 500, [](Nanos) {}, on_acked);
+  // The RTO at 20000 resends PSN 0 and re-arms for 20000 + 40000. Queue a
+  // second one-packet message behind the resend, and lose it too.
+  s.At(20'100, [&] {
+    tr.DropNextData(1);
+    tr.SendMessage(flow, s.now(), 500, [](Nanos) {}, on_acked);
+  });
+  s.Run();
+
+  // PSN 0's resend clears a's TX pipe at 20530 and b's RX pipe at 21260;
+  // its ACK lands at 21520. That progress re-arms the RTO for
+  // 21520 + 20000 = 41520, which resends PSN 1 (TX 42050, RX 42780) and
+  // its ACK lands at 43040. The doubled instant would have acked ~61500.
+  ASSERT_EQ(acked.size(), 2u);
+  EXPECT_EQ(acked[0], 21'520);
+  EXPECT_EQ(acked[1], 43'040);
+  EXPECT_EQ(tr.counters().rto_fires, 2u);
+  EXPECT_EQ(tr.counters().timeouts, 2u);
+  EXPECT_EQ(tr.counters().retransmits, 2u);
 }
 
 // Device-level reliability bed: selective repeat + finite budgets.
