@@ -122,14 +122,7 @@ int main(int argc, char** argv) {
               "  multi-RTO timer first\n",
               off.max_blip_us, host.max_blip_us, blip_ratio);
 
-  const bool stable =
-      again.gets == off.gets && again.duration_us == off.duration_us &&
-      again.avg_us == off.avg_us && again.p50_us == off.p50_us &&
-      again.p99_us == off.p99_us && again.p999_us == off.p999_us &&
-      again.max_blip_us == off.max_blip_us &&
-      again.detour_responses == off.detour_responses &&
-      again.data_packets == off.data_packets &&
-      again.retransmits == off.retransmits && again.events == off.events;
+  const bool stable = again == off;
 
   const double events_per_sec =
       static_cast<double>(off.events + host.events + again.events) / wall_secs;

@@ -113,17 +113,7 @@ int main(int argc, char** argv) {
           .count();
   const auto& lossiest = results.back();
   const auto& sr_lossiest = sr_results.back();
-  const bool stable = again.gets == lossiest.gets &&
-                      again.duration_us == lossiest.duration_us &&
-                      again.avg_us == lossiest.avg_us &&
-                      again.p99_us == lossiest.p99_us &&
-                      again.retransmits == lossiest.retransmits &&
-                      again.goodput_gbps == lossiest.goodput_gbps &&
-                      sr_again.gets == sr_lossiest.gets &&
-                      sr_again.duration_us == sr_lossiest.duration_us &&
-                      sr_again.retransmits == sr_lossiest.retransmits &&
-                      sr_again.sack_retransmits == sr_lossiest.sack_retransmits &&
-                      sr_again.goodput_gbps == sr_lossiest.goodput_gbps;
+  const bool stable = again == lossiest && sr_again == sr_lossiest;
 
   bench::Section("collapse and recovery-mode delta");
   std::printf("  gbn goodput %.2f -> %.2f Gb/s and p99 %.1f -> %.1f us from "
@@ -181,15 +171,7 @@ int main(int argc, char** argv) {
     const double wall_many = timed(sim_shards, &many);
     timed(sim_shards, &many2);  // same-config rerun for the stability check
     wall_speedup = wall_one / wall_many;
-    sharded_stable =
-        (many.gets == many2.gets && many.duration_us == many2.duration_us &&
-         many.avg_us == many2.avg_us && many.p99_us == many2.p99_us &&
-         many.retransmits == many2.retransmits &&
-         many.goodput_gbps == many2.goodput_gbps &&
-         many.mailbox_sends == many2.mailbox_sends &&
-         many.sync_rounds == many2.sync_rounds)
-            ? 1
-            : 0;
+    sharded_stable = many == many2 ? 1 : 0;
     std::printf("  %d clients x %d gets at 1%% loss: %.3f s on 1 shard, "
                 "%.3f s on %d shards — wall_speedup x%.2f\n",
                 sharded_cfg(1).clients, gets, wall_one, wall_many, sim_shards,

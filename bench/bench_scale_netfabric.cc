@@ -80,11 +80,7 @@ int main(int argc, char** argv) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   const auto& widest = results.back();
-  const bool stable = again.gets == widest.gets &&
-                      again.duration_us == widest.duration_us &&
-                      again.avg_us == widest.avg_us &&
-                      again.p99_us == widest.p99_us &&
-                      again.server_tx_util == widest.server_tx_util;
+  const bool stable = again == widest;
 
   const auto& one = results.front();
   const double speedup = widest.gets_per_sec / one.gets_per_sec;
@@ -164,12 +160,7 @@ int main(int argc, char** argv) {
     std::printf("  wall %.3f s single-domain vs %.3f s sharded -> %.2fx\n",
                 wall_1shard, wall_sharded, wall_speedup);
 
-    const bool sharded_stable =
-        s1.gets == s2.gets && s1.duration_us == s2.duration_us &&
-        s1.avg_us == s2.avg_us && s1.p99_us == s2.p99_us &&
-        s1.server_tx_util == s2.server_tx_util && s1.events == s2.events &&
-        s1.mailbox_sends == s2.mailbox_sends &&
-        s1.sync_rounds == s2.sync_rounds;
+    const bool sharded_stable = s1 == s2;
 
     bench::JsonWriter("scale_netfabric_sharded")
         .Field("shards", static_cast<std::uint64_t>(shards))

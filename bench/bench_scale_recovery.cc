@@ -140,18 +140,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(r.ryw_violations),
               static_cast<unsigned long long>(r.value_divergence));
 
-  const bool stable =
-      again.gets == r.gets && again.puts == r.puts &&
-      again.acked_puts_full == r.acked_puts_full &&
-      again.degraded_acks == r.degraded_acks &&
-      again.chain_forwards == r.chain_forwards &&
-      again.resync_keys_applied == r.resync_keys_applied &&
-      again.resync_keys_kept == r.resync_keys_kept &&
-      again.degraded_window_us == r.degraded_window_us &&
-      again.p99_us == r.p99_us && again.p999_us == r.p999_us &&
-      again.put_p999_us == r.put_p999_us &&
-      again.data_packets == r.data_packets &&
-      again.retransmits == r.retransmits && again.events == r.events;
+  const bool stable = again == r;
 
   // --- sharded engine (--sim-shards N): the same fault lifecycle with the
   // tenant NICs spread across event domains (the KV shard NICs and the
@@ -214,14 +203,7 @@ int main(int argc, char** argv) {
     const double wall_many = timed(sim_shards, &many);
     timed(sim_shards, &many2);
     wall_speedup = wall_one / wall_many;
-    sharded_stable =
-        (many.gets == many2.gets && many.puts == many2.puts &&
-         many.p99_us == many2.p99_us && many.put_p99_us == many2.put_p99_us &&
-         many.data_packets == many2.data_packets &&
-         many.degraded_window_us == many2.degraded_window_us &&
-         many.events == many2.events)
-            ? 1
-            : 0;
+    sharded_stable = many == many2 ? 1 : 0;
     std::printf("  %d tenants x %d ops through crash+resync: %.3f s on 1 "
                 "domain, %.3f s on %d — wall_speedup x%.2f\n", tenants, ops,
                 wall_one, wall_many, sim_shards, wall_speedup);

@@ -4,8 +4,8 @@
 # diff all 15 fig/table paper benches against committed golden stdout (and
 # the KV scale benches' seed-1 --quick JSON records against
 # tests/golden/scale/) so semantic regressions (timing, ordering,
-# completion counting) fail loudly instead of rotting silently, and
-# smoke-run the repo benchmark (bench/e2e).
+# completion counting) fail loudly instead of rotting silently, run every
+# example program, and smoke-run the repo benchmark (bench/e2e).
 #
 # An ASan+UBSan Debug build then re-runs the whole ctest suite — the
 # slab/inline-callback fast paths are exactly the code sanitizers exist
@@ -97,7 +97,10 @@ sanitize_stage() {
   # Re-run the reliability-engine tests at three extra RNG seeds: their
   # assertions are seed invariants (recovery completes, replay is
   # bit-stable, SR resends less than GBN), and shifting the loss pattern
-  # walks ASan through different reassembly/flush/re-arm interleavings.
+  # walks ASan through different reassembly and flush interleavings. Only
+  # TransportSr.*'s randomized-loss tests read the seed; the QP error and
+  # re-arm paths (ReliabilityBed.*, and kv_recovery_test below) replay one
+  # interleaving at every seed.
   echo "=== ASan+UBSan transport reliability seed sweep ==="
   for seed in 1 2 3; do
     (cd build-asan &&
@@ -413,6 +416,19 @@ for golden in tests/golden/*.golden; do
     fail=1
   else
     echo "OK:   ${b} matches golden"
+  fi
+done
+
+# Every example program is a self-checking end-to-end run of one public
+# API (several set workload configs, e.g. resilient_kv's failover policy):
+# each must exit 0.
+echo "=== examples ==="
+for ex in ./build-release/example_*; do
+  if ! "${ex}" >/dev/null; then
+    echo "FAIL: $(basename "${ex}") exited non-zero" >&2
+    fail=1
+  else
+    echo "OK:   $(basename "${ex}")"
   fi
 done
 

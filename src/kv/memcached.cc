@@ -47,9 +47,4 @@ void MemcachedServer::CrashProcess() {
   });
 }
 
-void MemcachedServer::CrashOs(sim::Nanos down_for) {
-  rpc_.set_alive(false);
-  dev_.sim().After(down_for, [this] { rpc_.set_alive(true); });
-}
-
 }  // namespace redn::kv

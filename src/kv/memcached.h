@@ -62,9 +62,6 @@ class MemcachedServer {
   // Kills the Memcached process now. The RPC front goes dark until restart
   // completes; resources owned by kAppPid are reclaimed by the OS.
   void CrashProcess();
-  // Kernel panic: the host CPU freezes for `down_for`; NIC resources are
-  // untouched (no process exit, nothing reclaimed).
-  void CrashOs(sim::Nanos down_for);
   bool process_alive() const { return process_alive_; }
   std::uint64_t items() const { return table_.size(); }
 

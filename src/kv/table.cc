@@ -194,8 +194,4 @@ std::uint32_t RdmaHashTable::NeighborhoodBytes() const {
   return static_cast<std::uint32_t>(cfg_.neighborhood * kBucketSize);
 }
 
-std::uint64_t RdmaHashTable::BucketKeyAt(std::size_t index) const {
-  return rnic::dma::ReadU64(SlotAddr(index) + kBucketKeyOff);
-}
-
 }  // namespace redn::kv

@@ -137,9 +137,6 @@ class RdmaHashTable {
   std::size_t size() const { return count_; }
   std::size_t buckets() const { return cfg_.buckets; }
 
-  // Direct bucket access for tests.
-  std::uint64_t BucketKeyAt(std::size_t index) const;
-
  private:
   std::size_t IndexOf1(std::uint64_t key) const;
   std::size_t IndexOf2(std::uint64_t key) const;

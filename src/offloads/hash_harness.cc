@@ -107,27 +107,10 @@ bool HashGetHarness::ResponseMatchesPattern(std::uint64_t key,
   return true;
 }
 
-void HashGetHarness::PutVersioned(std::uint64_t key, std::uint32_t len,
-                                  std::uint64_t version) {
-  const std::uint64_t ptr = heap_->Reserve(len);
-  kv::WriteVersionedValue(ptr, len, key, version);
-  table_->Insert(key, ptr, len);
-}
-
 std::uint64_t HashGetHarness::ResponseVersion() const {
   std::uint64_t v = 0;
   std::memcpy(&v, resp_buf_.get(), sizeof(v));
   return v;
-}
-
-bool HashGetHarness::ResponseMatchesVersionedPattern(std::uint64_t key,
-                                                     std::uint32_t len) const {
-  const std::uint64_t version = ResponseVersion();
-  const auto* p = reinterpret_cast<const std::uint8_t*>(resp_buf_.get());
-  for (std::uint32_t i = kv::kValueVersionBytes; i < len; ++i) {
-    if (p[i] != kv::VersionedPatternByte(key, version, i)) return false;
-  }
-  return true;
 }
 
 void HashGetHarness::Arm(int n) {
@@ -138,28 +121,17 @@ void HashGetHarness::ArmAhead(int n) {
   offload_->ArmAhead(n, resp_mr_.addr, resp_mr_.rkey);
 }
 
-namespace {
-void CycleQp(rnic::QueuePair* qp) {
-  if (qp == nullptr) return;
-  rnic::RnicDevice* dev = qp->device;
-  dev->ModifyQp(qp, rnic::QpState::kReset);
-  dev->ModifyQp(qp, rnic::QpState::kInit);
-  dev->ModifyQp(qp, rnic::QpState::kRtr);
-  dev->ModifyQp(qp, rnic::QpState::kRts);
-}
-}  // namespace
-
 void HashGetHarness::RearmTransportClientHalf() {
-  CycleQp(cli_qp1_);
-  CycleQp(cli_qp2_);
+  rnic::CycleQp(cli_qp1_);
+  if (cli_qp2_ != nullptr) rnic::CycleQp(cli_qp2_);
   // The reset discarded every pending RECV — the client response buffers.
   recvs_outstanding_1_ = 0;
   recvs_outstanding_2_ = 0;
 }
 
 void HashGetHarness::RearmTransportServerHalf(int n) {
-  CycleQp(srv_qp1_);
-  CycleQp(srv_qp2_);
+  rnic::CycleQp(srv_qp1_);
+  if (srv_qp2_ != nullptr) rnic::CycleQp(srv_qp2_);
   // The replacement program's chain r gates on trigger-CQ count
   // first_seq + r; seed it with what the wrecked program consumed (error
   // flushes bumped the count too, so read the CQ rather than triggers_).

@@ -53,7 +53,7 @@ class HashGetHarness {
   // keep fewer than max_requests / 2 triggers in flight.
   void ArmAhead(int n);
 
-  // Transport-connected recovery (the kill-and-reconnect path), in two
+  // Transport-connected recovery (RunKvService's heal re-arm), in two
   // halves so each runs on the event domain that owns its NIC (a reset
   // fences that QP's transport flow, so the cycle must run on the flow's
   // sender domain). The client half cycles the client QPs through
@@ -118,17 +118,8 @@ class HashGetHarness {
   // Checks the last response payload against the PutPattern for `key`.
   bool ResponseMatchesPattern(std::uint64_t key, std::uint32_t len) const;
 
-  // --- Versioned write path (chain-replicated KV service) ---
-  // Seeds `key` with a kv::WriteVersionedValue layout at `version`
-  // (u64 tag + deterministic payload; len >= kv::kValueVersionBytes).
-  void PutVersioned(std::uint64_t key, std::uint32_t len,
-                    std::uint64_t version = 0);
   // Version tag of the last response (first 8 bytes of the response buf).
   std::uint64_t ResponseVersion() const;
-  // Checks the last response against the versioned layout for (key, its
-  // own embedded tag) — the RYW check then compares the tag separately.
-  bool ResponseMatchesVersionedPattern(std::uint64_t key,
-                                       std::uint32_t len) const;
 
  private:
   void Init(std::size_t max_value);

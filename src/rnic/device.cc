@@ -1271,6 +1271,13 @@ void RnicDevice::ModifyQp(QueuePair* qp, QpState next) {
   }
 }
 
+void CycleQp(QueuePair* qp) {
+  qp->device->ModifyQp(qp, QpState::kReset);
+  qp->device->ModifyQp(qp, QpState::kInit);
+  qp->device->ModifyQp(qp, QpState::kRtr);
+  qp->device->ModifyQp(qp, QpState::kRts);
+}
+
 sim::Nanos RnicDevice::PuService(Opcode op) const {
   switch (op) {
     case Opcode::kNoop: return cal_.pu_noop;
@@ -1387,17 +1394,6 @@ const char* RnicDevice::BusiestResource(sim::Nanos window) const {
     who = "PCIe bw";
   }
   return who;
-}
-
-const char* QpStateName(QpState s) {
-  switch (s) {
-    case QpState::kReset: return "RESET";
-    case QpState::kInit: return "INIT";
-    case QpState::kRtr: return "RTR";
-    case QpState::kRts: return "RTS";
-    case QpState::kError: return "ERROR";
-  }
-  return "UNKNOWN";
 }
 
 void Connect(QueuePair* a, QueuePair* b, sim::Nanos one_way) {

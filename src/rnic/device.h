@@ -51,8 +51,6 @@ class RnicDevice;
 // and ModifyQp kReset -> kInit -> kRtr -> kRts re-arms it.
 enum class QpState : std::uint8_t { kReset, kInit, kRtr, kRts, kError };
 
-const char* QpStateName(QpState s);
-
 // Queue pair: a send queue + receive queue bound to CQs and a port.
 struct QueuePair {
   std::uint32_t id = 0;
@@ -515,6 +513,10 @@ class RnicDevice {
   // translation cache's invalidation filter).
   WriteWatchSet ring_watches_;
 };
+
+// Re-arms `qp` on its own device through the full ModifyQp cycle,
+// kReset -> kInit -> kRtr -> kRts: the recovery of an errored QP.
+void CycleQp(QueuePair* qp);
 
 // Connects two QPs as an RC pair with the given one-way wire latency.
 // Pass one_way = 0 and the same device for a loopback connection (the

@@ -55,14 +55,6 @@ int CompletionQueue::Poll(sim::Nanos now, int max, Cqe* out) {
   return n;
 }
 
-std::size_t CompletionQueue::HostDepth(sim::Nanos now) const {
-  std::size_t n = 0;
-  for (const auto& [t, cqe] : host_entries_) {
-    if (t <= now) ++n;
-  }
-  return n;
-}
-
 void WorkQueue::Init(QueuePair* qp, bool is_send, std::byte* slots,
                      std::uint32_t capacity, bool managed, CompletionQueue* cq,
                      int pu_index) {

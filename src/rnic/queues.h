@@ -88,7 +88,6 @@ class CompletionQueue {
   // --- host side ---
   // Pops up to `max` CQEs visible at time `now`.
   int Poll(sim::Nanos now, int max, Cqe* out);
-  std::size_t HostDepth(sim::Nanos now) const;
   // Instant at which the oldest undelivered host entry becomes pollable
   // (CQEs are polled in completion order, so the front entry gates the
   // rest), or -1 if none is in flight. Poll helpers use this to advance

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <numeric>
 #include <stdexcept>
 
@@ -57,24 +56,8 @@ void ThroughputTimeline::Record(Nanos when) {
   if (b < counts_.size()) ++counts_[b];
 }
 
-double ThroughputTimeline::BucketStartSeconds(std::size_t bucket) const {
-  return ToSeconds(static_cast<Nanos>(bucket) * bucket_width_);
-}
-
 double ThroughputTimeline::Rate(std::size_t bucket) const {
   return static_cast<double>(counts_[bucket]) / ToSeconds(bucket_width_);
-}
-
-std::uint64_t ThroughputTimeline::MaxCount() const {
-  std::uint64_t m = 0;
-  for (auto c : counts_) m = std::max(m, c);
-  return m;
-}
-
-std::string Fixed(double v, int digits) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", digits, v);
-  return buf;
 }
 
 }  // namespace redn::sim

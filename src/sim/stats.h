@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/time.h"
@@ -64,17 +63,12 @@ class ThroughputTimeline {
   void Record(Nanos when);
   std::size_t buckets() const { return counts_.size(); }
   std::uint64_t count(std::size_t bucket) const { return counts_[bucket]; }
-  double BucketStartSeconds(std::size_t bucket) const;
   // Ops/sec within the bucket.
   double Rate(std::size_t bucket) const;
-  std::uint64_t MaxCount() const;
 
  private:
   Nanos bucket_width_;
   std::vector<std::uint64_t> counts_;
 };
-
-// Formats a floating value with fixed precision (report helper).
-std::string Fixed(double v, int digits = 2);
 
 }  // namespace redn::sim

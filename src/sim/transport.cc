@@ -14,6 +14,8 @@ constexpr std::uint32_t kMaxBackoffShift = 10;
 // or the RTO (the sender must never mis-learn an unreported hole as
 // received, so `high` clamps to the last reported range).
 constexpr std::size_t kMaxSackRanges = 8;
+// SACK wire cost: bytes added to ack_bytes per missing-PSN range carried.
+constexpr std::uint32_t kSackRangeBytes = 8;
 }  // namespace
 
 TransportCounters& TransportCounters::operator+=(const TransportCounters& o) {
@@ -50,7 +52,7 @@ Transport::Transport(Simulator& sim, Fabric& fabric, TransportConfig cfg)
     : sim_(sim),
       fabric_(fabric),
       cfg_(cfg),
-      default_fault_{cfg.loss, cfg.corrupt} {
+      default_fault_{cfg.loss, 0.0} {
   assert(cfg_.mtu > 0 && "mtu must be positive");
   assert(cfg_.window > 0 && "window must be positive");
 }
@@ -430,7 +432,7 @@ void Transport::SendAck(Flow& f, AckKind kind) {
     }
   }
   const std::uint64_t wire =
-      cfg_.ack_bytes + ranges.size() * cfg_.sack_range_bytes;
+      cfg_.ack_bytes + ranges.size() * kSackRangeBytes;
   r.ctr.wire_bytes_sent += wire;
   const std::uint64_t upto = r.expected;
   const Nanos tx_done = fabric_.ReserveTx(f.dst, DNow(f), wire);

@@ -17,9 +17,10 @@
 //    Packets carry consecutive PSNs; delivery to the caller is always in
 //    order and duplicates are filtered by design.
 //  - Loss/corruption injection: each endpoint link has independent loss and
-//    corruption probabilities (defaults from the config, overridable per
-//    link). A packet eaten at the sender's egress reserves TX bandwidth
-//    only; one dropped or corrupted on ingress has burned both pipes.
+//    corruption probabilities (loss defaults to the config's, corruption to
+//    none; SetLinkFaults overrides both per link). A packet eaten at the
+//    sender's egress reserves TX bandwidth only; one dropped or corrupted
+//    on ingress has burned both pipes.
 //  - Loss recovery, two modes (TransportConfig::mode):
 //      * go-back-N (default): the receiver buffers nothing and NAKs the
 //        first out-of-order packet of a gap; the sender rewinds to the
@@ -128,7 +129,6 @@ struct TransportConfig {
   Nanos ack_delay = 2'000;          // delayed-ACK backstop
   Nanos rto = 50'000;               // base retransmission timeout (see below)
   double loss = 0.0;                // default per-link packet-loss probability
-  double corrupt = 0.0;             // default per-link corruption probability
   std::uint64_t seed = 0x7a115eedULL;
 
   // --- RoCEv2-style reliability engine --------------------------------------
@@ -147,8 +147,6 @@ struct TransportConfig {
   // RNR backoff base: the requester waits 4096ns × 2^min_rnr_timer after an
   // RNR NAK, doubling per consecutive NAK on the same message.
   std::uint32_t min_rnr_timer = 5;
-  // SACK wire cost: bytes added to ack_bytes per missing-PSN range carried.
-  std::uint32_t sack_range_bytes = 8;
 };
 
 struct TransportCounters {

@@ -69,15 +69,6 @@ SendWr MakeWrite(std::uint64_t laddr, std::uint32_t len, std::uint32_t lkey,
   return wr;
 }
 
-SendWr MakeWriteImm(std::uint64_t laddr, std::uint32_t len, std::uint32_t lkey,
-                    std::uint64_t raddr, std::uint32_t rkey, std::uint32_t imm,
-                    bool signaled) {
-  SendWr wr = MakeWrite(laddr, len, lkey, raddr, rkey, signaled);
-  wr.opcode = Opcode::kWriteImm;
-  wr.imm = imm;
-  return wr;
-}
-
 SendWr MakeRead(std::uint64_t laddr, std::uint32_t len, std::uint32_t lkey,
                 std::uint64_t raddr, std::uint32_t rkey, bool signaled) {
   SendWr wr;

@@ -66,9 +66,6 @@ struct RecvWr {
 SendWr MakeNoop(bool signaled = true);
 SendWr MakeWrite(std::uint64_t laddr, std::uint32_t len, std::uint32_t lkey,
                  std::uint64_t raddr, std::uint32_t rkey, bool signaled = true);
-SendWr MakeWriteImm(std::uint64_t laddr, std::uint32_t len, std::uint32_t lkey,
-                    std::uint64_t raddr, std::uint32_t rkey, std::uint32_t imm,
-                    bool signaled = true);
 SendWr MakeRead(std::uint64_t laddr, std::uint32_t len, std::uint32_t lkey,
                 std::uint64_t raddr, std::uint32_t rkey, bool signaled = true);
 SendWr MakeSend(std::uint64_t laddr, std::uint32_t len, std::uint32_t lkey,

@@ -12,14 +12,23 @@
 #include "sim/rng.h"
 #include "sim/sharded.h"
 #include "sim/simulator.h"
+#include "sim/stats.h"
 #include "sim/transport.h"
 #include "verbs/verbs.h"
+#include "workload/topology.h"
 
 namespace redn::workload {
 namespace {
 
 using baseline::TwoSidedKvClient;
 using baseline::TwoSidedKvServer;
+
+// RunFabricScale's packetized transport's base RTO when timeout_exp is 0.
+constexpr sim::Nanos kFabricRto = 60'000;
+
+// RunFailover's throughput-timeline bucket and value size.
+constexpr sim::Nanos kFailoverBucket = sim::Seconds(0.25);
+constexpr std::uint32_t kFailoverValueLen = 64;
 
 // Starts `writers` closed-loop set clients against `server`. Each writer
 // owns a distinct 10K-key range and walks it sequentially (the paper's
@@ -68,33 +77,13 @@ FabricScaleResult RunFabricScale(const FabricScaleConfig& cfg) {
   if (cfg.shards < 1) {
     throw std::invalid_argument("FabricScaleConfig: shards must be >= 1");
   }
-  // Fail fast: the reliability engine and fault scripting only exist on the
-  // packetized transport — silently ignoring these knobs on the lossless
-  // message path has burned people before.
-  if (!cfg.packetized &&
-      (cfg.selective_repeat || cfg.retry_count != 0 ||
-       cfg.rnr_retry_count != 0 || cfg.timeout_exp != 0 ||
-       !cfg.faults.empty())) {
+  // Fail fast: the reliability engine only exists on the packetized
+  // transport — silently ignoring these knobs on the lossless message path
+  // has burned people before.
+  if (!cfg.packetized && (cfg.selective_repeat || cfg.timeout_exp != 0)) {
     throw std::invalid_argument(
-        "FabricScaleConfig: selective_repeat/retry_count/rnr_retry_count/"
-        "timeout_exp and FaultPlan entries require packetized = true");
-  }
-  ValidateFaultPlan(cfg.faults);
-  for (const FaultEntry& e : cfg.faults.entries) {
-    if (e.client < 0 || e.client >= cfg.clients) {
-      throw std::invalid_argument(
-          "FabricScaleConfig: FaultPlan entry needs a valid client index");
-    }
-    if (e.server != -1) {
-      throw std::invalid_argument(
-          "FabricScaleConfig: shard-side faults belong to RunKvService");
-    }
-    if (e.kind == FaultKind::kCrash || e.kind == FaultKind::kFlaky ||
-        e.kind == FaultKind::kSlow) {
-      throw std::invalid_argument(
-          std::string("FabricScaleConfig: ") + FaultKindName(e.kind) +
-          " faults belong to RunKvService");
-    }
+        "FabricScaleConfig: selective_repeat and timeout_exp require "
+        "packetized = true");
   }
   if (!cfg.placement.empty() &&
       cfg.placement.size() != static_cast<std::size_t>(cfg.clients)) {
@@ -114,27 +103,22 @@ FabricScaleResult RunFabricScale(const FabricScaleConfig& cfg) {
   }
 
   sim::ShardedSimulator ssim(cfg.shards);
-  sim::Fabric fabric(cfg.switch_latency);
+  sim::Fabric fabric;
   std::unique_ptr<sim::Transport> transport;
   if (cfg.packetized) {
     sim::TransportConfig tc;
-    tc.mtu = cfg.mtu;
+    tc.rto = kFabricRto;
     tc.loss = cfg.loss;
-    tc.corrupt = cfg.corrupt;
-    tc.rto = cfg.rto;
     tc.seed = cfg.transport_seed;
     tc.mode = cfg.selective_repeat ? sim::TransportMode::kSelectiveRepeat
                                    : sim::TransportMode::kGoBackN;
-    tc.retry_count = cfg.retry_count;
-    tc.rnr_retry_count = cfg.rnr_retry_count;
     tc.timeout_exp = cfg.timeout_exp;
-    tc.min_rnr_timer = cfg.min_rnr_timer;
     transport = std::make_unique<sim::Transport>(ssim.shard(cfg.server_shard),
                                                  fabric, tc);
   }
   rnic::RnicDevice sdev(ssim.shard(cfg.server_shard),
                         rnic::NicConfig::ConnectX5(), {}, "server");
-  sdev.AttachPort(0, fabric, {cfg.server_gbps, cfg.propagation});
+  sdev.AttachPort(0, fabric, kPortLink);
 
   struct Client {
     std::unique_ptr<rnic::RnicDevice> dev;
@@ -147,7 +131,6 @@ FabricScaleResult RunFabricScale(const FabricScaleConfig& cfg) {
     sim::Nanos first_sent = -1;
     sim::Nanos last_resp = 0;
     std::uint64_t error_cqes = 0;
-    bool waiting = false;
   };
   std::vector<Client> clients(static_cast<std::size_t>(cfg.clients));
 
@@ -162,7 +145,7 @@ FabricScaleResult RunFabricScale(const FabricScaleConfig& cfg) {
     c.dev = std::make_unique<rnic::RnicDevice>(
         ssim.shard(c.shard), rnic::NicConfig::ConnectX5(), rnic::Calibration{},
         "client" + std::to_string(i));
-    c.dev->AttachPort(0, fabric, {cfg.client_gbps, cfg.propagation});
+    c.dev->AttachPort(0, fabric, kPortLink);
     c.harness = std::make_unique<offloads::HashGetHarness>(
         *c.dev, sdev,
         // Two probed buckets: keys displaced to H2 stay visible, so the
@@ -203,7 +186,6 @@ FabricScaleResult RunFabricScale(const FabricScaleConfig& cfg) {
     Client& c = clients[static_cast<std::size_t>(i)];
     const sim::Nanos now = ssim.shard(c.shard).now();
     c.t_sent = now;
-    c.waiting = true;
     if (c.first_sent < 0) c.first_sent = now;
     c.harness->SendTrigger(visible[c.rng.NextBelow(visible.size())]);
   };
@@ -214,12 +196,10 @@ FabricScaleResult RunFabricScale(const FabricScaleConfig& cfg) {
       rnic::Cqe cqe;
       while (cl.dev->PollCq(cl.harness->client_recv_cq(), 1, &cqe) == 1) {
         if (cqe.status != rnic::WcStatus::kSuccess) {
-          // Flushed RECVs from a QP that died mid-partition; not a get.
-          ++cl.error_cqes;
+          ++cl.error_cqes;  // a flushed RECV, not a get
           continue;
         }
         cl.harness->NoteOpenLoopResponse(cqe.qp_id);
-        cl.waiting = false;
         const sim::Nanos now = ssim.shard(cl.shard).now();
         cl.rec.Add(now - cl.t_sent);
         cl.last_resp = std::max(cl.last_resp, now);
@@ -229,53 +209,6 @@ FabricScaleResult RunFabricScale(const FabricScaleConfig& cfg) {
     // Staggered starts so clients do not issue in artificial lockstep.
     ssim.shard(c.shard).At(static_cast<sim::Nanos>(i) * 200,
                            [&issue, i] { issue(i); });
-  }
-
-  // Fault windows run on the shard that owns the touched state: link-fault
-  // flips on the faulted client's shard (the endpoint's owning domain),
-  // RQ stalls on the server's, and the recovery re-arm splits — the client
-  // half locally, the server half one fabric one-way later (>= the pair's
-  // lookahead floor, and strictly ahead of any reissued trigger, whose
-  // data leg pays the same one-way plus NIC processing).
-  const sim::Nanos hop = 2 * cfg.propagation + cfg.switch_latency;
-  for (const FaultEntry& e : cfg.faults.entries) {
-    const int i = e.client;
-    Client& c = clients[static_cast<std::size_t>(i)];
-    sim::EventDomain& cdom = ssim.shard(c.shard);
-    if (e.kind == FaultKind::kBlackhole) {
-      cdom.At(e.down_at, [&transport, &clients, i] {
-        transport->SetLinkFaults(
-            clients[static_cast<std::size_t>(i)].dev->fabric_endpoint(0), 1.0,
-            0.0);
-      });
-    } else {  // kRnrStall: the probed RQ is server-side state
-      ssim.shard(cfg.server_shard).At(e.down_at, [&sdev, &clients, e, i] {
-        sdev.StallRecvsFor(
-            clients[static_cast<std::size_t>(i)].harness->server_qp(),
-            e.rnr_count);
-      });
-    }
-    if (e.up_at > 0) {
-      cdom.At(e.up_at, [&, e, i] {
-        Client& cl = clients[static_cast<std::size_t>(i)];
-        if (e.kind == FaultKind::kBlackhole) {
-          transport->SetLinkFaults(cl.dev->fabric_endpoint(0), cfg.loss,
-                                   cfg.corrupt);
-        } else if (cl.harness->client_qp()->state != rnic::QpState::kError) {
-          return;  // stall drained transiently; nothing to repair
-        }
-        cl.harness->RearmTransportClientHalf();
-        sim::EventDomain& dom = ssim.shard(cl.shard);
-        const int n = cl.remaining + 4;
-        dom.SendTo(cfg.server_shard, dom.now() + hop, [&clients, i, n] {
-          clients[static_cast<std::size_t>(i)]
-              .harness->RearmTransportServerHalf(n);
-        });
-        // Depth-1 loop: if the outstanding get died with the fault,
-        // nothing will ever poke the notify hook again — reissue it.
-        if (cl.waiting && cl.remaining > 0) issue(i);
-      });
-    }
   }
 
   ssim.RunUntil(sim::Seconds(30));  // drains when the last response lands
@@ -323,8 +256,6 @@ FabricScaleResult RunFabricScale(const FabricScaleConfig& cfg) {
     out.rto_fires = tc.rto_fires;
     out.spurious_retransmits = tc.spurious_retransmits;
     out.sack_retransmits = tc.sack_retransmits;
-    out.rnr_naks = tc.rnr_naks;
-    out.flow_resets = tc.flow_resets;
     out.qp_errors = sdev.counters().qp_errors;
     out.qp_rearms = sdev.counters().qp_rearms;
     for (const Client& c : clients) {
@@ -399,7 +330,7 @@ FailoverResult RunFailover(const FailoverConfig& cfg) {
   rnic::RnicDevice cdev(sim, rnic::NicConfig::ConnectX5(), {}, "client");
   rnic::RnicDevice sdev(sim, rnic::NicConfig::ConnectX5(), {}, "server");
 
-  sim::ThroughputTimeline timeline(cfg.bucket, cfg.horizon);
+  sim::ThroughputTimeline timeline(kFailoverBucket, cfg.horizon);
   std::uint64_t sent = 0;
   auto served = std::make_shared<std::uint64_t>(0);
   const std::uint64_t total_ops = static_cast<std::uint64_t>(
@@ -419,7 +350,7 @@ FailoverResult RunFailover(const FailoverConfig& cfg) {
             .max_requests = static_cast<int>(total_ops) + 32},
         kv::RdmaHashTable::Config{.buckets = 1 << 16});
     for (int k = 1; k <= cfg.keys; ++k) {
-      harness->PutPattern(static_cast<std::uint64_t>(k), cfg.value_len);
+      harness->PutPattern(static_cast<std::uint64_t>(k), kFailoverValueLen);
     }
     harness->SetServerOwner(cfg.hull_parent ? kv::MemcachedServer::kHullPid
                                             : kv::MemcachedServer::kAppPid);
@@ -440,7 +371,7 @@ FailoverResult RunFailover(const FailoverConfig& cfg) {
     mcfg.hull_parent = cfg.hull_parent;
     mc = std::make_unique<kv::MemcachedServer>(sdev, mcfg);
     for (int k = 1; k <= cfg.keys; ++k) {
-      mc->SetPattern(static_cast<std::uint64_t>(k), cfg.value_len);
+      mc->SetPattern(static_cast<std::uint64_t>(k), kFailoverValueLen);
     }
     client = std::make_unique<TwoSidedKvClient>(cdev, mc->rpc(), 4096);
   }
@@ -484,7 +415,7 @@ FailoverResult RunFailover(const FailoverConfig& cfg) {
   // Normalize against the pre-crash plateau.
   double plateau = 1.0;
   const std::size_t crash_bucket =
-      static_cast<std::size_t>(cfg.crash_at / cfg.bucket);
+      static_cast<std::size_t>(cfg.crash_at / kFailoverBucket);
   double sum = 0;
   std::size_t n = 0;
   for (std::size_t b = 1; b + 1 < crash_bucket && b < timeline.buckets(); ++b) {
@@ -497,7 +428,7 @@ FailoverResult RunFailover(const FailoverConfig& cfg) {
     const double norm =
         std::min(1.25, static_cast<double>(timeline.count(b)) / plateau);
     out.normalized.push_back(norm);
-    if (b > 0 && norm < 0.05) out.outage_seconds += sim::ToSeconds(cfg.bucket);
+    if (b > 0 && norm < 0.05) out.outage_seconds += sim::ToSeconds(kFailoverBucket);
   }
   return out;
 }

@@ -3,15 +3,14 @@
 // Each function builds a fresh two-node topology (client(s) + server),
 // runs the workload, and returns the measurements the paper plots. Both the
 // benches and the integration tests call these, so figure generation is a
-// thin formatting layer.
+// thin formatting layer. Scripted fault windows (workload::FaultPlan) are
+// RunKvService's; these drivers inject only their own fixed failures.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "sim/stats.h"
 #include "sim/time.h"
-#include "workload/fault_plan.h"
 
 namespace redn::workload {
 
@@ -23,7 +22,8 @@ namespace redn::workload {
 // (send trigger, await the offloaded WRITE_IMM response, repeat), so
 // per-get latency is exact and aggregate throughput is limited by whatever
 // saturates first — with enough clients and large values, the server's TX
-// link. The per-QP constant-latency path cannot express this: private
+// link. Every endpoint, the server included, has a 25 Gbps link 125 ns from
+// the switch. The per-QP constant-latency path cannot express this: private
 // wires never contend.
 struct FabricScaleConfig {
   int clients = 8;
@@ -32,33 +32,23 @@ struct FabricScaleConfig {
   // not the server NIC's serialized managed-fetch unit — is what saturates.
   std::uint32_t value_len = 16384;
   int keys = 512;                  // keyspace per client
-  double client_gbps = 25.0;       // each client's link
-  double server_gbps = 25.0;       // the shared server link (the bottleneck)
-  sim::Nanos propagation = 125;    // endpoint <-> switch one-way
-  sim::Nanos switch_latency = 0;
   std::uint64_t seed = 1;
 
   // --- packetized lossy transport ------------------------------------------
   // When true, client<->server QPs ride sim::Transport: payloads segment
-  // into `mtu` packets, every link drops/corrupts packets with the given
-  // probabilities, and go-back-N recovers. false keeps the lossless
-  // message-level fabric path (bit-identical to pre-transport behaviour).
+  // into 4096 B packets, every link drops packets with probability `loss`,
+  // and the transport retransmits forever (no retry budget, so no QP ever
+  // errors). false keeps the lossless message-level fabric path
+  // (bit-identical to pre-transport behaviour).
   bool packetized = false;
   double loss = 0.0;               // per-link per-packet loss probability
-  double corrupt = 0.0;            // per-link corruption probability
-  std::uint32_t mtu = 4096;
-  sim::Nanos rto = 60'000;         // retransmission timeout
   std::uint64_t transport_seed = 0x7a115eedULL;
 
   // --- reliability engine (requires packetized) -----------------------------
   // Selective repeat (SACK-range retransmission) instead of go-back-N.
   bool selective_repeat = false;
-  // Consecutive-RTO budget before a flow fails and its QP enters ERROR;
-  // 0 keeps retry-forever.
-  std::uint32_t retry_count = 0;
-  std::uint32_t rnr_retry_count = 0;  // RNR NAK budget; 0 disables RNR path
-  std::uint32_t timeout_exp = 0;      // base RTO = 4096ns << exp when nonzero
-  std::uint32_t min_rnr_timer = 5;    // RNR backoff base exponent
+  // Base RTO = 4096ns << timeout_exp when nonzero, else 60 us.
+  std::uint32_t timeout_exp = 0;
 
   // --- sharded parallel engine ----------------------------------------------
   // The topology runs on a ShardedSimulator of `shards` domains (1 = one
@@ -72,22 +62,10 @@ struct FabricScaleConfig {
   // docs/PARSIM.md). Each client draws its keys from its own stream.
   // Composes with `packetized`: every transport flow runs as per-endpoint
   // halves with per-flow RNG streams (docs/NET.md), so lossy GBN/SR
-  // recovery, RNR backoff, and fault windows all run sharded.
+  // recovery runs sharded.
   int shards = 1;
   std::vector<int> placement;      // client i -> shard id; empty = i % shards
   int server_shard = 0;
-
-  // --- scripted fault injection (requires packetized) -----------------------
-  // Client-side fault windows: each entry names a client (FaultEntry::client;
-  // `server` must stay -1 here — shard-side faults belong to RunKvService)
-  // and a window. kBlackhole blackholes that client's link (loss = 1.0 both
-  // directions): its in-flight gets exhaust their retry budgets, the QPs on
-  // both ends enter ERROR and flush; at `up_at` the link heals, the client
-  // re-arms through the reset->init->rtr->rts cycle and resumes. kRnrStall
-  // drops the next `rnr_count` receiver probe attempts on that client's
-  // server QP (transient RNR NAK/backoff, no error unless the budget dies).
-  // kCrash is not supported for this single-server driver.
-  FaultPlan faults;
 };
 
 struct FabricScaleResult {
@@ -113,8 +91,6 @@ struct FabricScaleResult {
   std::uint64_t rto_fires = 0;
   std::uint64_t spurious_retransmits = 0;
   std::uint64_t sack_retransmits = 0;
-  std::uint64_t rnr_naks = 0;          // transport-level RNR NAKs sent
-  std::uint64_t flow_resets = 0;
   std::uint64_t error_cqes = 0;        // non-success CQEs seen by client loops
   std::uint64_t qp_errors = 0;         // QPs that entered ERROR (all devices)
   std::uint64_t qp_rearms = 0;         // ERROR -> reset -> RTS recoveries
@@ -122,6 +98,9 @@ struct FabricScaleResult {
   int shards = 1;
   std::uint64_t mailbox_sends = 0;     // cross-shard messages posted
   std::uint64_t sync_rounds = 0;       // conservative windows executed
+
+  // Every field is simulated, so same-config reruns compare equal.
+  bool operator==(const FabricScaleResult&) const = default;
 };
 
 FabricScaleResult RunFabricScale(const FabricScaleConfig& cfg);
@@ -146,17 +125,15 @@ ContentionResult RunRedNContention(int writers, int n_gets,
 
 // --- Fig 16: failure resiliency ---------------------------------------------
 //
-// An open-loop client issues gets at `rate_per_sec` for `horizon`; the
-// Memcached process is killed at `crash_at`. Returns per-bucket served
-// throughput, normalized to the pre-crash plateau.
+// An open-loop client issues gets of 64 B values at `rate_per_sec` for
+// `horizon`; the Memcached process is killed at `crash_at`. Returns served
+// throughput per 0.25 s bucket, normalized to the pre-crash plateau.
 struct FailoverConfig {
   bool redn = false;        // NIC-served gets vs two-sided vanilla Memcached
   bool hull_parent = true;  // RDMA resources owned by the empty-hull parent
   double rate_per_sec = 2000;
   sim::Nanos horizon = sim::Seconds(12);
   sim::Nanos crash_at = sim::Seconds(5);
-  sim::Nanos bucket = sim::Seconds(0.25);
-  std::uint32_t value_len = 64;
   int keys = 10'000;
 };
 

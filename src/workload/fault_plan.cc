@@ -17,30 +17,16 @@ sim::Nanos WindowEnd(const FaultEntry& e) {
                               ": " + why);
 }
 
-// Same target node? Server-side entries collide per shard; pure client-side
-// entries (server == -1) collide per client.
-bool SameTarget(const FaultEntry& a, const FaultEntry& b) {
-  if (a.server >= 0 || b.server >= 0) return a.server == b.server;
-  return a.client == b.client;
-}
-
 }  // namespace
-
-const char* FaultKindName(FaultKind k) {
-  switch (k) {
-    case FaultKind::kBlackhole: return "blackhole";
-    case FaultKind::kRnrStall: return "rnr_stall";
-    case FaultKind::kCrash: return "crash";
-    case FaultKind::kFlaky: return "flaky";
-    case FaultKind::kSlow: return "slow";
-  }
-  return "?";
-}
 
 void ValidateFaultPlan(const FaultPlan& plan) {
   const auto& es = plan.entries;
   for (std::size_t i = 0; i < es.size(); ++i) {
     const FaultEntry& e = es[i];
+    if (e.server < 0) {
+      Reject(i, "names no target shard (server " + std::to_string(e.server) +
+                    "); set server to the shard the fault hits");
+    }
     if (e.down_at < 0) {
       Reject(i, "down_at must be >= 0 (got " + std::to_string(e.down_at) +
                     ")");
@@ -74,12 +60,12 @@ void ValidateFaultPlan(const FaultPlan& plan) {
       case FaultKind::kCrash:
         break;
     }
-    // Overlap: two windows on the same node would fight over one link /
+    // Overlap: two windows on the same shard would fight over one link /
     // process (the second down_at fires inside the first window, and the
-    // heals race). Today that fails deep inside the run; reject up front.
+    // heals race). That would fail deep inside the run; reject up front.
     for (std::size_t j = 0; j < i; ++j) {
       const FaultEntry& p = es[j];
-      if (!SameTarget(p, e)) continue;
+      if (p.server != e.server) continue;
       if (e.down_at < WindowEnd(p) && p.down_at < WindowEnd(e)) {
         Reject(i, std::string("window [") + std::to_string(e.down_at) + ", " +
                       (e.up_at == 0 ? std::string("inf")
@@ -88,7 +74,7 @@ void ValidateFaultPlan(const FaultPlan& plan) {
                       std::to_string(p.down_at) + ", " +
                       (p.up_at == 0 ? std::string("inf")
                                     : std::to_string(p.up_at)) +
-                      ") on the same node; stagger the windows or merge "
+                      ") on the same shard; stagger the windows or merge "
                       "the entries");
       }
     }

@@ -1,11 +1,8 @@
-// Scripted, deterministic fault injection for the workload drivers.
+// Scripted, deterministic fault injection for the KV service.
 //
-// A FaultPlan is a schedule of fault windows applied to endpoints of the
-// simulated topology. Every entry names a target (a server/shard index, or
-// a client/tenant index), a kind, and a [down_at, up_at) window in
-// simulated time. Plans replace ad-hoc per-driver fault knobs (the old
-// FabricScaleConfig::partition_at/heal_at client-0 hack) with one schema
-// shared by RunFabricScale and RunKvService.
+// A FaultPlan is a schedule of fault windows applied to the shards of a
+// RunKvService topology, its one interpreter. Every entry names a target
+// shard, a kind, and a [down_at, up_at) window in simulated time.
 //
 // Kinds and their mechanisms (see docs/KV.md):
 //   kBlackhole — Transport::SetLinkFaults(endpoint, loss=1.0): every packet
@@ -22,11 +19,11 @@
 //   kCrash     — RnicDevice::KillProcessResources(shard pid): the shard's
 //                QPs and armed chains die; subsequent triggers are answered
 //                by dead-peer NAKs. up_at = 0 is a permanent crash; a
-//                nonzero up_at is a shard *re-join* (RunKvService): the
-//                process (or a spare replacement adopting the shard's ring
-//                identity) comes back with an empty store, re-arms its QPs,
-//                and anti-entropy re-syncs its key range from the chain
-//                peers (kv::ResyncSession) before serving again.
+//                nonzero up_at is a shard *re-join*: the process (or a
+//                spare replacement adopting the shard's ring identity)
+//                comes back with an empty store, re-arms its QPs, and
+//                anti-entropy re-syncs its key range from the chain peers
+//                (kv::ResyncSession) before serving again.
 //   kFlaky     — gray failure: seeded probabilistic loss *bursts* on the
 //                target's link. Within the window, the link alternates
 //                between `flaky_loss` and the baseline, with burst/gap
@@ -55,16 +52,11 @@ enum class FaultKind : std::uint8_t {
   kSlow,
 };
 
-const char* FaultKindName(FaultKind k);
-
 struct FaultEntry {
-  // Target shard (RunKvService) — the server side of the fault. -1 with
-  // `client` >= 0 targets a client endpoint instead (RunFabricScale's
-  // single-server topology faults clients).
+  // Target shard. Every entry must name one: the default -1 names none, and
+  // ValidateFaultPlan rejects it. A fault hits every tenant's links to the
+  // shard.
   int server = -1;
-  // Client/tenant filter: restricts kRnrStall to one client's QPs, or (in
-  // RunFabricScale) selects the client endpoint to blackhole. -1 = all.
-  int client = -1;
   FaultKind kind = FaultKind::kBlackhole;
   sim::Nanos down_at = 0;
   sim::Nanos up_at = 0;  // 0 = never heals (kCrash: never re-joins)
@@ -81,17 +73,16 @@ struct FaultEntry {
 
 struct FaultPlan {
   std::vector<FaultEntry> entries;
-  bool empty() const { return entries.empty(); }
 };
 
-// Structural validation shared by every driver that consumes a FaultPlan.
-// Throws std::invalid_argument with the entry index and an actionable
-// message on: up_at <= down_at (when up_at != 0), negative down_at,
-// overlapping windows targeting the same node (an entry with up_at == 0
-// extends to infinity), and out-of-range kind parameters (flaky_loss
-// outside (0, 1], non-positive burst/gap/slow_ns, non-positive rnr_count).
-// Driver-specific rules (index ranges, which kinds a driver supports) stay
-// with the driver.
+// Structural validation of a plan. Throws std::invalid_argument with the
+// entry index and an actionable message on: an entry that names no shard
+// (server < 0), up_at <= down_at (when up_at != 0), negative down_at,
+// overlapping windows on the same shard (an entry with up_at == 0 extends
+// to infinity), and out-of-range kind parameters (flaky_loss outside
+// (0, 1], non-positive burst/gap/slow_ns, non-positive rnr_count). The
+// shard count depends on the topology, so RunKvService checks the upper
+// bound of `server`.
 void ValidateFaultPlan(const FaultPlan& plan);
 
 }  // namespace redn::workload

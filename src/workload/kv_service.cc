@@ -23,6 +23,7 @@
 #include "sim/simulator.h"
 #include "sim/transport.h"
 #include "verbs/verbs.h"
+#include "workload/topology.h"
 
 namespace redn::workload {
 namespace {
@@ -32,13 +33,29 @@ namespace {
 constexpr int kServiceDomain = 0;
 // Shard s's server-side resources are owned by this pid (kCrash kills it).
 constexpr int kShardPidBase = 100;
+// Virtual nodes per shard on the hash ring.
+constexpr int kRingVnodes = 16;
+// Transport: base RTO 4096ns << kTimeoutExp = 262 us, RNR backoff base
+// 4096ns << kMinRnrTimer.
+constexpr std::uint32_t kTimeoutExp = 6;
+constexpr std::uint32_t kMinRnrTimer = 1;
+// Failure detectors: the offload policy's keepalive period, and the host
+// policy's RPC timer (16 base RTOs — the multi-RTO stall) plus the host's
+// cost between noticing and re-issuing.
+constexpr sim::Nanos kProbeInterval = 15'000;
+constexpr sim::Nanos kHostTimeout = 16 * (sim::Nanos{4096} << kTimeoutExp);
+constexpr sim::Nanos kHostReissueCost = 2'000;
 // Detour fires a chain can serve per (tenant, shard) over the run.
 constexpr int kDetourArms = 16;
-// Write path: receive slots per put link, ack record size, and the chain
-// edge's in-flight forward ring.
+// Write path: receive slots per put link, ack record size, the chain
+// edge's in-flight forward ring, and the host cost to apply one put at a
+// shard (parse + table update).
 constexpr int kPutSlots = 4;
 constexpr std::uint32_t kAckBytes = 24;
 constexpr std::uint64_t kFwdRing = 256;
+constexpr sim::Nanos kPutApplyCost = 500;
+// Anti-entropy re-sync: RDMA READs a session keeps in flight.
+constexpr int kResyncWindow = 32;
 
 std::size_t Pow2AtLeast(std::size_t n) {
   std::size_t p = 1024;
@@ -194,25 +211,14 @@ void Validate(const KvServiceConfig& cfg) {
   }
   ValidateFaultPlan(cfg.faults);
   for (const FaultEntry& e : cfg.faults.entries) {
-    if (e.server < 0 || e.server >= cfg.shards) {
+    if (e.server >= cfg.shards) {
       throw std::invalid_argument(
           "FaultPlan: entry names an out-of-range shard");
-    }
-    if (e.client >= cfg.tenants) {
-      throw std::invalid_argument(
-          "FaultPlan: entry names an out-of-range tenant");
     }
   }
   if (cfg.put_fraction < 0.0 || cfg.put_fraction > 1.0) {
     throw std::invalid_argument(
         "KvServiceConfig: put_fraction must be in [0, 1]");
-  }
-  if (cfg.resync_window < 1) {
-    throw std::invalid_argument("KvServiceConfig: resync_window must be >= 1");
-  }
-  if (cfg.put_apply_cost < 0) {
-    throw std::invalid_argument(
-        "KvServiceConfig: put_apply_cost must be >= 0");
   }
   if (Versioned(cfg) && cfg.value_len < 2 * kv::kValueVersionBytes) {
     throw std::invalid_argument(
@@ -237,13 +243,13 @@ void Validate(const KvServiceConfig& cfg) {
 }
 
 sim::TransportConfig TransportConfigOf(const KvServiceConfig& cfg) {
-  return {.mtu = cfg.mtu, .loss = cfg.loss, .corrupt = cfg.corrupt,
+  return {.loss = cfg.loss,
           .seed = cfg.transport_seed,
-          .mode = cfg.selective_repeat ? sim::TransportMode::kSelectiveRepeat
-                                       : sim::TransportMode::kGoBackN,
+          .mode = sim::TransportMode::kSelectiveRepeat,
           .retry_count = cfg.retry_count,
           .rnr_retry_count = cfg.rnr_retry_count,
-          .timeout_exp = cfg.timeout_exp, .min_rnr_timer = cfg.min_rnr_timer};
+          .timeout_exp = kTimeoutExp,
+          .min_rnr_timer = kMinRnrTimer};
 }
 
 // One end of a QP pair on `dev`, owned by pid `owner` (a shard end dies
@@ -257,13 +263,6 @@ rnic::QueuePair* MakeQp(rnic::RnicDevice& dev, int owner,
   qc.recv_cq = dev.CreateCq();
   qc.owner_pid = owner;
   return dev.CreateQp(qc);
-}
-
-void CycleQp(rnic::QueuePair* q) {
-  q->device->ModifyQp(q, rnic::QpState::kReset);
-  q->device->ModifyQp(q, rnic::QpState::kInit);
-  q->device->ModifyQp(q, rnic::QpState::kRtr);
-  q->device->ModifyQp(q, rnic::QpState::kRts);
 }
 
 bool QpUnhealthy(const rnic::QueuePair* q) {
@@ -291,9 +290,8 @@ class KvService {
       : cfg_(cfg),
         ssim_(cfg.sim_shards),
         sim_(ssim_.shard(kServiceDomain)),
-        fabric_(cfg.switch_latency),
         transport_(sim_, fabric_, TransportConfigOf(cfg)),
-        ring_(cfg.shards, cfg.ring_vnodes, cfg.seed),
+        ring_(cfg.shards, kRingVnodes, cfg.seed),
         shards_(static_cast<std::size_t>(cfg.shards)),
         tenants_(static_cast<std::size_t>(cfg.tenants)),
         versioned_(Versioned(cfg)),
@@ -314,10 +312,6 @@ class KvService {
     }
     rot_ = std::max<std::size_t>(
         1, nkeys / static_cast<std::size_t>(cfg_.tenants));
-    const sim::Nanos base_rto =
-        cfg_.timeout_exp > 0 ? (sim::Nanos{4096} << cfg_.timeout_exp)
-                             : transport_.config().rto;
-    host_timeout_ = cfg_.host_timeout > 0 ? cfg_.host_timeout : 16 * base_rto;
     // Gray failure: flaky windows draw their burst and gap lengths from a
     // per-entry RNG, so they are deterministic per (seed, entry).
     flaky_on_.assign(cfg_.faults.entries.size(), 0);
@@ -374,8 +368,7 @@ class KvService {
       return;
     }
     sim::Simulator& src = ssim_.shard(from);
-    src.SendTo(to, src.now() + 2 * cfg_.propagation + cfg_.switch_latency,
-               std::move(fn));
+    src.SendTo(to, src.now() + 2 * kPortLink.propagation, std::move(fn));
   }
 
   // --- set-up ------------------------------------------------------------
@@ -388,7 +381,7 @@ class KvService {
       S.dev = std::make_unique<rnic::RnicDevice>(
           sim_, rnic::NicConfig::ConnectX5(), rnic::Calibration{},
           "shard" + std::to_string(s));
-      S.dev->AttachPort(0, fabric_, {cfg_.gbps, cfg_.propagation});
+      S.dev->AttachPort(0, fabric_, kPortLink);
     }
     for (int t = 0; t < cfg_.tenants; ++t) {
       Tenant& T = tenant(t);
@@ -398,7 +391,7 @@ class KvService {
       T.dev = std::make_unique<rnic::RnicDevice>(
           tsim(t), rnic::NicConfig::ConnectX5(), rnic::Calibration{},
           "tenant" + std::to_string(t));
-      T.dev->AttachPort(0, fabric_, {cfg_.gbps, cfg_.propagation});
+      T.dev->AttachPort(0, fabric_, kPortLink);
       T.links.resize(static_cast<std::size_t>(cfg_.shards));
       T.rng = sim::Rng(cfg_.seed * 0x9e3779b97f4a7c15ULL +
                        static_cast<std::uint64_t>(t + 1));
@@ -642,7 +635,7 @@ class KvService {
       if (T.is_put || cfg_.policy == FailoverPolicy::kHostReissue ||
           target != p) {
         Watch(t);
-      } else if (cfg_.probe_interval > 0) {
+      } else {
         Probe(t, p);
       }
       return;
@@ -667,13 +660,13 @@ class KvService {
   }
 
   // Keepalive: while the same send is pending against primary `p`, ping the
-  // probe QP every probe_interval. A dead or blackholed shard turns a probe
+  // probe QP every kProbeInterval. A dead or blackholed shard turns a probe
   // into the failure CQE that fires the detour chain; a completed get
   // cancels the next tick via the seq/attempt guard.
   void Probe(int t, int p) {
     const Tenant& T = tenant(t);
-    tsim(t).After(cfg_.probe_interval, [this, t, p, seq = T.seq,
-                                        attempt = T.attempt] {
+    tsim(t).After(kProbeInterval, [this, t, p, seq = T.seq,
+                                   attempt = T.attempt] {
       Tenant& W = tenant(t);
       if (!W.waiting || W.seq != seq || W.attempt != attempt) return;
       const Link& L = link(t, p);
@@ -697,7 +690,7 @@ class KvService {
 
   void Watch(int t) {
     const Tenant& T = tenant(t);
-    tsim(t).After(host_timeout_, [this, t, seq = T.seq, attempt = T.attempt] {
+    tsim(t).After(kHostTimeout, [this, t, seq = T.seq, attempt = T.attempt] {
       Tenant& W = tenant(t);
       if (!W.waiting || W.seq != seq || W.attempt != attempt) return;
       // The send is stuck past the application RPC timer: declare its
@@ -705,7 +698,7 @@ class KvService {
       // Puts have no detour chain: the watchdog is their only detector.
       W.dead[static_cast<std::size_t>(W.target)] = 1;
       ++(W.is_put ? W.put_retry : W.host_reissues);
-      tsim(t).After(cfg_.host_reissue_cost, [this, t, seq] {
+      tsim(t).After(kHostReissueCost, [this, t, seq] {
         const Tenant& W2 = tenant(t);
         if (W2.waiting && W2.seq == seq) Send(t);
       });
@@ -777,7 +770,7 @@ class KvService {
     for (int t = 0; t < cfg_.tenants; ++t) {
       for (int s = 0; s < cfg_.shards; ++s) {
         Link& L = link(t, s);
-        // Shard side: request arrival -> host apply after put_apply_cost.
+        // Shard side: request arrival -> host apply after kPutApplyCost.
         L.req_srv->recv_cq->SetHostNotify([this, t, s] {
           Link& LL = link(t, s);
           rnic::Cqe cqe;
@@ -793,7 +786,7 @@ class KvService {
             // The apply regenerates bytes from (key, version), so the slot
             // can be reposted immediately.
             PostSlot(LL.req_srv, LL.req_rx_mr, slot, cfg_.value_len);
-            sim_.After(cfg_.put_apply_cost,
+            sim_.After(kPutApplyCost,
                        [this, t, s, key] { ApplyPut(t, s, key); });
           }
         });
@@ -942,7 +935,6 @@ class KvService {
         break;
       case FaultKind::kRnrStall:
         for (int t = 0; t < cfg_.tenants; ++t) {
-          if (e.client >= 0 && e.client != t) continue;
           shard(s).dev->StallRecvsFor(link(t, s).get->server_qp(),
                                       e.rnr_count);
         }
@@ -967,12 +959,12 @@ class KvService {
     if (!flaky_on_[ei]) return;
     const FaultEntry& e = cfg_.faults.entries[ei];
     const int ep = shard(e.server).dev->fabric_endpoint(0);
-    transport_.SetLinkFaults(ep, e.flaky_loss, cfg_.corrupt);
+    transport_.SetLinkFaults(ep, e.flaky_loss, 0.0);
     const sim::Nanos burst = static_cast<sim::Nanos>(
         (0.5 + flaky_rng_[ei].NextDouble()) *
         static_cast<double>(e.flaky_burst));
     sim_.After(burst, [this, ei, ep] {
-      if (flaky_on_[ei]) transport_.SetLinkFaults(ep, cfg_.loss, cfg_.corrupt);
+      if (flaky_on_[ei]) transport_.SetLinkFaults(ep, cfg_.loss, 0.0);
       const sim::Nanos gap = static_cast<sim::Nanos>(
           (0.5 + flaky_rng_[ei].NextDouble()) *
           static_cast<double>(cfg_.faults.entries[ei].flaky_gap));
@@ -991,7 +983,7 @@ class KvService {
         flaky_on_[ei] = 0;
         [[fallthrough]];
       case FaultKind::kBlackhole:
-        transport_.SetLinkFaults(ep, cfg_.loss, cfg_.corrupt);
+        transport_.SetLinkFaults(ep, cfg_.loss, 0.0);
         break;
       case FaultKind::kSlow:
         // Added latency drops nothing: no QP errored, no write was
@@ -1020,7 +1012,7 @@ class KvService {
     // one already re-syncing keeps its running recovery.
     const ShardState from = S.state;
     if (from != ShardState::kServing) S.state = ShardState::kResyncing;
-    HealLinks(e, s, /*crash=*/e.kind == FaultKind::kCrash,
+    HealLinks(s, /*crash=*/e.kind == FaultKind::kCrash,
               /*reopen=*/from == ShardState::kServing);
     HealEdges(s);
     if (from == ShardState::kServing) {
@@ -1036,19 +1028,16 @@ class KvService {
   // domain again, which resumes sends only once the fresh server program
   // is armed. A co-resident tenant runs all three inline at the heal
   // instant, and T.healing parks a spread tenant's sends across the window
-  // so no trigger races the program swap. The get path heals for tenants
-  // in the entry's scope, and only its heal runs leg 3; the put link heals
-  // for every tenant in legs 1 and 2 (a put racing a spread tenant's legs
+  // so no trigger races the program swap. Only a get-path heal runs leg 3;
+  // the put link heals in legs 1 and 2 (a put racing a spread tenant's legs
   // just RNR-retries). `crash` forces a full transport re-arm (the server
   // side was revived in ERROR even if the client QP never noticed);
   // `reopen` restores routing to s now, while a re-syncing shard instead
-  // CLOSES routing for every tenant in scope until its recovery finishes —
+  // CLOSES routing for every tenant until its recovery finishes —
   // otherwise a tenant that never saw the outage (e.g. parked on the put
   // watchdog the whole window) could read the wiped store.
-  void HealLinks(const FaultEntry& e, int s, bool crash, bool reopen) {
+  void HealLinks(int s, bool crash, bool reopen) {
     for (int t = 0; t < cfg_.tenants; ++t) {
-      const bool in_scope = e.client < 0 || e.client == t;
-      if (!in_scope && !writes_) continue;
       const Link& L = link(t, s);
       // A response that ran out of retries errors only the server half:
       // the client sees no CQE, and the keepalives ride their own healthy
@@ -1058,15 +1047,15 @@ class KvService {
       const bool srv_bad =
           writes_ && (QpUnhealthy(L.req_srv) || QpUnhealthy(L.ack_srv));
       const int home = tenant(t).place;
-      Cross(kServiceDomain, home, [this, s, t, home, in_scope, crash, reopen,
-                                   srv_err, srv_bad] {
+      Cross(kServiceDomain, home, [this, s, t, home, crash, reopen, srv_err,
+                                   srv_bad] {
         Tenant& T = tenant(t);
         Link& L = link(t, s);
         char& dead = T.dead[static_cast<std::size_t>(s)];
         rnic::QueuePair* qp = L.get->client_qp();
         const bool errored = qp->state == rnic::QpState::kError;
-        const bool get = in_scope && (errored || srv_err || crash || dead);
-        if (in_scope && !reopen) dead = 1;
+        const bool get = errored || srv_err || crash || dead;
+        if (!reopen) dead = 1;
         const bool rearm = errored || srv_err || crash;
         bool pc_err = false;
         std::vector<std::pair<int, char>> detours;  // (column, client errored)
@@ -1085,7 +1074,7 @@ class KvService {
               L.chain->Rearm();  // the old WAIT fired; park a fresh detour
             }
             pc_err = L.probe_cli->state == rnic::QpState::kError;
-            if (pc_err) CycleQp(L.probe_cli);
+            if (pc_err) rnic::CycleQp(L.probe_cli);
             if (crash) {
               // Detours whose BACKUP is the re-joined shard parked their
               // get on QPs the crash flushed; re-arm them and park fresh
@@ -1110,8 +1099,8 @@ class KvService {
               if (cqe.status != rnic::WcStatus::kSuccess) ++T.err_cqes;
             }
           }
-          CycleQp(L.req_cli);
-          CycleQp(L.ack_cli);
+          rnic::CycleQp(L.req_cli);
+          rnic::CycleQp(L.ack_cli);
           for (int i = 0; i < kPutSlots; ++i) {
             PostSlot(L.ack_cli, L.ack_rx_mr, i, kAckBytes);
           }
@@ -1132,7 +1121,7 @@ class KvService {
           if (offloaded_ && get) {
             if (pc_err || LS.probe_srv->state == rnic::QpState::kError) {
               cycle_pc = !pc_err;  // only the server end tripped
-              CycleQp(LS.probe_srv);
+              rnic::CycleQp(LS.probe_srv);
               for (int i = 0; i < 64; ++i) {
                 verbs::PostRecv(LS.probe_srv, verbs::RecvWr{});
               }
@@ -1147,8 +1136,8 @@ class KvService {
             }
           }
           if (put) {
-            CycleQp(LS.req_srv);
-            CycleQp(LS.ack_srv);
+            rnic::CycleQp(LS.req_srv);
+            rnic::CycleQp(LS.ack_srv);
             for (int i = 0; i < kPutSlots; ++i) {
               PostSlot(LS.req_srv, LS.req_rx_mr, i, cfg_.value_len);
             }
@@ -1157,7 +1146,7 @@ class KvService {
           Cross(kServiceDomain, home,
                 [this, s, t, cycle_pc, fresh = std::move(fresh)] {
             Tenant& TF = tenant(t);
-            if (cycle_pc) CycleQp(link(t, s).probe_cli);
+            if (cycle_pc) rnic::CycleQp(link(t, s).probe_cli);
             for (const auto& [x, nc] : fresh) {
               Link& LX = link(t, x);
               if (nc) LX.detour->RearmTransportClientHalf();
@@ -1191,8 +1180,8 @@ class KvService {
       Edge& E = shard(x).edge;
       if (!(QpUnhealthy(E.req) || QpUnhealthy(E.rsp))) continue;
       DrainForwards(x);
-      CycleQp(E.req);
-      CycleQp(E.rsp);
+      rnic::CycleQp(E.req);
+      rnic::CycleQp(E.rsp);
     }
   }
 
@@ -1254,7 +1243,7 @@ class KvService {
       ++out_.resyncs_started;
       const kv::ResyncSession::Config rc{.qp = rq,
                                          .remote_rkey = shard(d).heap->rkey(),
-                                         .window = cfg_.resync_window};
+                                         .window = kResyncWindow};
       std::vector<std::uint64_t> read;
       for (const auto& it : items) read.push_back(it.key);
       sessions_.push_back(std::make_unique<kv::ResyncSession>(
@@ -1434,7 +1423,6 @@ class KvService {
   const bool versioned_;
   const bool offloaded_;
   const bool writes_;
-  sim::Nanos host_timeout_ = 0;
   std::vector<char> flaky_on_;
   std::vector<sim::Rng> flaky_rng_;
   std::vector<std::unique_ptr<kv::ResyncSession>> sessions_;

@@ -13,13 +13,14 @@
 // (retry-budget exhaustion or dead-peer NAK), ENABLEs a parked, already-
 // built get against the backup shard with zero host involvement. The
 // baseline (kHostReissue) has no chain: the host notices a stuck get only
-// via a conservative application-level RPC timer (default 16x the base
-// RTO — the "multi-RTO stall") and re-issues on the CPU.
+// via a conservative application-level RPC timer (16x the base RTO — the
+// "multi-RTO stall") and re-issues on the CPU.
 //
-// Faults arrive from a workload::FaultPlan (blackhole / rnr_stall / crash
-// windows per shard). Results report per-tenant p50/p99/p999 and a
-// bounded-blip metric (the longest gap between consecutive completions a
-// tenant observed — the outage_seconds analogue at per-tenant granularity).
+// Faults arrive from a workload::FaultPlan (blackhole / rnr_stall / crash /
+// flaky / slow windows, each on one shard). Results report per-tenant
+// p50/p99/p999 and a bounded-blip metric (the longest gap between
+// consecutive completions a tenant observed — the outage_seconds analogue
+// at per-tenant granularity).
 //
 // See docs/KV.md for the architecture and the failover timeline.
 #pragma once
@@ -51,6 +52,8 @@ struct KvTenantStats {
   // Longest gap between consecutive completions (first gap measured from
   // the tenant's first issue) — the per-tenant bounded-blip metric.
   double max_blip_us = 0;
+
+  bool operator==(const KvTenantStats&) const = default;
 };
 
 struct KvServiceConfig {
@@ -60,36 +63,26 @@ struct KvServiceConfig {
   int keys = 100'000;              // keyspace size (keys 1..keys)
   std::uint32_t value_len = 256;
   double zipf_theta = 0.99;        // 0 = uniform
-  int ring_vnodes = 16;
-  double gbps = 25.0;              // every endpoint link
-  sim::Nanos propagation = 125;
-  sim::Nanos switch_latency = 0;
   std::uint64_t seed = 1;
 
-  // Transport (always packetized; selective repeat by default).
+  // Transport: always packetized selective repeat over 25 Gbps links, with
+  // a 262 us base RTO (4096ns << 6). `loss` is every link's per-packet
+  // loss probability.
   double loss = 0.0;
-  double corrupt = 0.0;
-  std::uint32_t mtu = 4096;
-  bool selective_repeat = true;
   std::uint32_t retry_count = 1;      // budget-exhaustion failure detector
   std::uint32_t rnr_retry_count = 4;
-  std::uint32_t timeout_exp = 6;      // base RTO = 4096ns << 6 = 262us
-  std::uint32_t min_rnr_timer = 1;
   std::uint64_t transport_seed = 0x7a115eedULL;
 
-  FailoverPolicy policy = FailoverPolicy::kOffloadChain;
   // kOffloadChain: while a get is outstanding to a primary, the client
-  // posts unsignaled keepalive SENDs on a probe QP that shares the primary
-  // connection's send CQ. A crashed shard NAKs the probe, so even a get
-  // whose trigger was delivered-and-acked right before the crash (no CQE
-  // of its own — the silent-loss race) still produces the failure CQE the
-  // detour chain WAITs on, within ~probe_interval. Healthy gets complete
-  // well under the interval, so no probe is ever sent on the fast path.
-  sim::Nanos probe_interval = 15'000;
-  // kHostReissue: the application RPC timer. 0 = 16 x (4096ns << timeout_exp).
-  sim::Nanos host_timeout = 0;
-  // kHostReissue: host-side cost between noticing and re-issuing.
-  sim::Nanos host_reissue_cost = 2'000;
+  // posts unsignaled keepalive SENDs (every 15 us) on a probe QP that
+  // shares the primary connection's send CQ. A crashed shard NAKs the
+  // probe, so even a get whose trigger was delivered-and-acked right before
+  // the crash (no CQE of its own — the silent-loss race) still produces the
+  // failure CQE the detour chain WAITs on. Healthy gets complete well under
+  // the interval, so no probe is ever sent on the fast path.
+  // kHostReissue: the application RPC timer (16 x the base RTO) notices a
+  // stuck op, and the host re-issues it 2 us later.
+  FailoverPolicy policy = FailoverPolicy::kOffloadChain;
 
   // --- write path (chain-ordered replication) --------------------------------
   // Fraction of each tenant's ops issued as puts (YCSB-style mix; 0 = the
@@ -102,10 +95,6 @@ struct KvServiceConfig {
   // carries a u64 version tag in its first 8 bytes (kv::WriteVersionedValue
   // layout), which requires value_len >= 16.
   double put_fraction = 0.0;
-  // Host-side cost to apply one put at a shard (parse + table update).
-  sim::Nanos put_apply_cost = 500;
-  // Anti-entropy re-sync: RDMA READs kept in flight per session.
-  int resync_window = 32;
 
   FaultPlan faults;
   sim::Nanos horizon = sim::Seconds(30);
@@ -187,6 +176,9 @@ struct KvServiceResult {
   std::uint64_t qp_rearms = 0;
   std::uint64_t events = 0;
   int sim_shards = 1;                 // event domains the run was hosted on
+
+  // Every field is simulated, so same-config reruns compare equal.
+  bool operator==(const KvServiceResult&) const = default;
 };
 
 // Runs the service; throws std::invalid_argument on malformed configs

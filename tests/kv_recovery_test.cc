@@ -14,6 +14,7 @@
 #include "sim/transport.h"
 #include "testbed.h"
 #include "workload/kv_service.h"
+#include "workload_printers.h"
 
 namespace redn::test {
 namespace {
@@ -70,20 +71,7 @@ TEST(KvRecovery, MixedRunsAreBitStable) {
   crash.down_at = 50'000;
   crash.up_at = sim::Millis(2);
   cfg.faults.entries.push_back(crash);
-  const KvServiceResult a = RunKvService(cfg);
-  const KvServiceResult b = RunKvService(cfg);
-  EXPECT_EQ(a.gets, b.gets);
-  EXPECT_EQ(a.puts, b.puts);
-  EXPECT_EQ(a.acked_puts_full, b.acked_puts_full);
-  EXPECT_EQ(a.degraded_acks, b.degraded_acks);
-  EXPECT_EQ(a.chain_forwards, b.chain_forwards);
-  EXPECT_EQ(a.resync_keys_applied, b.resync_keys_applied);
-  EXPECT_EQ(a.resync_keys_kept, b.resync_keys_kept);
-  EXPECT_EQ(a.degraded_window_us, b.degraded_window_us);
-  EXPECT_EQ(a.put_p999_us, b.put_p999_us);
-  EXPECT_EQ(a.p999_us, b.p999_us);
-  EXPECT_EQ(a.data_packets, b.data_packets);
-  EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(RunKvService(cfg), RunKvService(cfg));
 }
 
 // --- degraded writes ---------------------------------------------------------
@@ -202,10 +190,7 @@ TEST(KvRecovery, FlakyWindowDegradesButLosesNothing) {
   EXPECT_EQ(r.value_divergence, 0u);
 
   // Same seed, same bursts, same result.
-  const KvServiceResult again = RunKvService(cfg);
-  EXPECT_EQ(again.retransmits, r.retransmits);
-  EXPECT_EQ(again.p999_us, r.p999_us);
-  EXPECT_EQ(again.events, r.events);
+  EXPECT_EQ(RunKvService(cfg), r);
 
   // A different seed draws different burst boundaries.
   KvServiceConfig reseeded = cfg;
@@ -395,12 +380,7 @@ TEST(KvRecovery, SecondFaultMidResyncJoinsTheRecovery) {
     EXPECT_LT(r.degraded_window_us, 5000.0);
   }
   const KvServiceConfig cfg = config(cells[4]);
-  const KvServiceResult a = RunKvService(cfg);
-  const KvServiceResult b = RunKvService(cfg);
-  EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.resyncs_started, b.resyncs_started);
-  EXPECT_EQ(a.degraded_window_us, b.degraded_window_us);
-  EXPECT_EQ(a.p999_us, b.p999_us);
+  EXPECT_EQ(RunKvService(cfg), RunKvService(cfg));
 }
 
 // --- ResyncSession unit ------------------------------------------------------

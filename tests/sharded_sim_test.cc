@@ -16,6 +16,7 @@
 #include "verbs/verbs.h"
 #include "workload/experiments.h"
 #include "workload/kv_service.h"
+#include "workload_printers.h"
 
 namespace redn::test {
 namespace {
@@ -554,17 +555,9 @@ TEST(ShardedWorkload, FabricScaleBitStableAcrossReruns) {
   // the identical config must agree on every measured field, bit for bit.
   for (const int shards : {1, 2, 4}) {
     const auto a = workload::RunFabricScale(SweepConfig(shards));
-    const auto b = workload::RunFabricScale(SweepConfig(shards));
     SCOPED_TRACE("shards=" + std::to_string(shards));
+    EXPECT_EQ(a, workload::RunFabricScale(SweepConfig(shards)));
     EXPECT_EQ(a.gets, 100u);
-    EXPECT_EQ(a.gets, b.gets);
-    EXPECT_EQ(a.duration_us, b.duration_us);
-    EXPECT_EQ(a.avg_us, b.avg_us);
-    EXPECT_EQ(a.p99_us, b.p99_us);
-    EXPECT_EQ(a.server_tx_util, b.server_tx_util);
-    EXPECT_EQ(a.events, b.events);
-    EXPECT_EQ(a.mailbox_sends, b.mailbox_sends);
-    EXPECT_EQ(a.sync_rounds, b.sync_rounds);
     EXPECT_EQ(a.shards, shards);
     EXPECT_EQ(a.error_cqes, 0u);
     if (shards > 1) {
@@ -583,18 +576,10 @@ TEST(ShardedWorkload, FabricScaleRefillsWindowsAcrossDomains) {
   cfg.server_shard = 1;
   cfg.placement = {0, 0, 0, 0};
   const auto a = workload::RunFabricScale(cfg);
-  const auto b = workload::RunFabricScale(cfg);
   EXPECT_EQ(a.gets, 1200u);
   EXPECT_EQ(a.error_cqes, 0u);
   EXPECT_GT(a.mailbox_sends, 0u);
-  EXPECT_EQ(a.gets, b.gets);
-  EXPECT_EQ(a.duration_us, b.duration_us);
-  EXPECT_EQ(a.avg_us, b.avg_us);
-  EXPECT_EQ(a.p99_us, b.p99_us);
-  EXPECT_EQ(a.server_tx_util, b.server_tx_util);
-  EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.mailbox_sends, b.mailbox_sends);
-  EXPECT_EQ(a.sync_rounds, b.sync_rounds);
+  EXPECT_EQ(a, workload::RunFabricScale(cfg));
 }
 
 TEST(ShardedWorkload, FabricScaleValidatesShardConfig) {
@@ -625,72 +610,17 @@ TEST(ShardedWorkload, PacketizedLossySweepBitStableAcrossReruns) {
       cfg.loss = 0.02;
       cfg.selective_repeat = sr;
       const auto a = workload::RunFabricScale(cfg);
-      const auto b = workload::RunFabricScale(cfg);
       SCOPED_TRACE("shards=" + std::to_string(shards) +
                    " sr=" + std::to_string(sr));
+      EXPECT_EQ(a, workload::RunFabricScale(cfg));
       EXPECT_EQ(a.gets, 100u);  // every get answered despite loss
       EXPECT_GT(a.retransmits, 0u);
       EXPECT_EQ(a.shards, shards);
-      EXPECT_EQ(a.duration_us, b.duration_us);
-      EXPECT_EQ(a.avg_us, b.avg_us);
-      EXPECT_EQ(a.p99_us, b.p99_us);
-      EXPECT_EQ(a.retransmits, b.retransmits);
-      EXPECT_EQ(a.sack_retransmits, b.sack_retransmits);
-      EXPECT_EQ(a.packets_lost, b.packets_lost);
-      EXPECT_EQ(a.goodput_gbps, b.goodput_gbps);
-      EXPECT_EQ(a.events, b.events);
-      EXPECT_EQ(a.mailbox_sends, b.mailbox_sends);
-      EXPECT_EQ(a.sync_rounds, b.sync_rounds);
       if (shards > 1) {
         EXPECT_GT(a.mailbox_sends, 0u);
       }
     }
   }
-}
-
-TEST(ShardedWorkload, KillAndReconnectSpansShards) {
-  // The blackhole window kills client 0's QP pair (retry budgets die), the
-  // re-arm routes each half's reset to its owning shard, and the client
-  // resumes — same fault plan as the single-domain kill-and-reconnect test,
-  // now with the server and half the clients on another shard.
-  workload::FabricScaleConfig cfg;
-  cfg.clients = 3;
-  cfg.gets_per_client = 30;
-  cfg.value_len = 8192;
-  cfg.keys = 64;
-  cfg.packetized = true;
-  cfg.loss = 0.01;
-  cfg.selective_repeat = true;
-  cfg.retry_count = 2;
-  cfg.rnr_retry_count = 4;
-  cfg.timeout_exp = 2;
-  cfg.shards = 2;
-  cfg.server_shard = 1;  // client 0 (the victim) is cross-shard
-  workload::FaultEntry fe;
-  fe.client = 0;
-  fe.kind = workload::FaultKind::kBlackhole;
-  fe.down_at = 50'000;
-  fe.up_at = 250'000;
-  cfg.faults.entries.push_back(fe);
-  const auto r1 = workload::RunFabricScale(cfg);
-  EXPECT_EQ(r1.gets, 90u);  // the dead window costs wall time, not gets
-  EXPECT_GT(r1.qp_errors, 0u);
-  EXPECT_GT(r1.qp_rearms, 0u);
-  EXPECT_GE(r1.flow_resets, 2u);  // both directions of client 0's pair
-  EXPECT_GT(r1.rto_fires, 0u);
-  EXPECT_GT(r1.mailbox_sends, 0u);
-  const auto r2 = workload::RunFabricScale(cfg);
-  EXPECT_EQ(r1.duration_us, r2.duration_us);
-  EXPECT_EQ(r1.avg_us, r2.avg_us);
-  EXPECT_EQ(r1.p99_us, r2.p99_us);
-  EXPECT_EQ(r1.retransmits, r2.retransmits);
-  EXPECT_EQ(r1.sack_retransmits, r2.sack_retransmits);
-  EXPECT_EQ(r1.rto_fires, r2.rto_fires);
-  EXPECT_EQ(r1.error_cqes, r2.error_cqes);
-  EXPECT_EQ(r1.qp_errors, r2.qp_errors);
-  EXPECT_EQ(r1.qp_rearms, r2.qp_rearms);
-  EXPECT_EQ(r1.flow_resets, r2.flow_resets);
-  EXPECT_EQ(r1.mailbox_sends, r2.mailbox_sends);
 }
 
 TEST(ShardedWorkload, KvServiceSpreadPlacementRunsAndValidates) {
@@ -744,19 +674,6 @@ TEST(ShardedWorkload, KvServiceSpreadPlacementRunsAndValidates) {
         window(workload::FaultKind::kFlaky, 0, 30'000, sim::Millis(4)));
     plans.emplace_back("flaky", cfg);
   }
-  auto expect_bit_stable = [](const workload::KvServiceResult& a,
-                              const workload::KvServiceResult& b) {
-    EXPECT_EQ(a.duration_us, b.duration_us);
-    EXPECT_EQ(a.avg_us, b.avg_us);
-    EXPECT_EQ(a.p99_us, b.p99_us);
-    EXPECT_EQ(a.p999_us, b.p999_us);
-    EXPECT_EQ(a.put_p99_us, b.put_p99_us);
-    EXPECT_EQ(a.degraded_window_us, b.degraded_window_us);
-    EXPECT_EQ(a.data_packets, b.data_packets);
-    EXPECT_EQ(a.qp_rearms, b.qp_rearms);
-    EXPECT_EQ(a.heal_reissues, b.heal_reissues);
-    EXPECT_EQ(a.events, b.events);
-  };
   const std::vector<std::pair<int, std::vector<int>>> placements = {
       {1, {}}, {2, {0, 1, 0}}, {3, {1, 2, 1}}};
   for (const auto& [name, plan] : plans) {
@@ -774,7 +691,7 @@ TEST(ShardedWorkload, KvServiceSpreadPlacementRunsAndValidates) {
       EXPECT_EQ(a.value_divergence, 0u);
       EXPECT_EQ(a.heals_applied, 1u);
       EXPECT_EQ(a.sim_shards, domains);
-      expect_bit_stable(a, workload::RunKvService(cfg));
+      EXPECT_EQ(a, workload::RunKvService(cfg));
       runs.push_back(a);
     }
     for (const auto& r : runs) {
@@ -803,7 +720,7 @@ TEST(ShardedWorkload, KvServiceSpreadPlacementRunsAndValidates) {
     EXPECT_EQ(a.lost_acked_writes, 0u);
     EXPECT_EQ(a.ryw_violations, 0u);
     EXPECT_EQ(a.value_divergence, 0u);
-    expect_bit_stable(a, workload::RunKvService(cfg));
+    EXPECT_EQ(a, workload::RunKvService(cfg));
   }
   auto bad = base;
   bad.sim_shards = 2;
