@@ -1,7 +1,11 @@
 #include "kv/table.h"
 
+#include <sanitizer/asan_interface.h>
+
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <new>
 
 namespace redn::kv {
 namespace {
@@ -13,10 +17,45 @@ std::uint64_t Mix(std::uint64_t x, std::uint64_t salt) {
   return x ^ (x >> 31);
 }
 
+// Two periods of the ramp: kRamp + start is a 256-byte run from any start.
+constexpr std::array<std::uint8_t, 512> kRamp = [] {
+  std::array<std::uint8_t, 512> r{};
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    r[i] = static_cast<std::uint8_t>(i);
+  }
+  return r;
+}();
+
+// The versioned payload's first byte: (key + 131 * version + 8) mod 256.
+std::uint8_t PayloadStart(std::uint64_t key, std::uint64_t version) {
+  return static_cast<std::uint8_t>(key + 131 * version + kValueVersionBytes);
+}
+
 }  // namespace
 
 std::uint64_t Hash1(std::uint64_t key) { return Mix(key, 0x51ed270b0a1ce86dULL); }
 std::uint64_t Hash2(std::uint64_t key) { return Mix(key, 0xc2b2ae3d27d4eb4fULL); }
+
+void FillRamp(void* dst, std::size_t n, std::uint8_t start) {
+  auto* p = static_cast<std::uint8_t*>(dst);
+  std::memcpy(p, kRamp.data() + start, std::min<std::size_t>(n, 256));
+  // The run repeats every 256 bytes, so each copy can double what is
+  // filled.
+  for (std::size_t done = 256; done < n; done *= 2) {
+    std::memcpy(p + done, p, std::min(done, n - done));
+  }
+}
+
+bool MatchesRamp(const void* src, std::size_t n, std::uint8_t start) {
+  const auto* p = static_cast<const std::uint8_t*>(src);
+  for (std::size_t i = 0; i < n; i += 256) {
+    if (std::memcmp(p + i, kRamp.data() + start,
+                    std::min<std::size_t>(n - i, 256)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
 
 std::uint64_t ValueVersion(std::uint64_t addr) {
   return rnic::dma::ReadU64(addr);
@@ -29,59 +68,53 @@ void SetValueVersion(std::uint64_t addr, std::uint64_t version) {
 void WriteVersionedValue(std::uint64_t addr, std::uint32_t len,
                          std::uint64_t key, std::uint64_t version) {
   rnic::dma::WriteU64(addr, version);
-  auto* p = reinterpret_cast<std::uint8_t*>(addr);
-  for (std::uint32_t i = kValueVersionBytes; i < len; ++i) {
-    p[i] = VersionedPatternByte(key, version, i);
-  }
+  FillRamp(reinterpret_cast<void*>(addr + kValueVersionBytes),
+           len - kValueVersionBytes, PayloadStart(key, version));
 }
 
 bool VersionedValueIntact(std::uint64_t addr, std::uint32_t len,
                           std::uint64_t key) {
-  const std::uint64_t version = rnic::dma::ReadU64(addr);
-  const auto* p = reinterpret_cast<const std::uint8_t*>(addr);
-  // The pattern repeats every 256 bytes, so two periods hold every
-  // 256-byte window of it: build them once (the loop vectorizes) and
-  // memcmp the value a window at a time.
-  std::uint8_t pattern[512];
-  const std::uint32_t built = std::min<std::uint32_t>(len, sizeof pattern);
-  for (std::uint32_t i = 0; i < built; ++i) {
-    pattern[i] = VersionedPatternByte(key, version, i);
-  }
-  for (std::uint32_t i = kValueVersionBytes; i < len;) {
-    const std::uint32_t n = std::min<std::uint32_t>(len - i, 256);
-    if (std::memcmp(p + i, pattern + (i & 255), n) != 0) return false;
-    i += n;
-  }
-  return true;
+  return MatchesRamp(reinterpret_cast<const void*>(addr + kValueVersionBytes),
+                     len - kValueVersionBytes,
+                     PayloadStart(key, rnic::dma::ReadU64(addr)));
 }
 
 ValueHeap::ValueHeap(rnic::RnicDevice& dev, std::size_t capacity_bytes)
-    : mem_(std::make_unique<std::byte[]>(capacity_bytes)),
+    : mem_(std::make_unique_for_overwrite<std::byte[]>(capacity_bytes)),
       capacity_(capacity_bytes) {
-  std::memset(mem_.get(), 0, capacity_bytes);
+  ASAN_POISON_MEMORY_REGION(mem_.get(), capacity_bytes);
   mr_ = dev.pd().Register(mem_.get(), capacity_bytes, rnic::kAccessAll);
 }
 
 std::uint64_t ValueHeap::Store(const void* data, std::uint32_t len) {
-  const std::uint64_t addr = Reserve(len);
+  const std::uint64_t addr = ReserveForOverwrite(len);
   std::memcpy(reinterpret_cast<void*>(addr), data, len);
   return addr;
 }
 
 std::uint64_t ValueHeap::Reserve(std::uint32_t len) {
+  const std::uint64_t addr = ReserveForOverwrite(len);
+  std::memset(reinterpret_cast<void*>(addr), 0, len);
+  return addr;
+}
+
+std::uint64_t ValueHeap::ReserveForOverwrite(std::uint32_t len) {
   const std::size_t aligned = (len + 7u) & ~std::size_t{7};
   if (used_ + aligned > capacity_) {
     throw std::bad_alloc();
   }
-  const std::uint64_t addr = mr_.addr + used_;
+  std::byte* slot = mem_.get() + used_;
   used_ += aligned;
-  return addr;
+  ASAN_UNPOISON_MEMORY_REGION(slot, aligned);
+  // The alignment padding is part of no value; zero it so every byte
+  // handed out is defined.
+  std::memset(slot + len, 0, aligned - len);
+  return rnic::dma::AddrOf(slot);
 }
 
 RdmaHashTable::RdmaHashTable(rnic::RnicDevice& dev, Config cfg) : cfg_(cfg) {
   const std::size_t bytes = cfg_.buckets * kBucketSize;
-  mem_ = std::make_unique<std::byte[]>(bytes);
-  std::memset(mem_.get(), 0, bytes);
+  mem_ = std::make_unique<std::byte[]>(bytes);  // value-initialized: empty
   mr_ = dev.pd().Register(mem_.get(), bytes, rnic::kAccessAll);
 }
 
@@ -109,18 +142,25 @@ bool RdmaHashTable::TryPlace(std::size_t index, std::uint64_t key,
   return true;
 }
 
-bool RdmaHashTable::Insert(std::uint64_t key, std::uint64_t ptr,
-                           std::uint32_t len, bool force_second) {
+Placement RdmaHashTable::Insert(std::uint64_t key, std::uint64_t ptr,
+                                std::uint32_t len, bool force_second) {
   key &= kKeyMask;
-  if (key == 0) return false;  // 0 is the empty sentinel
-  if (!force_second && TryPlace(IndexOf1(key), key, ptr, len)) return true;
-  if (TryPlace(IndexOf2(key), key, ptr, len)) return true;
-  // Hopscotch-style fallback: try the H1 neighbourhood.
+  if (key == 0) return Placement::kNone;  // 0 is the empty sentinel
   const std::size_t base = IndexOf1(key);
+  if (!force_second && TryPlace(base, key, ptr, len)) return Placement::kBucket;
+  if (TryPlace(IndexOf2(key), key, ptr, len)) return Placement::kBucket;
+  // Hopscotch-style fallback: try the rest of the H1 neighbourhood.
   for (int i = 1; i < cfg_.neighborhood; ++i) {
-    if (TryPlace((base + i) & (cfg_.buckets - 1), key, ptr, len)) return true;
+    if (TryPlace((base + i) & (cfg_.buckets - 1), key, ptr, len)) {
+      return Placement::kNeighborhood;
+    }
   }
-  return false;
+  return Placement::kNone;
+}
+
+void RdmaHashTable::PrefetchBucket1(std::uint64_t key) const {
+  __builtin_prefetch(reinterpret_cast<const void*>(BucketAddr1(key)),
+                     /*rw=*/1);
 }
 
 bool RdmaHashTable::Erase(std::uint64_t key) {
@@ -147,12 +187,6 @@ bool RdmaHashTable::Erase(std::uint64_t key) {
 void RdmaHashTable::Clear() {
   std::memset(mem_.get(), 0, cfg_.buckets * kBucketSize);
   count_ = 0;
-}
-
-bool RdmaHashTable::NicVisible(std::uint64_t key) const {
-  key &= kKeyMask;
-  return rnic::dma::ReadU64(SlotAddr(IndexOf1(key)) + kBucketKeyOff) == key ||
-         rnic::dma::ReadU64(SlotAddr(IndexOf2(key)) + kBucketKeyOff) == key;
 }
 
 std::optional<RdmaHashTable::Entry> RdmaHashTable::Lookup(

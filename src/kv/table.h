@@ -20,6 +20,7 @@
 // table also exposes hopscotch neighbourhoods of H1 (default size 6).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -39,20 +40,21 @@ inline constexpr std::uint64_t kKeyMask = (1ULL << 48) - 1;
 std::uint64_t Hash1(std::uint64_t key);
 std::uint64_t Hash2(std::uint64_t key);
 
+// --- Value patterns ---------------------------------------------------------
+// Both value layouts are runs of the 0..255 ramp: byte i of a run is
+// (start + i) mod 256. The two helpers copy and compare whole runs from a
+// 512-byte table, so they never build a pattern byte by byte.
+void FillRamp(void* dst, std::size_t n, std::uint8_t start);
+bool MatchesRamp(const void* src, std::size_t n, std::uint8_t start);
+
 // --- Versioned values -------------------------------------------------------
 // When the KV service runs a write path, every value starts with a u64
 // version tag (0 = seeded, +1 per applied put); payload bytes follow. The
-// payload is a pure function of (key, version), so readers, the chain
-// successor, and anti-entropy resync can all verify bytes without keeping a
+// payload is a pure function of (key, version): byte i (i >= 8) is
+// (key + 131 * version + i) mod 256. Readers, the chain successor, and
+// anti-entropy resync can therefore all verify bytes without keeping a
 // shadow copy of the store.
 inline constexpr std::uint32_t kValueVersionBytes = 8;
-
-// Deterministic payload byte `i` of (key, version).
-inline std::uint8_t VersionedPatternByte(std::uint64_t key,
-                                         std::uint64_t version,
-                                         std::uint32_t i) {
-  return static_cast<std::uint8_t>((key + 131 * version + i) & 0xff);
-}
 
 // Version tag of the value at `addr` (little-endian u64 in bytes [0, 8)).
 std::uint64_t ValueVersion(std::uint64_t addr);
@@ -63,11 +65,16 @@ void WriteVersionedValue(std::uint64_t addr, std::uint32_t len,
                          std::uint64_t key, std::uint64_t version);
 
 // True iff the value's payload matches the pattern for (key, its own tag).
+// len >= 8.
 bool VersionedValueIntact(std::uint64_t addr, std::uint32_t len,
                           std::uint64_t key);
 
 // Bump allocator over one registered region: values live here so a single
-// rkey covers everything the response WRITE may point at.
+// rkey covers everything the response WRITE may point at. The region is not
+// pre-zeroed: every byte is written when its slot is handed out (Reserve's
+// zeroes, Store's copy, or the caller's fill after ReserveForOverwrite).
+// Under ASan the bytes not yet handed out are poisoned, so a NIC or host
+// read of a never-written heap byte fails loudly.
 class ValueHeap {
  public:
   ValueHeap(rnic::RnicDevice& dev, std::size_t capacity_bytes);
@@ -76,19 +83,33 @@ class ValueHeap {
   std::uint64_t Store(const void* data, std::uint32_t len);
   // Reserves zeroed space without data.
   std::uint64_t Reserve(std::uint32_t len);
+  // Reserves space the caller overwrites in full before anything reads it
+  // (a value fill), so no byte is written twice.
+  std::uint64_t ReserveForOverwrite(std::uint32_t len);
 
   std::uint32_t lkey() const { return mr_.lkey; }
   std::uint32_t rkey() const { return mr_.rkey; }
   std::uint64_t base() const { return mr_.addr; }
   std::size_t used() const { return used_; }
   std::size_t capacity() const { return capacity_; }
-  void Clear() { used_ = 0; }
 
  private:
   std::unique_ptr<std::byte[]> mem_;
   std::size_t capacity_;
   std::size_t used_ = 0;
   rnic::MemoryRegion mr_;
+};
+
+// Where RdmaHashTable::Insert put a key. Insert never evicts, so the
+// answer stays true until the key is erased. Only kBucket keys are in the
+// two slots a NIC-offloaded 2-bucket probe (HashGetOffload) reads; a key
+// that fell back to the hopscotch neighbourhood is host-visible via Lookup
+// but invisible to the offload, so NIC-served workloads draw from kBucket
+// keys or treat such gets as misses.
+enum class Placement : std::uint8_t {
+  kNone,          // not stored
+  kBucket,        // its H1 or H2 bucket
+  kNeighborhood,  // another slot of the H1 neighbourhood
 };
 
 // Fixed-size 2-choice hash table in registered memory.
@@ -101,12 +122,15 @@ class RdmaHashTable {
 
   RdmaHashTable(rnic::RnicDevice& dev, Config cfg);
 
-  // Inserts key -> (ptr, len). Returns false if both candidate buckets (and
-  // the H1 neighbourhood) are full. `force_second` plants the key in its
-  // H2 bucket even if H1 is free — used to construct the collision
-  // experiments (Fig 11).
-  bool Insert(std::uint64_t key, std::uint64_t ptr, std::uint32_t len,
-              bool force_second = false);
+  // Inserts key -> (ptr, len) and reports where it landed: kNone if both
+  // candidate buckets and the H1 neighbourhood are full (or key is 0).
+  // `force_second` plants the key in its H2 bucket even if H1 is free —
+  // used to construct the collision experiments (Fig 11).
+  Placement Insert(std::uint64_t key, std::uint64_t ptr, std::uint32_t len,
+                   bool force_second = false);
+  // Prefetches `key`'s H1 bucket for writing: a store loop issues it a few
+  // inserts ahead, so the random bucket access overlaps the work between.
+  void PrefetchBucket1(std::uint64_t key) const;
 
   bool Erase(std::uint64_t key);
   void Clear();
@@ -117,13 +141,6 @@ class RdmaHashTable {
   };
   // Host-side lookup (used by the two-sided baseline's CPU handler).
   std::optional<Entry> Lookup(std::uint64_t key) const;
-
-  // True iff `key` occupies one of its two candidate buckets — the only
-  // slots a NIC-offloaded 2-bucket probe (HashGetOffload) reads. A key that
-  // fell back to the hopscotch neighbourhood is host-visible via Lookup but
-  // invisible to the offload; NIC-served workloads must draw from visible
-  // keys or treat such gets as misses.
-  bool NicVisible(std::uint64_t key) const;
 
   // Bucket addresses for building triggers / one-sided reads.
   std::uint64_t BucketAddr1(std::uint64_t key) const;

@@ -90,21 +90,17 @@ void HashGetHarness::Put(std::uint64_t key, const void* value,
   table_->Insert(key, ptr, len, force_second);
 }
 
-void HashGetHarness::PutPattern(std::uint64_t key, std::uint32_t len,
-                                bool force_second) {
-  std::vector<std::byte> v(len);
-  for (std::uint32_t i = 0; i < len; ++i) {
-    v[i] = static_cast<std::byte>((key + i) & 0xff);
-  }
-  Put(key, v.data(), len, force_second);
+kv::Placement HashGetHarness::PutPattern(std::uint64_t key, std::uint32_t len,
+                                         bool force_second) {
+  const std::uint64_t ptr = heap_->ReserveForOverwrite(len);
+  kv::FillRamp(reinterpret_cast<void*>(ptr), len,
+               static_cast<std::uint8_t>(key));
+  return table_->Insert(key, ptr, len, force_second);
 }
 
 bool HashGetHarness::ResponseMatchesPattern(std::uint64_t key,
                                             std::uint32_t len) const {
-  for (std::uint32_t i = 0; i < len; ++i) {
-    if (resp_buf_[i] != static_cast<std::byte>((key + i) & 0xff)) return false;
-  }
-  return true;
+  return kv::MatchesRamp(resp_buf_.get(), len, static_cast<std::uint8_t>(key));
 }
 
 std::uint64_t HashGetHarness::ResponseVersion() const {

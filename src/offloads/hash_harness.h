@@ -36,9 +36,12 @@ class HashGetHarness {
   // (the Fig 11 collision setup).
   void Put(std::uint64_t key, const void* value, std::uint32_t len,
            bool force_second = false);
-  // Convenience: value = `len` bytes of a repeating pattern derived from key.
-  void PutPattern(std::uint64_t key, std::uint32_t len,
-                  bool force_second = false);
+  // Convenience: value = `len` bytes of the pattern derived from key, byte i
+  // being (key + i) mod 256, written straight into the heap. Reports where
+  // the table put the key (only kv::Placement::kBucket keys are
+  // NIC-visible).
+  kv::Placement PutPattern(std::uint64_t key, std::uint32_t len,
+                           bool force_second = false);
 
   // Requests a closed-loop driver's get harness keeps armed ahead of the
   // NIC: its max_requests, and the window ArmAhead refills.

@@ -77,6 +77,14 @@ FabricScaleResult RunFabricScale(const FabricScaleConfig& cfg) {
   if (cfg.shards < 1) {
     throw std::invalid_argument("FabricScaleConfig: shards must be >= 1");
   }
+  if (cfg.clients < 1) {
+    throw std::invalid_argument("FabricScaleConfig: clients must be >= 1, got " +
+                                std::to_string(cfg.clients));
+  }
+  if (cfg.keys < 1) {
+    throw std::invalid_argument("FabricScaleConfig: keys must be >= 1, got " +
+                                std::to_string(cfg.keys));
+  }
   // Fail fast: the reliability engine only exists on the packetized
   // transport — silently ignoring these knobs on the lossless message path
   // has burned people before.
@@ -136,6 +144,13 @@ FabricScaleResult RunFabricScale(const FabricScaleConfig& cfg) {
 
   const std::size_t heap_bytes =
       static_cast<std::size_t>(cfg.keys + 1) * cfg.value_len + (64 << 10);
+  // Depth-1 closed loops starve forever on a miss, so draw only keys the
+  // 2-bucket NIC probe can actually see: a doubly-colliding key falls back
+  // to the hopscotch neighbourhood, which the offload never reads. Every
+  // table is built identically, so client 0's placements cover all. The
+  // first key lands in its H1 bucket of an empty table, so none is empty.
+  std::vector<std::uint64_t> visible;
+  visible.reserve(static_cast<std::size_t>(cfg.keys));
   for (int i = 0; i < cfg.clients; ++i) {
     Client& c = clients[static_cast<std::size_t>(i)];
     c.shard = cfg.placement.empty() ? i % cfg.shards
@@ -159,26 +174,12 @@ FabricScaleResult RunFabricScale(const FabricScaleConfig& cfg) {
         kv::RdmaHashTable::Config{.buckets = 1 << 12}, heap_bytes,
         /*max_value=*/cfg.value_len + 64);
     for (int k = 1; k <= cfg.keys; ++k) {
-      c.harness->PutPattern(static_cast<std::uint64_t>(k), cfg.value_len);
+      const auto key = static_cast<std::uint64_t>(k);
+      const kv::Placement at = c.harness->PutPattern(key, cfg.value_len);
+      if (i == 0 && at == kv::Placement::kBucket) visible.push_back(key);
     }
     c.harness->ArmAhead(cfg.gets_per_client + 4);
     c.remaining = cfg.gets_per_client;
-  }
-
-  // Depth-1 closed loops starve forever on a miss, so draw only keys the
-  // 2-bucket NIC probe can actually see: a doubly-colliding key falls back
-  // to the hopscotch neighbourhood, which the offload never reads. Every
-  // table is built identically, so client 0's visibility map covers all.
-  std::vector<std::uint64_t> visible;
-  visible.reserve(static_cast<std::size_t>(cfg.keys));
-  for (int k = 1; k <= cfg.keys; ++k) {
-    if (clients[0].harness->table().NicVisible(static_cast<std::uint64_t>(k))) {
-      visible.push_back(static_cast<std::uint64_t>(k));
-    }
-  }
-  if (visible.empty()) {
-    throw std::runtime_error(
-        "RunFabricScale: no NIC-visible keys — table too small for keyspace");
   }
 
   // Runs on client i's shard only: touches nothing but that client's state.

@@ -103,6 +103,9 @@ struct FabricScaleResult {
   bool operator==(const FabricScaleResult&) const = default;
 };
 
+// Throws std::invalid_argument naming the field on a malformed config
+// (clients, keys or shards < 1, placement or server_shard out of range,
+// reliability knobs without packetized).
 FabricScaleResult RunFabricScale(const FabricScaleConfig& cfg);
 
 // --- Fig 15: performance isolation under CPU contention ---------------------

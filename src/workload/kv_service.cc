@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -35,6 +35,12 @@ constexpr int kServiceDomain = 0;
 constexpr int kShardPidBase = 100;
 // Virtual nodes per shard on the hash ring.
 constexpr int kRingVnodes = 16;
+// A put's replica mask holds one bit per shard, and the per-key primary
+// array one byte per key.
+constexpr int kMaxShards = 64;
+static_assert(kMaxShards - 1 <= std::numeric_limits<std::uint8_t>::max());
+// BuildStores prefetches the H1 bucket of the key this far ahead.
+constexpr std::uint64_t kPrefetchAhead = 16;
 // Transport: base RTO 4096ns << kTimeoutExp = 262 us, RNR backoff base
 // 4096ns << kMinRnrTimer.
 constexpr std::uint32_t kTimeoutExp = 6;
@@ -110,13 +116,13 @@ struct Edge {
 // One KV shard: its NIC, store, lifecycle and running recovery.
 struct Shard {
   std::unique_ptr<rnic::RnicDevice> dev;
-  std::vector<std::uint64_t> keys;  // primary and backup keys
   std::unique_ptr<kv::RdmaHashTable> table;
   std::unique_ptr<kv::ValueHeap> heap;
-  // Key -> value address (stable for the run: puts and re-sync rewrite
+  // Value address by key (keys are dense in 1..cfg.keys); 0 = not a
+  // replica of that key. Stable for the run: puts and re-sync rewrite
   // values in place, so replication and anti-entropy can target fixed
-  // remote addresses).
-  std::unordered_map<std::uint64_t, std::uint64_t> vaddr;
+  // remote addresses.
+  std::vector<std::uint64_t> vaddr;
   ShardState state = ShardState::kServing;
   // The running recovery (kResyncing): the fault window it closes, the
   // keys to re-read in the next pass, one (local, donor) QP pair per
@@ -201,9 +207,11 @@ struct Tenant {
 };
 
 void Validate(const KvServiceConfig& cfg) {
-  if (cfg.shards < 2) {
+  if (cfg.shards < 2 || cfg.shards > kMaxShards) {
     throw std::invalid_argument(
-        "KvServiceConfig: chain replication needs shards >= 2");
+        "KvServiceConfig: shards must be in [2, " + std::to_string(kMaxShards) +
+        "] (chain replication needs a successor; a put's replica mask has " +
+        "one bit per shard), got " + std::to_string(cfg.shards));
   }
   if (cfg.tenants < 1 || cfg.gets_per_tenant < 1 || cfg.keys < 1) {
     throw std::invalid_argument(
@@ -219,6 +227,16 @@ void Validate(const KvServiceConfig& cfg) {
   if (cfg.put_fraction < 0.0 || cfg.put_fraction > 1.0) {
     throw std::invalid_argument(
         "KvServiceConfig: put_fraction must be in [0, 1]");
+  }
+  if (!(cfg.loss >= 0.0 && cfg.loss <= 1.0)) {
+    throw std::invalid_argument(
+        "KvServiceConfig: loss is a per-packet probability and must be in "
+        "[0, 1], got " + std::to_string(cfg.loss));
+  }
+  if (!(cfg.zipf_theta >= 0.0)) {
+    throw std::invalid_argument(
+        "KvServiceConfig: zipf_theta must be >= 0 (0 = uniform), got " +
+        std::to_string(cfg.zipf_theta));
   }
   if (Versioned(cfg) && cfg.value_len < 2 * kv::kValueVersionBytes) {
     throw std::invalid_argument(
@@ -400,52 +418,65 @@ class KvService {
     }
 
     // Every key lives on its ring primary AND the primary's chain successor.
-    for (int k = 1; k <= cfg_.keys; ++k) {
-      const std::uint64_t key = static_cast<std::uint64_t>(k);
+    // The ring is fixed for the run, so each key's primary is looked up once,
+    // here; this pass also sizes the stores.
+    const std::uint64_t nkeys = static_cast<std::uint64_t>(cfg_.keys);
+    primary_.resize(nkeys + 1);
+    std::vector<std::size_t> count(shards_.size(), 0);
+    for (std::uint64_t key = 1; key <= nkeys; ++key) {
       const int p = ring_.PrimaryOf(key);
-      shard(p).keys.push_back(key);
-      shard(ring_.SuccessorOf(p)).keys.push_back(key);
+      primary_[key] = static_cast<std::uint8_t>(p);
+      ++count[static_cast<std::size_t>(p)];
+      ++count[static_cast<std::size_t>(ring_.SuccessorOf(p))];
     }
     const std::size_t slot =
         (static_cast<std::size_t>(cfg_.value_len) + 7) & ~std::size_t{7};
-    for (Shard& S : shards_) {
-      const std::size_t cnt = S.keys.size();
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      Shard& S = shards_[s];
       S.table = std::make_unique<kv::RdmaHashTable>(
           *S.dev,
-          kv::RdmaHashTable::Config{.buckets = Pow2AtLeast(4 * cnt + 16)});
-      S.heap = std::make_unique<kv::ValueHeap>(*S.dev, cnt * slot + (64 << 10));
-      std::vector<std::byte> v(cfg_.value_len);
-      for (std::uint64_t key : S.keys) {
-        std::uint64_t ptr;
-        if (versioned_) {
-          ptr = S.heap->Reserve(cfg_.value_len);
-          kv::WriteVersionedValue(ptr, cfg_.value_len, key, /*version=*/0);
-        } else {
-          // PutPattern layout: byte i is (key + i) mod 256.
-          std::iota(reinterpret_cast<unsigned char*>(v.data()),
-                    reinterpret_cast<unsigned char*>(v.data()) + v.size(),
-                    static_cast<unsigned char>(key));
-          ptr = S.heap->Store(v.data(), cfg_.value_len);
-        }
-        S.table->Insert(key, ptr, cfg_.value_len);
-        S.vaddr[key] = ptr;
-      }
+          kv::RdmaHashTable::Config{.buckets = Pow2AtLeast(4 * count[s] + 16)});
+      S.heap = std::make_unique<kv::ValueHeap>(*S.dev,
+                                               count[s] * slot + (64 << 10));
+      S.vaddr.assign(nkeys + 1, 0);
     }
 
-    // Depth-1 closed loops starve on a miss, so tenants draw only keys the
-    // 2-bucket NIC probe can see on BOTH replicas.
-    eligible_.reserve(static_cast<std::size_t>(cfg_.keys));
-    for (int k = 1; k <= cfg_.keys; ++k) {
-      const std::uint64_t key = static_cast<std::uint64_t>(k);
-      const int p = ring_.PrimaryOf(key);
-      if (shard(p).table->NicVisible(key) &&
-          shard(ring_.SuccessorOf(p)).table->NicVisible(key)) {
-        eligible_.push_back(key);
+    // One pass in key order fills both replicas, so each shard stores its
+    // keys in ascending order. Depth-1 closed loops starve on a miss, so
+    // tenants draw only keys the 2-bucket NIC probe can see on BOTH
+    // replicas, which Insert reports as it places them.
+    eligible_.reserve(nkeys);
+    for (std::uint64_t key = 1; key <= nkeys; ++key) {
+      if (key + kPrefetchAhead <= nkeys) {
+        const std::uint64_t ahead = key + kPrefetchAhead;
+        const int pa = primary_[ahead];
+        shard(pa).table->PrefetchBucket1(ahead);
+        shard(ring_.SuccessorOf(pa)).table->PrefetchBucket1(ahead);
       }
+      const int p = primary_[key];
+      const bool on_primary = StoreSeed(p, key);
+      const bool on_backup = StoreSeed(ring_.SuccessorOf(p), key);
+      if (on_primary && on_backup) eligible_.push_back(key);
     }
     if (eligible_.empty()) {
       throw std::runtime_error("RunKvService: no NIC-visible keys");
     }
+  }
+
+  // Writes `key`'s seed value into shard s's heap and table. True iff the
+  // key landed in one of its two NIC-probed buckets.
+  bool StoreSeed(int s, std::uint64_t key) {
+    Shard& S = shard(s);
+    const std::uint64_t ptr = S.heap->ReserveForOverwrite(cfg_.value_len);
+    if (versioned_) {
+      kv::WriteVersionedValue(ptr, cfg_.value_len, key, /*version=*/0);
+    } else {
+      // PutPattern layout: byte i is (key + i) mod 256.
+      kv::FillRamp(reinterpret_cast<void*>(ptr), cfg_.value_len,
+                   static_cast<std::uint8_t>(key));
+    }
+    S.vaddr[key] = ptr;
+    return S.table->Insert(key, ptr, cfg_.value_len) == kv::Placement::kBucket;
   }
 
   void BuildLinks() {
@@ -606,7 +637,7 @@ class KvService {
       Park(t);
       return;
     }
-    const int p = ring_.PrimaryOf(T.key);
+    const int p = primary_[T.key];
     T.primary = p;
     const int b = ring_.SuccessorOf(p);
     const int pref = T.dead[static_cast<std::size_t>(p)] ? b : p;
@@ -649,10 +680,11 @@ class KvService {
       return false;
     }
     rnic::dma::WriteU64(T.ptx_mr.addr, T.key);
-    auto* pay = reinterpret_cast<std::uint8_t*>(T.ptx_mr.addr);
-    for (std::uint32_t i = kv::kValueVersionBytes; i < cfg_.value_len; ++i) {
-      pay[i] = static_cast<std::uint8_t>((T.key + i) & 0xff);
-    }
+    // Payload byte i is (key + i) mod 256.
+    kv::FillRamp(
+        reinterpret_cast<void*>(T.ptx_mr.addr + kv::kValueVersionBytes),
+        cfg_.value_len - kv::kValueVersionBytes,
+        static_cast<std::uint8_t>(T.key + kv::kValueVersionBytes));
     verbs::PostSendNow(L.req_cli,
                        verbs::MakeSend(T.ptx_mr.addr, cfg_.value_len,
                                        T.ptx_mr.lkey, /*signaled=*/false));
@@ -867,12 +899,11 @@ class KvService {
   // absent peer's miss.
   void ApplyPut(int t, int s, std::uint64_t key) {
     Shard& S = shard(s);
-    const auto it = S.vaddr.find(key);
-    if (it == S.vaddr.end()) return;  // not a replica of this key
-    const std::uint64_t addr = it->second;
+    const std::uint64_t addr = key < S.vaddr.size() ? S.vaddr[key] : 0;
+    if (addr == 0) return;  // not a replica of this key
     const std::uint64_t version = kv::ValueVersion(addr) + 1;
     kv::WriteVersionedValue(addr, cfg_.value_len, key, version);
-    const int p = ring_.PrimaryOf(key);
+    const int p = primary_[key];
     if (s != p) {
       // Degraded head: the tenant routed here because the primary was
       // unroutable — the primary is missing this write.
@@ -1001,7 +1032,8 @@ class KvService {
         // back before the shard serves.
         ++out_.rejoins;
         S.dev->ReviveProcessResources(kShardPidBase + s);
-        for (std::uint64_t key : S.keys) {
+        for (std::uint64_t key = 1; key < S.vaddr.size(); ++key) {
+          if (S.vaddr[key] == 0) continue;
           kv::WriteVersionedValue(S.vaddr[key], cfg_.value_len, key,
                                   /*version=*/0);
         }
@@ -1206,7 +1238,11 @@ class KvService {
     S.resync_links.assign(static_cast<std::size_t>(cfg_.shards),
                           {nullptr, nullptr});
     S.missed.clear();
-    Pass(s, S.keys);
+    std::vector<std::uint64_t> keys;
+    for (std::uint64_t key = 1; key < S.vaddr.size(); ++key) {
+      if (S.vaddr[key] != 0) keys.push_back(key);
+    }
+    Pass(s, keys);
   }
 
   void Pass(int s, const std::vector<std::uint64_t>& keys) {
@@ -1214,7 +1250,7 @@ class KvService {
     std::vector<std::vector<kv::ResyncSession::Item>> by_donor(
         static_cast<std::size_t>(cfg_.shards));
     for (std::uint64_t key : keys) {
-      const int p = ring_.PrimaryOf(key);
+      const int p = primary_[key];
       const int donor = p == s ? ring_.SuccessorOf(p) : p;
       if (donor == s || !shard(donor).serves()) {
         continue;  // no live donor; the key keeps its local (wiped) value
@@ -1363,8 +1399,9 @@ class KvService {
     // consistent values, and equal versions must mean equal bytes.
     if (versioned_) {
       for (std::uint64_t key : eligible_) {
-        Shard& P = shard(ring_.PrimaryOf(key));
-        Shard& B = shard(ring_.SuccessorOf(ring_.PrimaryOf(key)));
+        const int p = primary_[key];
+        Shard& P = shard(p);
+        Shard& B = shard(ring_.SuccessorOf(p));
         if (!P.serves() || !B.serves()) continue;
         const std::uint64_t pa = P.vaddr[key];
         const std::uint64_t ba = B.vaddr[key];
@@ -1417,6 +1454,8 @@ class KvService {
   KvServiceResult out_;
   std::vector<Shard> shards_;
   std::vector<Tenant> tenants_;
+  // Each key's ring primary, by key (the ring never changes in a run).
+  std::vector<std::uint8_t> primary_;
   std::vector<std::uint64_t> eligible_;
   std::vector<double> cdf_;  // Zipf CDF over eligible_ (empty = uniform)
   std::size_t rot_ = 1;      // per-tenant rotation of the Zipf ranking

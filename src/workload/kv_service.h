@@ -62,7 +62,7 @@ struct KvServiceConfig {
   int gets_per_tenant = 400;
   int keys = 100'000;              // keyspace size (keys 1..keys)
   std::uint32_t value_len = 256;
-  double zipf_theta = 0.99;        // 0 = uniform
+  double zipf_theta = 0.99;        // >= 0; 0 = uniform
   std::uint64_t seed = 1;
 
   // Transport: always packetized selective repeat over 25 Gbps links, with
@@ -181,9 +181,10 @@ struct KvServiceResult {
   bool operator==(const KvServiceResult&) const = default;
 };
 
-// Runs the service; throws std::invalid_argument on malformed configs
-// (< 2 shards, overlapping fault windows, fault entries naming
-// out-of-range shards, a versioned run with value_len < 16, ...).
+// Runs the service; throws std::invalid_argument naming the field on
+// malformed configs (shards outside [2, 64], loss outside [0, 1], a negative
+// zipf_theta, overlapping fault windows, fault entries naming out-of-range
+// shards, a versioned run with value_len < 16, ...).
 //
 // A kCrash entry with up_at > 0 is a crash + re-join: the shard's process
 // resources are revived at up_at with an EMPTY store (the crash lost its

@@ -2,6 +2,9 @@
 // and the N-client scale-out experiment (determinism + genuine sharing).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "sim/fabric.h"
 #include "testbed.h"
 #include "workload/experiments.h"
@@ -194,6 +197,34 @@ TEST(FabricScale, DeterministicAndContended) {
   EXPECT_LT(r1.gets_per_sec, 3.9 * one.gets_per_sec);
   EXPECT_GE(r1.p99_us, one.p99_us);
   EXPECT_GT(r1.server_tx_util, 0.5);
+}
+
+TEST(FabricScale, NoClientsIsRejected) {
+  // Used to crash: the visible-key scan read client 0.
+  workload::FabricScaleConfig cfg;
+  cfg.clients = 0;
+  try {
+    workload::RunFabricScale(cfg);
+    ADD_FAILURE() << "clients = 0 ran";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("clients must be >= 1, got 0"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(FabricScale, NoKeysIsRejected) {
+  // Used to throw std::runtime_error "no NIC-visible keys".
+  workload::FabricScaleConfig cfg;
+  cfg.keys = 0;
+  try {
+    workload::RunFabricScale(cfg);
+    ADD_FAILURE() << "keys = 0 ran";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("keys must be >= 1, got 0"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

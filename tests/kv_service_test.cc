@@ -80,7 +80,9 @@ TEST(KvService, HealthyRunAnswersEveryGetAcrossAllTenants) {
   EXPECT_EQ(r.host_reissues, 0u);
   EXPECT_EQ(r.reroutes, 0u);
   EXPECT_EQ(r.qp_errors, 0u);
-  EXPECT_GT(r.keys_visible, 1'000u);
+  // Keys both replicas hold in an H1 or H2 bucket, as Insert reported them
+  // at set-up; 24 of the 2000 fell back to a neighbourhood on some replica.
+  EXPECT_EQ(r.keys_visible, 1'976u);
   EXPECT_GT(r.p50_us, 0.0);
   EXPECT_GE(r.p99_us, r.p50_us);
   EXPECT_GE(r.p999_us, r.p99_us);
@@ -248,6 +250,44 @@ TEST(KvService, MalformedConfigsThrow) {
   inverted.up_at = 4'000;
   cfg.faults.entries.push_back(inverted);
   EXPECT_THROW(RunKvService(cfg), std::invalid_argument);
+}
+
+// Runs `cfg`, which must be rejected with a message naming `field` and
+// the rejected `value`.
+void ExpectRejected(const KvServiceConfig& cfg, const std::string& field,
+                    const std::string& value) {
+  try {
+    RunKvService(cfg);
+    ADD_FAILURE() << field << " = " << value << " ran";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(field), std::string::npos) << what;
+    EXPECT_NE(what.find("got " + value), std::string::npos) << what;
+  }
+}
+
+TEST(KvService, LossOutsideUnitIntervalIsRejected) {
+  KvServiceConfig cfg = SmallConfig();
+  cfg.loss = 1.5;
+  ExpectRejected(cfg, "loss", "1.5");
+  cfg.loss = -0.25;
+  ExpectRejected(cfg, "loss", "-0.25");
+}
+
+TEST(KvService, NegativeZipfThetaIsRejected) {
+  KvServiceConfig cfg = SmallConfig();
+  cfg.zipf_theta = -1;  // used to run silently as uniform
+  ExpectRejected(cfg, "zipf_theta", "-1");
+}
+
+TEST(KvService, ShardsBeyondTheReplicaMaskAreRejected) {
+  // A put's replica mask has one bit per shard, and the per-key primary
+  // array holds any shard id up to that bound.
+  KvServiceConfig cfg = SmallConfig();
+  cfg.shards = 65;
+  ExpectRejected(cfg, "shards", "65");
+  cfg.shards = 1;
+  ExpectRejected(cfg, "shards", "1");
 }
 
 }  // namespace
