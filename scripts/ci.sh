@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # CI entry point: build Release + Debug, run the test suite in both, run
-# bench_simcore + bench_scale_fanout (Release) and enforce perf floors, then
-# diff all 15 fig/table paper benches against committed golden stdout (and
-# the KV scale benches' seed-1 --quick JSON records against
-# tests/golden/scale/) so semantic regressions (timing, ordering,
-# completion counting) fail loudly instead of rotting silently, run every
-# example program, and smoke-run the repo benchmark (bench/e2e).
+# bench_simcore + bench_scale_fanout (Release) and enforce perf floors, run
+# every example program, and smoke-run the repo benchmark (bench/e2e). The
+# test suite includes the byte-identity checks (golden_* in ctest): all 15
+# fig/table paper benches diffed against committed golden stdout and the KV
+# scale benches' seed-1 JSON records against tests/golden/scale/, so
+# semantic regressions (timing, ordering, completion counting) fail loudly
+# in every ctest stage instead of rotting silently.
 #
 # An ASan+UBSan Debug build then re-runs the whole ctest suite — the
 # slab/inline-callback fast paths are exactly the code sanitizers exist
@@ -135,10 +136,11 @@ tsan_stage() {
   (cd build-tsan && TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
      ./transport_test)
   # A heal that joins a running recovery, with spread tenants: the only
-  # ctest runs where a joined recovery's heal legs cross domains.
+  # ctest runs where a joined recovery's heal legs cross domains. And a
+  # re-sync opening transport flows mid-round while another domain sends.
   (cd build-tsan && TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
      ./kv_recovery_test \
-     --gtest_filter='KvRecovery.SecondFaultMidResyncJoinsTheRecovery')
+     --gtest_filter='KvRecovery.SecondFaultMidResyncJoinsTheRecovery:KvRecovery.ResyncOpensFlowsMidRunWithoutMovingTheFlowTable')
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     ./build-tsan/bench_scale_fanout --quick --shards 4 --tenants 8
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
@@ -223,19 +225,6 @@ check_zero() {  # check_zero <bench> <field> <label>
     echo "FAIL: $3: ${val} != 0" >&2; fail=1
   else
     echo "OK:   $3: 0"
-  fi
-}
-# The KV scale benches' JSON records are pure simulated results apart from
-# events_per_sec. Their seed-1 --quick records (and scale_recovery's seed-1
-# --ops 1000 record), with that field removed, must match the committed
-# ones in tests/golden/scale/ byte for byte.
-check_record() {  # check_record <bench> <golden>
-  if ! echo "${bench_out}" | grep "\"bench\":\"$1\"" \
-      | sed -E 's/^JSON //; s/,"events_per_sec":[^,}]*//' \
-      | diff -u "$2" - ; then
-    echo "FAIL: $1 seed-1 record diverged from $2" >&2; fail=1
-  else
-    echo "OK:   $1 seed-1 record matches $2"
   fi
 }
 for b in dispatch_chain dispatch_burst remote_write; do
@@ -335,7 +324,6 @@ for seed in 1 2 3; do
   bench_out="$(./build-release/bench_scale_failover --quick --seed "${seed}")"
   if [[ "${seed}" == "1" ]]; then
     echo "${bench_out}"
-    check_record scale_failover tests/golden/scale/scale_failover.json
   else
     echo "${bench_out}" | grep '"bench":"scale_failover"'
   fi
@@ -359,7 +347,6 @@ for seed in 1 2 3; do
   bench_out="$(./build-release/bench_scale_recovery --quick --seed "${seed}")"
   if [[ "${seed}" == "1" ]]; then
     echo "${bench_out}"
-    check_record scale_recovery tests/golden/scale/scale_recovery.json
   else
     echo "${bench_out}" | grep '"bench":"scale_recovery"'
   fi
@@ -379,13 +366,11 @@ done
 # keys its first anti-entropy pass already read: the follow-up passes must
 # re-read them before it serves. No window ceiling at this size. At this
 # size the get harnesses also refill their armed windows (ArmAhead): the
-# seed-1 record pins that refills leave the simulated schedule untouched.
+# seed-1 record (golden_scale_recovery_ops1000 in ctest) pins that refills
+# leave the simulated schedule untouched.
 for seed in 1 2 3; do
   bench_out="$(./build-release/bench_scale_recovery --ops 1000 --seed "${seed}")"
   echo "${bench_out}" | grep '"bench":"scale_recovery"'
-  if [[ "${seed}" == "1" ]]; then
-    check_record scale_recovery tests/golden/scale/scale_recovery_ops1000.json
-  fi
   check_zero scale_recovery unanswered "scale_recovery --ops 1000 seed ${seed} unanswered ops"
   check_zero scale_recovery lost_acked_writes "scale_recovery --ops 1000 seed ${seed} lost acked writes"
   check_zero scale_recovery ryw_violations "scale_recovery --ops 1000 seed ${seed} read-your-writes violations"
@@ -403,21 +388,6 @@ echo "${bench_out}" | grep '"bench":"scale_recovery"'
 check_floor scale_recovery sharded_deterministic 1 "sharded recovery bit-stable rerun"
 check_zero scale_recovery ryw_violations "sharded recovery read-your-writes violations"
 check_zero scale_recovery lost_acked_writes "sharded recovery lost acked writes"
-
-# Determinism guard: these benches print only simulated-time results, so
-# their stdout must match the committed goldens bit for bit. A diff here
-# means engine/device semantics changed — timing, ordering, or completion
-# counting — not just performance.
-echo "=== golden output diffs ==="
-for golden in tests/golden/*.golden; do
-  b="$(basename "${golden}" .golden)"
-  if ! ./build-release/"${b}" | diff -u "${golden}" - ; then
-    echo "FAIL: ${b} output diverged from ${golden}" >&2
-    fail=1
-  else
-    echo "OK:   ${b} matches golden"
-  fi
-done
 
 # Every example program is a self-checking end-to-end run of one public
 # API (several set workload configs, e.g. resilient_kv's failover policy):

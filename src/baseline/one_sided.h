@@ -39,8 +39,6 @@ class OneSidedKvClient {
   // Blocking get (steps the simulator).
   Result Get(std::uint64_t key, sim::Nanos timeout = sim::Millis(5));
 
-  std::uint64_t value_buffer_addr() const { return mr_.addr + kScratch; }
-
  private:
   // One READ + the calibrated client-side overhead; returns false on error.
   bool BlockingRead(std::uint64_t raddr, std::uint32_t rkey, std::uint32_t len,

@@ -53,11 +53,6 @@ class MemcachedServer {
   rnic::RnicDevice& dev() { return dev_; }
   baseline::TwoSidedKvServer& rpc() { return rpc_; }
 
-  // PID that should own RDMA resources created on behalf of this server.
-  int resource_owner_pid() const {
-    return cfg_.hull_parent ? kHullPid : kAppPid;
-  }
-
   // --- failure injection (§5.6) --------------------------------------------
   // Kills the Memcached process now. The RPC front goes dark until restart
   // completes; resources owned by kAppPid are reclaimed by the OS.

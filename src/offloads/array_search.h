@@ -4,11 +4,11 @@
 //   while (i < n) { if (x == A[i]) send(i); i++; }         (Fig 5, unrolled)
 //   while (1)     { if (x == A[i]) { send(i); break; } i++ }  (Fig 6, break)
 //
-// The loop is unrolled (size known a priori): each iteration READs A[i],
-// drops it into the id field of that iteration's response WR, and a CAS
-// against {NOOP, x} promotes the response — which sends the *index* back.
-// The break variant rewrites the response WR header so the next iteration's
-// WAIT never fires, exactly like the list traversal's break.
+// The loop is unrolled (size known a priori) as a core::UnrolledLoop: each
+// iteration READs A[i], drops it into the id field of that iteration's
+// response WR, and a CAS against {NOOP, x} promotes the response — which
+// sends the *index* back. The break variant rewrites the response WR header
+// so the next iteration's WAIT never fires, as the list traversal's does.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +58,8 @@ class ArraySearchOffload {
   std::uint32_t TriggerBytes() const { return static_cast<std::uint32_t>(n_) * 8; }
   void BuildTrigger(std::uint64_t x, std::byte* out) const;
 
-  int wrs_posted() const { return wrs_posted_; }
+  // WRs posted for the search, its trigger RECV included.
+  int wrs_posted() const { return prog_.budget().total() + 1; }
 
  private:
   Program prog_;
@@ -68,7 +69,6 @@ class ArraySearchOffload {
   rnic::MemoryRegion idx_mr_;
   std::unique_ptr<std::byte[]> tmpl_;  // break-variant header templates
   rnic::MemoryRegion tmpl_mr_;
-  int wrs_posted_ = 0;
 };
 
 }  // namespace redn::offloads

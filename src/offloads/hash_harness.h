@@ -75,11 +75,10 @@ class HashGetHarness {
   // lands (or `timeout` of simulated time passes -> miss).
   Result Get(std::uint64_t key, sim::Nanos timeout = sim::Micros(200));
 
-  // Fire-and-forget trigger for open-loop throughput runs; responses are
-  // counted by the caller via response_count(). Returns false when the
+  // Fire-and-forget trigger for open-loop throughput runs; the caller
+  // consumes the responses (NoteOpenLoopResponse). Returns false when the
   // connection is dead (server QPs reclaimed, or the client QP flushed).
   bool SendTrigger(std::uint64_t key);
-  std::uint64_t response_count() const { return responses_; }
 
   kv::RdmaHashTable& table() { return *table_; }
   kv::ValueHeap& heap() { return *heap_; }

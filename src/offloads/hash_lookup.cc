@@ -81,38 +81,30 @@ void HashGetOffload::ArmBucketChain(Program& prog, QueuePair* chain,
 
   // READ: bucket -> response WQE fields. 20 bytes scatter as documented in
   // kv/table.h. remote_addr is injected by the trigger RECV.
-  const rnic::Sge* read_sges = prog.MakeSgeTable({
-      {resp.FieldAddr(WqeField::kCtrl), 8, resp_qp->sq_mr.lkey},
-      {resp.FieldAddr(WqeField::kLocalAddr), 8, resp_qp->sq_mr.lkey},
-      {resp.FieldAddr(WqeField::kLength), 4, resp_qp->sq_mr.lkey},
-  });
   verbs::SendWr read;
   read.opcode = Opcode::kRead;
-  read.sge_table = read_sges;
+  read.sge_table = prog.MakeSgeTable({
+      resp.FieldSge(WqeField::kCtrl),
+      resp.FieldSge(WqeField::kLocalAddr),
+      resp.FieldSge(WqeField::kLength, 4),
+  });
   read.sge_count = 3;
   read.remote_addr = 0;  // <- bucket address via trigger RECV
   read.rkey = table_.rkey();
   read.length = 20;
   WrRef rd = prog.Post(chain, read);
 
-  // CAS: {NOOP, bucket.key} vs {NOOP, x}; on match -> {WRITE_IMM, 0}.
-  verbs::SendWr cas = verbs::MakeCas(
-      resp.FieldAddr(WqeField::kCtrl), resp.CodeRkey(),
-      /*compare=*/0,  // <- PackCtrl(NOOP, x) via trigger RECV
-      /*swap=*/rnic::PackCtrl(Opcode::kWriteImm, 0));
-  WrRef cs = prog.Post(chain, cas);
+  // CAS: {NOOP, bucket.key} vs {NOOP, x}; on match -> {WRITE_IMM, 0}. The
+  // trigger RECV injects PackCtrl(NOOP, x) into its compare word.
+  WrRef cs = prog.OpcodeCas(resp, 0, Opcode::kNoop, Opcode::kWriteImm, chain);
 
   // Trigger injection points for this bucket probe.
-  recv_sges[0] = {cs.FieldAddr(WqeField::kCompareAdd), 8, chain->sq_mr.lkey};
-  recv_sges[1] = {rd.FieldAddr(WqeField::kRemoteAddr), 8, chain->sq_mr.lkey};
+  recv_sges[0] = cs.FieldSge(WqeField::kCompareAdd);
+  recv_sges[1] = rd.FieldSge(WqeField::kRemoteAddr);
 
   // Control glue (doorbell ordering): trigger -> READ -> CAS -> response.
   prog.Wait(trigger_cq, recv_seq, signal_trigger);
-  prog.Enable(chain, rd.idx + 1);
-  prog.Wait(chain->send_cq, prog.SignalsPosted(chain->send_cq) - 1);
-  prog.Enable(chain, cs.idx + 1);
-  prog.Wait(chain->send_cq, prog.SignalsPosted(chain->send_cq));
-  prog.Enable(resp_qp, resp.idx + 1);
+  prog.Steps({rd, cs, resp});
 }
 
 void HashGetOffload::Arm(int n, std::uint64_t resp_addr,
@@ -146,13 +138,10 @@ void HashGetOffload::Post(std::uint64_t n, std::uint64_t resp_addr,
     }
 
     // One RECV consumes the trigger and feeds every probe in this request.
-    const std::uint32_t sge_count = static_cast<std::uint32_t>(cfg_.buckets * 2);
-    verbs::RecvWr rwr;
-    rwr.wr_id = seq;
-    rwr.sge_table =
-        prog_.MakeSgeTable(std::span<const rnic::Sge>(recv_sges, sge_count));
-    rwr.sge_count = sge_count;
-    verbs::PostRecv(client_qp_, rwr);
+    prog_.TriggerRecv(
+        client_qp_,
+        std::span<const rnic::Sge>(recv_sges, std::size_t(cfg_.buckets) * 2),
+        seq);
   }
   prog_.Launch();
   if (cfg_.parallel) prog2_.Launch();

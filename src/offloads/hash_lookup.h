@@ -139,8 +139,6 @@ class HashGetOffload {
   // per probed bucket: [PackCtrl(NOOP, key), bucket_addr].
   void BuildTrigger(std::uint64_t key, std::byte* out) const;
 
-  std::uint64_t armed() const { return armed_; }
-
   // Lane `lane`'s control and chain queues (see Depths; chain(1) is null
   // unless parallel).
   QueuePair* control(int lane) {

@@ -5,7 +5,8 @@
 // into the ctrl word the CAS will test, (b) patches the NEXT iteration's
 // READ with the node's `next` pointer ("Copy Ni+1 = Ni->next to next
 // iteration"), and (c) stages the node's value for the response WRITE. A
-// CAS per iteration promotes the response when the key matches.
+// CAS per iteration promotes the response when the key matches. The loop is
+// a core::UnrolledLoop, as the array search's is.
 //
 // Two variants, as evaluated in Fig 13:
 //  - plain: all `iterations` iterations always execute; the matching one
@@ -13,7 +14,7 @@
 //  - break: each iteration carries a break WR. On a match the (promoted)
 //    break WRITE rewrites the response WR's header in place — opcode NOOP ->
 //    WRITE_IMM *and* signaled -> unsignaled. Since the next iteration's gate
-//    WAITs on the response queue's completion count (which only unsignaled-
+//    WAITs on the response queue's completion count (which only signaled
 //    miss NOOPs feed), the loop stops dead after a hit: exactly the paper's
 //    "modify the last WR in the loop such that it does not trigger a
 //    completion event".
@@ -88,16 +89,16 @@ class ListTraversalOffload {
   }
   void BuildTrigger(std::uint64_t key, std::byte* out) const;
 
-  int wrs_posted() const { return wrs_posted_; }
+  // WRs posted for the traversal, its trigger RECV included.
+  int wrs_posted() const { return prog_.budget().total() + 1; }
 
  private:
   const ListStore& list_;
   Program prog_;
   QueuePair* chain_;
   int iterations_ = 0;
-  std::unique_ptr<std::byte[]> scratch_;  // xbuf, staging, templates, sink
+  std::unique_ptr<std::byte[]> scratch_;  // sink, staging, templates
   rnic::MemoryRegion scratch_mr_;
-  int wrs_posted_ = 0;
 };
 
 }  // namespace redn::offloads

@@ -76,8 +76,7 @@ void RecycledAddLoop::Start() {
   dev_.RingDoorbell(ring_);
 }
 
-void RecycledAddLoop::Kill(int owner_pid) {
-  (void)owner_pid;
+void RecycledAddLoop::Kill() {
   ring_->alive = false;
   ring_->sq.error = true;
   body_->alive = false;

@@ -38,7 +38,7 @@ class RecycledAddLoop {
   // Kills the loop by dropping its QPs into error state (the only way to
   // stop a nonterminating NIC program other than the §3.5 rate limiter /
   // connection teardown).
-  void Kill(int owner_pid = 0);
+  void Kill();
 
   // WR budget of one loop round (Table 2's `while` with WQ recycling).
   const core::WrBudget& budget() const { return prog_.budget(); }

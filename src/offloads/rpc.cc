@@ -42,7 +42,7 @@ EchoRpcOffload::EchoRpcOffload(rnic::RnicDevice& server, QueuePair* client_qp,
 
     // Release on trigger arrival.
     prog_.Wait(client_qp->recv_cq, static_cast<std::uint64_t>(r + 1));
-    prog_.Enable(client_qp, ref.idx + 1);
+    prog_.Release(ref);
   }
   prog_.Launch();
 }
@@ -71,43 +71,26 @@ CondRpcOffload::CondRpcOffload(rnic::RnicDevice& server, QueuePair* client_qp,
 
     // R2: NOOP -> (on x == y) WRITE of the constant 1 over the answer word.
     // The trigger RECV injects PackCtrl(NOOP, x) into its ctrl word.
-    verbs::SendWr r2;
+    verbs::SendWr r2 = verbs::MakeWrite(one_addr, 8, mr_.lkey, ans, mr_.rkey);
     r2.opcode = Opcode::kNoop;
-    r2.signaled = true;
-    r2.local_addr = one_addr;
-    r2.length = 8;
-    r2.lkey = mr_.lkey;
-    r2.remote_addr = ans;
-    r2.rkey = mr_.rkey;
     WrRef cond = prog_.Post(chain_, r2);
 
     // R3: the response — sends the answer word either way.
-    verbs::SendWr r3;
+    verbs::SendWr r3 = verbs::MakeWrite(ans, 8, mr_.lkey, resp_addr, resp_rkey,
+                                        /*signaled=*/false);
     r3.opcode = Opcode::kWriteImm;
-    r3.signaled = false;
-    r3.local_addr = ans;
-    r3.length = 8;
-    r3.lkey = mr_.lkey;
-    r3.remote_addr = resp_addr;
-    r3.rkey = resp_rkey;
     r3.imm = static_cast<std::uint32_t>(r + 1);
     WrRef resp = prog_.Post(client_qp, r3);
 
     // Trigger RECV injects x into the conditional WR's id field.
-    const rnic::Sge* sges = prog_.MakeSgeTable(
-        {{cond.FieldAddr(WqeField::kCtrl), 8, chain_->sq_mr.lkey}});
-    verbs::RecvWr rwr;
-    rwr.sge_table = sges;
-    rwr.sge_count = 1;
-    verbs::PostRecv(client_qp, rwr);
+    const rnic::Sge x_field = cond.FieldSge(WqeField::kCtrl);
+    prog_.TriggerRecv(client_qp, {&x_field, 1});
 
     // Glue: trigger -> CAS(flip) -> conditional -> response.
-    prog_.Wait(client_qp->recv_cq, static_cast<std::uint64_t>(r + 1));
-    prog_.OpcodeCas(cond, y, Opcode::kNoop, Opcode::kWrite);
-    prog_.Wait(prog_.control_cq(), prog_.SignalsPosted(prog_.control_cq()));
-    prog_.Enable(chain_, cond.idx + 1);
-    prog_.Wait(chain_->send_cq, prog_.SignalsPosted(chain_->send_cq));
-    prog_.Enable(client_qp, resp.idx + 1);
+    prog_.EmitEqualIf(client_qp->recv_cq, static_cast<std::uint64_t>(r + 1),
+                      cond, y, Opcode::kWrite);
+    prog_.WaitFor(cond);
+    prog_.Release(resp);
   }
   prog_.Launch();
 }

@@ -59,15 +59,12 @@ void MovMachine::Sequence() {
   if (chain_signals > 0) prog_.Wait(chain_->send_cq, chain_signals);
 }
 
-void MovMachine::ReleaseChain(std::uint64_t upto) {
+void MovMachine::ReleaseChain(std::initializer_list<WrRef> wrs) {
   // Doorbell ordering, WQE by WQE: each chain entry is fetched only after
-  // the previous one completed (all chain WRs are signaled, so the chain CQ
-  // count equals the number of retired chain WQEs).
-  while (released_ < upto) {
-    if (released_ > 0) prog_.Wait(chain_->send_cq, released_);
-    prog_.Enable(chain_, released_ + 1);
-    ++released_;
-  }
+  // the previous one completed, the last one released before it included.
+  if (last_released_.valid()) prog_.WaitFor(last_released_);
+  prog_.Steps(wrs);
+  last_released_ = *(wrs.end() - 1);
 }
 
 void MovMachine::MovImmediate(int rdst, std::uint64_t constant) {
@@ -94,13 +91,13 @@ void MovMachine::MovIndirectLoad(int rdst, int rsrc) {
                         verbs::MakeWrite(/*laddr=*/0, 8, arena_mr_.lkey,
                                          RegAddr(rdst), arena_mr_.rkey));
   // Control: patch w2.local_addr with the *value* of Rsrc...
-  prog_.Post(prog_.control(),
-             verbs::MakeWrite(RegAddr(rsrc), 8, arena_mr_.lkey,
-                              w2.FieldAddr(WqeField::kLocalAddr),
-                              w2.CodeRkey()));
+  WrRef patch = prog_.Post(
+      prog_.control(), verbs::MakeWrite(RegAddr(rsrc), 8, arena_mr_.lkey,
+                                        w2.FieldAddr(WqeField::kLocalAddr),
+                                        w2.CodeRkey()));
   // ...and only then let the NIC fetch w2 (doorbell ordering).
-  prog_.Wait(prog_.control_cq(), prog_.SignalsPosted(prog_.control_cq()));
-  ReleaseChain(w2.idx + 1);
+  prog_.WaitFor(patch);
+  ReleaseChain({w2});
   ++instructions_;
 }
 
@@ -122,12 +119,12 @@ void MovMachine::MovIndexedLoad(int rdst, int rsrc, int roff) {
              verbs::MakeWrite(RegAddr(rsrc), 8, arena_mr_.lkey,
                               w2.FieldAddr(WqeField::kLocalAddr),
                               w2.CodeRkey()));
-  prog_.Post(prog_.control(),
-             verbs::MakeWrite(RegAddr(roff), 8, arena_mr_.lkey,
-                              add.FieldAddr(WqeField::kCompareAdd),
-                              add.CodeRkey()));
-  prog_.Wait(prog_.control_cq(), prog_.SignalsPosted(prog_.control_cq()));
-  ReleaseChain(w2.idx + 1);
+  WrRef patch = prog_.Post(
+      prog_.control(), verbs::MakeWrite(RegAddr(roff), 8, arena_mr_.lkey,
+                                        add.FieldAddr(WqeField::kCompareAdd),
+                                        add.CodeRkey()));
+  prog_.WaitFor(patch);  // in-order control queue: the Rsrc patch is done too
+  ReleaseChain({add, w2});
   ++instructions_;
 }
 
@@ -136,12 +133,12 @@ void MovMachine::MovIndirectStore(int rdst_ptr, int rsrc) {
   WrRef w2 = prog_.Post(
       chain_, verbs::MakeWrite(RegAddr(rsrc), 8, arena_mr_.lkey,
                                /*raddr=*/0, arena_mr_.rkey));
-  prog_.Post(prog_.control(),
-             verbs::MakeWrite(RegAddr(rdst_ptr), 8, arena_mr_.lkey,
-                              w2.FieldAddr(WqeField::kRemoteAddr),
-                              w2.CodeRkey()));
-  prog_.Wait(prog_.control_cq(), prog_.SignalsPosted(prog_.control_cq()));
-  ReleaseChain(w2.idx + 1);
+  WrRef patch = prog_.Post(
+      prog_.control(), verbs::MakeWrite(RegAddr(rdst_ptr), 8, arena_mr_.lkey,
+                                        w2.FieldAddr(WqeField::kRemoteAddr),
+                                        w2.CodeRkey()));
+  prog_.WaitFor(patch);
+  ReleaseChain({w2});
   ++instructions_;
 }
 

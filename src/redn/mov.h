@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <vector>
 
@@ -71,9 +72,10 @@ class MovMachine {
   sim::Nanos Run();
 
  private:
-  // Emits the ENABLE glue that releases chain WQEs up to `upto`, one by
-  // one, each gated on the completion of the previous chain WQE.
-  void ReleaseChain(std::uint64_t upto);
+  // Emits the glue that releases `wrs`, the chain WQEs posted since the
+  // last release, one by one, each gated on the completion of the chain
+  // WQE before it.
+  void ReleaseChain(std::initializer_list<WrRef> wrs);
   // Completion-order barrier between dependent instructions.
   void Sequence();
   std::uint64_t PoolSlot(std::uint64_t value);
@@ -86,7 +88,7 @@ class MovMachine {
   std::size_t arena_used_ = 0;  // allocation cursor (words)
   int n_regs_;
   rnic::MemoryRegion arena_mr_;
-  std::uint64_t released_ = 0;
+  WrRef last_released_;  // the newest chain WQE released
   int instructions_ = 0;
 };
 

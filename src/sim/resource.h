@@ -66,7 +66,6 @@ class BandwidthResource {
     const Nanos start = free_at_ > now ? free_at_ : now;
     free_at_ = start + service;
     busy_time_ += service;
-    bytes_moved_ += bytes;
     return free_at_;
   }
 
@@ -86,7 +85,6 @@ class BandwidthResource {
 
   double gbps() const { return 8.0 / ns_per_byte_; }
   Nanos busy_time() const { return busy_time_; }
-  Nanos free_at() const { return free_at_; }
   // Busy time accumulated inside [0, t]: a reservation extending past `t`
   // is truncated at the boundary. The overhang beyond `t` belongs to the
   // final contiguous busy run ending at free_at_ (reservations start no
@@ -99,19 +97,16 @@ class BandwidthResource {
     if (over <= 0) return busy_time_;
     return over < busy_time_ ? busy_time_ - over : 0;
   }
-  std::uint64_t bytes_moved() const { return bytes_moved_; }
 
   void Reset() {
     free_at_ = 0;
     busy_time_ = 0;
-    bytes_moved_ = 0;
   }
 
  private:
   double ns_per_byte_;
   Nanos free_at_ = 0;
   Nanos busy_time_ = 0;
-  std::uint64_t bytes_moved_ = 0;
   // One-entry memo for SerializationDelay (bytes=0 maps to delay 0, so the
   // zero-init state is already a correct entry).
   mutable std::uint64_t memo_bytes_ = 0;

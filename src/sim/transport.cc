@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace redn::sim {
@@ -59,14 +61,14 @@ Transport::Transport(Simulator& sim, Fabric& fabric, TransportConfig cfg)
 
 TransportCounters Transport::counters() const {
   TransportCounters total;
-  for (std::size_t i = 0; i < flows_.size(); ++i) {
+  for (std::size_t i = 0; i < flow_count_; ++i) {
     total += FlowCounters(static_cast<int>(i));
   }
   return total;
 }
 
 TransportCounters Transport::FlowCounters(int flow) const {
-  const Flow& f = *flows_[static_cast<std::size_t>(flow)];
+  const Flow& f = FlowAt(flow);
   // Mid-round, only a flow whose halves both live on the running domain
   // is readable; anything else spans shards — snapshot between runs.
   assert((EventDomain::Current() == nullptr ||
@@ -109,16 +111,21 @@ void Transport::EnsureLinkTables() {
 }
 
 int Transport::OpenFlow(int src_ep, int dst_ep) {
-  // Growing the table mid-round is legal only with ReserveFlows headroom:
-  // a reallocation would move the vector's storage out from under foreign
-  // shards resolving their own flow ids concurrently.
-  assert((EventDomain::Current() == nullptr ||
-          flows_.size() < flows_.capacity()) &&
-         "mid-round OpenFlow without ReserveFlows headroom");
-  auto fl = std::make_unique<Flow>();
+  if (flow_count_ == kMaxFlows) {
+    throw std::length_error("Transport::OpenFlow: all " +
+                            std::to_string(kMaxFlows) + " flows are open");
+  }
+  // A new chunk only ever fills an empty directory slot: entries other
+  // domains read mid-round stay where they are.
+  auto& chunk = flow_chunks_[flow_count_ / kFlowChunk];
+  if (chunk == nullptr) {
+    chunk = std::make_unique<std::unique_ptr<Flow>[]>(kFlowChunk);
+  }
+  auto& fl = chunk[flow_count_ % kFlowChunk];
+  fl = std::make_unique<Flow>();
   Flow& f = *fl;
   f.tr = this;
-  f.id = static_cast<int>(flows_.size());
+  f.id = static_cast<int>(flow_count_++);
   f.src = src_ep;
   f.dst = dst_ep;
   f.sdom = DomainOf(src_ep);
@@ -128,7 +135,6 @@ int Transport::OpenFlow(int src_ep, int dst_ep) {
   // Size the per-endpoint fault/delay tables now, while single-threaded:
   // mid-round SetLinkFaults/SetLinkDelay then writes its own slot in place.
   EnsureLinkTables();
-  flows_.push_back(std::move(fl));
   return f.id;
 }
 
@@ -191,7 +197,7 @@ void Transport::SendMessage(int flow, Nanos t, std::uint64_t bytes,
 
 void Transport::SendMessageEx(int flow, Nanos t, std::uint64_t bytes,
                               MessageOps ops) {
-  Flow& f = *flows_[static_cast<std::size_t>(flow)];
+  Flow& f = FlowAt(flow);
   AssertOn(f.sdom);
   SenderHalf& s = f.snd;
   ++s.ctr.messages_sent;
@@ -618,7 +624,7 @@ void Transport::ArmRto(Flow& f) {
   // loop with a fixed period and a lossy channel otherwise retransmits in
   // lockstep with whatever is eating the packets.
   const std::uint32_t shift = std::min(s.consec_rtos, kMaxBackoffShift);
-  s.rto_deadline = SNow(f) + (BaseRto() << shift);
+  s.rto_deadline = SNow(f) + (cfg_.rto << shift);
   // A later deadline is caught up by the pending event; an earlier one
   // (progress reset the backoff) must not wait for it.
   if (s.rto_timer > s.rto_deadline) ScheduleRto(f);
@@ -812,7 +818,7 @@ void Transport::FailFlow(Flow& f, MsgFailure why) {
 }
 
 void Transport::ResetFlow(int flow) {
-  Flow& f = *flows_[static_cast<std::size_t>(flow)];
+  Flow& f = FlowAt(flow);
   AssertOn(f.sdom);
   SenderHalf& s = f.snd;
   // Park the queue (an errored flow parked everything in FailFlow), restart

@@ -97,6 +97,7 @@
 // nothing about verbs.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
@@ -127,7 +128,9 @@ struct TransportConfig {
   std::uint32_t window = 64;        // send window, packets
   std::uint32_t ack_every = 4;      // coalesce: ack every Nth in-order packet
   Nanos ack_delay = 2'000;          // delayed-ACK backstop
-  Nanos rto = 50'000;               // base retransmission timeout (see below)
+  // Base retransmission timeout; doubles per consecutive timeout on the
+  // same PSN. The IB ibv_qp_attr::timeout encoding t is rto = 4096ns << t.
+  Nanos rto = 50'000;
   double loss = 0.0;                // default per-link packet-loss probability
   std::uint64_t seed = 0x7a115eedULL;
 
@@ -140,10 +143,6 @@ struct TransportConfig {
   // NAK path entirely: rnr_probe is never consulted and SENDs racing an
   // empty RQ keep the legacy accept-as-dropped semantics.
   std::uint32_t rnr_retry_count = 0;
-  // When nonzero, the base RTO becomes 4096ns × 2^timeout_exp (the IB
-  // ibv_qp_attr::timeout encoding) instead of `rto`. Either base doubles
-  // per consecutive timeout on the same PSN.
-  std::uint32_t timeout_exp = 0;
   // RNR backoff base: the requester waits 4096ns × 2^min_rnr_timer after an
   // RNR NAK, doubling per consecutive NAK on the same message.
   std::uint32_t min_rnr_timer = 5;
@@ -199,6 +198,10 @@ class Transport {
   // Fires with the simulated instant of the event (delivery or ack).
   using Callback = std::function<void(Nanos)>;
 
+  // Flows one transport can open, in chunks of kFlowChunk.
+  static constexpr std::size_t kFlowChunk = 256;
+  static constexpr std::size_t kMaxFlows = 1024 * kFlowChunk;
+
   // Extended per-message hooks. `rnr_probe` (optional) is consulted before
   // delivery: returning false means "receiver not ready" — the message is
   // NAKed and retried after backoff instead of delivered. It is only ever
@@ -236,14 +239,11 @@ class Transport {
   TransportCounters FlowCounters(int flow) const;
 
   // Opens a unidirectional reliable flow src_ep -> dst_ep (fabric endpoint
-  // ids). An RC connection uses one flow per direction. Call at setup, or
-  // mid-run only with ReserveFlows headroom (growing the flow table while
-  // other shards resolve flow ids would race).
+  // ids). An RC connection uses one flow per direction. Call at setup or
+  // mid-run (a recovery path building a fresh connection inside a sharded
+  // round): the table never moves an entry another domain reads. Throws
+  // std::length_error past kMaxFlows.
   int OpenFlow(int src_ep, int dst_ep);
-
-  // Pre-sizes the flow table so mid-run OpenFlow (e.g. recovery paths that
-  // build fresh connections inside a sharded round) never reallocates it.
-  void ReserveFlows(std::size_t n) { flows_.reserve(n); }
 
   // Queues a message of `bytes` payload on `flow`, transmissible from `t`
   // (clamped to now; messages on one flow go out in SendMessage order).
@@ -260,7 +260,7 @@ class Transport {
   // True once the flow's retry budget died; only ResetFlow revives it.
   // Sender-half state: call on the sender's domain.
   bool FlowErrored(int flow) const {
-    const Flow& f = *flows_[static_cast<std::size_t>(flow)];
+    const Flow& f = FlowAt(flow);
     AssertOn(f.sdom);
     return f.snd.error;
   }
@@ -462,10 +462,6 @@ class Transport {
     return false;
   }
   bool Sr() const { return cfg_.mode == TransportMode::kSelectiveRepeat; }
-  Nanos BaseRto() const {
-    return cfg_.timeout_exp == 0 ? cfg_.rto
-                                 : (Nanos{4096} << cfg_.timeout_exp);
-  }
   Nanos RnrDelay(std::uint32_t attempt) const;
   void EnsureLinkTables();
 
@@ -534,7 +530,16 @@ class Transport {
   Simulator& sim_;  // home domain
   Fabric& fabric_;
   TransportConfig cfg_;
-  std::vector<std::unique_ptr<Flow>> flows_;
+  // The flow table: fixed-size chunks of flow pointers behind a directory
+  // that never reallocates, so a flow opened mid-run relocates nothing a
+  // domain resolving its own flow ids reads concurrently.
+  Flow& FlowAt(int flow) const {
+    const auto i = static_cast<std::size_t>(flow);
+    return *flow_chunks_[i / kFlowChunk][i % kFlowChunk];
+  }
+  std::array<std::unique_ptr<std::unique_ptr<Flow>[]>, kMaxFlows / kFlowChunk>
+      flow_chunks_;
+  std::size_t flow_count_ = 0;
   std::vector<LinkFault> faults_;  // indexed by endpoint
   std::vector<Nanos> delays_;      // per-endpoint added latency (kSlow)
   LinkFault default_fault_;

@@ -23,7 +23,7 @@ namespace {
 using baseline::TwoSidedKvClient;
 using baseline::TwoSidedKvServer;
 
-// RunFabricScale's packetized transport's base RTO when timeout_exp is 0.
+// RunFabricScale's packetized transport's rto when timeout_exp is 0.
 constexpr sim::Nanos kFabricRto = 60'000;
 
 // RunFailover's throughput-timeline bucket and value size.
@@ -115,12 +115,12 @@ FabricScaleResult RunFabricScale(const FabricScaleConfig& cfg) {
   std::unique_ptr<sim::Transport> transport;
   if (cfg.packetized) {
     sim::TransportConfig tc;
-    tc.rto = kFabricRto;
+    tc.rto = cfg.timeout_exp == 0 ? kFabricRto
+                                  : sim::Nanos{4096} << cfg.timeout_exp;
     tc.loss = cfg.loss;
     tc.seed = cfg.transport_seed;
     tc.mode = cfg.selective_repeat ? sim::TransportMode::kSelectiveRepeat
                                    : sim::TransportMode::kGoBackN;
-    tc.timeout_exp = cfg.timeout_exp;
     transport = std::make_unique<sim::Transport>(ssim.shard(cfg.server_shard),
                                                  fabric, tc);
   }

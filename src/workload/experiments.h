@@ -47,7 +47,7 @@ struct FabricScaleConfig {
   // --- reliability engine (requires packetized) -----------------------------
   // Selective repeat (SACK-range retransmission) instead of go-back-N.
   bool selective_repeat = false;
-  // Base RTO = 4096ns << timeout_exp when nonzero, else 60 us.
+  // The transport's rto = 4096ns << timeout_exp when nonzero, else 60 us.
   std::uint32_t timeout_exp = 0;
 
   // --- sharded parallel engine ----------------------------------------------

@@ -261,12 +261,12 @@ void Validate(const KvServiceConfig& cfg) {
 }
 
 sim::TransportConfig TransportConfigOf(const KvServiceConfig& cfg) {
-  return {.loss = cfg.loss,
+  return {.rto = sim::Nanos{4096} << kTimeoutExp,
+          .loss = cfg.loss,
           .seed = cfg.transport_seed,
           .mode = sim::TransportMode::kSelectiveRepeat,
           .retry_count = cfg.retry_count,
           .rnr_retry_count = cfg.rnr_retry_count,
-          .timeout_exp = kTimeoutExp,
           .min_rnr_timer = kMinRnrTimer};
 }
 

@@ -383,6 +383,39 @@ TEST(KvRecovery, SecondFaultMidResyncJoinsTheRecovery) {
   EXPECT_EQ(RunKvService(cfg), RunKvService(cfg));
 }
 
+// A re-sync pass opens a fresh QP pair, and with it transport flows, on the
+// re-joiner's domain while the tenants' domain resolves its own flows. With
+// puts and the offload policy, set-up opens 10 x tenants x shards + 2 x
+// shards flows: exactly 128 here, so the pass opens the first flow past a
+// full power-of-two table. Opening it must move nothing the tenants' domain
+// reads (a Debug build asserts on a relocating flow table).
+TEST(KvRecovery, ResyncOpensFlowsMidRunWithoutMovingTheFlowTable) {
+  KvServiceConfig cfg = MixedConfig();
+  cfg.shards = 4;
+  cfg.tenants = 3;
+  cfg.keys = 20'000;
+  cfg.gets_per_tenant = 200;
+  cfg.seed = 1;
+  cfg.sim_shards = 2;
+  cfg.placement = {1, 1, 1};
+  FaultEntry crash;
+  crash.server = 1;
+  crash.kind = FaultKind::kCrash;
+  crash.down_at = 60'000;
+  crash.up_at = sim::Millis(1);
+  cfg.faults.entries.push_back(crash);
+
+  const KvServiceResult r = RunKvService(cfg);
+  EXPECT_EQ(Ops(r), 600u);
+  EXPECT_EQ(r.unanswered, 0u);
+  EXPECT_EQ(r.rejoins, 1u);
+  EXPECT_GE(r.resyncs_started, 1u);
+  EXPECT_EQ(r.resync_failures, 0u);
+  EXPECT_EQ(r.lost_acked_writes, 0u);
+  EXPECT_EQ(r.ryw_violations, 0u);
+  EXPECT_EQ(r.value_divergence, 0u);
+}
+
 // --- ResyncSession unit ------------------------------------------------------
 
 class ResyncBed : public ::testing::Test {

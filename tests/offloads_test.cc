@@ -7,6 +7,7 @@
 #include <tuple>
 #include <vector>
 
+#include "offloads/array_search.h"
 #include "offloads/hash_harness.h"
 #include "offloads/list_traversal.h"
 #include "offloads/recycled_loop.h"
@@ -613,6 +614,143 @@ TEST_F(OffloadTest, RecycledLoopStopsWhenKilled) {
   const std::uint64_t frozen = loop.iterations();
   bed.sim.RunUntil(sim::Micros(300));
   EXPECT_LE(loop.iterations(), frozen + 1);
+}
+
+// ---------------------------------------------------------------------------
+// WR budgets
+// ---------------------------------------------------------------------------
+
+// WRs posted to a set of queues since each was watched.
+class PostedSince {
+ public:
+  void Watch(const char* name, const rnic::WorkQueue& wq) {
+    rows_.push_back({name, &wq, wq.posted});
+  }
+  // The queues a Program created after `last` on `dev`: its control queue
+  // first, then its chain queue. Watched from zero (they are new).
+  void WatchProgram(rnic::RnicDevice& dev, const QueuePair* last) {
+    rows_.push_back({"control", &dev.GetQp(last->id + 1)->sq, 0});
+    rows_.push_back({"chain", &dev.GetQp(last->id + 2)->sq, 0});
+    EXPECT_EQ(dev.GetQp(last->id + 3), nullptr) << "an unexpected queue";
+  }
+  // "name=n ..." in watch order.
+  std::string Read() const {
+    std::string out;
+    for (const Row& r : rows_) {
+      if (!out.empty()) out += ' ';
+      out += std::string(r.name) + "=" + std::to_string(r.wq->posted - r.base);
+    }
+    return out;
+  }
+
+ private:
+  struct Row {
+    const char* name;
+    const rnic::WorkQueue* wq;
+    std::uint64_t base;
+  };
+  std::vector<Row> rows_;
+};
+
+// One get request armed on a fresh harness.
+std::string HashGetBudget(int buckets, bool parallel) {
+  TestBed bed;
+  HashGetHarness h(bed.client, bed.server,
+                   {.buckets = buckets, .parallel = parallel, .max_requests = 8},
+                   /*table_cfg=*/{}, /*heap_bytes=*/1 << 20);
+  HashGetOffload& off = h.offload();
+  PostedSince posted;
+  posted.Watch("control0", off.control(0)->sq);
+  posted.Watch("control1", off.control(1)->sq);
+  posted.Watch("chain0", off.chain(0)->sq);
+  if (parallel) posted.Watch("chain1", off.chain(1)->sq);
+  posted.Watch("response0", h.server_qp()->sq);
+  posted.Watch("recv", h.server_qp()->rq);
+  if (parallel) posted.Watch("response1", h.server_qp2()->sq);
+  h.Arm(1);
+  return posted.Read();
+}
+
+// One request of an offload armed per request on a managed server QP.
+template <typename Arm>
+std::string PerRequestBudget(Arm arm) {
+  TestBed bed;
+  auto [cli, srv] = bed.ConnectedPair(/*server_managed=*/true, 4096);
+  Buffer resp = bed.Alloc(bed.client, 64);
+  PostedSince posted;
+  posted.Watch("response", srv->sq);
+  posted.Watch("recv", srv->rq);
+  auto off = arm(bed.server, srv, resp);
+  posted.WatchProgram(bed.server, srv);
+  return posted.Read();
+}
+
+std::string ArraySearchBudget(bool use_break) {
+  return PerRequestBudget([&](rnic::RnicDevice& dev, QueuePair* srv,
+                              const Buffer& resp) {
+    static const std::vector<std::uint64_t> kValues = {1, 2, 3, 4,
+                                                       5, 6, 7, 8};
+    auto array = std::make_shared<offloads::SearchArray>(dev, kValues);
+    return std::make_pair(
+        array, std::make_unique<offloads::ArraySearchOffload>(
+                   dev, *array, srv,
+                   offloads::ArraySearchOffload::Config{.use_break = use_break},
+                   resp.addr(), resp.rkey()));
+  });
+}
+
+std::string ListTraversalBudget(bool use_break) {
+  return PerRequestBudget([&](rnic::RnicDevice& dev, QueuePair* srv,
+                              const Buffer& resp) {
+    auto list = std::make_shared<ListStore>(dev, 8, 64);
+    for (int i = 0; i < 8; ++i) list->AppendPattern(100 + i);
+    return std::make_pair(
+        list, std::make_unique<ListTraversalOffload>(
+                  dev, *list, srv,
+                  ListTraversalOffload::Config{.iterations = 8,
+                                               .use_break = use_break},
+                  resp.addr(), resp.rkey()));
+  });
+}
+
+std::string CondRpcBudget() {
+  return PerRequestBudget([](rnic::RnicDevice& dev, QueuePair* srv,
+                             const Buffer& resp) {
+    return std::make_unique<offloads::CondRpcOffload>(
+        dev, srv, /*y=*/5, /*n=*/1, resp.addr(), resp.rkey());
+  });
+}
+
+// Every offload shape's exact WR budget for one request, on every queue
+// the offload posts to. The counts are the shapes' Table 2 budgets, the
+// same whether a shape is built from core::Program's constructs or by
+// hand: a construct that gains or loses a WR, or a WR that moves queues,
+// fails here, naming the shape.
+TEST(OffloadWrBudget, EachShapePostsItsPinnedWrsPerQueue) {
+  const struct {
+    const char* shape;
+    std::string posted;
+    const char* want;
+  } kShapes[] = {
+      {"hash get, 1 bucket", HashGetBudget(1, false),
+       "control0=6 control1=0 chain0=2 response0=1 recv=1"},
+      {"hash get, 2 buckets sequential", HashGetBudget(2, false),
+       "control0=12 control1=0 chain0=4 response0=2 recv=1"},
+      {"hash get, 2 buckets parallel", HashGetBudget(2, true),
+       "control0=6 control1=6 chain0=2 chain1=2 response0=1 recv=1 "
+       "response1=1"},
+      {"array search", ArraySearchBudget(false),
+       "response=8 recv=1 control=41 chain=16"},
+      {"array search with break", ArraySearchBudget(true),
+       "response=8 recv=1 control=64 chain=24"},
+      {"list traversal", ListTraversalBudget(false),
+       "response=8 recv=1 control=41 chain=16"},
+      {"list traversal with break", ListTraversalBudget(true),
+       "response=8 recv=1 control=64 chain=24"},
+      {"conditional RPC", CondRpcBudget(),
+       "response=1 recv=1 control=6 chain=1"},
+  };
+  for (const auto& s : kShapes) EXPECT_EQ(s.posted, s.want) << s.shape;
 }
 
 TEST_F(OffloadTest, RateLimiterThrottlesRecycledLoop) {

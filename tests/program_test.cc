@@ -1,6 +1,8 @@
 // Tests for the RedN program builder and the `if` construct (Fig 4).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "redn/program.h"
 #include "testbed.h"
 
@@ -161,6 +163,30 @@ TEST_F(ProgramTest, SignalsPostedTracksPerCq) {
   prog.Post(chain, MakeNoop());
   EXPECT_EQ(prog.SignalsPosted(prog.control_cq()), 2u);
   EXPECT_EQ(prog.SignalsPosted(chain->send_cq), 1u);
+}
+
+TEST_F(ProgramTest, WaitForNeedsASignaledWr) {
+  Program prog(bed.server);
+  rnic::QueuePair* chain = prog.NewChainQueue();
+  const WrRef silent = prog.Post(chain, MakeNoop(/*signaled=*/false));
+  const WrRef loud = prog.Post(chain, MakeNoop());
+  EXPECT_EQ(silent.retired_at, 0u);
+  EXPECT_EQ(loud.retired_at, 1u);
+  EXPECT_THROW(prog.WaitFor(silent), std::invalid_argument);
+  prog.ResetBudget();
+  prog.WaitFor(loud);
+  EXPECT_EQ(prog.budget().sync, 1);
+}
+
+TEST_F(ProgramTest, RetirementCountsStartAtTheCqsHardwareCount) {
+  // A queue the program did not create may already have completions.
+  Program prog(bed.server);
+  rnic::QueuePair* q = prog.NewPlainQueue();
+  verbs::PostSendNow(q, MakeNoop());
+  bed.sim.Run();
+  ASSERT_EQ(q->send_cq->hw_count(), 1u);
+  EXPECT_EQ(prog.Post(q, MakeNoop()).retired_at, 2u);
+  EXPECT_EQ(prog.SignalsPosted(q->send_cq), 2u);
 }
 
 TEST_F(ProgramTest, WaitAndEnableAreUnsignaledByDefault) {

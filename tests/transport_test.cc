@@ -807,13 +807,13 @@ TEST(TransportRnr, RewindOfAMessageWiderThanTheWindowResendsOnePacket) {
   }
 }
 
-TEST(Transport, TimeoutExponentSetsBaseRtoAndDoublesPerConsecutiveFire) {
+TEST(Transport, RtoSetsTheFirstTimeoutInterval) {
   sim::Simulator s;
   sim::Fabric f;
   const int a = f.Attach({8.0, 100});
   const int b = f.Attach({8.0, 100});
   TransportConfig cfg = LegibleConfig();
-  cfg.timeout_exp = 2;  // base RTO 4096 << 2 = 16384 ns, overrides cfg.rto
+  cfg.rto = 16'384;  // the IB timeout encoding 2: 4096 << 2 ns
   Transport tr(s, f, cfg);
   const int flow = tr.OpenFlow(a, b);
   tr.DropNextData(1);
@@ -825,7 +825,7 @@ TEST(Transport, TimeoutExponentSetsBaseRtoAndDoublesPerConsecutiveFire) {
   s.Run();
   ASSERT_EQ(acked.size(), 1u);
   // First RTO fires one 16384 ns base interval after the send completes —
-  // below the 20 us legacy cfg.rto, proving the exponent is in charge.
+  // below LegibleConfig's 20 us, so the configured rto is in charge.
   EXPECT_GT(acked[0], Nanos{16'384});
   EXPECT_LT(acked[0], Nanos{20'000});
   EXPECT_EQ(tr.counters().rto_fires, 1u);
