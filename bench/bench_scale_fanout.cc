@@ -92,11 +92,11 @@ struct TenantBg {
 // slot 7 at kRing (fetched as 8r+8, enabling round r+1). Slot 0 is fetched
 // before its own round's ADD, so it starts at 1 (fetched as r).
 //
-// Translation cache interaction: every lap re-fetches all 8 slots, and the
-// ADDs rewrite exactly three of them (0, 6, 7). Those tracked writes
-// refresh the cached decode in place (write-through), so in steady state
-// all 8 fetches are verified cache hits — the reported wqe_cache_hit_rate
-// approaches 1.0 and scripts/ci.sh enforces a 0.9 floor on it.
+// Decoded-WQE cache interaction: every lap re-fetches all 8 slots, and the
+// ADDs rewrite exactly three of them (0, 6, 7). A fetch reloads a slot
+// whose bytes changed since its last decode, so in steady state those 3
+// fetches miss and the other 5 hit — the reported wqe_cache_hit_rate sits
+// near 5/8 (0.64 measured) and scripts/ci.sh enforces a 0.6 floor on it.
 constexpr std::uint32_t kRing = 8;
 
 void BuildChain(rnic::RnicDevice& dev, rnic::QueuePair* chain,
@@ -406,13 +406,10 @@ int main(int argc, char** argv) {
   std::printf("  %-30s slab-hit %5.2f%%  payload-reuse %5.2f%%\n", "allocation",
               100.0 * slab_rate, 100.0 * reuse_rate);
   const double wqe_hit_rate = dev.counters().WqeCacheHitRate();
-  std::printf("  %-30s hit %5.2f%%  (%llu hits, %llu misses, %llu writes "
-              "refreshed)\n",
-              "wqe translation cache", 100.0 * wqe_hit_rate,
+  std::printf("  %-30s hit %5.2f%%  (%llu hits, %llu misses)\n",
+              "decoded-wqe cache", 100.0 * wqe_hit_rate,
               static_cast<unsigned long long>(dev.counters().wqe_cache_hits),
-              static_cast<unsigned long long>(dev.counters().wqe_cache_misses),
-              static_cast<unsigned long long>(
-                  dev.counters().wqe_cache_invalidations));
+              static_cast<unsigned long long>(dev.counters().wqe_cache_misses));
 
   bench::JsonWriter("scale_fanout")
       .Field("events_per_sec", events_per_sec)

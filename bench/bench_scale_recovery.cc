@@ -78,7 +78,10 @@ int main(int argc, char** argv) {
   std::printf("  FaultPlan: crash shard 1 at t=60us, re-join at t=1ms "
               "(wipe + resync); slow +30us on shard 2 [1.5ms, 2ms)\n");
 
-  auto run = [&]() {
+  // The fault lifecycle above on `domains` event domains. With more than
+  // one, the tenants sit off the service's domain 0, so their flows cross
+  // the mailbox.
+  auto config = [&](int domains) {
     workload::KvServiceConfig cfg;
     cfg.shards = shards;
     cfg.tenants = tenants;
@@ -99,8 +102,16 @@ int main(int argc, char** argv) {
     slow.up_at = slow_to;
     slow.slow_ns = 30'000;
     cfg.faults.entries.push_back(slow);
-    return workload::RunKvService(cfg);
+    cfg.sim_shards = domains;
+    if (domains > 1) {
+      cfg.placement.resize(static_cast<std::size_t>(tenants));
+      for (int t = 0; t < tenants; ++t) {
+        cfg.placement[static_cast<std::size_t>(t)] = 1 + t % (domains - 1);
+      }
+    }
+    return cfg;
   };
+  auto run = [&] { return workload::RunKvService(config(1)); };
 
   const auto t0 = std::chrono::steady_clock::now();
   const auto r = run();
@@ -156,42 +167,11 @@ int main(int argc, char** argv) {
       std::printf("  SKIP note: only %u cores for %d sim shards — speedup "
                   "numbers will understate the engine\n", cores, sim_shards);
     }
-    auto spread_run = [&](int n) {
-      workload::KvServiceConfig cfg;
-      cfg.shards = shards;
-      cfg.tenants = tenants;
-      cfg.gets_per_tenant = ops;
-      cfg.keys = keys;
-      cfg.seed = seed;
-      cfg.put_fraction = put_fraction;
-      workload::FaultEntry crash;
-      crash.server = 1;
-      crash.kind = workload::FaultKind::kCrash;
-      crash.down_at = kCrashAt;
-      crash.up_at = rejoin_at;
-      cfg.faults.entries.push_back(crash);
-      workload::FaultEntry slow;
-      slow.server = 2;
-      slow.kind = workload::FaultKind::kSlow;
-      slow.down_at = slow_from;
-      slow.up_at = slow_to;
-      slow.slow_ns = 30'000;
-      cfg.faults.entries.push_back(slow);
-      cfg.sim_shards = n;
-      if (n > 1) {
-        // Tenants off the service shard: their flows cross the mailbox.
-        cfg.placement.resize(static_cast<std::size_t>(tenants));
-        for (int t = 0; t < tenants; ++t) {
-          cfg.placement[static_cast<std::size_t>(t)] = 1 + t % (n - 1);
-        }
-      }
-      return workload::RunKvService(cfg);
-    };
     auto timed = [&](int n, workload::KvServiceResult* out) {
       double best = 1e30;
       for (int rep = 0; rep < 2; ++rep) {
         const auto w0 = std::chrono::steady_clock::now();
-        *out = spread_run(n);
+        *out = workload::RunKvService(config(n));
         const double w = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - w0).count();
         if (w < best) best = w;

@@ -104,8 +104,9 @@ double RunDispatchBurst(std::uint64_t n, int rounds, SlabStats* slab) {
 // Full data path: batches of RDMA WRITEs between two devices over a wire.
 // Returns wall-clock nanoseconds per verb and the simulator's events/sec
 // via `events_per_sec`; `wqe_cache_hit_rate` reports the requester's
-// decoded-WQE translation cache (identical re-posts verify-hit, so steady
-// state approaches 1.0 — only the first lap of ring slots decodes).
+// decoded-WQE cache (a fetch keeps a slot's image while its bytes are
+// unchanged, so identical re-posts hit and steady state approaches 1.0 —
+// only the first lap of ring slots decodes).
 double RunRemoteWrite(std::uint64_t verbs_target, double* events_per_sec,
                       double* wqe_cache_hit_rate, SlabStats* slab) {
   sim::Simulator sim;

@@ -231,9 +231,10 @@ for b in dispatch_chain dispatch_burst remote_write; do
   check_floor "$b" slab_hit_rate 0.99 "$b slab-hit rate"
   check_zero "$b" heap_fallbacks "$b heap fallbacks"
 done
-# Decoded-WQE translation cache: identical re-posts must verify-hit, so the
-# steady-state hit rate sits near 1.0; a drop means the write-through /
-# invalidation plumbing regressed (see docs/PERF.md).
+# Decoded-WQE cache: a fetch keeps a slot's image while the slot bytes are
+# unchanged. The driver re-posts identical WRITEs into a 2048-slot ring, so
+# only the first lap decodes (0.968 measured); a drop means fetches reload
+# slots that did not change (see docs/PERF.md).
 check_floor remote_write wqe_cache_hit_rate 0.9 "remote_write wqe-cache hit rate"
 
 echo "=== bench_scale_fanout perf floors ==="
@@ -243,10 +244,11 @@ check_floor scale_fanout events_per_sec "${MIN_FANOUT_EPS}" "scale_fanout events
 check_floor scale_fanout slab_hit_rate 0.99 "scale_fanout slab-hit rate"
 check_zero scale_fanout heap_fallbacks "scale_fanout heap fallbacks"
 check_floor scale_fanout payload_reuse_rate 0.99 "scale_fanout payload-reuse rate"
-# Self-recycling managed rings must keep hitting the translation cache even
-# though three slots per lap are ADD-rewritten — the write-through refresh
-# is what holds this above 0.9 (steady state ~1.0).
-check_floor scale_fanout wqe_cache_hit_rate 0.9 "scale_fanout wqe-cache hit rate"
+# Self-recycling managed rings: the ADDs rewrite 3 of each ring's 8 slots
+# every lap, and a fetch reloads exactly the rewritten slots, so the steady
+# state is 5/8 hits (0.637 with --quick, 0.639 at the default size). The
+# floor catches fetches that reload untouched slots too.
+check_floor scale_fanout wqe_cache_hit_rate 0.6 "scale_fanout wqe-cache hit rate"
 
 echo "=== bench_scale_netfabric perf floors ==="
 # The bench self-checks contention and seed-stability (exit code); CI adds

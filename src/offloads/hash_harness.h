@@ -25,9 +25,9 @@ class HashGetHarness {
                  std::size_t heap_bytes = 256 << 20,
                  std::size_t max_value = 64 << 10);
 
-  // Shared-store variant: the table and heap are owned elsewhere (a shard
-  // shared by several harnesses — the multi-tenant KV service). They must
-  // live on `server_dev` and outlive the harness.
+  // Shared-store variant: the table and heap are owned elsewhere, by a
+  // store several harnesses share (a KV service shard, RunFabricScale's
+  // server). They must live on `server_dev` and outlive the harness.
   HashGetHarness(rnic::RnicDevice& client_dev, rnic::RnicDevice& server_dev,
                  HashGetOffload::Config cfg, kv::RdmaHashTable& shared_table,
                  kv::ValueHeap& shared_heap, std::size_t max_value = 64 << 10);

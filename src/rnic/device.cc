@@ -73,16 +73,6 @@ QueuePair* RnicDevice::CreateQp(const QpConfig& qcfg) {
               qcfg.managed, qcfg.send_cq, pu);
   qp->rq.Init(qp.get(), /*is_send=*/false, qp->rq_buf.get(), qcfg.rq_depth,
               /*managed=*/false, qcfg.recv_cq, pu);
-  // Watch managed SQ rings for tracked NIC-side stores: a verb that
-  // rewrites a posted WQE (the RedN self-modification trick) refreshes the
-  // slot's cached decode through NoteDmaWrite, so the next doorbell-order
-  // fetch of a self-modified slot still hits. Non-managed rings stay
-  // unwatched — their snapshots must go stale by design, and the
-  // verify-at-fetch re-decodes recycled slots. RQ WQEs are read fresh at
-  // every consumption, so RQ rings never join either.
-  if (qcfg.managed) {
-    ring_watches_.Watch(qp->sq.RingBase(), qp->sq.RingBytes(), &qp->sq);
-  }
   qps_.push_back(std::move(qp));
   return qps_.back().get();
 }
@@ -192,19 +182,14 @@ void RnicDevice::FetchSlot(WorkQueue& wq, std::uint64_t idx) {
   const std::size_t s = wq.BufSlot(idx);
   WqeImage& img = wq.ImageAtB(s);
   const WqeView slot = wq.SlotAtB(s);
-  // The verify is the correctness backbone: a cached decode is trusted only
-  // if the live slot bytes still equal it, so even host-side raw-DMA WQE
-  // patches (which bypass every tracked write path) are always honoured —
-  // exactly the snapshot the pre-cache fetch would have taken.
-  if (wq.DecodedAtB(s)) {
-    if (slot.Matches(img)) {
-      ++counters_.wqe_cache_hits;
-      return;
-    }
-    ++counters_.wqe_cache_invalidations;  // untracked write beat the filter
+  // The image is kept only while the live slot bytes still equal it, so
+  // whatever rewrote the slot since its last fetch — a post, an RDMA verb
+  // (RedN's self-modification) or a raw host patch — is what executes.
+  if (slot.Matches(img)) {
+    ++counters_.wqe_cache_hits;
+    return;
   }
   img = slot.Load();
-  wq.MarkDecodedAtB(s);
   ++counters_.wqe_cache_misses;
 }
 
@@ -310,7 +295,6 @@ void RnicDevice::Issue(WorkQueue& wq, std::uint64_t idx) {
       const sim::Nanos t_issue = pu.Reserve(start, service);
       Payload* pl = payloads_.Acquire();
       pl->img = img;  // copy: ring slot may be recycled
-      pl->slot = idx;
       sim_.At(t_issue, [this, &wq, idx, pl] {
         if (wq.error || !wq.qp()->alive) {
           payloads_.Release(pl);
@@ -318,7 +302,7 @@ void RnicDevice::Issue(WorkQueue& wq, std::uint64_t idx) {
           return;
         }
         ++counters_.executed_by_opcode[static_cast<int>(pl->img.opcode())];
-        ExecuteData(wq, idx, pl, sim_.now());
+        ExecuteData(wq, pl, sim_.now());
         // Pipelining: the next WQE may issue without waiting for this one's
         // completion (WQ order).
         wq.next_exec = idx + 1;
@@ -366,32 +350,9 @@ std::uint64_t RnicDevice::ReadLength(const WqeImage& img) const {
   return len;
 }
 
-bool RnicDevice::GatherLocal(WorkQueue& wq, std::uint64_t idx,
-                             const WqeImage& img, std::vector<std::byte>& out,
-                             WcStatus* err) {
+bool RnicDevice::GatherLocal(WorkQueue& wq, const WqeImage& img,
+                             std::vector<std::byte>& out, WcStatus* err) {
   const ProtectionDomain& pd = wq.qp()->device->pd_;
-  if (!img.uses_sge_table()) {
-    // Single-element fast path: the slot's SgePlan remembers the validated
-    // CheckLocal result, so a recycled ring lap re-gathering through the
-    // same {addr, length, lkey} skips the protection re-walk. Bytes are
-    // still read live — only the *translation* is cached.
-    if (img.length == 0) return true;
-    SgePlan& plan = wq.PlanAt(idx);
-    if (!plan.Covers(img.local_addr, img.length, img.lkey, kLocalRead,
-                     pd.epoch())) {
-      const MemCheck mc = pd.CheckLocal(img.local_addr, img.length, img.lkey,
-                                        kLocalRead, &wq.mr_cache);
-      if (mc != MemCheck::kOk) {
-        *err = WcStatus::kLocalAccessError;
-        return false;
-      }
-      plan.sge = Sge{img.local_addr, img.length, img.lkey};
-      plan.pd_epoch = pd.epoch();
-      plan.access = kLocalRead;
-    }
-    dma::ReadAppend(out, img.local_addr, img.length);
-    return true;
-  }
   SgeScratch sges;
   ResolveSges(img, sges);
   for (const Sge& sge : sges) {
@@ -407,49 +368,10 @@ bool RnicDevice::GatherLocal(WorkQueue& wq, std::uint64_t idx,
   return true;
 }
 
-bool RnicDevice::ScatterList(WorkQueue& wq, std::uint64_t idx,
-                             const WqeImage& img, const std::byte* data,
-                             std::size_t len, WcStatus* err) {
+bool RnicDevice::ScatterList(WorkQueue& wq, const WqeImage& img,
+                             const std::byte* data, std::size_t len,
+                             WcStatus* err) {
   const ProtectionDomain& pd = wq.qp()->device->pd_;
-  if (!img.uses_sge_table()) {
-    // Single-element fast path, mirroring GatherLocal. The plan may have
-    // been validated for reads (a WRITE gather) — the write right is proven
-    // on first use and remembered alongside.
-    if (len == 0) return true;
-    if (img.length == 0) {
-      *err = WcStatus::kLocalAccessError;  // payload larger than scatter list
-      return false;
-    }
-    const std::size_t chunk = std::min<std::size_t>(img.length, len);
-    SgePlan& plan = wq.PlanAt(idx);
-    if (plan.Covers(img.local_addr, img.length, img.lkey, kLocalWrite,
-                    pd.epoch())) {
-      dma::Write(img.local_addr, data, chunk);
-    } else {
-      const MemCheck mc =
-          pd.CheckLocal(img.local_addr, chunk, img.lkey, kLocalWrite,
-                        &wq.mr_cache);
-      if (mc != MemCheck::kOk) {
-        *err = WcStatus::kLocalAccessError;
-        return false;
-      }
-      if (plan.Covers(img.local_addr, img.length, img.lkey, 0, pd.epoch())) {
-        plan.access |= kLocalWrite;  // same element, new right proven
-      } else if (chunk == img.length) {
-        // Only a full-length check proves the whole element's bounds.
-        plan.sge = Sge{img.local_addr, img.length, img.lkey};
-        plan.pd_epoch = pd.epoch();
-        plan.access = kLocalWrite;
-      }
-      dma::Write(img.local_addr, data, chunk);
-    }
-    NoteDmaWrite(img.local_addr, chunk);
-    if (chunk < len) {
-      *err = WcStatus::kLocalAccessError;  // payload larger than scatter list
-      return false;
-    }
-    return true;
-  }
   std::size_t consumed = 0;
   SgeScratch sges;
   ResolveSges(img, sges);
@@ -465,7 +387,6 @@ bool RnicDevice::ScatterList(WorkQueue& wq, std::uint64_t idx,
       return false;
     }
     dma::Write(sge.addr, data + consumed, chunk);
-    NoteDmaWrite(sge.addr, chunk);
     consumed += chunk;
   }
   if (consumed < len) {
@@ -476,8 +397,7 @@ bool RnicDevice::ScatterList(WorkQueue& wq, std::uint64_t idx,
   return true;
 }
 
-void RnicDevice::ExecuteData(WorkQueue& wq, std::uint64_t idx, Payload* pl,
-                             sim::Nanos t_issue) {
+void RnicDevice::ExecuteData(WorkQueue& wq, Payload* pl, sim::Nanos t_issue) {
   const WqeImage& img = pl->img;
   QueuePair* qp = wq.qp();
   QueuePair* peer = qp->peer;
@@ -515,7 +435,7 @@ void RnicDevice::ExecuteData(WorkQueue& wq, std::uint64_t idx, Payload* pl,
     case Opcode::kSend:
     case Opcode::kSendImm: {
       WcStatus err = WcStatus::kSuccess;
-      if (!GatherLocal(wq, idx, img, pl->bytes, &err)) {
+      if (!GatherLocal(wq, img, pl->bytes, &err)) {
         FailWr(wq, img, t_issue, err);
         payloads_.Release(pl);
         return;
@@ -591,7 +511,7 @@ void RnicDevice::ExecuteData(WorkQueue& wq, std::uint64_t idx, Payload* pl,
             (wire ? ow + cal_.remote_ack_extra : 0);
         sim_.At(t_done, [this, &wq, pl] {
           if (wq.qp()->alive) {
-            LandRead(wq, pl->img, pl->slot, pl->bytes, sim_.now());
+            LandRead(wq, pl->img, pl->bytes, sim_.now());
           }
           payloads_.Release(pl);
         });
@@ -707,7 +627,7 @@ void RnicDevice::ReadOverFabric(WorkQueue& wq, QueuePair* peer, Payload* pl,
               cal_.remote_ack_extra;
           sim_.At(t_done, [this, &wq, pl] {
             if (wq.qp()->alive) {
-              LandRead(wq, pl->img, pl->slot, pl->bytes, sim_.now());
+              LandRead(wq, pl->img, pl->bytes, sim_.now());
             }
             payloads_.Release(pl);
           });
@@ -803,7 +723,6 @@ namespace {
 // touched on the requester's domain.
 struct ReadCtx {
   WqeImage img{};
-  std::uint64_t slot = 0;
   std::uint64_t len = 0;
   std::vector<std::byte> bytes;
   bool resolved = false;
@@ -815,7 +734,6 @@ void RnicDevice::ReadOverTransport(WorkQueue& wq, QueuePair* peer, Payload* pl,
   QueuePair* qp = wq.qp();
   auto ctx = std::make_shared<ReadCtx>();
   ctx->img = pl->img;
-  ctx->slot = pl->slot;
   // Resolved at issue, on the requester's domain: the table lives in
   // requester memory.
   ctx->len = ReadLength(ctx->img);
@@ -850,8 +768,7 @@ void RnicDevice::ReadOverTransport(WorkQueue& wq, QueuePair* peer, Payload* pl,
     resp.on_deliver = [this, &wq, qp, ctx](sim::Nanos) {
       if (ctx->resolved || !qp->alive) return;
       ctx->resolved = true;
-      LandRead(wq, ctx->img, ctx->slot, ctx->bytes,
-               sim_.now() + cal_.remote_ack_extra);
+      LandRead(wq, ctx->img, ctx->bytes, sim_.now() + cal_.remote_ack_extra);
     };
     resp.on_failed = [this, qp, peer, ctx, ow, rg, prg, req_shard](
                          sim::Nanos t, sim::MsgFailure why) {
@@ -902,10 +819,7 @@ WcStatus RnicDevice::AcceptWrite(QueuePair* dst_qp, std::uint64_t addr,
   const MemCheck mc = pd_.CheckRemote(addr, len, rkey, kRemoteWrite,
                                       &dst_qp->remote_mr_cache);
   if (mc != MemCheck::kOk) return WcStatus::kRemoteAccessError;
-  if (len > 0) {
-    dma::Write(addr, data, len);
-    NoteDmaWrite(addr, len);
-  }
+  if (len > 0) dma::Write(addr, data, len);
   return WcStatus::kSuccess;
 }
 
@@ -924,7 +838,7 @@ WcStatus RnicDevice::AcceptSend(QueuePair* dst_qp, const std::byte* data,
   WcStatus st = WcStatus::kSuccess;
   int sges_written = 0;
   if (data != nullptr && len > 0) {
-    if (!ScatterList(rq, ridx, rimg, data, len, &st)) {
+    if (!ScatterList(rq, rimg, data, len, &st)) {
       // fallthrough: deliver an error CQE for the RECV
     } else {
       sges_written = rimg.uses_sge_table() ? static_cast<int>(rimg.length) : 1;
@@ -1020,10 +934,6 @@ sim::Nanos RnicDevice::AcceptAtomic(QueuePair* dst_qp, Payload* pl,
         break;
     }
     dma::WriteU64(img.remote_addr, next);
-    // The RedN conditional: atomics landing on WQE fields are the
-    // canonical self-modification, so the write-through refresh here is
-    // what keeps recycled chain rings hitting the cache.
-    NoteDmaWrite(img.remote_addr, 8);
   });
   return unit_done;
 }
@@ -1043,11 +953,10 @@ void RnicDevice::AckSend(WorkQueue& wq, Payload* pl, sim::Nanos t_done) {
 }
 
 void RnicDevice::LandRead(WorkQueue& wq, const WqeImage& img,
-                          std::uint64_t slot,
                           const std::vector<std::byte>& bytes,
                           sim::Nanos t_done) {
   WcStatus st = WcStatus::kSuccess;
-  if (!ScatterList(wq, slot, img, bytes.data(), bytes.size(), &st)) {
+  if (!ScatterList(wq, img, bytes.data(), bytes.size(), &st)) {
     FailWr(wq, img, sim_.now(), st);
     return;
   }
@@ -1076,7 +985,7 @@ void RnicDevice::FinishAtomic(WorkQueue& wq, Payload* pl) {
     WqeImage resp = pl->img;
     resp.length = 8;
     resp.flags &= ~kFlagSgeTable;
-    if (!ScatterList(wq, pl->slot, resp, bytes, 8, &st)) {
+    if (!ScatterList(wq, resp, bytes, 8, &st)) {
       FailWr(wq, pl->img, sim_.now(), st);
       payloads_.Release(pl);
       return;

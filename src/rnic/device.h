@@ -128,12 +128,11 @@ struct DeviceCounters {
   std::uint64_t wrs_flushed = 0;       // WR_FLUSH_ERR CQEs (SQ + RQ)
   std::uint64_t qp_errors = 0;         // RTS->ERROR transitions
   std::uint64_t qp_rearms = 0;         // ERROR->...->RTS recoveries
-  // Decoded-WQE translation cache: fetches served by a verified cached
-  // decode / fetches that had to decode / cache entries a write killed or
-  // refreshed (tracked stores and verify failures both count).
+  // Decoded-WQE cache, counted per fetch: the slot still held the image
+  // last decoded there, which is kept (hit), or it was written since — by a
+  // post, a verb or a host patch — and is reloaded (miss).
   std::uint64_t wqe_cache_hits = 0;
   std::uint64_t wqe_cache_misses = 0;
-  std::uint64_t wqe_cache_invalidations = 0;
 
   std::uint64_t TotalExecuted() const {
     std::uint64_t t = 0;
@@ -169,7 +168,6 @@ struct SgeScratch {
 struct Payload {
   std::vector<std::byte> bytes;
   WqeImage img{};
-  std::uint64_t slot = 0;     // absolute WQE index (SgePlan lookup at scatter)
   std::uint64_t scratch = 0;  // atomics: old value returned to the requester
   bool rmw_done = false;      // atomics: the RMW actually executed remotely
   // WRITE/SEND: the responder's acceptance status, carried from arrival to
@@ -297,13 +295,6 @@ class RnicDevice {
   void ReviveProcessResources(int pid);
   bool HasLiveQps() const;
 
-  // Tracked-write (dirty) generation of a managed QP's SQ ring — how many
-  // NIC-side stores have landed inside it. 0 for unwatched (non-managed)
-  // rings. Diagnostic surface for tests and tooling.
-  std::uint64_t RingDirtyGen(const QueuePair* qp) const {
-    return ring_watches_.DirtyGen(&qp->sq);
-  }
-
   // --- Utilisation introspection (bottleneck reporting for Table 4) --------
   double PuUtilisation(int port, sim::Nanos window) const;
   double FetchUnitUtilisation(int port, sim::Nanos window) const;
@@ -347,10 +338,9 @@ class RnicDevice {
   void Advance(WorkQueue& wq);
   void Issue(WorkQueue& wq, std::uint64_t idx);
   void FinishControlVerb(WorkQueue& wq, std::uint64_t idx, const WqeImage& img);
-  // Takes ownership of `pl` (image + slot already staged by Issue); every
-  // path releases it back to the pool when the op retires.
-  void ExecuteData(WorkQueue& wq, std::uint64_t idx, Payload* pl,
-                   sim::Nanos t_issue);
+  // Takes ownership of `pl` (image already staged by Issue); every path
+  // releases it back to the pool when the op retires.
+  void ExecuteData(WorkQueue& wq, Payload* pl, sim::Nanos t_issue);
   // The one delivery path of a QP connected with ConnectOverFabric or
   // ConnectOverTransport, at any shard count (a same-shard SendTo is a
   // plain At). Each op splits at the wire: the requester's device reserves
@@ -378,10 +368,9 @@ class RnicDevice {
                          sim::Nanos ready);
   void ReadOverTransport(WorkQueue& wq, QueuePair* peer, Payload* pl,
                          sim::Nanos t_issue, sim::Nanos ow);
-  // Snapshots slot `idx` through the translation cache: a verified cached
-  // decode is a hit (no reload); anything else decodes and refills. Charges
-  // no simulated time itself — callers pay the fetch latency exactly as
-  // before the cache existed.
+  // Snapshots slot `idx`: one memcmp against the slot's last decoded image
+  // decides between keeping it (a hit) and reloading it (a miss). Charges
+  // no simulated time itself — callers pay the fetch latency.
   void FetchSlot(WorkQueue& wq, std::uint64_t idx);
   void CompleteWr(QueuePair* qp, CompletionQueue* cq, const WqeImage& img,
                   sim::Nanos t_done, WcStatus status, std::uint32_t byte_len,
@@ -437,37 +426,23 @@ class RnicDevice {
   // `t_done`; FinishAtomic returns the old value; NakWr fails the WR.
   // All but LandRead release `pl`.
   void AckSend(WorkQueue& wq, Payload* pl, sim::Nanos t_done);
-  void LandRead(WorkQueue& wq, const WqeImage& img, std::uint64_t slot,
+  void LandRead(WorkQueue& wq, const WqeImage& img,
                 const std::vector<std::byte>& bytes, sim::Nanos t_done);
   void FinishAtomic(WorkQueue& wq, Payload* pl);
   void NakWr(WorkQueue& wq, Payload* pl, WcStatus st);
 
   // Gather/scatter helpers with protection checks. All SGE resolution goes
   // through caller-provided (stack) scratch — no per-op allocation. `wq` is
-  // the queue whose WQE is being executed and `idx` its absolute slot: the
-  // slot's SgePlan absorbs the CheckLocal re-walk for non-table WQEs, and
-  // the queue's last-hit MR cache absorbs the remaining key lookups.
-  bool GatherLocal(WorkQueue& wq, std::uint64_t idx, const WqeImage& img,
+  // the queue whose WQE is being executed: its last-hit MR cache answers
+  // the key lookups, and the PD epoch invalidates it on re-registration.
+  bool GatherLocal(WorkQueue& wq, const WqeImage& img,
                    std::vector<std::byte>& out, WcStatus* err);
-  bool ScatterList(WorkQueue& wq, std::uint64_t idx, const WqeImage& img,
-                   const std::byte* data, std::size_t len, WcStatus* err);
+  bool ScatterList(WorkQueue& wq, const WqeImage& img, const std::byte* data,
+                   std::size_t len, WcStatus* err);
   void ResolveSges(const WqeImage& img, SgeScratch& out) const;
   // Remote byte count of a READ: with a scatter table the WQE length field
   // holds the SGE count, so the byte count is the sum of the entries.
   std::uint64_t ReadLength(const WqeImage& img) const;
-  // Tracked NIC-side store into this device's memory: routes the written
-  // extent through the ring watch set so overlapped cached decodes are
-  // refreshed (write-through) and counted as invalidations.
-  void NoteDmaWrite(std::uint64_t addr, std::size_t len) {
-    if (ring_watches_.empty()) return;
-    ring_watches_.ForOverlaps(
-        addr, len, [this](void* owner, std::uint64_t first, std::uint64_t last,
-                          std::uint64_t) {
-          WorkQueue* wq = static_cast<WorkQueue*>(owner);
-          counters_.wqe_cache_invalidations += wq->RefreshSlots(
-              first / kWqeSize, last / kWqeSize);
-        });
-  }
 
   sim::Nanos PuService(Opcode op) const;
   sim::Nanos ExecExtra(Opcode op) const;
@@ -509,9 +484,6 @@ class RnicDevice {
   DeviceCounters counters_;
   PayloadPool payloads_;
   RecyclePool<ResumeBatch> resume_batches_;
-  // Send-queue ring extents watched for self-modifying stores (the
-  // translation cache's invalidation filter).
-  WriteWatchSet ring_watches_;
 };
 
 // Re-arms `qp` on its own device through the full ModifyQp cycle,

@@ -99,18 +99,6 @@ bool ProtectionDomain::Reregister(std::uint32_t lkey, void* ptr,
   return true;
 }
 
-void WriteWatchSet::Watch(std::uint64_t base, std::uint64_t len, void* owner) {
-  Entry e;
-  e.base = base;
-  e.end = base + len;
-  e.owner = owner;
-  // Insert sorted by base; the set is tiny (one entry per SQ ring) and this
-  // runs only at QP creation.
-  auto it = entries_.begin();
-  while (it != entries_.end() && it->base < e.base) ++it;
-  entries_.insert(it, e);
-}
-
 const MemoryRegion* ProtectionDomain::Resolve(std::uint32_t key,
                                               bool remote) const {
   if (key < kFirstKey) return nullptr;  // sentinel / blanked-key values

@@ -165,78 +165,6 @@ class ProtectionDomain {
   std::size_t table_used_ = 0;         // live + tombstone slots
 };
 
-// Sorted registry of watched memory extents (the WQE "code rings") with a
-// per-extent dirty generation — the write side of the decoded-WQE
-// translation cache. NIC-side stores (RDMA WRITE delivery, RECV/READ
-// scatter, atomic RMWs) are routed through ForOverlaps; a write landing
-// inside a watched ring bumps that ring's generation and hands the owner
-// the overlapped byte range so it can refresh exactly the touched slots.
-// Most writes target payload heaps, so the common case is one binary-search
-// reject over a small sorted vector.
-//
-// This complements (not replaces) the ProtectionDomain epoch: the epoch
-// invalidates *translations* (cached MR extents) on key-space mutation,
-// while the dirty generation invalidates *decodes* on data writes.
-class WriteWatchSet {
- public:
-  // Registers [base, base+len) owned by `owner` (a WorkQueue). Extents are
-  // distinct allocations and are never unregistered (QPs live for the whole
-  // simulation), which keeps the vector append-then-sort simple.
-  void Watch(std::uint64_t base, std::uint64_t len, void* owner);
-
-  bool empty() const { return entries_.empty(); }
-
-  // Dirty generation of the extent owned by `owner` (0 if not watched):
-  // the number of tracked writes that have landed inside it. Diagnostic
-  // surface for tests and tooling — the refresh path itself acts on the
-  // overlap callback, not the counter.
-  std::uint64_t DirtyGen(const void* owner) const {
-    for (const Entry& e : entries_) {
-      if (e.owner == owner) return e.dirty_gen;
-    }
-    return 0;
-  }
-
-  // Invokes fn(owner, first_off, last_off, dirty_gen) for every watched
-  // extent overlapping [addr, addr+len); offsets are byte offsets into the
-  // extent. Bumps the extent's dirty generation. Inline: runs on every
-  // NIC-side store, and the miss path is one partition-point reject.
-  template <class Fn>
-  void ForOverlaps(std::uint64_t addr, std::uint64_t len, Fn&& fn) {
-    if (entries_.empty() || len == 0) return;
-    const std::uint64_t wend = addr + len;
-    // First extent whose end is past the write start; extents are disjoint
-    // and sorted by base, so overlaps are contiguous from here.
-    std::size_t lo = 0, hi = entries_.size();
-    while (lo < hi) {
-      const std::size_t mid = (lo + hi) / 2;
-      if (entries_[mid].end <= addr) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    for (std::size_t i = lo; i < entries_.size() && entries_[i].base < wend;
-         ++i) {
-      Entry& e = entries_[i];
-      ++e.dirty_gen;
-      const std::uint64_t first = addr > e.base ? addr - e.base : 0;
-      const std::uint64_t last =
-          (wend < e.end ? wend : e.end) - e.base - 1;
-      fn(e.owner, first, last, e.dirty_gen);
-    }
-  }
-
- private:
-  struct Entry {
-    std::uint64_t base = 0;
-    std::uint64_t end = 0;
-    void* owner = nullptr;
-    std::uint64_t dirty_gen = 0;  // per-MR dirty generation
-  };
-  std::vector<Entry> entries_;  // sorted by base, disjoint
-};
-
 // DMA helpers: all NIC memory traffic funnels through these, so tests can
 // rely on memcpy semantics (no strict-aliasing surprises). They are inline
 // on purpose: a WQE fetch/store touches every field through them (~20 calls

@@ -66,13 +66,8 @@ void WorkQueue::Init(QueuePair* qp, bool is_send, std::byte* slots,
   cq_ = cq;
   pu_index_ = pu_index;
   // Receive WQEs are loaded live at consumption (RnicDevice::AcceptSend),
-  // never fetched or snapshotted, so only send queues carry the decoded
-  // image cache. Both directions keep per-slot SGE plans.
-  if (is_send) {
-    images_.assign(capacity, WqeImage{});
-    decoded_.assign(capacity, 0);
-  }
-  plans_.assign(capacity, SgePlan{});
+  // never fetched or snapshotted, so only send queues keep decoded images.
+  if (is_send) images_.assign(capacity, WqeImage{});
 }
 
 }  // namespace redn::rnic

@@ -116,25 +116,6 @@ class CompletionQueue {
   std::deque<std::pair<sim::Nanos, Cqe>> host_entries_;
 };
 
-// A cached, MR-validated resolution of a WQE's (non-table) scatter/gather
-// element: the protection-check result of CheckLocal, remembered per slot.
-// Self-validating: a hit requires the PD epoch and the WQE's {addr, length,
-// lkey} to match what was validated, so neither ring recycling nor
-// re-registration can replay a stale check. Content is NOT cached — gathers
-// and scatters still move live bytes at execution time.
-struct SgePlan {
-  Sge sge{};                  // the validated element
-  std::uint32_t pd_epoch = 0; // ProtectionDomain::epoch() at validation
-  std::uint32_t access = 0;   // rights proven so far (kLocalRead/kLocalWrite)
-
-  bool Covers(std::uint64_t addr, std::uint32_t length, std::uint32_t lkey,
-              std::uint32_t required_access, std::uint32_t epoch) const {
-    return (access & required_access) == required_access &&
-           pd_epoch == epoch && sge.addr == addr && sge.length == length &&
-           sge.lkey == lkey;
-  }
-};
-
 // One direction of a queue pair (send queue or receive queue).
 class WorkQueue {
  public:
@@ -164,90 +145,21 @@ class WorkQueue {
   std::uint64_t SlotAddr(std::uint64_t idx, WqeField f) const {
     return Slot(idx).FieldAddr(f);
   }
-  std::uint64_t RingBase() const { return dma::AddrOf(slots_); }
-  std::uint64_t RingBytes() const {
-    return static_cast<std::uint64_t>(capacity_) * kWqeSize;
-  }
 
-  // Fetched snapshot for absolute index `idx` (send queues only).
+  // The image the NIC last decoded from each ring slot (send queues only).
+  // On a non-managed queue the images of fetched-but-unexecuted slots are
+  // the doorbell-time snapshot: they execute as fetched, whatever the ring
+  // holds by then. A managed queue fetches each slot right before issuing
+  // it. Either way RnicDevice::FetchSlot keeps a slot's image when the
+  // live bytes still equal it and reloads it when they differ.
   WqeImage& ImageAt(std::uint64_t idx) { return images_[BufSlot(idx)]; }
   WqeImage& ImageAtB(std::size_t s) { return images_[s]; }
 
-  // --- decoded-WQE translation cache ---------------------------------------
-  // `decoded_` marks ring slots whose `images_` entry is a candidate decode.
-  // The candidate is trusted only after WqeView::Matches verifies it against
-  // the live slot bytes (one memcmp) — the backstop that keeps host-side
-  // raw-DMA WQE patches (the §4 "expose WQ buffer" trick) honest even
-  // though they bypass every tracked write path.
-  bool DecodedAtB(std::size_t s) const { return decoded_[s]; }
-  void MarkDecodedAtB(std::size_t s) { decoded_[s] = 1; }
-
-  // Driver write-through (PostSend): the driver hands the NIC the decoded
-  // image it just stored, the same way mlx5 BlueFlame doorbells carry WQE
-  // bytes inline — the later fetch still pays its simulated latency but
-  // verifies instead of re-decoding.
+  // Driver post (PostSend): one 64-byte store into the ring slot. The NIC
+  // sees the WQE only when it fetches the slot.
   void PostImage(std::uint64_t idx, const WqeImage& img) {
-    const std::size_t s = BufSlot(idx);
-    WqeView slot = SlotAtB(s);
-    // Re-posting an identical WQE (the steady-state driver loop) is one
-    // 64-byte compare: no slot store, no cache update — the candidate
-    // decode, whatever its state, is settled by the verify at fetch time.
-    if (slot.Matches(img)) {
-      if (!DecodedAtB(s) && SnapshotWritable(idx)) {
-        ImageAtB(s) = img;
-        MarkDecodedAtB(s);
-      }
-      return;
-    }
-    slot.Store(img);
-    if (SnapshotWritable(idx)) {
-      ImageAtB(s) = img;
-      MarkDecodedAtB(s);
-    }
+    Slot(idx).Store(img);
   }
-
-  // NIC write-through: a tracked store just landed on the ring slots in
-  // [first, last] (buffer-slot indices). Cached decodes are refreshed from
-  // the live bytes — the essence of self-modifying chains is that the next
-  // fetch of the slot executes the *modified* form. Returns how many live
-  // cache entries the write invalidated (for the device counters).
-  //
-  // Managed queues only: on a non-managed queue `images_` holds the
-  // *committed doorbell-time snapshot* for not-yet-executed slots, and
-  // doorbell ordering demands that snapshot stay stale — there the verify
-  // at the next (recycling) fetch re-decodes instead. The same hazard
-  // guards the one managed slot that is fetched but still executing (a
-  // parked WAIT re-reads its image on resume): skip it and let the verify
-  // settle the next lap.
-  int RefreshSlots(std::uint64_t first, std::uint64_t last) {
-    if (!managed_) return 0;
-    const bool in_flight = fetch_horizon > next_exec;
-    const std::uint64_t live_slot = next_exec % capacity_;
-    int invalidated = 0;
-    for (std::uint64_t s = first; s <= last; ++s) {
-      if (!decoded_[s] || (in_flight && s == live_slot)) continue;
-      WqeView slot(slots_ + s * kWqeSize);
-      if (slot.Matches(images_[s])) continue;  // write was a no-op re-store
-      images_[s] = slot.Load();
-      ++invalidated;
-    }
-    return invalidated;
-  }
-
-  // Whether the driver may write `idx`'s snapshot through at post time. On
-  // a non-managed queue a slot already inside the fetch horizon (an
-  // enable-ahead or prefetch-batch overshoot snapshotted it before it was
-  // posted) holds a COMMITTED stale snapshot that doorbell ordering says
-  // must execute as-is — posting over it updates ring bytes only, exactly
-  // like the pre-cache engine. Managed slots are safe: the one
-  // fetched-but-unexecuted slot can never be re-posted (the SQ overflow
-  // guard), and everything else is fetched at execution time.
-  bool SnapshotWritable(std::uint64_t idx) const {
-    return managed_ || idx >= fetch_horizon;
-  }
-
-  // Per-slot validated SGE resolution (see SgePlan).
-  SgePlan& PlanAt(std::uint64_t idx) { return plans_[BufSlot(idx)]; }
 
   // --- progress counters (all monotonic) ---
   std::uint64_t posted = 0;         // WQEs written by the driver
@@ -279,9 +191,7 @@ class WorkQueue {
   bool managed_ = false;
   CompletionQueue* cq_ = nullptr;
   int pu_index_ = 0;
-  std::vector<WqeImage> images_;       // send queues only (empty on an RQ)
-  std::vector<std::uint8_t> decoded_;  // translation-cache flags (SQ only)
-  std::vector<SgePlan> plans_;         // per-slot validated SGE resolutions
+  std::vector<WqeImage> images_;  // send queues only (empty on an RQ)
 };
 
 }  // namespace redn::rnic

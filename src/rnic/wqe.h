@@ -105,7 +105,7 @@ constexpr std::uint64_t CtrlWrId(std::uint64_t ctrl) { return ctrl & kWrIdMask; 
 //
 // The member order mirrors the wire layout word for word (static_asserts
 // below), so a fetch is ONE 64-byte copy, a post is one 64-byte store, and
-// the translation cache can verify a cached decode against live ring bytes
+// a fetch can tell whether a slot still holds the image last decoded there
 // with a single memcmp instead of a field-by-field reload.
 struct WqeImage {
   std::uint64_t ctrl = 0;
@@ -164,8 +164,8 @@ class WqeView {
     return img;
   }
   void Store(const WqeImage& img) { dma::Write(addr(), &img, kWqeSize); }
-  // True when the raw slot bytes equal `img` — the translation-cache verify:
-  // one memcmp decides whether a cached decode is still current.
+  // True when the raw slot bytes equal `img`: at fetch, one memcmp decides
+  // whether the slot's last decoded image is still current.
   bool Matches(const WqeImage& img) const {
     return std::memcmp(base_, &img, kWqeSize) == 0;
   }

@@ -97,9 +97,8 @@ rnic::WqeImage ToImage(const SendWr& wr);
 
 // Writes the WQE into the next send-queue slot. Returns the absolute WQE
 // index. Does NOT ring the doorbell. Inline: the driver loop runs once per
-// verb, and posting through WorkQueue::PostImage both collapses the store
-// to one 64-byte copy and hands the NIC's translation cache the decoded
-// image (write-through, BlueFlame-style).
+// verb, and WorkQueue::PostImage stores the encoded WQE as one 64-byte
+// copy. The NIC decodes the slot when it fetches it.
 inline std::uint64_t PostSend(QueuePair* qp, const SendWr& wr) {
   // The unexecuted backlog must fit the ring: overwriting a slot the NIC
   // has not executed yet silently corrupts the program, so this check stays

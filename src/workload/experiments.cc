@@ -7,6 +7,7 @@
 
 #include "baseline/two_sided.h"
 #include "kv/memcached.h"
+#include "kv/table.h"
 #include "offloads/hash_harness.h"
 #include "rnic/device.h"
 #include "sim/rng.h"
@@ -128,6 +129,28 @@ FabricScaleResult RunFabricScale(const FabricScaleConfig& cfg) {
                         rnic::NicConfig::ConnectX5(), {}, "server");
   sdev.AttachPort(0, fabric, kPortLink);
 
+  // One store on the server NIC serves every client's harness; clients on
+  // other domains only read its fixed geometry (bucket addresses). Depth-1
+  // closed loops starve forever on a miss, so draw only keys the 2-bucket
+  // NIC probe can actually see: a doubly-colliding key falls back to the
+  // hopscotch neighbourhood, which the offload never reads. The first key
+  // lands in its H1 bucket of an empty table, so none is empty.
+  kv::RdmaHashTable table(sdev, {.buckets = 1 << 12});
+  const std::size_t heap_bytes =
+      static_cast<std::size_t>(cfg.keys + 1) * cfg.value_len + (64 << 10);
+  kv::ValueHeap heap(sdev, heap_bytes);
+  std::vector<std::uint64_t> visible;
+  visible.reserve(static_cast<std::size_t>(cfg.keys));
+  for (int k = 1; k <= cfg.keys; ++k) {
+    const auto key = static_cast<std::uint64_t>(k);
+    const std::uint64_t ptr = heap.ReserveForOverwrite(cfg.value_len);
+    kv::FillRamp(reinterpret_cast<void*>(ptr), cfg.value_len,
+                 static_cast<std::uint8_t>(key));
+    if (table.Insert(key, ptr, cfg.value_len) == kv::Placement::kBucket) {
+      visible.push_back(key);
+    }
+  }
+
   struct Client {
     std::unique_ptr<rnic::RnicDevice> dev;
     std::unique_ptr<offloads::HashGetHarness> harness;
@@ -141,16 +164,6 @@ FabricScaleResult RunFabricScale(const FabricScaleConfig& cfg) {
     std::uint64_t error_cqes = 0;
   };
   std::vector<Client> clients(static_cast<std::size_t>(cfg.clients));
-
-  const std::size_t heap_bytes =
-      static_cast<std::size_t>(cfg.keys + 1) * cfg.value_len + (64 << 10);
-  // Depth-1 closed loops starve forever on a miss, so draw only keys the
-  // 2-bucket NIC probe can actually see: a doubly-colliding key falls back
-  // to the hopscotch neighbourhood, which the offload never reads. Every
-  // table is built identically, so client 0's placements cover all. The
-  // first key lands in its H1 bucket of an empty table, so none is empty.
-  std::vector<std::uint64_t> visible;
-  visible.reserve(static_cast<std::size_t>(cfg.keys));
   for (int i = 0; i < cfg.clients; ++i) {
     Client& c = clients[static_cast<std::size_t>(i)];
     c.shard = cfg.placement.empty() ? i % cfg.shards
@@ -171,13 +184,7 @@ FabricScaleResult RunFabricScale(const FabricScaleConfig& cfg) {
             .max_requests = offloads::HashGetHarness::kClosedLoopWindow,
             .fabric = &fabric,
             .transport = transport.get()},
-        kv::RdmaHashTable::Config{.buckets = 1 << 12}, heap_bytes,
-        /*max_value=*/cfg.value_len + 64);
-    for (int k = 1; k <= cfg.keys; ++k) {
-      const auto key = static_cast<std::uint64_t>(k);
-      const kv::Placement at = c.harness->PutPattern(key, cfg.value_len);
-      if (i == 0 && at == kv::Placement::kBucket) visible.push_back(key);
-    }
+        table, heap, /*max_value=*/cfg.value_len + 64);
     c.harness->ArmAhead(cfg.gets_per_client + 4);
     c.remaining = cfg.gets_per_client;
   }

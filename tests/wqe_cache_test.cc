@@ -1,11 +1,14 @@
-// Decoded-WQE translation cache (see docs/PERF.md): self-modification
-// invalidation and write-through refresh. The cache must never change WHAT
-// executes — a managed ring slot rewritten between laps executes its
-// modified form no matter which write path rewrote it (RDMA WRITE delivery,
-// atomic RMW, RECV scatter, or an untracked host-side raw DMA patch) — and
-// unmodified recycled slots must be served as verified cache hits. The
-// PD-epoch tag must also flush cached SGE plans on re-registration, so a
-// shrunk region faults instead of answering from a stale extent.
+// Decoded-WQE cache (see docs/PERF.md): a fetch keeps the image last
+// decoded from a ring slot while the live slot bytes still equal it, and
+// reloads it when they differ. The cache must never change WHAT executes —
+// a managed ring slot rewritten between laps executes its modified form no
+// matter which path rewrote it (RDMA WRITE delivery, atomic RMW, RECV
+// scatter, or a raw host-side DMA patch). Counted per fetch: a slot
+// rewritten since its last fetch is one miss at its next fetch, and an
+// untouched recycled slot is a hit. Gathers and scatters check protection
+// through the work queue's MR last-hit cache, whose PD-epoch tag must make
+// a re-registered, shrunk region fault instead of answering from the stale
+// extent.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -23,6 +26,7 @@ using rnic::WqeField;
 using verbs::AwaitCqe;
 using verbs::AwaitCqes;
 using verbs::MakeNoop;
+using verbs::MakeRead;
 using verbs::MakeWait;
 using verbs::MakeWrite;
 using verbs::PostSend;
@@ -36,15 +40,12 @@ class WqeCacheTest : public ::testing::Test {
   std::uint64_t Misses() const {
     return bed.client.counters().wqe_cache_misses;
   }
-  std::uint64_t Invalidations() const {
-    return bed.client.counters().wqe_cache_invalidations;
-  }
 };
 
 TEST_F(WqeCacheTest, UnmodifiedRecycledSlotsAreVerifiedHits) {
   // A managed ring recycled for a second lap with no self-modification:
-  // every fetch must be served by the cache (the driver write-through plus
-  // the 64-byte verify), with zero decodes and zero invalidations.
+  // lap 1 decodes the posted WRITE, and every lap-2 fetch finds its slot
+  // unchanged and keeps the image.
   rnic::QueuePair* qp = bed.Loopback(bed.client, /*managed=*/true,
                                      /*depth=*/4);
   Buffer src = bed.Alloc(bed.client, 64);
@@ -53,24 +54,30 @@ TEST_F(WqeCacheTest, UnmodifiedRecycledSlotsAreVerifiedHits) {
                          /*signaled=*/true));
   for (int i = 0; i < 3; ++i) PostSend(qp, MakeNoop(/*signaled=*/false));
 
-  bed.client.HostEnable(qp, 8);  // two full laps of the 4-deep ring
+  bed.client.HostEnable(qp, 4);  // lap 1
   Cqe cqe;
-  ASSERT_TRUE(AwaitCqes(bed.sim, bed.client, qp->send_cq, 2, &cqe));
+  ASSERT_TRUE(AwaitCqe(bed.sim, bed.client, qp->send_cq, &cqe));
   EXPECT_EQ(cqe.status, rnic::WcStatus::kSuccess);
   bed.sim.Run();  // drain the trailing unsignaled NOOP fetches
+  // The unsignaled NOOPs encode to all-zero bytes, which equal the images a
+  // fresh queue starts with: only the WRITE decodes.
+  EXPECT_EQ(Misses(), 1u);
+  const std::uint64_t hits_lap1 = Hits();
+
+  bed.client.HostEnable(qp, 8);  // lap 2 of the 4-deep ring
+  ASSERT_TRUE(AwaitCqe(bed.sim, bed.client, qp->send_cq, &cqe));
+  EXPECT_EQ(cqe.status, rnic::WcStatus::kSuccess);
+  bed.sim.Run();
   EXPECT_EQ(bed.client.counters().managed_fetches, 8u)
       << "the cache must not elide the simulated fetches themselves";
-  EXPECT_EQ(Hits(), 8u);
-  EXPECT_EQ(Misses(), 0u);
-  EXPECT_EQ(Invalidations(), 0u);
-  EXPECT_EQ(bed.client.RingDirtyGen(qp), 0u);
+  EXPECT_EQ(Hits(), hits_lap1 + 4) << "untouched recycled slots must hit";
+  EXPECT_EQ(Misses(), 1u) << "an untouched slot must not reload";
 }
 
 TEST_F(WqeCacheTest, RdmaWriteIntoRingSlotExecutesModifiedFormNextLap) {
   // Lap-N verb rewrites slot 0's remote address via an RDMA WRITE landing
   // in the ring MR (the AcceptWrite/dma::Write delivery path): lap N+1 must
-  // execute the modified form, and the tracked write must show up as an
-  // invalidation that still leaves the next fetch a (refreshed) hit.
+  // execute the modified form, reloaded by exactly one miss at its fetch.
   rnic::QueuePair* qp = bed.Loopback(bed.client, /*managed=*/true,
                                      /*depth=*/4);
   Buffer src = bed.Alloc(bed.client, 64);
@@ -88,25 +95,30 @@ TEST_F(WqeCacheTest, RdmaWriteIntoRingSlotExecutesModifiedFormNextLap) {
   PostSend(qp, MakeWait(qp->send_cq, 2));  // barrier: both writes landed
   PostSend(qp, MakeNoop(/*signaled=*/false));
 
-  bed.client.HostEnable(qp, 5);  // index 4 wraps onto slot 0: second lap
+  bed.client.HostEnable(qp, 4);  // lap 1
   Cqe cqe;
-  ASSERT_TRUE(AwaitCqes(bed.sim, bed.client, qp->send_cq, 3, &cqe));
+  ASSERT_TRUE(AwaitCqes(bed.sim, bed.client, qp->send_cq, 2, &cqe));
   EXPECT_EQ(cqe.status, rnic::WcStatus::kSuccess);
+  bed.sim.Run();
   EXPECT_EQ(dst.U64(0), 0xABu) << "first lap targeted dst+0";
+  const std::uint64_t hits_lap1 = Hits();
+  const std::uint64_t misses_lap1 = Misses();
+
+  bed.client.HostEnable(qp, 5);  // index 4 wraps onto slot 0: second lap
+  ASSERT_TRUE(AwaitCqe(bed.sim, bed.client, qp->send_cq, &cqe));
+  EXPECT_EQ(cqe.status, rnic::WcStatus::kSuccess);
   EXPECT_EQ(dst.U64(1), 0xABu)
       << "second lap executed the stale decode, not the rewritten WQE";
-  EXPECT_GE(Invalidations(), 1u);
-  EXPECT_EQ(Misses(), 0u)
-      << "the tracked write should refresh the decode, not force a reload";
-  EXPECT_GE(bed.client.RingDirtyGen(qp), 1u)
-      << "the ring's per-MR dirty generation must count the tracked write";
+  EXPECT_EQ(Misses(), misses_lap1 + 1)
+      << "the rewritten slot must reload once at its next fetch";
+  EXPECT_EQ(Hits(), hits_lap1);
 }
 
 TEST_F(WqeCacheTest, AtomicCtrlRewriteFlipsNoopIntoWrite) {
   // The paper's conditional: a CAS on the ctrl word compares {NOOP, id} and
   // swaps in {WRITE, id}, enabling a pre-staged WRITE. The atomic lands in
-  // the ring MR through the RMW path, so the next lap's fetch must execute
-  // the WRITE — via the write-through refresh, still as a cache hit.
+  // the ring MR through the RMW path, so the next lap's fetch must reload
+  // slot 0 and execute the WRITE, while the untouched slot 1 hits.
   rnic::QueuePair* chain = bed.Loopback(bed.client, /*managed=*/true,
                                         /*depth=*/2);
   rnic::QueuePair* ctrl = bed.Loopback(bed.client);
@@ -134,19 +146,22 @@ TEST_F(WqeCacheTest, AtomicCtrlRewriteFlipsNoopIntoWrite) {
                                    rnic::PackCtrl(Opcode::kWrite, 7)));
   ASSERT_TRUE(AwaitCqe(bed.sim, bed.client, ctrl->send_cq, &cqe));
   ASSERT_EQ(cqe.status, rnic::WcStatus::kSuccess);
-  const std::uint64_t invalidations_after_cas = Invalidations();
-  EXPECT_GE(invalidations_after_cas, 1u);
+  bed.sim.Run();
+  const std::uint64_t hits_before = Hits();
+  const std::uint64_t misses_before = Misses();
 
   bed.client.HostEnable(chain, 4);  // lap 2: slot 0 now decodes as a WRITE
   ASSERT_TRUE(AwaitCqe(bed.sim, bed.client, chain->send_cq, &cqe));
   EXPECT_EQ(cqe.opcode, Opcode::kWrite);
   EXPECT_EQ(cqe.wr_id, 7u);
   EXPECT_EQ(dst.U64(0), 0x77u) << "the enabled WRITE did not execute";
-  EXPECT_EQ(Misses(), 0u)
-      << "the refreshed decode should hit, not re-load, on lap 2";
+  bed.sim.Run();
+  EXPECT_EQ(Misses(), misses_before + 1)
+      << "the CAS-rewritten slot must reload once on lap 2";
+  EXPECT_EQ(Hits(), hits_before + 1) << "the untouched slot must hit";
 }
 
-TEST_F(WqeCacheTest, RecvScatterIntoRingSlotIsTrackedToo) {
+TEST_F(WqeCacheTest, RecvScatterIntoRingSlotExecutesNextLap) {
   // RDMA-delivered rewrite via the scatter path: a RECV whose SGE points at
   // ring slot 0 lands a whole new WQE there (ScatterList -> dma::Write).
   // The next lap must execute the delivered program.
@@ -185,19 +200,23 @@ TEST_F(WqeCacheTest, RecvScatterIntoRingSlotIsTrackedToo) {
                                    staged.lkey()));
   ASSERT_TRUE(AwaitCqe(bed.sim, bed.client, rpc->recv_cq, &cqe));
   ASSERT_EQ(cqe.status, rnic::WcStatus::kSuccess);
-  EXPECT_GE(Invalidations(), 1u);
+  bed.sim.Run();
+  const std::uint64_t misses_before = Misses();
 
   bed.client.HostEnable(chain, 4);  // lap 2 executes the delivered WRITE
   ASSERT_TRUE(AwaitCqe(bed.sim, bed.client, chain->send_cq, &cqe));
   EXPECT_EQ(cqe.opcode, Opcode::kWrite);
   EXPECT_EQ(cqe.wr_id, 9u);
   EXPECT_EQ(dst.U64(0), 0x99u);
+  bed.sim.Run();
+  EXPECT_EQ(Misses(), misses_before + 1)
+      << "only the scattered-onto slot must reload";
 }
 
-TEST_F(WqeCacheTest, UntrackedHostDmaPatchIsCaughtByTheVerify) {
+TEST_F(WqeCacheTest, RawHostDmaPatchReloadsAtNextFetch) {
   // The §4 "expose WQ buffer" trick: host code patches a posted WQE with a
-  // raw DMA write, bypassing every tracked write path. The 64-byte verify
-  // must catch the divergence and re-decode — counted as an invalidation.
+  // raw DMA write. The fetch's 64-byte compare must catch the divergence
+  // and re-decode the slot.
   rnic::QueuePair* qp = bed.Loopback(bed.client, /*managed=*/true,
                                      /*depth=*/2);
   Buffer src = bed.Alloc(bed.client, 64);
@@ -216,17 +235,15 @@ TEST_F(WqeCacheTest, UntrackedHostDmaPatchIsCaughtByTheVerify) {
   ASSERT_TRUE(AwaitCqe(bed.sim, bed.client, qp->send_cq, &cqe));
   EXPECT_EQ(cqe.byte_len, 16u)
       << "lap 2 executed the cached decode, not the host-patched WQE";
-  EXPECT_GE(Invalidations(), 1u);
   EXPECT_EQ(Misses(), misses_before + 1)
-      << "the verify failure must force exactly one re-decode";
+      << "the patched slot must force exactly one re-decode";
 }
 
 TEST_F(WqeCacheTest, PostIntoEnableAheadSnapshotStaysStaleOnPlainQueue) {
   // A non-managed queue enabled past its posted count snapshots unposted
   // slots (enable-ahead). Doorbell ordering says that committed snapshot
   // executes as-is: a PostSend landing in the already-snapshotted slot
-  // updates ring bytes only, so the driver write-through must NOT refresh
-  // the stale snapshot — same staleness a raw host patch would get.
+  // updates ring bytes only — the same staleness a raw host patch gets.
   rnic::QueuePair* qp = bed.Loopback(bed.client);
   Buffer src = bed.Alloc(bed.client, 64);
   Buffer dst = bed.Alloc(bed.client, 64);
@@ -249,14 +266,14 @@ TEST_F(WqeCacheTest, PostIntoEnableAheadSnapshotStaysStaleOnPlainQueue) {
   EXPECT_EQ(bed.client.PollCq(qp->send_cq, 1, &cqe), 0)
       << "the enable-ahead slot must execute its stale (empty) snapshot";
   EXPECT_EQ(dst.U64(0), 0u)
-      << "post-time write-through leaked into a committed snapshot";
+      << "a post leaked into a committed snapshot";
 }
 
-TEST_F(WqeCacheTest, ReregisterFlushesCachedSgePlans) {
-  // ibv_rereg_mr keeps the lkey while shrinking the extent. The slot's
-  // cached gather plan validated the old bounds; the PD-epoch bump must
-  // flush it so the re-posted WQE faults instead of gathering out of the
-  // shrunk region.
+TEST_F(WqeCacheTest, ReregisterInvalidatesMrCacheOnGather) {
+  // ibv_rereg_mr keeps the lkey while shrinking the extent. The work
+  // queue's MR cache validated the old bounds; the PD-epoch bump must
+  // invalidate it so the re-posted WQE faults instead of gathering out of
+  // the shrunk region.
   rnic::QueuePair* qp = bed.Loopback(bed.client);
   Buffer src = bed.Alloc(bed.client, 64);
   Buffer dst = bed.Alloc(bed.client, 64);
@@ -264,7 +281,7 @@ TEST_F(WqeCacheTest, ReregisterFlushesCachedSgePlans) {
                             dst.rkey(), /*signaled=*/true));
   Cqe cqe;
   ASSERT_TRUE(AwaitCqe(bed.sim, bed.client, qp->send_cq, &cqe));
-  ASSERT_EQ(cqe.status, rnic::WcStatus::kSuccess);  // plan now cached
+  ASSERT_EQ(cqe.status, rnic::WcStatus::kSuccess);  // src's extent cached
 
   ASSERT_TRUE(bed.client.pd().Reregister(src.lkey(), src.bytes(), 8,
                                          rnic::kAccessAll));
@@ -272,7 +289,37 @@ TEST_F(WqeCacheTest, ReregisterFlushesCachedSgePlans) {
                             dst.rkey(), /*signaled=*/true));
   ASSERT_TRUE(AwaitCqe(bed.sim, bed.client, qp->send_cq, &cqe));
   EXPECT_EQ(cqe.status, rnic::WcStatus::kLocalAccessError)
-      << "a stale cached plan validated a gather past the shrunk extent";
+      << "a stale MR cache entry validated a gather past the shrunk extent";
+}
+
+TEST_F(WqeCacheTest, ReregisterInvalidatesMrCacheOnReadScatter) {
+  // The scatter-side twin: a READ lands its response through the local
+  // SGE, which the MR cache validated before a Reregister shrank the
+  // target. The READ must complete with a local access error and write
+  // nothing past the new bound.
+  rnic::QueuePair* qp = bed.Loopback(bed.client);
+  Buffer src = bed.Alloc(bed.client, 64);
+  Buffer dst = bed.Alloc(bed.client, 64);
+  src.Fill(0xC3, 64);
+  PostSendNow(qp, MakeRead(dst.addr(), 32, dst.lkey(), src.addr(),
+                           src.rkey(), /*signaled=*/true));
+  Cqe cqe;
+  ASSERT_TRUE(AwaitCqe(bed.sim, bed.client, qp->send_cq, &cqe));
+  ASSERT_EQ(cqe.status, rnic::WcStatus::kSuccess);  // dst's extent cached
+  ASSERT_EQ(dst.U64(3), 0xC3C3C3C3C3C3C3C3u);
+
+  dst.Fill(0, 64);
+  ASSERT_TRUE(bed.client.pd().Reregister(dst.lkey(), dst.bytes(), 8,
+                                         rnic::kAccessAll));
+  PostSendNow(qp, MakeRead(dst.addr(), 32, dst.lkey(), src.addr(),
+                           src.rkey(), /*signaled=*/true));
+  ASSERT_TRUE(AwaitCqe(bed.sim, bed.client, qp->send_cq, &cqe));
+  EXPECT_EQ(cqe.status, rnic::WcStatus::kLocalAccessError)
+      << "a stale MR cache entry validated a scatter past the shrunk extent";
+  for (std::size_t i = 1; i < 4; ++i) {
+    EXPECT_EQ(dst.U64(i), 0u) << "the READ wrote past the new bound at word "
+                              << i;
+  }
 }
 
 }  // namespace
