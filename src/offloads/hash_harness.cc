@@ -118,22 +118,21 @@ void HashGetHarness::ArmAhead(int n) {
 }
 
 void HashGetHarness::RearmTransportClientHalf() {
-  rnic::CycleQp(cli_qp1_);
-  if (cli_qp2_ != nullptr) rnic::CycleQp(cli_qp2_);
+  cdev_.Rearm(cli_qp1_);
+  if (cli_qp2_ != nullptr) cdev_.Rearm(cli_qp2_);
   // The reset discarded every pending RECV — the client response buffers.
   recvs_outstanding_1_ = 0;
   recvs_outstanding_2_ = 0;
 }
 
 void HashGetHarness::RearmTransportServerHalf(int n) {
-  rnic::CycleQp(srv_qp1_);
-  if (srv_qp2_ != nullptr) rnic::CycleQp(srv_qp2_);
-  // The replacement program's chain r gates on trigger-CQ count
-  // first_seq + r; seed it with what the wrecked program consumed (error
-  // flushes bumped the count too, so read the CQ rather than triggers_).
+  sdev_.Rearm(srv_qp1_);
+  if (srv_qp2_ != nullptr) sdev_.Rearm(srv_qp2_);
+  // The replacement program counts requests from the trigger CQ's count,
+  // which holds what the wrecked program consumed (error flushes bumped it
+  // too, so the CQ is read rather than triggers_).
   offload_->Retire();
   retired_.push_back(std::move(offload_));
-  cfg_.first_seq = srv_qp1_->recv_cq->hw_count();
   offload_ = std::make_unique<HashGetOffload>(sdev_, *table_, *heap_, srv_qp1_,
                                               srv_qp2_, cfg_);
   ArmAhead(n);
@@ -180,7 +179,7 @@ bool HashGetHarness::SendTrigger(std::uint64_t key) {
 }
 
 bool HashGetHarness::SendTriggerBlind(std::uint64_t key) {
-  if (cli_qp1_->sq.error || cli_qp1_->state == rnic::QpState::kError) {
+  if (!cli_qp1_->Usable()) {
     return false;  // the local QP is wrecked; posting would just flush
   }
   EnsureRecvs();

@@ -58,10 +58,10 @@ class HashGetHarness {
 
   // Transport-connected recovery (RunKvService's heal re-arm), in two
   // halves so each runs on the event domain that owns its NIC (a reset
-  // fences that QP's transport flow, so the cycle must run on the flow's
-  // sender domain). The client half cycles the client QPs through
-  // reset->init->rtr->rts and drops the RECV accounting. The server half
-  // cycles the server QPs, retires the current offload program in place (a
+  // fences that QP's transport flow, so the re-arm must run on the flow's
+  // sender domain). The client half re-arms the client QPs
+  // (RnicDevice::Rearm) and drops the RECV accounting. The server half
+  // re-arms the server QPs, retires the current offload program in place (a
   // QP error flushed its pre-posted responses and trigger RECVs, so its
   // surviving chains can never run usefully again; it drops what it still
   // owed), and serves `n` further requests from a fresh program through

@@ -51,7 +51,7 @@ HashGetOffload::HashGetOffload(rnic::RnicDevice& server,
       cfg_(cfg),
       prog_(server, cfg.port, Depths(cfg, 0).control),
       prog2_(server, cfg.port, Depths(cfg, 1).control),
-      armed_(cfg.first_seq) {
+      armed_(client_qp->recv_cq->hw_count()) {
   assert(client_qp_->sq.managed() && "response queue must be managed");
   m1_ = prog_.NewChainQueue(Depths(cfg, 0).chain);
   if (cfg_.parallel) {

@@ -60,11 +60,6 @@ class HashGetOffload {
     // packets, links drop/corrupt them per the transport's config, and
     // retransmission recovers — the lossy-wire scenario.
     sim::Transport* transport = nullptr;
-    // Starting request sequence number. Chain r waits for the trigger CQ's
-    // hw count to reach first_seq + r, so a replacement offload built after
-    // a QP error must seed this with the CQ count already consumed by its
-    // predecessor (HashGetHarness::RearmTransportServerHalf does).
-    std::uint64_t first_seq = 0;
     // Make the CLIENT-side send queues of a HashGetHarness built with this
     // config managed (doorbell-ignoring): trigger SENDs posted to them park
     // until an ENABLE raises the execution limit. The failover detour
@@ -104,7 +99,10 @@ class HashGetOffload {
   static RingDepths Depths(const Config& cfg, int lane);
 
   // `client_qp` (and `client_qp2` iff parallel) are server-side QPs already
-  // connected to the client; their send queues MUST be managed.
+  // connected to the client; their send queues MUST be managed. Requests
+  // count from the trigger CQ (client_qp's recv CQ) as it stands now:
+  // request r waits for that count plus r, so a replacement offload built
+  // after a QP error continues where its predecessor's CQ left off.
   HashGetOffload(rnic::RnicDevice& server, kv::RdmaHashTable& table,
                  kv::ValueHeap& heap, QueuePair* client_qp,
                  QueuePair* client_qp2, Config cfg);

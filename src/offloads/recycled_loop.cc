@@ -77,10 +77,8 @@ void RecycledAddLoop::Start() {
 }
 
 void RecycledAddLoop::Kill() {
-  ring_->alive = false;
-  ring_->sq.error = true;
-  body_->alive = false;
-  body_->sq.error = true;
+  dev_.Kill(ring_);
+  dev_.Kill(body_);
 }
 
 }  // namespace redn::offloads

@@ -35,8 +35,8 @@ class RecycledAddLoop {
   // Loop progress: number of body executions so far.
   std::uint64_t iterations() const { return rnic::dma::ReadU64(counter_addr_); }
 
-  // Kills the loop by dropping its QPs into error state (the only way to
-  // stop a nonterminating NIC program other than the §3.5 rate limiter /
+  // Kills the loop's QPs (RnicDevice::Kill: the only way to stop a
+  // nonterminating NIC program other than the §3.5 rate limiter /
   // connection teardown).
   void Kill();
 

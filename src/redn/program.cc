@@ -57,11 +57,7 @@ void Program::SetOwner(int pid) {
 }
 
 void Program::Abort() {
-  for (QueuePair* qp : owned_) {
-    qp->alive = false;
-    qp->sq.error = true;
-    qp->rq.error = true;
-  }
+  for (QueuePair* qp : owned_) dev_.Kill(qp);
 }
 
 WrRef Program::Post(QueuePair* q, const verbs::SendWr& wr) {

@@ -178,9 +178,10 @@ class Program {
   // process id, for the §5.6 resource-reclamation experiments.
   void SetOwner(int pid);
 
-  // Tears the program down: every owned queue stops executing (the way a
-  // real chain dies when its QPs are destroyed). Stalled WAITs are
-  // abandoned rather than left to resurrect when shared CQ counts move.
+  // Tears the program down: every owned queue dies (RnicDevice::Kill) and
+  // stops executing, the way a real chain dies when its QPs are destroyed.
+  // Stalled WAITs are abandoned rather than left to resurrect when shared
+  // CQ counts move.
   void Abort();
 
  private:

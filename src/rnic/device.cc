@@ -145,21 +145,22 @@ void RnicDevice::AttachPort(int port, sim::Fabric& fabric,
       fabric.Attach(spec, name_ + ":" + std::to_string(port), &sim_)};
 }
 
+void RnicDevice::Kill(QueuePair* qp) {
+  qp->alive = false;
+  qp->state = QpState::kError;
+  qp->sq.error = true;
+}
+
 void RnicDevice::KillProcessResources(int pid) {
   for (auto& qp : qps_) {
-    if (qp->owner_pid == pid && qp->alive) {
-      qp->alive = false;
-      qp->state = QpState::kError;
-      qp->sq.error = true;
-      qp->rq.error = true;
-    }
+    if (qp->owner_pid == pid && qp->alive) Kill(qp.get());
   }
 }
 
 void RnicDevice::ReviveProcessResources(int pid) {
   for (auto& qp : qps_) {
     if (qp->owner_pid == pid && !qp->alive) {
-      qp->alive = true;  // still kError + latched; ModifyQp re-arms
+      qp->alive = true;  // still kError + latched; Rearm makes it Usable
     }
   }
 }
@@ -699,13 +700,10 @@ void RnicDevice::SendOverTransport(WorkQueue& wq, QueuePair* peer, Payload* pl,
     AckSend(wq, pl, sim_.now() + cal_.remote_ack_extra);
   };
   ops.on_failed = [this, qp, pl, rg](sim::Nanos t, sim::MsgFailure why) {
-    // kReset or a newer reset_gen: ModifyQp tore the flow down under us
-    // (synchronously, or at a cross-shard flow's fence echo after the
-    // re-arm) — a reset discards in-flight work silently instead of
-    // erroring the QP it just cleared.
-    if (qp->alive && qp->state != QpState::kReset && qp->reset_gen == rg) {
-      FailQpOverTransport(qp, pl->img, t, StatusOf(why));
-    }
+    // A Rearm tore the flow down under us (synchronously, or at a
+    // cross-shard flow's fence echo after the re-arm): a reset discards
+    // in-flight work silently instead of erroring the QP it just cleared.
+    if (!Stale(qp, rg)) FailQpOverTransport(qp, pl->img, t, StatusOf(why));
     payloads_.Release(pl);
   };
   qp->transport->SendMessageEx(qp->flow, ready, pl->bytes.size(),
@@ -776,15 +774,9 @@ void RnicDevice::ReadOverTransport(WorkQueue& wq, QueuePair* peer, Payload* pl,
       // the requester CQ, and both ends of the connection are now broken —
       // except a responder mid-reset, whose flow is being re-armed (not
       // dying) and must stay clear of the error latches the reset dropped.
-      if (peer->alive && peer->state != QpState::kReset &&
-          peer->reset_gen == prg) {
-        peer->device->TransitionToError(peer);
-      }
+      if (!Stale(peer, prg)) peer->device->TransitionToError(peer);
       peer->device->sim_.SendTo(req_shard, t + ow, [this, qp, ctx, why, rg] {
-        if (ctx->resolved || !qp->alive || qp->state == QpState::kReset ||
-            qp->reset_gen != rg) {
-          return;
-        }
+        if (ctx->resolved || Stale(qp, rg)) return;
         ctx->resolved = true;
         FailQpOverTransport(qp, ctx->img, sim_.now(), StatusOf(why));
       });
@@ -798,10 +790,7 @@ void RnicDevice::ReadOverTransport(WorkQueue& wq, QueuePair* peer, Payload* pl,
     // CQ instead of waiting forever on the response flow. A requester
     // mid-reset flushes silently (see SendOverTransport).
     payloads_.Release(pl);
-    if (ctx->resolved || !qp->alive || qp->state == QpState::kReset ||
-        qp->reset_gen != rg) {
-      return;
-    }
+    if (ctx->resolved || Stale(qp, rg)) return;
     ctx->resolved = true;
     FailQpOverTransport(qp, ctx->img, t, StatusOf(why));
   };
@@ -1067,17 +1056,24 @@ void RnicDevice::ScheduleResumes(const std::vector<WorkQueue*>& ready) {
   });
 }
 
+void RnicDevice::ErrorCqe(CompletionQueue* cq, const QueuePair* qp,
+                          std::uint64_t wr_id, Opcode op, WcStatus status,
+                          sim::Nanos t) {
+  ++counters_.error_completions;
+  if (status == WcStatus::kWrFlushError) ++counters_.wrs_flushed;
+  Cqe cqe;
+  cqe.qp_id = qp->id;
+  cqe.wr_id = wr_id;
+  cqe.opcode = op;
+  cqe.status = status;
+  DeliverCqe(cq, cqe, t + cal_.cq_internal);
+}
+
 void RnicDevice::FailWr(WorkQueue& wq, const WqeImage& img, sim::Nanos t,
                         WcStatus status) {
-  ++counters_.error_completions;
   wq.error = true;
   wq.busy = false;
-  Cqe cqe;
-  cqe.qp_id = wq.qp()->id;
-  cqe.wr_id = img.wr_id();
-  cqe.opcode = img.opcode();
-  cqe.status = status;
-  DeliverCqe(wq.cq(), cqe, t + cal_.cq_internal);
+  ErrorCqe(wq.cq(), wq.qp(), img.wr_id(), img.opcode(), status, t);
 }
 
 WcStatus RnicDevice::StatusOf(sim::MsgFailure why) {
@@ -1091,14 +1087,7 @@ WcStatus RnicDevice::StatusOf(sim::MsgFailure why) {
 
 void RnicDevice::FailQpOverTransport(QueuePair* qp, const WqeImage& img,
                                      sim::Nanos t, WcStatus status) {
-  ++counters_.error_completions;
-  if (status == WcStatus::kWrFlushError) ++counters_.wrs_flushed;
-  Cqe cqe;
-  cqe.qp_id = qp->id;
-  cqe.wr_id = img.wr_id();
-  cqe.opcode = img.opcode();
-  cqe.status = status;
-  DeliverCqe(qp->send_cq, cqe, t + cal_.cq_internal);
+  ErrorCqe(qp->send_cq, qp, img.wr_id(), img.opcode(), status, t);
   TransitionToError(qp);
 }
 
@@ -1108,7 +1097,6 @@ void RnicDevice::TransitionToError(QueuePair* qp) {
   ++counters_.qp_errors;
   qp->sq.error = true;
   qp->sq.busy = false;
-  qp->rq.error = true;
   // Flush one same-instant event later: a flow failure fans out on_failed
   // over every in-flight WR first, and their error CQEs should precede the
   // flush CQEs of WRs that never executed.
@@ -1117,74 +1105,41 @@ void RnicDevice::TransitionToError(QueuePair* qp) {
 
 void RnicDevice::FlushQueued(QueuePair* qp) {
   if (qp->state != QpState::kError) return;  // re-armed before the flush ran
-  const sim::Nanos t = sim_.now() + cal_.cq_internal;
   for (std::uint64_t idx = qp->sq.next_exec; idx < qp->sq.posted; ++idx) {
-    const WqeImage img = qp->sq.Slot(idx).Load();
-    ++counters_.error_completions;
-    ++counters_.wrs_flushed;
-    Cqe cqe;
-    cqe.qp_id = qp->id;
-    cqe.wr_id = img.wr_id();
-    cqe.opcode = img.opcode();
-    cqe.status = WcStatus::kWrFlushError;
-    DeliverCqe(qp->send_cq, cqe, t);
+    const WqeView slot = qp->sq.Slot(idx);
+    ErrorCqe(qp->send_cq, qp, slot.wr_id(), slot.opcode(),
+             WcStatus::kWrFlushError, sim_.now());
   }
   qp->sq.next_exec = qp->sq.posted;
   qp->sq.fetch_horizon = std::max(qp->sq.fetch_horizon, qp->sq.posted);
   for (std::uint64_t idx = qp->rq.consumed; idx < qp->rq.posted; ++idx) {
-    const WqeImage img = qp->rq.Slot(idx).Load();
-    ++counters_.error_completions;
-    ++counters_.wrs_flushed;
-    Cqe cqe;
-    cqe.qp_id = qp->id;
-    cqe.wr_id = img.wr_id();
-    cqe.opcode = Opcode::kRecv;
-    cqe.status = WcStatus::kWrFlushError;
-    DeliverCqe(qp->recv_cq, cqe, t);
+    ErrorCqe(qp->recv_cq, qp, qp->rq.Slot(idx).wr_id(), Opcode::kRecv,
+             WcStatus::kWrFlushError, sim_.now());
   }
   qp->rq.consumed = qp->rq.posted;
 }
 
-void RnicDevice::ModifyQp(QueuePair* qp, QpState next) {
-  switch (next) {
-    case QpState::kReset: {
-      const bool rearming = qp->state == QpState::kError;
-      qp->state = QpState::kReset;
-      ++qp->reset_gen;
-      // Drop the backlog (anything worth completing was flushed on the way
-      // to ERROR; a reset from a healthy state discards silently, like
-      // ibv_modify_qp →RESET). Progress counters stay monotonic.
-      qp->sq.error = false;
-      qp->sq.busy = false;
-      qp->sq.waiting = false;
-      qp->sq.next_exec = qp->sq.posted;
-      qp->sq.fetch_horizon = std::max(qp->sq.fetch_horizon, qp->sq.posted);
-      qp->rq.error = false;
-      qp->rq.busy = false;
-      qp->rq.consumed = qp->rq.posted;
-      qp->stall_recvs = 0;
-      if (qp->transport != nullptr && qp->flow >= 0) {
-        qp->transport->ResetFlow(qp->flow);
-      }
-      if (rearming) ++counters_.qp_rearms;
-      break;
-    }
-    case QpState::kInit:
-    case QpState::kRtr:
-    case QpState::kRts:
-      qp->state = next;
-      break;
-    case QpState::kError:
-      TransitionToError(qp);
-      break;
+void RnicDevice::Rearm(QueuePair* qp) {
+  const bool rearming = qp->state == QpState::kError;
+  // kReset and the new generation mark every transport outcome still in
+  // flight as Stale, including the flushes ResetFlow fires synchronously.
+  qp->state = QpState::kReset;
+  ++qp->reset_gen;
+  // Drop the backlog (anything worth completing was flushed on the way to
+  // ERROR; a reset from a healthy state discards silently, like
+  // ibv_modify_qp ->RESET). Progress counters stay monotonic.
+  qp->sq.error = false;
+  qp->sq.busy = false;
+  qp->sq.waiting = false;
+  qp->sq.next_exec = qp->sq.posted;
+  qp->sq.fetch_horizon = std::max(qp->sq.fetch_horizon, qp->sq.posted);
+  qp->rq.consumed = qp->rq.posted;
+  qp->stall_recvs = 0;
+  if (qp->transport != nullptr && qp->flow >= 0) {
+    qp->transport->ResetFlow(qp->flow);
   }
-}
-
-void CycleQp(QueuePair* qp) {
-  qp->device->ModifyQp(qp, QpState::kReset);
-  qp->device->ModifyQp(qp, QpState::kInit);
-  qp->device->ModifyQp(qp, QpState::kRtr);
-  qp->device->ModifyQp(qp, QpState::kRts);
+  if (rearming) ++counters_.qp_rearms;
+  qp->state = QpState::kRts;
 }
 
 sim::Nanos RnicDevice::PuService(Opcode op) const {

@@ -44,12 +44,13 @@ namespace redn::rnic {
 
 class RnicDevice;
 
-// ibv_qp_state analogue. QPs are born RTS (the simulator's historical
-// behaviour — Connect* does the whole handshake); the machine only matters
-// on the error path: a transport retry budget dying moves the QP to kError
-// (in-flight WR completes with RETRY_EXC/RNR_RETRY_EXC, queued WRs flush),
-// and ModifyQp kReset -> kInit -> kRtr -> kRts re-arms it.
-enum class QpState : std::uint8_t { kReset, kInit, kRtr, kRts, kError };
+// ibv_qp_state analogue, reduced to the states anything observes. QPs are
+// born RTS (Connect* does the whole handshake). A transport retry budget
+// dying moves the QP to kError (the in-flight WR completes with
+// RETRY_EXC/RNR_RETRY_EXC, queued WRs flush), and so does
+// RnicDevice::Kill. RnicDevice::Rearm walks it back to kRts, passing
+// through kReset only while it tears down the QP's transport flow.
+enum class QpState : std::uint8_t { kReset, kRts, kError };
 
 // Queue pair: a send queue + receive queue bound to CQs and a port.
 struct QueuePair {
@@ -80,13 +81,12 @@ struct QueuePair {
   // RQ's depth. Counted per rnr_probe invocation, so each backoff retry of
   // one SEND consumes one — N models attempts, not distinct messages.
   int stall_recvs = 0;
-  // Bumped on every ModifyQp(kReset). Transport on_failed callbacks capture
-  // the value at message-send time: a mismatch means a reset (and possibly a
-  // re-arm) happened while the message was in flight, so the failure must
-  // flush silently instead of erroring the freshly re-armed QP. A flow
-  // whose halves share a domain flushes synchronously inside the reset
-  // (state == kReset covers it); a cross-shard flow flushes at the fence
-  // echo, after the re-arm.
+  // Bumped on every Rearm. Transport on_failed callbacks capture the value
+  // at message-send time: a mismatch means a re-arm happened while the
+  // message was in flight, so the failure must flush silently instead of
+  // erroring the freshly re-armed QP (RnicDevice::Stale). A flow whose
+  // halves share a domain flushes synchronously inside the reset; a
+  // cross-shard flow flushes at the fence echo, after the re-arm.
   std::uint64_t reset_gen = 0;
 
   // WQ rate limiter (ibv_modify_qp_rate_limit analogue): minimum gap
@@ -101,6 +101,10 @@ struct QueuePair {
   std::unique_ptr<std::byte[]> rq_buf;
   MemoryRegion sq_mr;  // the registered "code region" (self-modification)
   MemoryRegion rq_mr;
+
+  // Whether the QP can take a new WR: its process is alive, it is in RTS,
+  // and its send queue has not latched an error.
+  bool Usable() const { return alive && state == QpState::kRts && !sq.error; }
 };
 
 struct QpConfig {
@@ -260,13 +264,18 @@ class RnicDevice {
   // the first WQE after a reconfigure paces from now rather than waiting
   // out a slot computed from the old gap.
   void SetRateLimit(QueuePair* qp, double ops_per_sec);
-  // ibv_modify_qp analogue for the state machine. kReset drops the WQ
-  // backlog, clears the error latches, and (transport connections) resets
-  // the QP's outbound flow to a fresh PSN space; kInit/kRtr/kRts record the
-  // re-arm handshake (an ERROR->RTS recovery bumps counters().qp_rearms);
-  // kError force-transitions with the same flush semantics as a transport
-  // budget death.
-  void ModifyQp(QueuePair* qp, QpState next);
+  // ibv_modify_qp RESET -> INIT -> RTR -> RTS in one step: drops the WQ
+  // backlog, clears the send queue's error latch and the receiver-stall
+  // injector, resets the QP's outbound transport flow to a fresh PSN space
+  // (in-flight work there is discarded silently), and leaves the QP in
+  // RTS. Recovering from kError bumps counters().qp_rearms. A killed QP
+  // stays dead (not Usable) until ReviveProcessResources.
+  void Rearm(QueuePair* qp);
+  // ibv_modify_qp -> ERR: latches the send queue and flushes every queued
+  // SQ WQE and unconsumed RECV with WR_FLUSH_ERR CQEs, one same-instant
+  // event later so in-flight failures complete first. A transport budget
+  // death takes the same path.
+  void TransitionToError(QueuePair* qp);
   // Deterministic receiver-stall fault injection: the next `n` delivery
   // attempts of inbound transport SENDs targeting `qp` are RNR-NAKed as if
   // no RECV were posted. `n` counts probe attempts — each backoff retry of
@@ -284,14 +293,18 @@ class RnicDevice {
   int fabric_endpoint(int port) const { return fabric_ports_[port].endpoint; }
 
   // --- Failure injection ----------------------------------------------------
-  // Kills every QP owned by `pid` (the OS reclaiming a dead process's
-  // memory); in-flight and future work on those QPs stops, mid-chain.
+  // The one way a QP dies: marks it dead, in kError with its send queue
+  // latched. In-flight and future work on it stops, mid-chain, without
+  // flushing (the process that would poll the CQEs is gone), and a peer
+  // learns of the death from the NAKs its requests draw.
+  void Kill(QueuePair* qp);
+  // Kills every live QP owned by `pid` (the OS reclaiming a dead process's
+  // memory).
   void KillProcessResources(int pid);
   // Re-join: the killed process (or a spare replacement adopting its pid
   // and resources) comes back. Every QP the kill marked dead becomes alive
-  // again but stays in ERROR with its error latches set — the owner must
-  // still cycle it through ModifyQp kReset -> ... -> kRts before use,
-  // exactly like any other errored QP.
+  // again but stays in ERROR with its send queue latched, so it is not
+  // Usable until the owner Rearms it, like any other errored QP.
   void ReviveProcessResources(int pid);
   bool HasLiveQps() const;
 
@@ -386,17 +399,26 @@ class RnicDevice {
   // execution limit monotonically, snapshots non-managed queues up to the
   // new limit, and kicks the queue.
   void ApplyEnable(WorkQueue& wq, std::uint64_t limit);
+  // Counts and delivers one error CQE at NIC-internal instant
+  // t + cq_internal. Errors are always signaled; only a WRITE/SEND's
+  // remote NAK completes elsewhere (AckSend, with its byte count).
+  void ErrorCqe(CompletionQueue* cq, const QueuePair* qp, std::uint64_t wr_id,
+                Opcode op, WcStatus status, sim::Nanos t);
+  // Fails one WR and latches its send queue: later WRs of the QP never
+  // issue, but nothing is flushed and the QP stays in RTS.
   void FailWr(WorkQueue& wq, const WqeImage& img, sim::Nanos t, WcStatus status);
   // Transport retry-budget death: delivers the in-flight WR's error CQE
-  // (always signaled — errors never complete silently) and moves the QP to
-  // ERROR, flushing everything queued behind it.
+  // and moves the QP to ERROR, flushing everything queued behind it.
   void FailQpOverTransport(QueuePair* qp, const WqeImage& img, sim::Nanos t,
                            WcStatus status);
-  // RTS->ERROR: latches the WQ error flags and flushes queued-but-
-  // unexecuted SQ WQEs and unconsumed RECVs with WR_FLUSH_ERR CQEs (one
-  // same-instant event later, so in-flight failures complete first).
-  void TransitionToError(QueuePair* qp);
   void FlushQueued(QueuePair* qp);
+  // Whether a transport outcome captured under `reset_gen` must be
+  // swallowed: the QP died, or a Rearm ran (or is running) since the
+  // message went out, so the failure may not error the re-armed QP.
+  static bool Stale(const QueuePair* qp, std::uint64_t reset_gen) {
+    return !qp->alive || qp->state == QpState::kReset ||
+           qp->reset_gen != reset_gen;
+  }
   static WcStatus StatusOf(sim::MsgFailure why);
 
   // Responder side, executed at arrival time on the responder device (this
@@ -485,10 +507,6 @@ class RnicDevice {
   PayloadPool payloads_;
   RecyclePool<ResumeBatch> resume_batches_;
 };
-
-// Re-arms `qp` on its own device through the full ModifyQp cycle,
-// kReset -> kInit -> kRtr -> kRts: the recovery of an errored QP.
-void CycleQp(QueuePair* qp);
 
 // Connects two QPs as an RC pair with the given one-way wire latency.
 // Pass one_way = 0 and the same device for a loopback connection (the

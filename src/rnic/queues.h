@@ -171,7 +171,9 @@ class WorkQueue {
   // --- engine state ---
   bool busy = false;     // a fetch/issue is in flight for this queue
   bool waiting = false;  // blocked in a WAIT verb
-  bool error = false;    // QP moved to error state; no further processing
+  // Send queues only: the error latch. A failed WR, a QP error or a kill
+  // sets it, and nothing more issues until RnicDevice::Rearm clears it.
+  bool error = false;
 
   // Last MR this queue's gathers/scatters resolved (see MrCacheEntry).
   MrCacheEntry mr_cache;

@@ -16,8 +16,14 @@ constexpr std::uint32_t kMaxBackoffShift = 10;
 // or the RTO (the sender must never mis-learn an unreported hole as
 // received, so `high` clamps to the last reported range).
 constexpr std::size_t kMaxSackRanges = 8;
-// SACK wire cost: bytes added to ack_bytes per missing-PSN range carried.
+// Per-packet wire overhead (LRH+BTH+ICRC) and the ACK/NAK wire size.
+constexpr std::uint32_t kHeaderBytes = 30;
+constexpr std::uint32_t kAckBytes = 30;
+// SACK wire cost: bytes added to kAckBytes per missing-PSN range carried.
 constexpr std::uint32_t kSackRangeBytes = 8;
+// Delayed-ACK backstop: a receiver holding unacked in-order packets acks
+// them at most this long after the first.
+constexpr Nanos kAckDelay = 2'000;
 }  // namespace
 
 TransportCounters& TransportCounters::operator+=(const TransportCounters& o) {
@@ -250,7 +256,7 @@ void Transport::TrySend(Flow& f) {
 void Transport::SendPacket(Flow& f, std::uint64_t psn, const PacketView& p) {
   SenderHalf& s = f.snd;
   const Nanos t = p.ready > SNow(f) ? p.ready : SNow(f);
-  const std::uint64_t wire = p.bytes + cfg_.header_bytes;
+  const std::uint64_t wire = p.bytes + kHeaderBytes;
   if (psn < s.high_water) {
     ++s.ctr.retransmits;
   } else {
@@ -438,7 +444,7 @@ void Transport::SendAck(Flow& f, AckKind kind) {
     }
   }
   const std::uint64_t wire =
-      cfg_.ack_bytes + ranges.size() * kSackRangeBytes;
+      kAckBytes + ranges.size() * kSackRangeBytes;
   r.ctr.wire_bytes_sent += wire;
   const std::uint64_t upto = r.expected;
   const Nanos tx_done = fabric_.ReserveTx(f.dst, DNow(f), wire);
@@ -702,7 +708,7 @@ void Transport::ArmAckTimer(Flow& f) {
   if (r.ack_timer_armed) return;
   r.ack_timer_armed = true;
   const std::uint64_t epoch = r.ack_epoch;
-  f.ddom->After(cfg_.ack_delay,
+  f.ddom->After(kAckDelay,
                 [this, fp = &f, epoch] { OnAckTimer(*fp, epoch); });
 }
 

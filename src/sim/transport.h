@@ -10,7 +10,7 @@
 //
 //  - MTU segmentation: a message of L bytes becomes ceil(L/mtu) packets
 //    (min 1 — a header-only message still crosses the wire), each carrying
-//    `header_bytes` of overhead. Every packet pays its own TX and RX pipe
+//    `kHeaderBytes` of overhead. Every packet pays its own TX and RX pipe
 //    reservations, so packetized flows contend on the fabric exactly where
 //    whole-message flows do, plus header tax.
 //  - Per-flow PSN sequencing: a flow is one direction of one QP connection.
@@ -47,7 +47,7 @@
 //    off 4096ns × 2^min_rnr_timer, doubling per consecutive NAK, then
 //    retransmits. A late-posted RECV lets the retry complete normally.
 //  - ACK coalescing: cumulative ACKs are sent on message boundaries, every
-//    `ack_every` in-order packets, and after at most `ack_delay` (the
+//    `ack_every` in-order packets, and after at most `kAckDelay` (the
 //    delayed-ACK backstop that keeps a window-limited sender alive). ACKs
 //    ride the reverse-direction pipes and are themselves subject to loss.
 //
@@ -123,11 +123,8 @@ enum class TransportMode : std::uint8_t {
 
 struct TransportConfig {
   std::uint32_t mtu = 4096;         // payload bytes per packet
-  std::uint32_t header_bytes = 30;  // per-packet wire overhead (LRH+BTH+ICRC)
-  std::uint32_t ack_bytes = 30;     // ACK/NAK wire size
   std::uint32_t window = 64;        // send window, packets
   std::uint32_t ack_every = 4;      // coalesce: ack every Nth in-order packet
-  Nanos ack_delay = 2'000;          // delayed-ACK backstop
   // Base retransmission timeout; doubles per consecutive timeout on the
   // same PSN. The IB ibv_qp_attr::timeout encoding t is rto = 4096ns << t.
   Nanos rto = 50'000;
@@ -398,7 +395,7 @@ class Transport {
   };
 
   struct PacketView {
-    std::uint32_t bytes;  // payload bytes (wire adds header_bytes)
+    std::uint32_t bytes;  // payload bytes (wire adds kHeaderBytes)
     Nanos ready;
     const Message* msg;   // owning message (its first packet ships desc)
   };

@@ -283,10 +283,6 @@ rnic::QueuePair* MakeQp(rnic::RnicDevice& dev, int owner,
   return dev.CreateQp(qc);
 }
 
-bool QpUnhealthy(const rnic::QueuePair* q) {
-  return q->state == rnic::QpState::kError || q->sq.error || !q->alive;
-}
-
 // Posts receive slot `slot` (`len` bytes of `mr`) on `qp`: a put link's
 // request slots on the shard's end, its ack slots on the tenant's.
 void PostSlot(rnic::QueuePair* qp, const rnic::MemoryRegion& mr, int slot,
@@ -676,9 +672,7 @@ class KvService {
   }
 
   bool PostPut(const Tenant& T, const Link& L) {
-    if (L.req_cli->sq.error || L.req_cli->state != rnic::QpState::kRts) {
-      return false;
-    }
+    if (!L.req_cli->Usable()) return false;
     rnic::dma::WriteU64(T.ptx_mr.addr, T.key);
     // Payload byte i is (key + i) mod 256.
     kv::FillRamp(
@@ -702,7 +696,7 @@ class KvService {
       Tenant& W = tenant(t);
       if (!W.waiting || W.seq != seq || W.attempt != attempt) return;
       const Link& L = link(t, p);
-      if (L.probe_cli->sq.error || L.probe_cli->state != rnic::QpState::kRts) {
+      if (!L.probe_cli->Usable()) {
         return;  // a probe already tripped; the chain fired or is firing
       }
       verbs::PostSendNow(L.probe_cli,
@@ -712,9 +706,7 @@ class KvService {
       // domain, so a spread tenant's top-up rides the mailbox at the
       // one-way latency (the probe itself takes at least as long).
       Cross(W.place, kServiceDomain, [ps = L.probe_srv] {
-        if (ps->alive && ps->state == rnic::QpState::kRts) {
-          verbs::PostRecv(ps, verbs::RecvWr{});
-        }
+        if (ps->Usable()) verbs::PostRecv(ps, verbs::RecvWr{});
       });
       Probe(t, p);
     });
@@ -865,8 +857,7 @@ class KvService {
   void SendPutAck(int t, int s, std::uint64_t key, std::uint64_t version,
                   std::uint64_t mask) {
     Link& L = link(t, s);
-    if (!L.ack_srv->alive || L.ack_srv->sq.error ||
-        L.ack_srv->state != rnic::QpState::kRts) {
+    if (!L.ack_srv->Usable()) {
       return;  // the tenant's watchdog re-issues; the apply is durable
     }
     const int slot = static_cast<int>(L.ack_seq++ %
@@ -914,9 +905,7 @@ class KvService {
     const int b = ring_.SuccessorOf(p);
     Shard& B = shard(b);
     Edge& E = S.edge;
-    const bool peer_up = B.state != ShardState::kDead && E.req->alive &&
-                         !E.req->sq.error &&
-                         E.req->state == rnic::QpState::kRts;
+    const bool peer_up = B.state != ShardState::kDead && E.req->Usable();
     if (!peer_up) {
       NoteMissed(b, key);
       SendPutAck(t, s, key, version, 1ULL << s);
@@ -1077,7 +1066,7 @@ class KvService {
       const bool srv_err =
           L.get->server_qp()->state == rnic::QpState::kError;
       const bool srv_bad =
-          writes_ && (QpUnhealthy(L.req_srv) || QpUnhealthy(L.ack_srv));
+          writes_ && (!L.req_srv->Usable() || !L.ack_srv->Usable());
       const int home = tenant(t).place;
       Cross(kServiceDomain, home, [this, s, t, home, crash, reopen, srv_err,
                                    srv_bad] {
@@ -1106,7 +1095,7 @@ class KvService {
               L.chain->Rearm();  // the old WAIT fired; park a fresh detour
             }
             pc_err = L.probe_cli->state == rnic::QpState::kError;
-            if (pc_err) rnic::CycleQp(L.probe_cli);
+            if (pc_err) T.dev->Rearm(L.probe_cli);
             if (crash) {
               // Detours whose BACKUP is the re-joined shard parked their
               // get on QPs the crash flushed; re-arm them and park fresh
@@ -1122,8 +1111,8 @@ class KvService {
           }
         }
         // The put link's tenant ends, told whether its shard ends went bad.
-        const bool put = writes_ && (srv_bad || QpUnhealthy(L.req_cli) ||
-                                     QpUnhealthy(L.ack_cli));
+        const bool put = writes_ && (srv_bad || !L.req_cli->Usable() ||
+                                     !L.ack_cli->Usable());
         if (put) {
           // Drain flushed/error CQEs nothing else polls.
           for (rnic::QueuePair* q : {L.req_cli, L.ack_cli}) {
@@ -1131,8 +1120,8 @@ class KvService {
               if (cqe.status != rnic::WcStatus::kSuccess) ++T.err_cqes;
             }
           }
-          rnic::CycleQp(L.req_cli);
-          rnic::CycleQp(L.ack_cli);
+          T.dev->Rearm(L.req_cli);
+          T.dev->Rearm(L.ack_cli);
           for (int i = 0; i < kPutSlots; ++i) {
             PostSlot(L.ack_cli, L.ack_rx_mr, i, kAckBytes);
           }
@@ -1142,9 +1131,9 @@ class KvService {
               [this, s, t, home, get, put, rearm, pc_err,
                arm_n = T.remaining + 8, detours = std::move(detours)] {
           Link& LS = link(t, s);
-          bool cycle_pc = false;
+          bool rearm_pc = false;
           // Detour columns the final leg must finish: (column, client half
-          // still to cycle).
+          // still to re-arm).
           std::vector<std::pair<int, char>> fresh;
           if (rearm && get) {
             LS.get->RearmTransportServerHalf(arm_n);
@@ -1152,8 +1141,8 @@ class KvService {
           }
           if (offloaded_ && get) {
             if (pc_err || LS.probe_srv->state == rnic::QpState::kError) {
-              cycle_pc = !pc_err;  // only the server end tripped
-              rnic::CycleQp(LS.probe_srv);
+              rearm_pc = !pc_err;  // only the server end tripped
+              shard(s).dev->Rearm(LS.probe_srv);
               for (int i = 0; i < 64; ++i) {
                 verbs::PostRecv(LS.probe_srv, verbs::RecvWr{});
               }
@@ -1168,17 +1157,17 @@ class KvService {
             }
           }
           if (put) {
-            rnic::CycleQp(LS.req_srv);
-            rnic::CycleQp(LS.ack_srv);
+            shard(s).dev->Rearm(LS.req_srv);
+            shard(s).dev->Rearm(LS.ack_srv);
             for (int i = 0; i < kPutSlots; ++i) {
               PostSlot(LS.req_srv, LS.req_rx_mr, i, cfg_.value_len);
             }
           }
           if (!get) return;
           Cross(kServiceDomain, home,
-                [this, s, t, cycle_pc, fresh = std::move(fresh)] {
+                [this, s, t, rearm_pc, fresh = std::move(fresh)] {
             Tenant& TF = tenant(t);
-            if (cycle_pc) rnic::CycleQp(link(t, s).probe_cli);
+            if (rearm_pc) TF.dev->Rearm(link(t, s).probe_cli);
             for (const auto& [x, nc] : fresh) {
               Link& LX = link(t, x);
               if (nc) LX.detour->RearmTransportClientHalf();
@@ -1204,16 +1193,16 @@ class KvService {
 
   // The chain edges into and out of shard `s`: an errored edge flushes its
   // in-flight forwards (degraded acks, so no tenant's put is stranded) and
-  // cycles both ends.
+  // re-arms both ends.
   void HealEdges(int s) {
     if (!writes_) return;
     for (int x = 0; x < cfg_.shards; ++x) {
       if (x != s && ring_.SuccessorOf(x) != s) continue;
       Edge& E = shard(x).edge;
-      if (!(QpUnhealthy(E.req) || QpUnhealthy(E.rsp))) continue;
+      if (E.req->Usable() && E.rsp->Usable()) continue;
       DrainForwards(x);
-      rnic::CycleQp(E.req);
-      rnic::CycleQp(E.rsp);
+      E.req->device->Rearm(E.req);
+      E.rsp->device->Rearm(E.rsp);
     }
   }
 
@@ -1271,7 +1260,7 @@ class KvService {
       auto& items = by_donor[static_cast<std::size_t>(d)];
       if (items.empty()) continue;
       auto& [rq, dq] = S.resync_links[static_cast<std::size_t>(d)];
-      if (rq == nullptr || QpUnhealthy(rq) || QpUnhealthy(dq)) {
+      if (rq == nullptr || !rq->Usable() || !dq->Usable()) {
         rq = MakeQp(*S.dev, kShardPidBase + s);
         dq = MakeQp(*shard(d).dev, kShardPidBase + d);
         rnic::ConnectOverTransport(rq, dq, transport_);

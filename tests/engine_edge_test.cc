@@ -401,6 +401,54 @@ TEST_F(EdgeTest, DeadPeerFailsNewOps) {
   EXPECT_EQ(cqe.status, rnic::WcStatus::kRemoteAccessError);
 }
 
+// The three WQEs Issue rejects before they execute: a WAIT on a CQ id the
+// device never created, a RECV opcode in a send queue, and an opcode past
+// the last one defined. Each completes with BAD_OPCODE, latches the send
+// queue, and the WRITE posted behind it never runs.
+TEST_F(EdgeTest, MalformedWqeFailsBadOpcodeAndLatchesTheQueue) {
+  verbs::SendWr wait_on_missing_cq;
+  wait_on_missing_cq.opcode = rnic::Opcode::kWait;
+  wait_on_missing_cq.target_id = 1u << 20;
+  wait_on_missing_cq.threshold = 1;
+  verbs::SendWr recv_in_sq;
+  recv_in_sq.opcode = rnic::Opcode::kRecv;
+  verbs::SendWr past_last_opcode;
+  past_last_opcode.opcode = rnic::Opcode::kOpcodeCount;
+  const std::pair<const char*, verbs::SendWr> cases[] = {
+      {"WAIT on a missing CQ", wait_on_missing_cq},
+      {"RECV in a send queue", recv_in_sq},
+      {"opcode >= kOpcodeCount", past_last_opcode},
+  };
+  std::uint64_t bad = 0;
+  for (auto [what, wr] : cases) {
+    SCOPED_TRACE(what);
+    auto [cqp, sqp] = bed.ConnectedPair();
+    (void)sqp;
+    Buffer src = bed.Alloc(bed.client, 8);
+    Buffer dst = bed.Alloc(bed.server, 8);
+    src.SetU64(0, 0x1234);
+    wr.wr_id = 77;
+    PostSend(cqp, wr);
+    PostSendNow(cqp, MakeWrite(src.addr(), 8, src.lkey(), dst.addr(),
+                               dst.rkey()));
+    Cqe cqe;
+    ASSERT_TRUE(AwaitCqe(bed.sim, bed.client, cqp->send_cq, &cqe));
+    EXPECT_EQ(cqe.status, rnic::WcStatus::kBadOpcode);
+    EXPECT_EQ(cqe.wr_id, 77u);
+    EXPECT_EQ(cqe.opcode, wr.opcode);
+    EXPECT_FALSE(cqp->Usable());
+    EXPECT_EQ(cqp->state, rnic::QpState::kRts);  // a latch, not a QP error
+    bed.sim.RunUntil(bed.sim.now() + sim::Millis(1));
+    EXPECT_EQ(bed.client.PollCq(cqp->send_cq, 1, &cqe), 0);  // no flush
+    EXPECT_EQ(dst.U64(0), 0u);  // the WRITE behind it never ran
+    EXPECT_EQ(bed.client.counters().error_completions, ++bad);
+  }
+  EXPECT_EQ(bed.client.counters().executed_by_opcode[static_cast<int>(
+                rnic::Opcode::kWrite)],
+            0u);
+  EXPECT_EQ(bed.client.counters().qp_errors, 0u);
+}
+
 TEST_F(EdgeTest, HasLiveQpsTracksKills) {
   auto [cqp, sqp] = bed.ConnectedPair();
   (void)cqp;

@@ -348,7 +348,7 @@ TEST_F(OffloadTest, HashGetWindowSurvivesRearms) {
     for (int i = 0; i < gets; ++i) ASSERT_TRUE(h.Get(7).found) << "get " << i;
     const HashGetOffload* old = &h.offload();
     const std::uint64_t refills = old->refills();
-    tb.server.ModifyQp(h.server_qp(), rnic::QpState::kError);
+    tb.server.TransitionToError(h.server_qp());
     tb.sim.Run();
     EXPECT_EQ(old->refills(), refills);
     h.RearmTransportClientHalf();

@@ -265,8 +265,9 @@ TEST(ShardedDevice, CrossShardWriteMatchesSingleShardBitExactly) {
 // The RunCrossWrite bed with the responder's process killed before issue.
 // A fabric or transport requester learns of the death only from the
 // responder's NAK, so the outcome and its instant must not depend on
-// whether the two NICs share a shard.
-rnic::Cqe RunDeadResponder(int shards, bool over_transport, bool read) {
+// whether the two NICs share a shard. `op` is a WRITE, a READ or a
+// FETCH_ADD (atomics take the fabric path on a transport QP too).
+rnic::Cqe RunDeadResponder(int shards, bool over_transport, rnic::Opcode op) {
   ShardedPair bed(shards, 1);
   sim::Transport transport(bed.ssim.shard(0), *bed.fabric,
                            sim::TransportConfig{});
@@ -281,9 +282,14 @@ rnic::Cqe RunDeadResponder(int shards, bool over_transport, bool read) {
   auto lmr = bed.client->pd().Register(lbuf.get(), 64, rnic::kAccessAll);
   auto rmr = bed.server->pd().Register(rbuf.get(), 64, rnic::kAccessAll);
   bed.server->KillProcessResources(/*pid=*/0);  // every server QP
-  verbs::PostSendNow(
-      cqp, read ? verbs::MakeRead(lmr.addr, 8, lmr.lkey, rmr.addr, rmr.rkey)
-                : verbs::MakeWrite(lmr.addr, 8, lmr.lkey, rmr.addr, rmr.rkey));
+  verbs::SendWr wr = verbs::MakeFetchAdd(rmr.addr, rmr.rkey, 1, lmr.addr,
+                                         lmr.lkey);
+  if (op == rnic::Opcode::kRead) {
+    wr = verbs::MakeRead(lmr.addr, 8, lmr.lkey, rmr.addr, rmr.rkey);
+  } else if (op == rnic::Opcode::kWrite) {
+    wr = verbs::MakeWrite(lmr.addr, 8, lmr.lkey, rmr.addr, rmr.rkey);
+  }
+  verbs::PostSendNow(cqp, wr);
   bed.ssim.Run();
   verbs::Cqe cqe;
   EXPECT_EQ(verbs::PollCq(cqp, cqp->send_cq, 1, &cqe), 1);
@@ -292,11 +298,12 @@ rnic::Cqe RunDeadResponder(int shards, bool over_transport, bool read) {
 
 TEST(ShardedDevice, DeadResponderNakIsPlacementInvariant) {
   for (const bool over_transport : {false, true}) {
-    for (const bool read : {false, true}) {
+    for (const rnic::Opcode op : {rnic::Opcode::kWrite, rnic::Opcode::kRead,
+                                  rnic::Opcode::kFetchAdd}) {
       SCOPED_TRACE(std::string(over_transport ? "transport " : "fabric ") +
-                   (read ? "READ" : "WRITE"));
-      const rnic::Cqe one = RunDeadResponder(1, over_transport, read);
-      const rnic::Cqe two = RunDeadResponder(2, over_transport, read);
+                   rnic::OpcodeName(op));
+      const rnic::Cqe one = RunDeadResponder(1, over_transport, op);
+      const rnic::Cqe two = RunDeadResponder(2, over_transport, op);
       EXPECT_EQ(one.status, rnic::WcStatus::kRemoteAccessError);
       EXPECT_EQ(two.status, rnic::WcStatus::kRemoteAccessError);
       EXPECT_EQ(one.completed_at, two.completed_at);
@@ -397,10 +404,7 @@ TEST(ShardedDevice, CrossShardTransportConnectsAndDelivers) {
 sim::TransportConfig SplitConfig() {
   sim::TransportConfig cfg;
   cfg.mtu = 1000;
-  cfg.header_bytes = 30;
-  cfg.ack_bytes = 30;
   cfg.ack_every = 4;
-  cfg.ack_delay = 2'000;
   cfg.rto = 20'000;
   return cfg;
 }

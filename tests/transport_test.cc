@@ -48,10 +48,7 @@ std::uint64_t SeedOffset() {
 TransportConfig LegibleConfig() {
   TransportConfig cfg;
   cfg.mtu = 1000;
-  cfg.header_bytes = 30;
-  cfg.ack_bytes = 30;
   cfg.ack_every = 4;
-  cfg.ack_delay = 2'000;
   cfg.rto = 20'000;
   return cfg;
 }
@@ -472,10 +469,9 @@ TEST_F(TransportBed, ResetOfHealthyQpWithInflightWrDiscardsSilentlyAndRearms) {
                              dst.rkey()));
   bed.sim.RunUntil(100'000);  // a few RTO rounds in; the WR is still queued
 
-  rnic::CycleQp(cqp);
+  bed.client.Rearm(cqp);
   EXPECT_EQ(cqp->state, rnic::QpState::kRts);
   EXPECT_FALSE(cqp->sq.error);
-  EXPECT_FALSE(cqp->rq.error);
   EXPECT_EQ(bed.client.counters().qp_errors, 0u);
 
   // Heal the link: the re-armed QP moves fresh traffic, and the discarded
@@ -913,9 +909,9 @@ TEST_F(ReliabilityBed, RetryExhaustionErrorsFlushesAndRearmedQpResumes) {
   EXPECT_EQ(bed.client.counters().qp_errors, 1u);
   EXPECT_GE(tr.counters().retry_exhausted, 1u);
 
-  // Heal, cycle reset -> init -> RTR -> RTS on both ends, go again.
+  // Heal, re-arm both ends, go again.
   tr.SetLinkFaults(server_ep, 0.0, 0.0);
-  for (rnic::QueuePair* qp : {cqp, sqp}) rnic::CycleQp(qp);
+  for (rnic::QueuePair* qp : {cqp, sqp}) qp->device->Rearm(qp);
   EXPECT_EQ(bed.client.counters().qp_rearms, 1u);
   EXPECT_EQ(cqp->state, rnic::QpState::kRts);
   EXPECT_FALSE(cqp->sq.error);
@@ -1033,9 +1029,9 @@ TEST_F(ReliabilityBed, RnrBudgetExhaustionSurfacesRnrRetryExcError) {
   EXPECT_EQ(cqp->state, rnic::QpState::kError);
   EXPECT_GE(tr.counters().rnr_exhausted, 1u);
 
-  // Recovery: cycle both QPs (the reset clears the stall injector and
+  // Recovery: re-arm both QPs (the reset clears the stall injector and
   // discards the stranded RECV), repost it, and the retried SEND lands.
-  for (rnic::QueuePair* qp : {cqp, sqp}) rnic::CycleQp(qp);
+  for (rnic::QueuePair* qp : {cqp, sqp}) qp->device->Rearm(qp);
   PostRecv(sqp, rwr);
   src.SetU64(0, 0xcafe);
   PostSendNow(cqp, MakeSend(src.addr(), 256, src.lkey()));
@@ -1043,6 +1039,159 @@ TEST_F(ReliabilityBed, RnrBudgetExhaustionSurfacesRnrRetryExcError) {
                        sim::Millis(50)));
   EXPECT_EQ(cqe.status, rnic::WcStatus::kSuccess);
   EXPECT_EQ(dst.U64(0), 0xcafeu);
+}
+
+TEST_F(ReliabilityBed, SendToEmptyRqRnrNaksUntilTheRecvIsPosted) {
+  auto [cqp, sqp] = ConnectedPair();
+  constexpr std::size_t kLen = 256;
+  Buffer src = bed.Alloc(bed.client, kLen);
+  Buffer dst = bed.Alloc(bed.server, kLen);
+  src.SetU64(0, 0x5e4d);
+  verbs::RecvWr rwr;
+  rwr.local_addr = dst.addr();
+  rwr.length = kLen;
+  rwr.lkey = dst.lkey();
+
+  // No RECV posted and no stall injected: the probe finds the RQ empty.
+  PostSendNow(cqp, MakeSend(src.addr(), kLen, src.lkey()));
+  bed.sim.RunUntil(bed.sim.now() + 4'000);  // just past the first NAK
+  EXPECT_EQ(bed.server.counters().rnr_naks, 1u);
+  EXPECT_EQ(tr.counters().rnr_naks, 1u);
+  Cqe cqe;
+  EXPECT_EQ(bed.client.PollCq(cqp->send_cq, 1, &cqe), 0);
+
+  // A RECV posted during the backoff lets the retry complete normally.
+  PostRecv(sqp, rwr);
+  ASSERT_TRUE(AwaitCqe(bed.sim, bed.server, sqp->recv_cq, &cqe,
+                       sim::Millis(50)));
+  EXPECT_EQ(cqe.status, rnic::WcStatus::kSuccess);
+  EXPECT_EQ(dst.U64(0), 0x5e4du);
+  ASSERT_TRUE(AwaitCqe(bed.sim, bed.client, cqp->send_cq, &cqe,
+                       sim::Millis(50)));
+  EXPECT_EQ(cqe.status, rnic::WcStatus::kSuccess);
+  EXPECT_EQ(bed.server.counters().rnr_naks, 1u);
+  EXPECT_EQ(bed.server.counters().rnr_drops, 0u);
+  EXPECT_EQ(sqp->rq.consumed, 1u);
+  EXPECT_TRUE(cqp->Usable());
+
+  // With no RECV ever posted the budget runs out: the first NAK and two
+  // retries (rnr_retry_count = 2), then RNR_RETRY_EXC errors the QP.
+  auto [cqp2, sqp2] = ConnectedPair();
+  (void)sqp2;
+  PostSendNow(cqp2, MakeSend(src.addr(), kLen, src.lkey()));
+  ASSERT_TRUE(AwaitCqe(bed.sim, bed.client, cqp2->send_cq, &cqe,
+                       sim::Millis(50)));
+  EXPECT_EQ(cqe.status, rnic::WcStatus::kRnrRetryExcError);
+  EXPECT_EQ(cqp2->state, rnic::QpState::kError);
+  EXPECT_FALSE(cqp2->Usable());
+  EXPECT_EQ(bed.server.counters().rnr_naks, 1u + 3u);
+  EXPECT_EQ(tr.counters().rnr_exhausted, 1u);
+}
+
+// One transport QP through each way it breaks, and back. A protection NAK
+// latches the send queue without a QP error; a retry-budget death moves
+// the QP to ERROR; Kill kills it. Rearm restores the first two, and a
+// killed QP stays unusable until its process is revived and it is
+// re-armed.
+TEST_F(ReliabilityBed, QpLifecycleLatchDeathKillAndRearm) {
+  auto [cqp, sqp] = ConnectedPair();
+  Buffer local = bed.Alloc(bed.client, 64);
+  Buffer remote = bed.Alloc(bed.server, 64);
+  const rnic::DeviceCounters& ctr = bed.client.counters();
+  std::uint64_t value = 0;
+  auto write_lands = [&] {
+    local.SetU64(0, ++value);
+    PostSendNow(cqp, MakeWrite(local.addr(), 8, local.lkey(), remote.addr(),
+                               remote.rkey()));
+    Cqe cqe;
+    return AwaitCqe(bed.sim, bed.client, cqp->send_cq, &cqe,
+                    sim::Millis(50)) &&
+           cqe.status == rnic::WcStatus::kSuccess && remote.U64(0) == value;
+  };
+  ASSERT_TRUE(cqp->Usable());
+  ASSERT_TRUE(write_lands());
+
+  // 1. Protection NAK: a READ with a wrong rkey fails and latches the send
+  // queue. The QP stays in RTS and nothing is flushed: a WR posted behind
+  // the latch just never issues.
+  PostSendNow(cqp, MakeRead(local.addr(), 8, local.lkey(), remote.addr(),
+                            remote.rkey() + 1));
+  Cqe cqe;
+  ASSERT_TRUE(AwaitCqe(bed.sim, bed.client, cqp->send_cq, &cqe,
+                       sim::Millis(50)));
+  EXPECT_EQ(cqe.status, rnic::WcStatus::kRemoteAccessError);
+  PostSendNow(cqp, MakeWrite(local.addr(), 8, local.lkey(), remote.addr(),
+                             remote.rkey()));
+  bed.sim.RunUntil(bed.sim.now() + sim::Millis(1));
+  EXPECT_EQ(bed.client.PollCq(cqp->send_cq, 1, &cqe), 0);
+  EXPECT_FALSE(cqp->Usable());
+  EXPECT_EQ(cqp->state, rnic::QpState::kRts);
+  EXPECT_EQ(ctr.qp_errors, 0u);
+  bed.client.Rearm(cqp);
+  EXPECT_TRUE(cqp->Usable());
+  EXPECT_EQ(ctr.qp_rearms, 0u);  // re-armed from a latch, not from ERROR
+  ASSERT_TRUE(write_lands());
+
+  // 2. Retry-budget death: a blackholed link spends the budget. The
+  // in-flight WRITE fails with RETRY_EXC, the QP moves to ERROR, and what
+  // is queued behind it flushes: a WAIT blocking the send queue, the WRITE
+  // behind that WAIT, and a RECV nothing consumed.
+  const int server_ep = bed.server.fabric_endpoint(0);
+  tr.SetLinkFaults(server_ep, /*loss=*/1.0, /*corrupt=*/0.0);
+  PostRecv(cqp, verbs::RecvWr{});
+  PostSendNow(cqp, MakeWrite(local.addr(), 8, local.lkey(), remote.addr(),
+                             remote.rkey()));
+  PostSendNow(cqp, verbs::MakeWait(bed.client.CreateCq(), 1));
+  PostSendNow(cqp, MakeWrite(local.addr(), 8, local.lkey(), remote.addr(),
+                             remote.rkey()));
+  ASSERT_TRUE(AwaitCqe(bed.sim, bed.client, cqp->send_cq, &cqe,
+                       sim::Millis(50)));
+  EXPECT_EQ(cqe.status, rnic::WcStatus::kRetryExcError);
+  for (const rnic::Opcode op : {rnic::Opcode::kWait, rnic::Opcode::kWrite}) {
+    ASSERT_TRUE(AwaitCqe(bed.sim, bed.client, cqp->send_cq, &cqe,
+                         sim::Millis(50)));
+    EXPECT_EQ(cqe.status, rnic::WcStatus::kWrFlushError);
+    EXPECT_EQ(cqe.opcode, op);
+  }
+  ASSERT_TRUE(AwaitCqe(bed.sim, bed.client, cqp->recv_cq, &cqe,
+                       sim::Millis(50)));
+  EXPECT_EQ(cqe.status, rnic::WcStatus::kWrFlushError);
+  EXPECT_EQ(cqe.opcode, rnic::Opcode::kRecv);
+  EXPECT_FALSE(cqp->Usable());
+  EXPECT_EQ(cqp->state, rnic::QpState::kError);
+  EXPECT_EQ(ctr.qp_errors, 1u);
+  EXPECT_EQ(ctr.wrs_flushed, 3u);
+  EXPECT_EQ(ctr.error_completions, 1u + 4u);  // the READ's NAK, then these
+  tr.SetLinkFaults(server_ep, 0.0, 0.0);
+  bed.client.Rearm(cqp);
+  EXPECT_TRUE(cqp->Usable());
+  EXPECT_EQ(cqp->state, rnic::QpState::kRts);
+  EXPECT_EQ(ctr.qp_rearms, 1u);
+  ASSERT_TRUE(write_lands());
+
+  // 3. Kill: the QP is dead, in ERROR, without a QP-error transition. A
+  // re-arm alone does not bring a dead QP back.
+  bed.client.Kill(cqp);
+  EXPECT_FALSE(cqp->Usable());
+  EXPECT_FALSE(cqp->alive);
+  EXPECT_EQ(cqp->state, rnic::QpState::kError);
+  EXPECT_EQ(ctr.qp_errors, 1u);
+  bed.client.Rearm(cqp);
+  EXPECT_EQ(cqp->state, rnic::QpState::kRts);
+  EXPECT_FALSE(cqp->Usable());
+  EXPECT_EQ(ctr.qp_rearms, 2u);
+  // Reviving the process leaves the killed QP errored and latched until
+  // its owner re-arms it.
+  bed.client.Kill(cqp);
+  bed.client.ReviveProcessResources(cqp->owner_pid);
+  EXPECT_TRUE(cqp->alive);
+  EXPECT_EQ(cqp->state, rnic::QpState::kError);
+  EXPECT_FALSE(cqp->Usable());
+  bed.client.Rearm(cqp);
+  EXPECT_TRUE(cqp->Usable());
+  EXPECT_EQ(ctr.qp_rearms, 3u);
+  EXPECT_EQ(ctr.qp_errors, 1u);
+  ASSERT_TRUE(write_lands());
 }
 
 TEST_F(ReliabilityBed, ResetDuringRnrBackoffPauseNeitherResurrectsNorMisfires) {
@@ -1067,7 +1216,7 @@ TEST_F(ReliabilityBed, ResetDuringRnrBackoffPauseNeitherResurrectsNorMisfires) {
 
   // Reset both ends mid-pause. The healthy-QP reset abandons the paused WR
   // silently; the stale resume timer must not resurrect the old flow.
-  for (rnic::QueuePair* qp : {cqp, sqp}) rnic::CycleQp(qp);
+  for (rnic::QueuePair* qp : {cqp, sqp}) qp->device->Rearm(qp);
   // Give the dead timer (due at ~8.8 us) ample room to misbehave.
   bed.sim.RunUntil(bed.sim.now() + sim::Millis(1));
   Cqe cqe;
