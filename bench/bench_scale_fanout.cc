@@ -12,8 +12,8 @@
 // Every background CQE therefore wakes all M chains of its tenant at the
 // same instant — the fan-out stresses exactly the paths this repo's
 // completion overhaul touched: one-event CQE delivery, the waiter heap,
-// batched same-instant WAIT resumes, and last-hit MR caches (each tenant
-// alternates between its code rings and its heap).
+// batched same-instant WAIT resumes, and the protection check on every
+// SGE (each tenant alternates between its code rings and its heap).
 //
 // Reported: wall-clock events/s (the CI floor), simulated verbs/s, event
 // slab hit rate, and payload-pool reuse rate. Simulated results stay

@@ -86,6 +86,10 @@ QueuePair* RnicDevice::GetQp(std::uint32_t id) {
 }
 
 void RnicDevice::RingDoorbell(QueuePair* qp) {
+  if (qp->alive && qp->state == QpState::kError) {
+    FlushQueued(qp);  // ibv_post_send on an ERR QP: the new WRs flush
+    return;
+  }
   WorkQueue& wq = qp->sq;
   if (wq.managed()) return;  // managed queues advance only via ENABLE
   ++counters_.doorbells;
@@ -100,7 +104,11 @@ void RnicDevice::RingDoorbell(QueuePair* qp) {
   });
 }
 
-void RnicDevice::NotifyRecvPosted(QueuePair* qp) { ++qp->rq.posted; }
+void RnicDevice::NotifyRecvPosted(QueuePair* qp) {
+  ++qp->rq.posted;
+  // ibv_post_recv on an ERR QP: the new RECV flushes.
+  if (qp->alive && qp->state == QpState::kError) FlushQueued(qp);
+}
 
 int RnicDevice::PollCq(CompletionQueue* cq, int max, Cqe* out) {
   return cq->Poll(sim_.now(), max, out);
@@ -351,15 +359,14 @@ std::uint64_t RnicDevice::ReadLength(const WqeImage& img) const {
   return len;
 }
 
-bool RnicDevice::GatherLocal(WorkQueue& wq, const WqeImage& img,
-                             std::vector<std::byte>& out, WcStatus* err) {
-  const ProtectionDomain& pd = wq.qp()->device->pd_;
+bool RnicDevice::GatherLocal(const WqeImage& img, std::vector<std::byte>& out,
+                             WcStatus* err) const {
   SgeScratch sges;
   ResolveSges(img, sges);
   for (const Sge& sge : sges) {
     if (sge.length == 0) continue;
-    const MemCheck mc = pd.CheckLocal(sge.addr, sge.length, sge.lkey,
-                                      kLocalRead, &wq.mr_cache);
+    const MemCheck mc =
+        pd_.CheckLocal(sge.addr, sge.length, sge.lkey, kLocalRead);
     if (mc != MemCheck::kOk) {
       *err = WcStatus::kLocalAccessError;
       return false;
@@ -369,10 +376,8 @@ bool RnicDevice::GatherLocal(WorkQueue& wq, const WqeImage& img,
   return true;
 }
 
-bool RnicDevice::ScatterList(WorkQueue& wq, const WqeImage& img,
-                             const std::byte* data, std::size_t len,
-                             WcStatus* err) {
-  const ProtectionDomain& pd = wq.qp()->device->pd_;
+bool RnicDevice::ScatterList(const WqeImage& img, const std::byte* data,
+                             std::size_t len, WcStatus* err) const {
   std::size_t consumed = 0;
   SgeScratch sges;
   ResolveSges(img, sges);
@@ -381,8 +386,7 @@ bool RnicDevice::ScatterList(WorkQueue& wq, const WqeImage& img,
     const std::size_t chunk =
         std::min<std::size_t>(sge.length, len - consumed);
     if (chunk == 0) continue;
-    const MemCheck mc =
-        pd.CheckLocal(sge.addr, chunk, sge.lkey, kLocalWrite, &wq.mr_cache);
+    const MemCheck mc = pd_.CheckLocal(sge.addr, chunk, sge.lkey, kLocalWrite);
     if (mc != MemCheck::kOk) {
       *err = WcStatus::kLocalAccessError;
       return false;
@@ -436,7 +440,7 @@ void RnicDevice::ExecuteData(WorkQueue& wq, Payload* pl, sim::Nanos t_issue) {
     case Opcode::kSend:
     case Opcode::kSendImm: {
       WcStatus err = WcStatus::kSuccess;
-      if (!GatherLocal(wq, img, pl->bytes, &err)) {
+      if (!GatherLocal(img, pl->bytes, &err)) {
         FailWr(wq, img, t_issue, err);
         payloads_.Release(pl);
         return;
@@ -805,8 +809,7 @@ WcStatus RnicDevice::AcceptWrite(QueuePair* dst_qp, std::uint64_t addr,
   // may ever land bytes in a dead process's memory (its pages are being
   // reclaimed — see KillProcessResources).
   if (!dst_qp->alive) return WcStatus::kRemoteAccessError;
-  const MemCheck mc = pd_.CheckRemote(addr, len, rkey, kRemoteWrite,
-                                      &dst_qp->remote_mr_cache);
+  const MemCheck mc = pd_.CheckRemote(addr, len, rkey, kRemoteWrite);
   if (mc != MemCheck::kOk) return WcStatus::kRemoteAccessError;
   if (len > 0) dma::Write(addr, data, len);
   return WcStatus::kSuccess;
@@ -827,7 +830,7 @@ WcStatus RnicDevice::AcceptSend(QueuePair* dst_qp, const std::byte* data,
   WcStatus st = WcStatus::kSuccess;
   int sges_written = 0;
   if (data != nullptr && len > 0) {
-    if (!ScatterList(rq, rimg, data, len, &st)) {
+    if (!ScatterList(rimg, data, len, &st)) {
       // fallthrough: deliver an error CQE for the RECV
     } else {
       sges_written = rimg.uses_sge_table() ? static_cast<int>(rimg.length) : 1;
@@ -866,8 +869,8 @@ WcStatus RnicDevice::AcceptRead(QueuePair* dst_qp, const WqeImage& img,
                                 std::uint64_t len,
                                 std::vector<std::byte>& out) {
   if (!dst_qp->alive) return WcStatus::kRemoteAccessError;
-  const MemCheck mc = pd_.CheckRemote(img.remote_addr, len, img.rkey,
-                                      kRemoteRead, &dst_qp->remote_mr_cache);
+  const MemCheck mc =
+      pd_.CheckRemote(img.remote_addr, len, img.rkey, kRemoteRead);
   if (mc != MemCheck::kOk) return WcStatus::kRemoteAccessError;
   if (len > 0) dma::ReadAppend(out, img.remote_addr, len);
   return WcStatus::kSuccess;
@@ -878,8 +881,8 @@ sim::Nanos RnicDevice::AcceptAtomic(QueuePair* dst_qp, Payload* pl,
   const WqeImage& img = pl->img;
   *nak = WcStatus::kRemoteAccessError;
   if (!dst_qp->alive) return -1;
-  const MemCheck mc = pd_.CheckRemote(img.remote_addr, 8, img.rkey,
-                                      kRemoteAtomic, &dst_qp->remote_mr_cache);
+  const MemCheck mc =
+      pd_.CheckRemote(img.remote_addr, 8, img.rkey, kRemoteAtomic);
   if (mc != MemCheck::kOk) return -1;
   if (img.remote_addr % 8 != 0) {
     *nak = WcStatus::kAlignmentError;
@@ -945,7 +948,7 @@ void RnicDevice::LandRead(WorkQueue& wq, const WqeImage& img,
                           const std::vector<std::byte>& bytes,
                           sim::Nanos t_done) {
   WcStatus st = WcStatus::kSuccess;
-  if (!ScatterList(wq, img, bytes.data(), bytes.size(), &st)) {
+  if (!ScatterList(img, bytes.data(), bytes.size(), &st)) {
     FailWr(wq, img, sim_.now(), st);
     return;
   }
@@ -974,7 +977,7 @@ void RnicDevice::FinishAtomic(WorkQueue& wq, Payload* pl) {
     WqeImage resp = pl->img;
     resp.length = 8;
     resp.flags &= ~kFlagSgeTable;
-    if (!ScatterList(wq, resp, bytes, 8, &st)) {
+    if (!ScatterList(resp, bytes, 8, &st)) {
       FailWr(wq, pl->img, sim_.now(), st);
       payloads_.Release(pl);
       return;
@@ -1097,33 +1100,34 @@ void RnicDevice::TransitionToError(QueuePair* qp) {
   ++counters_.qp_errors;
   qp->sq.error = true;
   qp->sq.busy = false;
-  // Flush one same-instant event later: a flow failure fans out on_failed
-  // over every in-flight WR first, and their error CQEs should precede the
-  // flush CQEs of WRs that never executed.
-  sim_.At(sim_.now(), [this, qp] { FlushQueued(qp); });
+  FlushQueued(qp);
 }
 
 void RnicDevice::FlushQueued(QueuePair* qp) {
-  if (qp->state != QpState::kError) return;  // re-armed before the flush ran
-  for (std::uint64_t idx = qp->sq.next_exec; idx < qp->sq.posted; ++idx) {
-    const WqeView slot = qp->sq.Slot(idx);
-    ErrorCqe(qp->send_cq, qp, slot.wr_id(), slot.opcode(),
-             WcStatus::kWrFlushError, sim_.now());
-  }
-  qp->sq.next_exec = qp->sq.posted;
-  qp->sq.fetch_horizon = std::max(qp->sq.fetch_horizon, qp->sq.posted);
-  for (std::uint64_t idx = qp->rq.consumed; idx < qp->rq.posted; ++idx) {
-    ErrorCqe(qp->recv_cq, qp, qp->rq.Slot(idx).wr_id(), Opcode::kRecv,
-             WcStatus::kWrFlushError, sim_.now());
-  }
-  qp->rq.consumed = qp->rq.posted;
+  // One same-instant event later: a flow failure fans out on_failed over
+  // every in-flight WR first, and their error CQEs should precede the
+  // flush CQEs of WRs that never executed.
+  sim_.At(sim_.now(), [this, qp] {
+    if (qp->state != QpState::kError) return;  // re-armed before it ran
+    for (std::uint64_t idx = qp->sq.next_exec; idx < qp->sq.posted; ++idx) {
+      const WqeView slot = qp->sq.Slot(idx);
+      ErrorCqe(qp->send_cq, qp, slot.wr_id(), slot.opcode(),
+               WcStatus::kWrFlushError, sim_.now());
+    }
+    qp->sq.next_exec = qp->sq.posted;
+    qp->sq.fetch_horizon = std::max(qp->sq.fetch_horizon, qp->sq.posted);
+    for (std::uint64_t idx = qp->rq.consumed; idx < qp->rq.posted; ++idx) {
+      ErrorCqe(qp->recv_cq, qp, qp->rq.Slot(idx).wr_id(), Opcode::kRecv,
+               WcStatus::kWrFlushError, sim_.now());
+    }
+    qp->rq.consumed = qp->rq.posted;
+  });
 }
 
 void RnicDevice::Rearm(QueuePair* qp) {
   const bool rearming = qp->state == QpState::kError;
-  // kReset and the new generation mark every transport outcome still in
-  // flight as Stale, including the flushes ResetFlow fires synchronously.
-  qp->state = QpState::kReset;
+  // The new generation marks every transport outcome still in flight as
+  // Stale, including the flushes ResetFlow fires synchronously.
   ++qp->reset_gen;
   // Drop the backlog (anything worth completing was flushed on the way to
   // ERROR; a reset from a healthy state discards silently, like

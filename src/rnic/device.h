@@ -48,9 +48,8 @@ class RnicDevice;
 // born RTS (Connect* does the whole handshake). A transport retry budget
 // dying moves the QP to kError (the in-flight WR completes with
 // RETRY_EXC/RNR_RETRY_EXC, queued WRs flush), and so does
-// RnicDevice::Kill. RnicDevice::Rearm walks it back to kRts, passing
-// through kReset only while it tears down the QP's transport flow.
-enum class QpState : std::uint8_t { kReset, kRts, kError };
+// RnicDevice::Kill. RnicDevice::Rearm brings it back to kRts.
+enum class QpState : std::uint8_t { kRts, kError };
 
 // Queue pair: a send queue + receive queue bound to CQs and a port.
 struct QueuePair {
@@ -93,9 +92,6 @@ struct QueuePair {
   // between issued WQEs. 0 = unlimited.
   sim::Nanos rate_gap = 0;
   sim::Nanos next_rate_slot = 0;
-
-  // Last MR resolved for remote (rkey) accesses landing on this QP.
-  MrCacheEntry remote_mr_cache;
 
   std::unique_ptr<std::byte[]> sq_buf;
   std::unique_ptr<std::byte[]> rq_buf;
@@ -251,10 +247,11 @@ class RnicDevice {
   // --- Driver-side operations (the "verbs" layer calls these) --------------
   // Rings the doorbell on a non-managed SQ: the NIC fetches and snapshots
   // everything posted so far, then starts executing. Managed SQs ignore
-  // doorbells; they advance only via ENABLE.
+  // doorbells; they advance only via ENABLE. On a live QP in kError the
+  // posted WRs flush instead (FlushQueued), managed or not.
   void RingDoorbell(QueuePair* qp);
   // Notifies the NIC that RECVs were appended (no doorbell latency; RQ WQEs
-  // are read at message arrival).
+  // are read at message arrival). On a live QP in kError they flush.
   void NotifyRecvPosted(QueuePair* qp);
   int PollCq(CompletionQueue* cq, int max, Cqe* out);
   // Host-side ENABLE fallback: lets tests drive managed queues directly.
@@ -272,9 +269,8 @@ class RnicDevice {
   // stays dead (not Usable) until ReviveProcessResources.
   void Rearm(QueuePair* qp);
   // ibv_modify_qp -> ERR: latches the send queue and flushes every queued
-  // SQ WQE and unconsumed RECV with WR_FLUSH_ERR CQEs, one same-instant
-  // event later so in-flight failures complete first. A transport budget
-  // death takes the same path.
+  // SQ WQE and unconsumed RECV (FlushQueued). A transport budget death
+  // takes the same path.
   void TransitionToError(QueuePair* qp);
   // Deterministic receiver-stall fault injection: the next `n` delivery
   // attempts of inbound transport SENDs targeting `qp` are RNR-NAKed as if
@@ -411,13 +407,15 @@ class RnicDevice {
   // and moves the QP to ERROR, flushing everything queued behind it.
   void FailQpOverTransport(QueuePair* qp, const WqeImage& img, sim::Nanos t,
                            WcStatus status);
+  // Completes every queued SQ WQE and unconsumed RECV of a QP in kError
+  // with WR_FLUSH_ERR, one same-instant event later so the failure CQEs
+  // due at this instant come first. A Rearm in between cancels it.
   void FlushQueued(QueuePair* qp);
   // Whether a transport outcome captured under `reset_gen` must be
   // swallowed: the QP died, or a Rearm ran (or is running) since the
   // message went out, so the failure may not error the re-armed QP.
   static bool Stale(const QueuePair* qp, std::uint64_t reset_gen) {
-    return !qp->alive || qp->state == QpState::kReset ||
-           qp->reset_gen != reset_gen;
+    return !qp->alive || qp->reset_gen != reset_gen;
   }
   static WcStatus StatusOf(sim::MsgFailure why);
 
@@ -453,14 +451,13 @@ class RnicDevice {
   void FinishAtomic(WorkQueue& wq, Payload* pl);
   void NakWr(WorkQueue& wq, Payload* pl, WcStatus st);
 
-  // Gather/scatter helpers with protection checks. All SGE resolution goes
-  // through caller-provided (stack) scratch — no per-op allocation. `wq` is
-  // the queue whose WQE is being executed: its last-hit MR cache answers
-  // the key lookups, and the PD epoch invalidates it on re-registration.
-  bool GatherLocal(WorkQueue& wq, const WqeImage& img,
-                   std::vector<std::byte>& out, WcStatus* err);
-  bool ScatterList(WorkQueue& wq, const WqeImage& img, const std::byte* data,
-                   std::size_t len, WcStatus* err);
+  // Gather/scatter helpers with protection checks against this device's
+  // PD. All SGE resolution goes through caller-provided (stack) scratch —
+  // no per-op allocation.
+  bool GatherLocal(const WqeImage& img, std::vector<std::byte>& out,
+                   WcStatus* err) const;
+  bool ScatterList(const WqeImage& img, const std::byte* data,
+                   std::size_t len, WcStatus* err) const;
   void ResolveSges(const WqeImage& img, SgeScratch& out) const;
   // Remote byte count of a READ: with a scatter table the WQE length field
   // holds the SGE count, so the byte count is the sum of the entries.

@@ -45,28 +45,6 @@ enum class MemCheck {
   kNoPermission,
 };
 
-// One-entry memoization of the last MR lookup a queue performed. RedN
-// traffic hits the same 2-3 regions (code ring, hash table, value heap)
-// millions of times, so the common case is "same key as last time": a hit
-// validates against the cached extent directly and skips both the table
-// probe and the region-store load.
-//
-// Caching the extent makes staleness dangerous: ibv_rereg_mr-style
-// re-registration keeps the *same* lkey/rkey values while changing bounds,
-// so a key compare alone would happily validate against the old extent
-// (e.g. a client writing through `remote_mr_cache` past a shrunk region).
-// The epoch tag closes that hole: the owning ProtectionDomain bumps its
-// epoch on every Deregister/Reregister, and a hit requires both the key
-// and the epoch to match — any mutation of the key space invalidates every
-// outstanding cache entry at once.
-struct MrCacheEntry {
-  std::uint32_t key = 0;      // 0 = empty (real keys start at 0x1000)
-  std::uint32_t epoch = 0;    // ProtectionDomain::epoch() at fill time
-  std::uint64_t addr = 0;     // cached extent + rights of the resolved MR
-  std::uint64_t length = 0;
-  std::uint32_t access = 0;
-};
-
 class ProtectionDomain {
  public:
   // Registers [ptr, ptr+len) and returns the region descriptor by value:
@@ -78,91 +56,59 @@ class ProtectionDomain {
   bool Deregister(std::uint32_t lkey);
 
   // ibv_rereg_mr analogue: rebinds an existing registration to new bounds
-  // and rights while KEEPING its lkey/rkey values — the hardware behaviour
-  // that makes stale extent caches dangerous. Bumps the epoch so every
-  // MrCacheEntry filled before the rereg misses and re-resolves.
+  // and rights while KEEPING its lkey/rkey values. The region is edited in
+  // place, so the next check of either key sees the new extent.
   bool Reregister(std::uint32_t lkey, void* ptr, std::size_t len,
                   std::uint32_t access);
 
-  // Validates a local (lkey) access. `cache`, when given, is consulted
-  // before the key table and refreshed on a successful lookup. The hit
-  // path is inline: it runs once per SGE on every data verb, and a valid
-  // (key, epoch) entry answers from the cached extent alone.
+  // Validates a local (lkey) access. Inline: it runs once per SGE on every
+  // data verb.
   MemCheck CheckLocal(std::uint64_t addr, std::size_t len, std::uint32_t lkey,
-                      std::uint32_t required_access,
-                      MrCacheEntry* cache = nullptr) const {
-    if (cache != nullptr && cache->key == lkey && cache->epoch == epoch_) {
-      return CheckCached(*cache, addr, len, required_access);
-    }
-    return CheckSlow(addr, len, lkey, required_access, /*remote=*/false, cache);
+                      std::uint32_t required_access) const {
+    return Check(Resolve(lkey, /*remote=*/false), addr, len, required_access);
   }
 
   // Validates a remote (rkey) access.
   MemCheck CheckRemote(std::uint64_t addr, std::size_t len, std::uint32_t rkey,
-                       std::uint32_t required_access,
-                       MrCacheEntry* cache = nullptr) const {
-    if (cache != nullptr && cache->key == rkey && cache->epoch == epoch_) {
-      return CheckCached(*cache, addr, len, required_access);
-    }
-    return CheckSlow(addr, len, rkey, required_access, /*remote=*/true, cache);
+                       std::uint32_t required_access) const {
+    return Check(Resolve(rkey, /*remote=*/true), addr, len, required_access);
   }
 
   std::size_t region_count() const { return live_count_; }
-  // Generation counter for MrCacheEntry validation; bumped by every
-  // Deregister/Reregister (key-space mutation).
-  std::uint32_t epoch() const { return epoch_; }
 
  private:
-  // Open-addressed key table: maps an lkey or rkey to its region slot.
-  // Both key kinds share one table (the key counter never collides them),
-  // so a remote check is a single probe instead of the old two-map
-  // rkey->lkey->region chain.
-  struct TableSlot {
-    std::uint32_t key = 0;    // kEmptyKey / kTombstoneKey / a real key
-    std::uint32_t index = 0;  // slot in regions_
-  };
-  static constexpr std::uint32_t kEmptyKey = 0;
-  static constexpr std::uint32_t kTombstoneKey = 1;
-  static constexpr std::uint32_t kNotFound = ~std::uint32_t{0};
-  // First key ever issued. Values below it (the sentinels above, and the
-  // zeroes Deregister blanks a region's keys to) are never valid lookups;
-  // Resolve rejects them up front so a blanked key cannot alias an empty
-  // table slot or a dead region.
+  // First key ever issued. Register hands out keys as consecutive
+  // (lkey, rkey) pairs counting up from here and never reuses one, so a
+  // key names its region: regions_[(key - kFirstKey) / 2], an lkey at an
+  // even offset and an rkey at an odd one.
   static constexpr std::uint32_t kFirstKey = 0x1000;
 
-  static std::size_t Mix(std::uint32_t key) {
-    return static_cast<std::size_t>(key * 2654435761u);
+  // The live region `key` names as an rkey (`remote`) or an lkey, or null.
+  // A key below kFirstKey wraps to an index past the end, like a key not
+  // yet issued. The key compare rejects the other kind of key and a region
+  // Deregister blanked (its keys are 0).
+  const MemoryRegion* Resolve(std::uint32_t key, bool remote) const {
+    const std::size_t index = (key - kFirstKey) / 2;
+    if (index >= regions_.size()) return nullptr;
+    const MemoryRegion& mr = regions_[index];
+    return (remote ? mr.rkey : mr.lkey) == key ? &mr : nullptr;
   }
-  std::uint32_t Find(std::uint32_t key) const;  // region index or kNotFound
-  void Insert(std::uint32_t key, std::uint32_t index);
-  void GrowTable();
-
-  // Table probe + kind check (lkey vs rkey); cache handling lives in the
-  // Check* fast paths.
-  const MemoryRegion* Resolve(std::uint32_t key, bool remote) const;
-  // Permission + bounds against a validated cache entry (same arithmetic as
-  // MemoryRegion::Contains, overflow check included).
-  static MemCheck CheckCached(const MrCacheEntry& e, std::uint64_t addr,
-                              std::size_t len, std::uint32_t required_access) {
-    if ((e.access & required_access) != required_access) {
+  MemoryRegion* ResolveLkey(std::uint32_t lkey) {
+    return const_cast<MemoryRegion*>(Resolve(lkey, /*remote=*/false));
+  }
+  static MemCheck Check(const MemoryRegion* mr, std::uint64_t addr,
+                        std::size_t len, std::uint32_t required_access) {
+    if (mr == nullptr) return MemCheck::kBadKey;
+    if ((mr->access & required_access) != required_access) {
       return MemCheck::kNoPermission;
     }
-    if (addr >= e.addr && addr + len <= e.addr + e.length && addr + len >= addr) {
-      return MemCheck::kOk;
-    }
-    return MemCheck::kOutOfBounds;
+    if (!mr->Contains(addr, len)) return MemCheck::kOutOfBounds;
+    return MemCheck::kOk;
   }
-  // Miss path: table probe, cache refill, full check.
-  MemCheck CheckSlow(std::uint64_t addr, std::size_t len, std::uint32_t key,
-                     std::uint32_t required_access, bool remote,
-                     MrCacheEntry* cache) const;
 
   std::uint32_t next_key_ = kFirstKey;
-  std::uint32_t epoch_ = 0;
   std::size_t live_count_ = 0;
-  std::vector<MemoryRegion> regions_;  // append-only; dereg blanks keys
-  std::vector<TableSlot> table_;       // power-of-two, linear probing
-  std::size_t table_used_ = 0;         // live + tombstone slots
+  std::vector<MemoryRegion> regions_;  // one per key pair; dereg blanks keys
 };
 
 // DMA helpers: all NIC memory traffic funnels through these, so tests can

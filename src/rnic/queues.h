@@ -175,9 +175,6 @@ class WorkQueue {
   // sets it, and nothing more issues until RnicDevice::Rearm clears it.
   bool error = false;
 
-  // Last MR this queue's gathers/scatters resolved (see MrCacheEntry).
-  MrCacheEntry mr_cache;
-
   // Snapshot of the control verb (WAIT/ENABLE) currently being issued.
   // Valid while `busy` or `waiting` holds (only one issue is ever in flight
   // per WQ), so control-verb events capture {device, wq, idx} and read the

@@ -41,12 +41,6 @@ class FifoResource {
   Nanos busy_time() const { return busy_time_; }
   std::uint64_t jobs() const { return jobs_; }
 
-  void Reset() {
-    free_at_ = 0;
-    busy_time_ = 0;
-    jobs_ = 0;
-  }
-
  private:
   Nanos free_at_ = 0;
   Nanos busy_time_ = 0;
@@ -70,20 +64,11 @@ class BandwidthResource {
   }
 
   // Pure serialization delay of `bytes` through this pipe, ignoring queueing.
-  // Used for store-and-forward latency terms. Steady-state traffic repeats
-  // one transfer size (64 B verbs, one value size), so a one-entry memo
-  // turns the float multiply + truncation into a compare; the memo is a
-  // pure-function cache and cannot affect determinism.
+  // Used for store-and-forward latency terms.
   Nanos SerializationDelay(std::uint64_t bytes) const {
-    if (bytes != memo_bytes_) {
-      memo_bytes_ = bytes;
-      memo_delay_ =
-          static_cast<Nanos>(ns_per_byte_ * static_cast<double>(bytes));
-    }
-    return memo_delay_;
+    return static_cast<Nanos>(ns_per_byte_ * static_cast<double>(bytes));
   }
 
-  double gbps() const { return 8.0 / ns_per_byte_; }
   Nanos busy_time() const { return busy_time_; }
   // Busy time accumulated inside [0, t]: a reservation extending past `t`
   // is truncated at the boundary. The overhang beyond `t` belongs to the
@@ -98,19 +83,10 @@ class BandwidthResource {
     return over < busy_time_ ? busy_time_ - over : 0;
   }
 
-  void Reset() {
-    free_at_ = 0;
-    busy_time_ = 0;
-  }
-
  private:
   double ns_per_byte_;
   Nanos free_at_ = 0;
   Nanos busy_time_ = 0;
-  // One-entry memo for SerializationDelay (bytes=0 maps to delay 0, so the
-  // zero-init state is already a correct entry).
-  mutable std::uint64_t memo_bytes_ = 0;
-  mutable Nanos memo_delay_ = 0;
 };
 
 }  // namespace redn::sim

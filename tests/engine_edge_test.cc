@@ -343,12 +343,13 @@ TEST(EdgeCrash, AtomicKilledBetweenCheckAndRmwFlushes) {
 
 TEST_F(EdgeTest, RemoteWriteAfterServerShrinksMrFaults) {
   // ibv_rereg_mr keeps the key values: a client holding the old rkey must
-  // fault past the new bounds even though the server NIC cached the old
-  // extent (the MrCacheEntry epoch check, see rnic/memory.h).
+  // fault past the new bounds, although the same write landed before the
+  // server shrank the region (Reregister edits the region in place, see
+  // rnic/memory.h).
   auto [cqp, sqp] = bed.ConnectedPair();
   Buffer src = bed.Alloc(bed.client, 8);
   Buffer dst = bed.Alloc(bed.server, 1024);
-  // Warm the server-side remote MR cache with a far-end write.
+  // A far-end write while the region is whole.
   PostSendNow(cqp, MakeWrite(src.addr(), 8, src.lkey(), dst.addr() + 512,
                              dst.rkey()));
   Cqe cqe;
@@ -361,7 +362,7 @@ TEST_F(EdgeTest, RemoteWriteAfterServerShrinksMrFaults) {
                              dst.rkey()));
   ASSERT_TRUE(AwaitCqe(bed.sim, bed.client, cqp->send_cq, &cqe));
   EXPECT_EQ(cqe.status, rnic::WcStatus::kRemoteAccessError)
-      << "stale cached extent satisfied a write past the shrunk region";
+      << "a write past the shrunk region passed the protection check";
 }
 
 TEST_F(EdgeTest, KilledQpStopsMidChain) {
@@ -447,6 +448,55 @@ TEST_F(EdgeTest, MalformedWqeFailsBadOpcodeAndLatchesTheQueue) {
                 rnic::Opcode::kWrite)],
             0u);
   EXPECT_EQ(bed.client.counters().qp_errors, 0u);
+}
+
+// ibv_post_send / ibv_post_recv on a QP in ERROR: each new WR completes at
+// once with WR_FLUSH_ERR, and nothing executes. A killed QP flushes
+// nothing (its process is gone); a send queue latched by a failed WR stays
+// in RTS and flushes nothing either
+// (MalformedWqeFailsBadOpcodeAndLatchesTheQueue).
+TEST_F(EdgeTest, PostToErroredQpFlushesAtOnce) {
+  auto [cqp, sqp] = bed.ConnectedPair();
+  auto [dead, dead_peer] = bed.ConnectedPair();
+  (void)sqp;
+  (void)dead_peer;
+  Buffer src = bed.Alloc(bed.client, 8);
+  Buffer dst = bed.Alloc(bed.server, 8);
+  src.SetU64(0, 0x5eed);
+  verbs::SendWr write = MakeWrite(src.addr(), 8, src.lkey(), dst.addr(),
+                                  dst.rkey());
+  write.wr_id = 41;
+  verbs::RecvWr recv;
+  recv.wr_id = 42;
+
+  bed.client.TransitionToError(cqp);
+  bed.client.Kill(dead);
+  bed.sim.RunUntil(bed.sim.now() + sim::Millis(1));
+  const rnic::DeviceCounters& ctr = bed.client.counters();
+  ASSERT_EQ(ctr.wrs_flushed, 0u);  // nothing was queued
+  for (rnic::QueuePair* qp : {cqp, dead}) {
+    PostSendNow(qp, write);
+    verbs::PostRecv(qp, recv);
+  }
+  const sim::Nanos deadline = bed.sim.now() + sim::Micros(10);
+  Cqe cqe;
+  ASSERT_TRUE(AwaitCqe(bed.sim, bed.client, cqp->send_cq, &cqe, deadline));
+  EXPECT_EQ(cqe.status, rnic::WcStatus::kWrFlushError);
+  EXPECT_EQ(cqe.opcode, rnic::Opcode::kWrite);
+  EXPECT_EQ(cqe.wr_id, 41u);
+  ASSERT_TRUE(AwaitCqe(bed.sim, bed.client, cqp->recv_cq, &cqe, deadline));
+  EXPECT_EQ(cqe.status, rnic::WcStatus::kWrFlushError);
+  EXPECT_EQ(cqe.opcode, rnic::Opcode::kRecv);
+  EXPECT_EQ(cqe.wr_id, 42u);
+
+  bed.sim.RunUntil(bed.sim.now() + sim::Millis(5));
+  for (rnic::QueuePair* qp : {cqp, dead}) {
+    EXPECT_EQ(bed.client.PollCq(qp->send_cq, 1, &cqe), 0);
+    EXPECT_EQ(bed.client.PollCq(qp->recv_cq, 1, &cqe), 0);
+  }
+  EXPECT_EQ(ctr.wrs_flushed, 2u);
+  EXPECT_EQ(dst.U64(0), 0u);
+  EXPECT_EQ(ctr.executed_by_opcode[int(rnic::Opcode::kWrite)], 0u);
 }
 
 TEST_F(EdgeTest, HasLiveQpsTracksKills) {

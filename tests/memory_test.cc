@@ -37,9 +37,9 @@ TEST_F(MemoryTest, LocalCheckRejectsBadKey) {
   EXPECT_EQ(pd.CheckLocal(base(), 8, 0xdead, kLocalRead), MemCheck::kBadKey);
 }
 
-// Deregistration blanks a region's keys to 0; sentinel-range "keys" must
-// never resolve (a zero key would otherwise alias an empty table slot or
-// the dead region) and double-deregistration must fail cleanly.
+// Deregistration blanks a region's keys to 0; key 0 must never resolve
+// (it would otherwise match the dead region's blanked keys) and
+// double-deregistration must fail cleanly.
 TEST_F(MemoryTest, SentinelAndBlankedKeysNeverResolve) {
   const auto a = pd.Register(buf.get(), 1024, kAccessAll);
   EXPECT_EQ(pd.CheckLocal(base(), 8, 0, kLocalRead), MemCheck::kBadKey);
@@ -106,47 +106,35 @@ TEST_F(MemoryTest, ReregisterKeepsKeysAndAppliesNewBounds) {
   EXPECT_FALSE(pd.Reregister(0xdead, buf.get(), 64, kAccessAll));
 }
 
-// The MrCacheEntry regression the epoch tag exists for: a re-registration
-// that keeps the same lkey/rkey values but shrinks the region must not be
-// satisfied by a stale cached extent.
-TEST_F(MemoryTest, ReregisterShrinkInvalidatesStaleExtentCache) {
-  const auto mr = pd.Register(buf.get(), 1024, kAccessAll);
-  MrCacheEntry cache;
-  ASSERT_EQ(pd.CheckRemote(base(), 1024, mr.rkey, kRemoteWrite, &cache),
-            MemCheck::kOk);
-  EXPECT_EQ(cache.key, mr.rkey);
-  EXPECT_EQ(cache.length, 1024u);
-  ASSERT_TRUE(pd.Reregister(mr.lkey, buf.get(), 256, kAccessAll));
-  // Same key value, smaller extent: the access beyond the new bounds must
-  // fault even though (key, extent) in the cache would allow it.
-  EXPECT_EQ(pd.CheckRemote(base() + 512, 8, mr.rkey, kRemoteWrite, &cache),
-            MemCheck::kOutOfBounds);
-  // The refreshed cache carries the new extent and keeps serving hits.
-  EXPECT_EQ(pd.CheckRemote(base() + 128, 8, mr.rkey, kRemoteWrite, &cache),
-            MemCheck::kOk);
-  EXPECT_EQ(cache.length, 256u);
-}
-
-TEST_F(MemoryTest, DeregisterInvalidatesStaleCacheEntry) {
-  const auto mr = pd.Register(buf.get(), 1024, kAccessAll);
-  MrCacheEntry cache;
-  ASSERT_EQ(pd.CheckLocal(base(), 8, mr.lkey, kLocalRead, &cache),
-            MemCheck::kOk);
-  ASSERT_TRUE(pd.Deregister(mr.lkey));
-  EXPECT_EQ(pd.CheckLocal(base(), 8, mr.lkey, kLocalRead, &cache),
+// A key names its region by arithmetic, (key - first key) / 2, with lkeys
+// at even offsets and rkeys at odd ones. Every key that arithmetic does
+// not map to a live region of the asked-for kind must miss.
+TEST_F(MemoryTest, KeyArithmeticRejectsKeysItDoesNotName) {
+  const auto a = pd.Register(buf.get(), 1024, kAccessAll);
+  const auto b = pd.Register(buf.get() + 1024, 1024, kAccessAll);
+  ASSERT_TRUE(pd.Deregister(a.lkey));
+  const auto c = pd.Register(buf.get() + 2048, 1024, kAccessAll);
+  ASSERT_EQ(b.lkey, a.lkey + 2);
+  ASSERT_EQ(c.rkey, a.lkey + 5);
+  // An rkey passed as an lkey, and the other way round.
+  EXPECT_EQ(pd.CheckLocal(b.addr, 8, b.rkey, kLocalRead), MemCheck::kBadKey);
+  EXPECT_EQ(pd.CheckRemote(b.addr, 8, b.lkey, kRemoteRead), MemCheck::kBadKey);
+  // The first key not yet issued, and the rkey after it.
+  EXPECT_EQ(pd.CheckLocal(c.addr, 8, c.rkey + 1, kLocalRead),
             MemCheck::kBadKey);
-}
-
-TEST_F(MemoryTest, CachedEntryStillEnforcesPermissions) {
-  const auto ro = pd.Register(buf.get(), 512, kLocalRead | kRemoteRead);
-  MrCacheEntry cache;
-  ASSERT_EQ(pd.CheckRemote(base(), 8, ro.rkey, kRemoteRead, &cache),
-            MemCheck::kOk);
-  // Same key through the warm cache: rights are checked on every access.
-  EXPECT_EQ(pd.CheckRemote(base(), 8, ro.rkey, kRemoteWrite, &cache),
-            MemCheck::kNoPermission);
-  EXPECT_EQ(pd.CheckRemote(base() + 508, 8, ro.rkey, kRemoteRead, &cache),
-            MemCheck::kOutOfBounds);
+  EXPECT_EQ(pd.CheckRemote(c.addr, 8, c.rkey + 2, kRemoteRead),
+            MemCheck::kBadKey);
+  // A deregistered region's keys, after later registrations.
+  EXPECT_EQ(pd.CheckLocal(a.addr, 8, a.lkey, kLocalRead), MemCheck::kBadKey);
+  EXPECT_EQ(pd.CheckRemote(a.addr, 8, a.rkey, kRemoteRead), MemCheck::kBadKey);
+  // The key just below the first one issued, and the largest key.
+  for (const std::uint32_t key : {0x0FFFu, 0xFFFFFFFFu}) {
+    EXPECT_EQ(pd.CheckLocal(b.addr, 8, key, kLocalRead), MemCheck::kBadKey);
+    EXPECT_EQ(pd.CheckRemote(b.addr, 8, key, kRemoteRead), MemCheck::kBadKey);
+  }
+  // The keys the arithmetic does name still resolve.
+  EXPECT_EQ(pd.CheckLocal(b.addr, 8, b.lkey, kLocalRead), MemCheck::kOk);
+  EXPECT_EQ(pd.CheckRemote(c.addr, 8, c.rkey, kRemoteRead), MemCheck::kOk);
 }
 
 TEST(MemoryRegion, ContainsHandlesEdges) {

@@ -5,10 +5,9 @@
 // matter which path rewrote it (RDMA WRITE delivery, atomic RMW, RECV
 // scatter, or a raw host-side DMA patch). Counted per fetch: a slot
 // rewritten since its last fetch is one miss at its next fetch, and an
-// untouched recycled slot is a hit. Gathers and scatters check protection
-// through the work queue's MR last-hit cache, whose PD-epoch tag must make
-// a re-registered, shrunk region fault instead of answering from the stale
-// extent.
+// untouched recycled slot is a hit. A re-executed WQE's gathers and
+// scatters are checked against the region as it is now: a re-registered,
+// shrunk region faults the next access past its new bound.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -269,11 +268,10 @@ TEST_F(WqeCacheTest, PostIntoEnableAheadSnapshotStaysStaleOnPlainQueue) {
       << "a post leaked into a committed snapshot";
 }
 
-TEST_F(WqeCacheTest, ReregisterInvalidatesMrCacheOnGather) {
-  // ibv_rereg_mr keeps the lkey while shrinking the extent. The work
-  // queue's MR cache validated the old bounds; the PD-epoch bump must
-  // invalidate it so the re-posted WQE faults instead of gathering out of
-  // the shrunk region.
+TEST_F(WqeCacheTest, ReregisterShrinkFaultsTheNextGather) {
+  // ibv_rereg_mr keeps the lkey while shrinking the extent. The same WQE
+  // gathered from the old bounds once; re-posted, it must fault instead of
+  // gathering out of the shrunk region.
   rnic::QueuePair* qp = bed.Loopback(bed.client);
   Buffer src = bed.Alloc(bed.client, 64);
   Buffer dst = bed.Alloc(bed.client, 64);
@@ -281,7 +279,7 @@ TEST_F(WqeCacheTest, ReregisterInvalidatesMrCacheOnGather) {
                             dst.rkey(), /*signaled=*/true));
   Cqe cqe;
   ASSERT_TRUE(AwaitCqe(bed.sim, bed.client, qp->send_cq, &cqe));
-  ASSERT_EQ(cqe.status, rnic::WcStatus::kSuccess);  // src's extent cached
+  ASSERT_EQ(cqe.status, rnic::WcStatus::kSuccess);  // within the old bounds
 
   ASSERT_TRUE(bed.client.pd().Reregister(src.lkey(), src.bytes(), 8,
                                          rnic::kAccessAll));
@@ -289,14 +287,14 @@ TEST_F(WqeCacheTest, ReregisterInvalidatesMrCacheOnGather) {
                             dst.rkey(), /*signaled=*/true));
   ASSERT_TRUE(AwaitCqe(bed.sim, bed.client, qp->send_cq, &cqe));
   EXPECT_EQ(cqe.status, rnic::WcStatus::kLocalAccessError)
-      << "a stale MR cache entry validated a gather past the shrunk extent";
+      << "a gather past the shrunk extent passed the protection check";
 }
 
-TEST_F(WqeCacheTest, ReregisterInvalidatesMrCacheOnReadScatter) {
+TEST_F(WqeCacheTest, ReregisterShrinkFaultsTheNextReadScatter) {
   // The scatter-side twin: a READ lands its response through the local
-  // SGE, which the MR cache validated before a Reregister shrank the
-  // target. The READ must complete with a local access error and write
-  // nothing past the new bound.
+  // SGE, which passed its check once before a Reregister shrank the
+  // target. The next READ must complete with a local access error and
+  // write nothing past the new bound.
   rnic::QueuePair* qp = bed.Loopback(bed.client);
   Buffer src = bed.Alloc(bed.client, 64);
   Buffer dst = bed.Alloc(bed.client, 64);
@@ -305,7 +303,7 @@ TEST_F(WqeCacheTest, ReregisterInvalidatesMrCacheOnReadScatter) {
                            src.rkey(), /*signaled=*/true));
   Cqe cqe;
   ASSERT_TRUE(AwaitCqe(bed.sim, bed.client, qp->send_cq, &cqe));
-  ASSERT_EQ(cqe.status, rnic::WcStatus::kSuccess);  // dst's extent cached
+  ASSERT_EQ(cqe.status, rnic::WcStatus::kSuccess);  // within the old bounds
   ASSERT_EQ(dst.U64(3), 0xC3C3C3C3C3C3C3C3u);
 
   dst.Fill(0, 64);
@@ -315,7 +313,7 @@ TEST_F(WqeCacheTest, ReregisterInvalidatesMrCacheOnReadScatter) {
                            src.rkey(), /*signaled=*/true));
   ASSERT_TRUE(AwaitCqe(bed.sim, bed.client, qp->send_cq, &cqe));
   EXPECT_EQ(cqe.status, rnic::WcStatus::kLocalAccessError)
-      << "a stale MR cache entry validated a scatter past the shrunk extent";
+      << "a scatter past the shrunk extent passed the protection check";
   for (std::size_t i = 1; i < 4; ++i) {
     EXPECT_EQ(dst.U64(i), 0u) << "the READ wrote past the new bound at word "
                               << i;
