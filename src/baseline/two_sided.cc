@@ -169,6 +169,7 @@ void TwoSidedKvClient::Send(std::uint64_t op, std::uint64_t key,
   req.resp_addr = mr_.addr + kRequestBytes;
   req.resp_rkey = mr_.rkey;
   req.set_len = len;
+  cdev_.pd().BeforeStore(mr_.addr, sizeof(req));
   std::memcpy(bufs_.get(), &req, sizeof(req));
   const sim::Nanos t0 = cdev_.sim().now();
   // VMA models the sockets TX path cost on the client as well.

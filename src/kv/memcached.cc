@@ -14,6 +14,7 @@ MemcachedServer::MemcachedServer(rnic::RnicDevice& dev, Config cfg)
 void MemcachedServer::Set(std::uint64_t key, const void* value,
                           std::uint32_t len) {
   if (auto e = table_.Lookup(key); e && e->len == len) {
+    dev_.pd().BeforeStore(e->ptr, len);
     rnic::dma::Write(e->ptr, value, len);  // update in place
     return;
   }

@@ -77,6 +77,7 @@ void ResyncSession::Start() {
         if (staged >= local) {
           // Peer wins ties: idempotent, and a dual-applied put (local ==
           // staged) just rewrites identical bytes.
+          cfg_.qp->device->pd().BeforeStore(it.local_addr, it.len);
           rnic::dma::Copy(it.local_addr, slot_addr, it.len);
           ++stats_.keys_applied;
         } else {

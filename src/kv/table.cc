@@ -61,12 +61,16 @@ std::uint64_t ValueVersion(std::uint64_t addr) {
   return rnic::dma::ReadU64(addr);
 }
 
-void SetValueVersion(std::uint64_t addr, std::uint64_t version) {
+void SetValueVersion(rnic::ProtectionDomain& pd, std::uint64_t addr,
+                     std::uint64_t version) {
+  pd.BeforeStore(addr, 8);
   rnic::dma::WriteU64(addr, version);
 }
 
-void WriteVersionedValue(std::uint64_t addr, std::uint32_t len,
-                         std::uint64_t key, std::uint64_t version) {
+void WriteVersionedValue(rnic::ProtectionDomain& pd, std::uint64_t addr,
+                         std::uint32_t len, std::uint64_t key,
+                         std::uint64_t version) {
+  pd.BeforeStore(addr, len);
   rnic::dma::WriteU64(addr, version);
   FillRamp(reinterpret_cast<void*>(addr + kValueVersionBytes),
            len - kValueVersionBytes, PayloadStart(key, version));
@@ -80,7 +84,8 @@ bool VersionedValueIntact(std::uint64_t addr, std::uint32_t len,
 }
 
 ValueHeap::ValueHeap(rnic::RnicDevice& dev, std::size_t capacity_bytes)
-    : mem_(std::make_unique_for_overwrite<std::byte[]>(capacity_bytes)),
+    : pd_(dev.pd()),
+      mem_(std::make_unique_for_overwrite<std::byte[]>(capacity_bytes)),
       capacity_(capacity_bytes) {
   ASAN_POISON_MEMORY_REGION(mem_.get(), capacity_bytes);
   mr_ = dev.pd().Register(mem_.get(), capacity_bytes, rnic::kAccessAll);
@@ -105,6 +110,7 @@ std::uint64_t ValueHeap::ReserveForOverwrite(std::uint32_t len) {
   }
   std::byte* slot = mem_.get() + used_;
   used_ += aligned;
+  pd_.BeforeStore(rnic::dma::AddrOf(slot), aligned);
   ASAN_UNPOISON_MEMORY_REGION(slot, aligned);
   // The alignment padding is part of no value; zero it so every byte
   // handed out is defined.
@@ -112,7 +118,8 @@ std::uint64_t ValueHeap::ReserveForOverwrite(std::uint32_t len) {
   return rnic::dma::AddrOf(slot);
 }
 
-RdmaHashTable::RdmaHashTable(rnic::RnicDevice& dev, Config cfg) : cfg_(cfg) {
+RdmaHashTable::RdmaHashTable(rnic::RnicDevice& dev, Config cfg)
+    : cfg_(cfg), pd_(dev.pd()) {
   const std::size_t bytes = cfg_.buckets * kBucketSize;
   mem_ = std::make_unique<std::byte[]>(bytes);  // value-initialized: empty
   mr_ = dev.pd().Register(mem_.get(), bytes, rnic::kAccessAll);
@@ -136,6 +143,7 @@ bool RdmaHashTable::TryPlace(std::size_t index, std::uint64_t key,
   const std::uint64_t existing = rnic::dma::ReadU64(addr + kBucketKeyOff);
   if (existing != 0 && existing != key) return false;
   if (existing == 0) ++count_;
+  pd_.BeforeStore(addr, kBucketSize);
   rnic::dma::WriteU64(addr + kBucketKeyOff, key);
   rnic::dma::WriteU64(addr + kBucketPtrOff, ptr);
   rnic::dma::WriteU32(addr + kBucketLenOff, len);
@@ -168,6 +176,7 @@ bool RdmaHashTable::Erase(std::uint64_t key) {
   auto clear = [&](std::size_t index) {
     const std::uint64_t addr = SlotAddr(index);
     if (rnic::dma::ReadU64(addr + kBucketKeyOff) == key) {
+      pd_.BeforeStore(addr, kBucketSize);
       rnic::dma::WriteU64(addr + kBucketKeyOff, 0);
       rnic::dma::WriteU64(addr + kBucketPtrOff, 0);
       rnic::dma::WriteU32(addr + kBucketLenOff, 0);
@@ -185,6 +194,7 @@ bool RdmaHashTable::Erase(std::uint64_t key) {
 }
 
 void RdmaHashTable::Clear() {
+  pd_.BeforeStore(mr_.addr, mr_.length);
   std::memset(mem_.get(), 0, cfg_.buckets * kBucketSize);
   count_ = 0;
 }

@@ -58,11 +58,15 @@ inline constexpr std::uint32_t kValueVersionBytes = 8;
 
 // Version tag of the value at `addr` (little-endian u64 in bytes [0, 8)).
 std::uint64_t ValueVersion(std::uint64_t addr);
-void SetValueVersion(std::uint64_t addr, std::uint64_t version);
+// The writers below store into registered memory of `pd`, passing its
+// store hook first.
+void SetValueVersion(rnic::ProtectionDomain& pd, std::uint64_t addr,
+                     std::uint64_t version);
 
 // Writes the tag and fills bytes [8, len) with the pattern. len >= 8.
-void WriteVersionedValue(std::uint64_t addr, std::uint32_t len,
-                         std::uint64_t key, std::uint64_t version);
+void WriteVersionedValue(rnic::ProtectionDomain& pd, std::uint64_t addr,
+                         std::uint32_t len, std::uint64_t key,
+                         std::uint64_t version);
 
 // True iff the value's payload matches the pattern for (key, its own tag).
 // len >= 8.
@@ -84,7 +88,8 @@ class ValueHeap {
   // Reserves zeroed space without data.
   std::uint64_t Reserve(std::uint32_t len);
   // Reserves space the caller overwrites in full before anything reads it
-  // (a value fill), so no byte is written twice.
+  // (a value fill), so no byte is written twice. The slot has passed the
+  // store hook, so the caller's fill needs none of its own.
   std::uint64_t ReserveForOverwrite(std::uint32_t len);
 
   std::uint32_t lkey() const { return mr_.lkey; }
@@ -94,6 +99,7 @@ class ValueHeap {
   std::size_t capacity() const { return capacity_; }
 
  private:
+  rnic::ProtectionDomain& pd_;
   std::unique_ptr<std::byte[]> mem_;
   std::size_t capacity_;
   std::size_t used_ = 0;
@@ -162,6 +168,7 @@ class RdmaHashTable {
                 std::uint32_t len);
 
   Config cfg_;
+  rnic::ProtectionDomain& pd_;
   std::unique_ptr<std::byte[]> mem_;
   rnic::MemoryRegion mr_;
   std::size_t count_ = 0;

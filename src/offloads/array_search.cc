@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 namespace redn::offloads {
 
@@ -10,7 +12,7 @@ using rnic::WqeField;
 
 SearchArray::SearchArray(rnic::RnicDevice& dev,
                          std::vector<std::uint64_t> values)
-    : n_(values.size()) {
+    : pd_(dev.pd()), n_(values.size()) {
   data_ = std::make_unique<std::uint64_t[]>(n_);
   for (std::size_t i = 0; i < n_; ++i) data_[i] = values[i] & rnic::kWrIdMask;
   mr_ = dev.pd().Register(data_.get(), n_ * 8, rnic::kAccessAll);
@@ -23,7 +25,12 @@ ArraySearchOffload::ArraySearchOffload(rnic::RnicDevice& server,
                                        std::uint32_t resp_rkey)
     : prog_(server), n_(array.size()) {
   assert(client_qp->sq.managed());
-  assert(n_ >= 1 && n_ <= 15 && "one RECV scatter per element (16 max)");
+  // One RECV scatter per element, and a RECV scatters into at most 16.
+  if (n_ < 1 || n_ > 15) {
+    throw std::invalid_argument(
+        "ArraySearchOffload: the array must hold [1, 15] elements, got " +
+        std::to_string(n_));
+  }
   chain_ = prog_.NewChainQueue(static_cast<std::uint32_t>(4 * n_ + 16));
 
   index_consts_ = std::make_unique<std::uint64_t[]>(n_);

@@ -32,9 +32,13 @@ class SearchArray {
   std::uint32_t rkey() const { return mr_.rkey; }
   int size() const { return static_cast<int>(n_); }
   std::uint64_t At(int i) const { return rnic::dma::ReadU64(ElementAddr(i)); }
-  void Set(int i, std::uint64_t v) { rnic::dma::WriteU64(ElementAddr(i), v); }
+  void Set(int i, std::uint64_t v) {
+    pd_.BeforeStore(ElementAddr(i), 8);
+    rnic::dma::WriteU64(ElementAddr(i), v);
+  }
 
  private:
+  rnic::ProtectionDomain& pd_;
   std::unique_ptr<std::uint64_t[]> data_;
   std::size_t n_;
   rnic::MemoryRegion mr_;

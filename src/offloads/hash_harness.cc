@@ -183,6 +183,7 @@ bool HashGetHarness::SendTriggerBlind(std::uint64_t key) {
     return false;  // the local QP is wrecked; posting would just flush
   }
   EnsureRecvs();
+  cdev_.pd().BeforeStore(msg_mr_.addr, offload_->TriggerBytes());
   offload_->BuildTrigger(key, msg_buf_.get());
   verbs::PostSendNow(cli_qp1_,
                      verbs::MakeSend(msg_mr_.addr, offload_->TriggerBytes(),

@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 namespace redn::offloads {
 
@@ -10,7 +12,7 @@ using rnic::WqeField;
 
 ListStore::ListStore(rnic::RnicDevice& dev, std::size_t max_nodes,
                      std::uint32_t value_len)
-    : value_len_(value_len), max_nodes_(max_nodes) {
+    : pd_(dev.pd()), value_len_(value_len), max_nodes_(max_nodes) {
   const std::size_t bytes = max_nodes * node_bytes();
   mem_ = std::make_unique<std::byte[]>(bytes);
   std::memset(mem_.get(), 0, bytes);
@@ -20,12 +22,14 @@ ListStore::ListStore(rnic::RnicDevice& dev, std::size_t max_nodes,
 std::uint64_t ListStore::Append(std::uint64_t key, const void* value) {
   assert(count_ < max_nodes_);
   const std::uint64_t addr = mr_.addr + count_ * node_bytes();
+  pd_.BeforeStore(addr, node_bytes());
   rnic::dma::WriteU64(addr, key & rnic::kWrIdMask);
   rnic::dma::WriteU64(addr + 8, 0);  // next: patched below
   rnic::dma::Write(addr + 16, value, value_len_);
   if (count_ == 0) {
     head_ = addr;
   } else {
+    pd_.BeforeStore(tail_ + 8, 8);
     rnic::dma::WriteU64(tail_ + 8, addr);
   }
   tail_ = addr;
@@ -46,8 +50,13 @@ ListTraversalOffload::ListTraversalOffload(rnic::RnicDevice& server,
                                            std::uint32_t resp_rkey)
     : list_(list), prog_(server) {
   assert(client_qp->sq.managed());
-  assert(cfg.iterations <= 15 &&
-         "direct RECV injection is limited to 16 scatters (paper §5.3)");
+  // Direct RECV injection is limited to 16 scatters (paper §5.3): the head
+  // plus one per iteration.
+  if (cfg.iterations < 1 || cfg.iterations > 15) {
+    throw std::invalid_argument(
+        "ListTraversalOffload: iterations must be in [1, 15], got " +
+        std::to_string(cfg.iterations));
+  }
   chain_ = prog_.NewChainQueue(4096);
   const std::uint32_t vlen = list_.value_len();
   const int n = cfg.iterations;

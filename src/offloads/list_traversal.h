@@ -57,6 +57,7 @@ class ListStore {
   }
 
  private:
+  rnic::ProtectionDomain& pd_;
   std::unique_ptr<std::byte[]> mem_;
   rnic::MemoryRegion mr_;
   std::uint32_t value_len_;

@@ -30,6 +30,7 @@ std::uint64_t MovMachine::Reg(int r) const {
 
 void MovMachine::SetReg(int r, std::uint64_t v) {
   assert(r >= 0 && r < n_regs_);
+  dev_.pd().BeforeStore(RegAddr(r), 8);
   arena_[r] = v;
 }
 
@@ -44,6 +45,7 @@ std::uint64_t MovMachine::AllocCells(std::size_t count) {
 
 std::uint64_t MovMachine::PoolSlot(std::uint64_t value) {
   const std::uint64_t addr = AllocCells(1);
+  dev_.pd().BeforeStore(addr, 8);
   rnic::dma::WriteU64(addr, value);
   return addr;
 }

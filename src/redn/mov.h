@@ -53,7 +53,10 @@ class MovMachine {
   // first. Addresses are valid targets for indirect/indexed addressing.
   std::uint64_t AllocCells(std::size_t count);
   std::uint64_t Cell(std::uint64_t addr) const { return rnic::dma::ReadU64(addr); }
-  void SetCell(std::uint64_t addr, std::uint64_t v) { rnic::dma::WriteU64(addr, v); }
+  void SetCell(std::uint64_t addr, std::uint64_t v) {
+    dev_.pd().BeforeStore(addr, 8);
+    rnic::dma::WriteU64(addr, v);
+  }
 
   // --- instruction emitters (pre-posted; nothing executes until Run) ------
   void MovImmediate(int rdst, std::uint64_t constant);

@@ -138,6 +138,7 @@ WrRef Program::Break(QueuePair* q, WrRef target, Opcode then_op,
                      const Sge& tmpl) {
   // The header: ctrl, remote_addr and rkey (copied from `target`), flags.
   assert(tmpl.length >= 24);
+  dev_.pd().BeforeStore(tmpl.addr, 24);
   rnic::dma::WriteU64(tmpl.addr, rnic::PackCtrl(then_op, 0));
   rnic::dma::Copy(tmpl.addr + 8, target.FieldAddr(WqeField::kRemoteAddr), 12);
   rnic::dma::WriteU32(tmpl.addr + 20, 0);

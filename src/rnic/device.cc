@@ -36,6 +36,14 @@ RnicDevice::RnicDevice(sim::Simulator& sim, NicConfig cfg, Calibration cal,
 
 RnicDevice::~RnicDevice() = default;
 
+void RnicDevice::CheckPort(const char* who, int port) const {
+  if (port < 0 || port >= cfg_.ports) {
+    throw std::invalid_argument(
+        std::string(who) + ": port must be in [0, " +
+        std::to_string(cfg_.ports - 1) + "], got " + std::to_string(port));
+  }
+}
+
 CompletionQueue* RnicDevice::CreateCq() {
   cqs_.push_back(std::make_unique<CompletionQueue>(
       static_cast<std::uint32_t>(cqs_.size())));
@@ -43,8 +51,13 @@ CompletionQueue* RnicDevice::CreateCq() {
 }
 
 QueuePair* RnicDevice::CreateQp(const QpConfig& qcfg) {
-  assert(qcfg.send_cq && qcfg.recv_cq && "QPs require send and recv CQs");
-  assert(qcfg.port >= 0 && qcfg.port < cfg_.ports);
+  if (qcfg.send_cq == nullptr || qcfg.recv_cq == nullptr) {
+    throw std::invalid_argument(
+        std::string("QpConfig: ") +
+        (qcfg.send_cq == nullptr ? "send_cq" : "recv_cq") +
+        " must be a CQ of this device, got null");
+  }
+  CheckPort("QpConfig", qcfg.port);
   auto qp = std::make_unique<QueuePair>();
   qp->id = static_cast<std::uint32_t>(qps_.size());
   qp->device = this;
@@ -70,9 +83,9 @@ QueuePair* RnicDevice::CreateQp(const QpConfig& qcfg) {
   const int pu = rr;
   rr = (rr + 1) % cfg_.pus_per_port;
   qp->sq.Init(qp.get(), /*is_send=*/true, qp->sq_buf.get(), qcfg.sq_depth,
-              qcfg.managed, qcfg.send_cq, pu);
+              qcfg.managed, qcfg.send_cq, pu, pd_);
   qp->rq.Init(qp.get(), /*is_send=*/false, qp->rq_buf.get(), qcfg.rq_depth,
-              /*managed=*/false, qcfg.recv_cq, pu);
+              /*managed=*/false, qcfg.recv_cq, pu, pd_);
   qps_.push_back(std::move(qp));
   return qps_.back().get();
 }
@@ -143,8 +156,11 @@ void RnicDevice::SetRateLimit(QueuePair* qp, double ops_per_sec) {
 
 void RnicDevice::AttachPort(int port, sim::Fabric& fabric,
                             const sim::LinkSpec& spec) {
-  assert(port >= 0 && port < cfg_.ports);
-  assert(fabric_ports_[port].fabric == nullptr && "port already attached");
+  CheckPort("AttachPort", port);
+  if (fabric_ports_[port].fabric != nullptr) {
+    throw std::invalid_argument("AttachPort: port " + std::to_string(port) +
+                                " of " + name_ + " is already attached");
+  }
   // Passing the device's event domain lets the fabric register cross-shard
   // link latencies as lookahead floors (and reject zero-latency cross-shard
   // pairs) the moment the topology is declared.
@@ -359,8 +375,11 @@ std::uint64_t RnicDevice::ReadLength(const WqeImage& img) const {
   return len;
 }
 
-bool RnicDevice::GatherLocal(const WqeImage& img, std::vector<std::byte>& out,
-                             WcStatus* err) const {
+static_assert(CarriedBytes::kMaxExtents >= kMaxSges,
+              "a gather list must fit a payload's extents");
+
+bool RnicDevice::GatherLocal(const WqeImage& img, bool defer,
+                             CarriedBytes& out, WcStatus* err) {
   SgeScratch sges;
   ResolveSges(img, sges);
   for (const Sge& sge : sges) {
@@ -371,27 +390,34 @@ bool RnicDevice::GatherLocal(const WqeImage& img, std::vector<std::byte>& out,
       *err = WcStatus::kLocalAccessError;
       return false;
     }
-    dma::ReadAppend(out, sge.addr, sge.length);
+    out.AddExtent(sge.addr, sge.length);
+  }
+  if (defer) {
+    pd_.Pin(&out);
+  } else {
+    out.Gather();
   }
   return true;
 }
 
-bool RnicDevice::ScatterList(const WqeImage& img, const std::byte* data,
-                             std::size_t len, WcStatus* err) const {
-  std::size_t consumed = 0;
+bool RnicDevice::ScatterList(const WqeImage& img, const CarriedBytes& data,
+                             WcStatus* err) {
+  const std::uint64_t len = data.len;
+  std::uint64_t consumed = 0;
   SgeScratch sges;
   ResolveSges(img, sges);
   for (const Sge& sge : sges) {
     if (consumed >= len) break;
-    const std::size_t chunk =
-        std::min<std::size_t>(sge.length, len - consumed);
+    const std::size_t chunk = static_cast<std::size_t>(
+        std::min<std::uint64_t>(sge.length, len - consumed));
     if (chunk == 0) continue;
     const MemCheck mc = pd_.CheckLocal(sge.addr, chunk, sge.lkey, kLocalWrite);
     if (mc != MemCheck::kOk) {
       *err = WcStatus::kLocalAccessError;
       return false;
     }
-    dma::Write(sge.addr, data + consumed, chunk);
+    pd_.BeforeStore(sge.addr, chunk);
+    data.CopyOut(consumed, sge.addr, chunk);
     consumed += chunk;
   }
   if (consumed < len) {
@@ -440,12 +466,12 @@ void RnicDevice::ExecuteData(WorkQueue& wq, Payload* pl, sim::Nanos t_issue) {
     case Opcode::kSend:
     case Opcode::kSendImm: {
       WcStatus err = WcStatus::kSuccess;
-      if (!GatherLocal(img, pl->bytes, &err)) {
+      if (!GatherLocal(img, SameDomain(peer), pl->data, &err)) {
         FailWr(wq, img, t_issue, err);
         payloads_.Release(pl);
         return;
       }
-      const std::uint64_t len = pl->bytes.size();
+      const std::uint64_t len = pl->data.len;
       if (via_fabric) {
         // Egress waits for the host-side DMA, then the payload queues
         // through the shared links (src TX, then dst RX — the congested
@@ -498,7 +524,8 @@ void RnicDevice::ExecuteData(WorkQueue& wq, Payload* pl, sim::Nanos t_issue) {
         // Data is captured at the remote memory *now* (request arrival).
         RnicDevice* rdev = peer->device;
         const std::uint64_t len = ReadLength(img);
-        const WcStatus nak = rdev->AcceptRead(peer, img, len, pl->bytes);
+        const WcStatus nak =
+            rdev->AcceptRead(peer, img, len, SameDomain(peer), pl->data);
         if (nak != WcStatus::kSuccess) {
           FailWr(wq, img, sim_.now() + ow, nak);
           payloads_.Release(pl);
@@ -516,7 +543,7 @@ void RnicDevice::ExecuteData(WorkQueue& wq, Payload* pl, sim::Nanos t_issue) {
             (wire ? ow + cal_.remote_ack_extra : 0);
         sim_.At(t_done, [this, &wq, pl] {
           if (wq.qp()->alive) {
-            LandRead(wq, pl->img, pl->bytes, sim_.now());
+            LandRead(wq, pl->img, pl->data, sim_.now());
           }
           payloads_.Release(pl);
         });
@@ -579,7 +606,7 @@ void RnicDevice::SendOverFabric(WorkQueue& wq, QueuePair* peer, Payload* pl,
                                 sim::Nanos ready, sim::Nanos ow) {
   const FabricAttach& s = fabric_ports_[wq.qp()->port];
   const sim::Nanos t_port =
-      s.fabric->ReserveTx(s.endpoint, ready, pl->bytes.size()) + ow;
+      s.fabric->ReserveTx(s.endpoint, ready, pl->data.len) + ow;
   const int src_shard = sim_.shard();
   sim_.SendTo(
       peer->device->sim_.shard(), t_port,
@@ -587,7 +614,7 @@ void RnicDevice::SendOverFabric(WorkQueue& wq, QueuePair* peer, Payload* pl,
         RnicDevice* rdev = peer->device;
         const FabricAttach& d = rdev->fabric_ports_[peer->port];
         const sim::Nanos t_arrive =
-            d.fabric->ReserveRx(d.endpoint, rdev->sim_.now(), pl->bytes.size());
+            d.fabric->ReserveRx(d.endpoint, rdev->sim_.now(), pl->data.len);
         rdev->sim_.At(t_arrive, [this, &wq, peer, pl, ow, src_shard] {
           RnicDevice* rdev = peer->device;
           pl->st = rdev->AcceptPayload(peer, *pl);
@@ -605,12 +632,14 @@ void RnicDevice::ReadOverFabric(WorkQueue& wq, QueuePair* peer, Payload* pl,
   // must never read across the boundary.
   const std::uint64_t len = ReadLength(pl->img);
   const int src_shard = sim_.shard();
+  const bool defer = SameDomain(peer);
   sim_.SendTo(
       peer->device->sim_.shard(), t_issue + ow,
-      [this, &wq, peer, pl, ow, len, src_shard] {
+      [this, &wq, peer, pl, ow, len, src_shard, defer] {
         RnicDevice* rdev = peer->device;
         sim::Simulator& dsim = rdev->sim_;
-        const WcStatus nak = rdev->AcceptRead(peer, pl->img, len, pl->bytes);
+        const WcStatus nak =
+            rdev->AcceptRead(peer, pl->img, len, defer, pl->data);
         if (nak != WcStatus::kSuccess) {
           dsim.SendTo(src_shard, dsim.now() + ow,
                       [this, &wq, pl, nak] { NakWr(wq, pl, nak); });
@@ -628,11 +657,11 @@ void RnicDevice::ReadOverFabric(WorkQueue& wq, QueuePair* peer, Payload* pl,
           // the requester-side ack turnaround.
           const FabricAttach& rd = fabric_ports_[wq.qp()->port];
           const sim::Nanos t_done =
-              rd.fabric->ReserveRx(rd.endpoint, sim_.now(), pl->bytes.size()) +
+              rd.fabric->ReserveRx(rd.endpoint, sim_.now(), pl->data.len) +
               cal_.remote_ack_extra;
           sim_.At(t_done, [this, &wq, pl] {
             if (wq.qp()->alive) {
-              LandRead(wq, pl->img, pl->bytes, sim_.now());
+              LandRead(wq, pl->img, pl->data, sim_.now());
             }
             payloads_.Release(pl);
           });
@@ -710,23 +739,25 @@ void RnicDevice::SendOverTransport(WorkQueue& wq, QueuePair* peer, Payload* pl,
     if (!Stale(qp, rg)) FailQpOverTransport(qp, pl->img, t, StatusOf(why));
     payloads_.Release(pl);
   };
-  qp->transport->SendMessageEx(qp->flow, ready, pl->bytes.size(),
+  qp->transport->SendMessageEx(qp->flow, ready, pl->data.len,
                                std::move(ops));
 }
 
 namespace {
 // READ bundle. The requester's Payload stays owned by the request leg
 // (released at its ACK or failure, always on the requester's domain);
-// everything the other legs need rides here instead. `bytes` is written by
+// everything the other legs need rides here instead. `data` is captured by
 // the responder before the response send and read by the requester at
-// response delivery — the response crossing orders the two. `resolved`
-// collapses the racing resolution paths (response delivery, NAK, response-
-// flow failure, request-flow failure) to exactly one CQE; it is only ever
-// touched on the requester's domain.
+// response delivery — the response crossing orders the two. A deferred
+// capture pins its extent in the responder's PD (both ends then share one
+// domain) until the response lands or fails. `resolved` collapses the
+// racing resolution paths (response delivery, NAK, response-flow failure,
+// request-flow failure) to exactly one CQE; it is only ever touched on the
+// requester's domain.
 struct ReadCtx {
   WqeImage img{};
   std::uint64_t len = 0;
-  std::vector<std::byte> bytes;
+  CarriedBytes data;
   bool resolved = false;
 };
 }  // namespace
@@ -741,8 +772,10 @@ void RnicDevice::ReadOverTransport(WorkQueue& wq, QueuePair* peer, Payload* pl,
   ctx->len = ReadLength(ctx->img);
   const std::uint64_t rg = qp->reset_gen;
   const int req_shard = sim_.shard();
+  const bool defer = SameDomain(peer);
   sim::Transport::MessageOps req;
-  req.on_deliver = [this, &wq, qp, peer, ctx, ow, rg, req_shard](sim::Nanos) {
+  req.on_deliver = [this, &wq, qp, peer, ctx, ow, rg, req_shard,
+                    defer](sim::Nanos) {
     // Runs on the responder's domain: liveness, protection, DMA capture,
     // and the response send are all local. Protection and dead-peer NAKs
     // return as constant-latency control messages (`ow`, the pair's
@@ -752,7 +785,8 @@ void RnicDevice::ReadOverTransport(WorkQueue& wq, QueuePair* peer, Payload* pl,
     // response ride the lossy packetized flows.
     RnicDevice* rdev = peer->device;
     sim::Simulator& dsim = rdev->sim_;
-    const WcStatus nak = rdev->AcceptRead(peer, ctx->img, ctx->len, ctx->bytes);
+    const WcStatus nak =
+        rdev->AcceptRead(peer, ctx->img, ctx->len, defer, ctx->data);
     if (nak != WcStatus::kSuccess) {
       dsim.SendTo(req_shard, dsim.now() + ow, [this, &wq, qp, ctx, nak] {
         if (ctx->resolved || !qp->alive) return;
@@ -768,9 +802,12 @@ void RnicDevice::ReadOverTransport(WorkQueue& wq, QueuePair* peer, Payload* pl,
     // at in-order data delivery (no extra ack leg).
     sim::Transport::MessageOps resp;
     resp.on_deliver = [this, &wq, qp, ctx](sim::Nanos) {
-      if (ctx->resolved || !qp->alive) return;
+      if (ctx->resolved || !qp->alive) {
+        ctx->data.Unpin();
+        return;
+      }
       ctx->resolved = true;
-      LandRead(wq, ctx->img, ctx->bytes, sim_.now() + cal_.remote_ack_extra);
+      LandRead(wq, ctx->img, ctx->data, sim_.now() + cal_.remote_ack_extra);
     };
     resp.on_failed = [this, qp, peer, ctx, ow, rg, prg, req_shard](
                          sim::Nanos t, sim::MsgFailure why) {
@@ -779,6 +816,7 @@ void RnicDevice::ReadOverTransport(WorkQueue& wq, QueuePair* peer, Payload* pl,
       // except a responder mid-reset, whose flow is being re-armed (not
       // dying) and must stay clear of the error latches the reset dropped.
       if (!Stale(peer, prg)) peer->device->TransitionToError(peer);
+      ctx->data.Unpin();
       peer->device->sim_.SendTo(req_shard, t + ow, [this, qp, ctx, why, rg] {
         if (ctx->resolved || Stale(qp, rg)) return;
         ctx->resolved = true;
@@ -803,21 +841,26 @@ void RnicDevice::ReadOverTransport(WorkQueue& wq, QueuePair* peer, Payload* pl,
 }
 
 WcStatus RnicDevice::AcceptWrite(QueuePair* dst_qp, std::uint64_t addr,
-                                 std::uint32_t rkey, const std::byte* data,
-                                 std::size_t len) {
+                                 std::uint32_t rkey, const CarriedBytes& data) {
   // Defence in depth: callers check liveness at arrival time, but no path
   // may ever land bytes in a dead process's memory (its pages are being
   // reclaimed — see KillProcessResources).
   if (!dst_qp->alive) return WcStatus::kRemoteAccessError;
+  const std::uint64_t len = data.len;
   const MemCheck mc = pd_.CheckRemote(addr, len, rkey, kRemoteWrite);
   if (mc != MemCheck::kOk) return WcStatus::kRemoteAccessError;
-  if (len > 0) dma::Write(addr, data, len);
+  if (len > 0) {
+    // A destination overlapping the copy's own source materializes it
+    // first, like any other pinned copy.
+    pd_.BeforeStore(addr, len);
+    data.CopyOut(0, addr, len);
+  }
   return WcStatus::kSuccess;
 }
 
-WcStatus RnicDevice::AcceptSend(QueuePair* dst_qp, const std::byte* data,
-                                std::size_t len, std::uint32_t imm,
-                                bool has_imm, std::size_t reported_len) {
+WcStatus RnicDevice::AcceptSend(QueuePair* dst_qp, const CarriedBytes* data,
+                                std::uint32_t imm, bool has_imm,
+                                std::size_t reported_len) {
   if (!dst_qp->alive) return WcStatus::kRemoteAccessError;
   WorkQueue& rq = dst_qp->rq;
   if (rq.consumed >= rq.posted) {
@@ -829,8 +872,8 @@ WcStatus RnicDevice::AcceptSend(QueuePair* dst_qp, const std::byte* data,
   const WqeImage rimg = rq.Slot(ridx).Load();
   WcStatus st = WcStatus::kSuccess;
   int sges_written = 0;
-  if (data != nullptr && len > 0) {
-    if (!ScatterList(rimg, data, len, &st)) {
+  if (data != nullptr && data->len > 0) {
+    if (!ScatterList(rimg, *data, &st)) {
       // fallthrough: deliver an error CQE for the RECV
     } else {
       sges_written = rimg.uses_sge_table() ? static_cast<int>(rimg.length) : 1;
@@ -851,28 +894,39 @@ WcStatus RnicDevice::AcceptSend(QueuePair* dst_qp, const std::byte* data,
   return st;
 }
 
-WcStatus RnicDevice::AcceptPayload(QueuePair* dst_qp, const Payload& pl) {
+WcStatus RnicDevice::AcceptPayload(QueuePair* dst_qp, Payload& pl) {
+  pl.data.Verify();
   const WqeImage& img = pl.img;
   const Opcode op = img.opcode();
-  const std::size_t len = pl.bytes.size();
+  const std::size_t len = pl.data.len;
+  WcStatus st;
   if (op == Opcode::kSend || op == Opcode::kSendImm) {
-    return AcceptSend(dst_qp, pl.bytes.data(), len, img.imm,
-                      /*has_imm=*/op == Opcode::kSendImm, len);
+    st = AcceptSend(dst_qp, &pl.data, img.imm,
+                    /*has_imm=*/op == Opcode::kSendImm, len);
+  } else {
+    st = AcceptWrite(dst_qp, img.remote_addr, img.rkey, pl.data);
+    if (st == WcStatus::kSuccess && op == Opcode::kWriteImm) {
+      st = AcceptSend(dst_qp, nullptr, img.imm, /*has_imm=*/true, len);
+    }
   }
-  const WcStatus st =
-      AcceptWrite(dst_qp, img.remote_addr, img.rkey, pl.bytes.data(), len);
-  if (st != WcStatus::kSuccess || op != Opcode::kWriteImm) return st;
-  return AcceptSend(dst_qp, nullptr, 0, img.imm, /*has_imm=*/true, len);
+  // Delivered once (the transport discards duplicates): the source is free.
+  pl.data.Unpin();
+  return st;
 }
 
 WcStatus RnicDevice::AcceptRead(QueuePair* dst_qp, const WqeImage& img,
-                                std::uint64_t len,
-                                std::vector<std::byte>& out) {
+                                std::uint64_t len, bool defer,
+                                CarriedBytes& out) {
   if (!dst_qp->alive) return WcStatus::kRemoteAccessError;
   const MemCheck mc =
       pd_.CheckRemote(img.remote_addr, len, img.rkey, kRemoteRead);
   if (mc != MemCheck::kOk) return WcStatus::kRemoteAccessError;
-  if (len > 0) dma::ReadAppend(out, img.remote_addr, len);
+  if (len > 0) out.AddExtent(img.remote_addr, len);
+  if (defer) {
+    pd_.Pin(&out);
+  } else {
+    out.Gather();
+  }
   return WcStatus::kSuccess;
 }
 
@@ -925,6 +979,7 @@ sim::Nanos RnicDevice::AcceptAtomic(QueuePair* dst_qp, Payload* pl,
       default:
         break;
     }
+    pd_.BeforeStore(img.remote_addr, 8);
     dma::WriteU64(img.remote_addr, next);
   });
   return unit_done;
@@ -939,21 +994,23 @@ void RnicDevice::AckSend(WorkQueue& wq, Payload* pl, sim::Nanos t_done) {
       ++counters_.error_completions;
     }
     CompleteWr(qp, qp->send_cq, pl->img, t_done, pl->st,
-               static_cast<std::uint32_t>(pl->bytes.size()));
+               static_cast<std::uint32_t>(pl->data.len));
   }
   payloads_.Release(pl);
 }
 
 void RnicDevice::LandRead(WorkQueue& wq, const WqeImage& img,
-                          const std::vector<std::byte>& bytes,
-                          sim::Nanos t_done) {
+                          CarriedBytes& data, sim::Nanos t_done) {
+  data.Verify();
   WcStatus st = WcStatus::kSuccess;
-  if (!ScatterList(img, bytes.data(), bytes.size(), &st)) {
+  const bool landed = ScatterList(img, data, &st);
+  data.Unpin();
+  if (!landed) {
     FailWr(wq, img, sim_.now(), st);
     return;
   }
   CompleteWr(wq.qp(), wq.qp()->send_cq, img, t_done, WcStatus::kSuccess,
-             static_cast<std::uint32_t>(bytes.size()));
+             static_cast<std::uint32_t>(data.len));
 }
 
 void RnicDevice::FinishAtomic(WorkQueue& wq, Payload* pl) {
@@ -971,17 +1028,15 @@ void RnicDevice::FinishAtomic(WorkQueue& wq, Payload* pl) {
     return;
   }
   // Return the old value into the local sge, if one was given.
-  if (pl->img.local_addr != 0) {
-    WcStatus st = WcStatus::kSuccess;
-    const std::byte* bytes = reinterpret_cast<const std::byte*>(&pl->scratch);
-    WqeImage resp = pl->img;
-    resp.length = 8;
-    resp.flags &= ~kFlagSgeTable;
-    if (!ScatterList(resp, bytes, 8, &st)) {
-      FailWr(wq, pl->img, sim_.now(), st);
+  const std::uint64_t local = pl->img.local_addr;
+  if (local != 0) {
+    if (pd_.CheckLocal(local, 8, pl->img.lkey, kLocalWrite) != MemCheck::kOk) {
+      FailWr(wq, pl->img, sim_.now(), WcStatus::kLocalAccessError);
       payloads_.Release(pl);
       return;
     }
+    pd_.BeforeStore(local, 8);
+    dma::WriteU64(local, pl->scratch);
   }
   CompleteWr(qp, qp->send_cq, pl->img, sim_.now(), WcStatus::kSuccess, 8);
   payloads_.Release(pl);

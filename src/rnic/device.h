@@ -158,15 +158,16 @@ struct SgeScratch {
   const Sge* end() const { return entries.data() + count; }
 };
 
-// Recycled shuttle for data in flight between engine events: the payload
-// bytes, the WQE image that produced them, and small per-op scratch. Events
-// capture a single Payload* instead of a WqeImage + shared_ptr<vector>,
-// which keeps closures inside the simulator's inline event storage and
-// makes steady-state data verbs allocation-free (buffer capacity is
-// retained across reuse). CQEs do NOT ride here: a Cqe is 32 bytes and is
-// captured directly inside its delivery event.
+// Recycled shuttle for data in flight between engine events: the carried
+// bytes (or, for a deferred copy, their pinned source extents), the WQE
+// image that produced them, and small per-op scratch. Events capture a
+// single Payload* instead of a WqeImage + shared_ptr<vector>, which keeps
+// closures inside the simulator's inline event storage and makes
+// steady-state data verbs allocation-free (buffer capacity is retained
+// across reuse). CQEs do NOT ride here: a Cqe is 32 bytes and is captured
+// directly inside its delivery event.
 struct Payload {
-  std::vector<std::byte> bytes;
+  CarriedBytes data;
   WqeImage img{};
   std::uint64_t scratch = 0;  // atomics: old value returned to the requester
   bool rmw_done = false;      // atomics: the RMW actually executed remotely
@@ -175,7 +176,9 @@ struct Payload {
   WcStatus st = WcStatus::kSuccess;
   Payload* next_free = nullptr;
 
-  void Recycle() { bytes.clear(); }  // keeps capacity for the next op
+  // Unpins a copy still deferred (a flush, NAK or failure released it
+  // undelivered) and keeps the buffer's capacity for the next op.
+  void Recycle() { data.Clear(); }
 };
 
 // Device-owned free list of recycled engine objects. Acquire/Release never
@@ -240,6 +243,7 @@ class RnicDevice {
 
   // --- Resource setup -------------------------------------------------------
   CompletionQueue* CreateCq();
+  // Throws std::invalid_argument for a missing CQ or a port out of range.
   QueuePair* CreateQp(const QpConfig& cfg);
   CompletionQueue* GetCq(std::uint32_t id);
   QueuePair* GetQp(std::uint32_t id);
@@ -283,7 +287,8 @@ class RnicDevice {
   // Plugs `port` into a shared fabric. QPs on this port connected with
   // ConnectOverFabric route their traffic through the fabric's contended
   // links; QPs connected with Connect/ConnectSelf keep the constant-latency
-  // compat path.
+  // compat path. Throws std::invalid_argument for a port out of range or
+  // one already attached.
   void AttachPort(int port, sim::Fabric& fabric, const sim::LinkSpec& spec);
   sim::Fabric* fabric(int port) const { return fabric_ports_[port].fabric; }
   int fabric_endpoint(int port) const { return fabric_ports_[port].endpoint; }
@@ -313,6 +318,9 @@ class RnicDevice {
 
  private:
   friend struct QueuePair;
+  // Throws std::invalid_argument, naming `who`, unless `port` is one of
+  // this device's.
+  void CheckPort(const char* who, int port) const;
   struct PortResources {
     std::vector<sim::FifoResource> pus;
     sim::FifoResource fetch_unit;   // serialized managed-mode WQE fetches
@@ -422,17 +430,25 @@ class RnicDevice {
   // Responder side, executed at arrival time on the responder device (this
   // one). Every check reads only responder state, so the same code serves
   // the compat path and the fabric/transport path at any shard count.
+  //
+  // A WRITE, WRITE_IMM, SEND, SEND_IMM or READ whose two ends share an
+  // event domain carries its checked source extents, pinned, and copies
+  // once, at delivery (CarriedBytes); one between domains copies at issue,
+  // since the source belongs to another thread. docs/NET.md "When a
+  // payload's bytes are read".
   WcStatus AcceptWrite(QueuePair* dst_qp, std::uint64_t addr,
-                       std::uint32_t rkey, const std::byte* data,
-                       std::size_t len);
-  WcStatus AcceptSend(QueuePair* dst_qp, const std::byte* data,
-                      std::size_t len, std::uint32_t imm, bool has_imm,
+                       std::uint32_t rkey, const CarriedBytes& data);
+  // `data` is null for a WRITE_IMM's completion, which scatters nothing.
+  WcStatus AcceptSend(QueuePair* dst_qp, const CarriedBytes* data,
+                      std::uint32_t imm, bool has_imm,
                       std::size_t reported_len);
-  // WRITE / WRITE_IMM / SEND / SEND_IMM carried by `pl`.
-  WcStatus AcceptPayload(QueuePair* dst_qp, const Payload& pl);
-  // READ: checks the target and appends its `len` bytes to `out`.
+  // WRITE / WRITE_IMM / SEND / SEND_IMM carried by `pl`: delivers its bytes
+  // and unpins them.
+  WcStatus AcceptPayload(QueuePair* dst_qp, Payload& pl);
+  // READ: checks the target and captures its `len` bytes in `out` — their
+  // extent, pinned, when `defer` (the requester shares this domain).
   WcStatus AcceptRead(QueuePair* dst_qp, const WqeImage& img,
-                      std::uint64_t len, std::vector<std::byte>& out);
+                      std::uint64_t len, bool defer, CarriedBytes& out);
   // Atomic: checks the target, reserves the port's atomic unit and
   // schedules the read-modify-write at the grant instant (old value into
   // pl->scratch, pl->rmw_done set). Returns that instant, or -1 with
@@ -446,18 +462,26 @@ class RnicDevice {
   // `t_done`; FinishAtomic returns the old value; NakWr fails the WR.
   // All but LandRead release `pl`.
   void AckSend(WorkQueue& wq, Payload* pl, sim::Nanos t_done);
-  void LandRead(WorkQueue& wq, const WqeImage& img,
-                const std::vector<std::byte>& bytes, sim::Nanos t_done);
+  void LandRead(WorkQueue& wq, const WqeImage& img, CarriedBytes& data,
+                sim::Nanos t_done);
   void FinishAtomic(WorkQueue& wq, Payload* pl);
   void NakWr(WorkQueue& wq, Payload* pl, WcStatus st);
 
   // Gather/scatter helpers with protection checks against this device's
   // PD. All SGE resolution goes through caller-provided (stack) scratch —
-  // no per-op allocation.
-  bool GatherLocal(const WqeImage& img, std::vector<std::byte>& out,
-                   WcStatus* err) const;
-  bool ScatterList(const WqeImage& img, const std::byte* data,
-                   std::size_t len, WcStatus* err) const;
+  // no per-op allocation. GatherLocal checks every SGE at issue, then
+  // copies the bytes into `out` — or, when `defer`, pins their extents for
+  // the delivery to copy from. ScatterList passes the PD's store hook
+  // before each store.
+  bool GatherLocal(const WqeImage& img, bool defer, CarriedBytes& out,
+                   WcStatus* err);
+  bool ScatterList(const WqeImage& img, const CarriedBytes& data,
+                   WcStatus* err);
+  // Whether `peer`'s device runs on this device's event domain, so a copy
+  // between them may be deferred to delivery.
+  bool SameDomain(const QueuePair* peer) const {
+    return &peer->device->sim_ == &sim_;
+  }
   void ResolveSges(const WqeImage& img, SgeScratch& out) const;
   // Remote byte count of a READ: with a scatter table the WQE length field
   // holds the SGE count, so the byte count is the sum of the entries.

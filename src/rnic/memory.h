@@ -8,6 +8,7 @@
 // like any other memory.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -45,6 +46,8 @@ enum class MemCheck {
   kNoPermission,
 };
 
+struct CarriedBytes;
+
 class ProtectionDomain {
  public:
   // Registers [ptr, ptr+len) and returns the region descriptor by value:
@@ -76,6 +79,25 @@ class ProtectionDomain {
 
   std::size_t region_count() const { return live_count_; }
 
+  // --- Copy-on-write of deferred copies ---------------------------------
+  // A deferred copy (CarriedBytes) pins its checked source extents here,
+  // in the domain that registered them, until its delivery copies from
+  // them. Every store into memory registered here — NIC or host — calls
+  // BeforeStore first: it materializes each pinned copy whose extents
+  // overlap [addr, addr + len), so that copy still delivers the bytes of
+  // its issue instant. Deregister and a shrinking Reregister materialize
+  // the copies they would strand. Inline: a store outside the bounding
+  // interval of every pin, or with no pin at all, costs two compares.
+  void BeforeStore(std::uint64_t addr, std::size_t len) {
+    if (addr < pin_hi_ && addr + len > pin_lo_) {
+      MaterializeOverlapping(addr, len);
+    }
+  }
+  void Pin(CarriedBytes* c);
+  void Unpin(CarriedBytes* c);
+  // Whether a deferred copy pins a byte of [addr, addr + len).
+  bool Pinned(std::uint64_t addr, std::size_t len) const;
+
  private:
   // First key ever issued. Register hands out keys as consecutive
   // (lkey, rkey) pairs counting up from here and never reuses one, so a
@@ -106,9 +128,71 @@ class ProtectionDomain {
     return MemCheck::kOk;
   }
 
+  void MaterializeOverlapping(std::uint64_t addr, std::size_t len);
+
   std::uint32_t next_key_ = kFirstKey;
   std::size_t live_count_ = 0;
   std::vector<MemoryRegion> regions_;  // one per key pair; dereg blanks keys
+  std::vector<CarriedBytes*> pinned_;
+  // Bounding interval of every pinned extent: exact after a materialize,
+  // conservative (never too small) after an Unpin. Empty when lo >= hi.
+  std::uint64_t pin_lo_ = ~std::uint64_t{0};
+  std::uint64_t pin_hi_ = 0;
+};
+
+// The bytes a data verb carries from its source to its destination. A copy
+// at issue fills `bytes`. A deferred copy — source and destination on one
+// event domain — keeps the protection-checked source extents instead,
+// pinned in the source's ProtectionDomain, and its delivery copies straight
+// from them: one copy per delivered byte. `len` is the byte count either
+// way.
+//
+// Debug builds checksum a deferred source when it is pinned, and Verify
+// aborts at delivery when the bytes changed since: a store into registered
+// memory that skipped BeforeStore fails loudly instead of silently moving a
+// result.
+struct CarriedBytes {
+  struct Extent {
+    std::uint64_t addr = 0;
+    std::uint64_t len = 0;
+  };
+  static constexpr int kMaxExtents = 16;  // a gather list's SGE limit
+
+  std::vector<std::byte> bytes;
+  std::uint64_t len = 0;
+  std::array<Extent, kMaxExtents> extents{};
+  int extent_count = 0;
+  ProtectionDomain* pinned_in = nullptr;  // non-null while deferred
+  bool verify = false;                    // deferred at issue (Debug)
+  std::uint64_t issue_sum = 0;
+
+  bool deferred() const { return pinned_in != nullptr; }
+  // Appends one checked source extent (len > 0) and counts its bytes.
+  void AddExtent(std::uint64_t addr, std::uint64_t n) {
+    extents[static_cast<std::size_t>(extent_count++)] = Extent{addr, n};
+    len += n;
+  }
+  bool Overlaps(std::uint64_t addr, std::size_t n) const;
+  // Copies the extents into `bytes`: the copy at issue, or the
+  // materialization of a deferred copy just before its source changes.
+  void Gather();
+  // Copies carried bytes [offset, offset + n) to `dst`.
+  void CopyOut(std::uint64_t offset, std::uint64_t dst, std::size_t n) const;
+  // Delivery is done: drops the pin, if any. `len` stays for the CQE.
+  void Unpin() {
+    if (pinned_in != nullptr) pinned_in->Unpin(this);
+  }
+  // Back to empty for reuse, keeping the buffer's capacity.
+  void Clear() {
+    Unpin();
+    bytes.clear();
+    len = 0;
+    extent_count = 0;
+    verify = false;
+  }
+  // Aborts when a copy deferred at issue no longer carries the bytes it
+  // was pinned with (Debug builds; a no-op otherwise).
+  void Verify() const;
 };
 
 // DMA helpers: all NIC memory traffic funnels through these, so tests can
@@ -129,9 +213,9 @@ inline void Read(void* dst, std::uint64_t src, std::size_t len) {
   std::memcpy(dst, reinterpret_cast<const void*>(src), len);
 }
 // Appends `len` bytes from simulated memory to `out` without resize()'s
-// zero-fill (insert copies straight from the source). Keeps gather/READ
-// capture inside the dma funnel so read-side instrumentation has the same
-// single choke point the write side does.
+// zero-fill (insert copies straight from the source). CarriedBytes::Gather
+// is its one caller: a gather or READ capture copied at issue, or a
+// deferred copy materialized before a store overwrites its source.
 inline void ReadAppend(std::vector<std::byte>& out, std::uint64_t src,
                        std::size_t len) {
   const std::byte* p = reinterpret_cast<const std::byte*>(src);

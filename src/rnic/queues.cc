@@ -57,10 +57,11 @@ int CompletionQueue::Poll(sim::Nanos now, int max, Cqe* out) {
 
 void WorkQueue::Init(QueuePair* qp, bool is_send, std::byte* slots,
                      std::uint32_t capacity, bool managed, CompletionQueue* cq,
-                     int pu_index) {
+                     int pu_index, ProtectionDomain& pd) {
   qp_ = qp;
   is_send_ = is_send;
   slots_ = slots;
+  pd_ = &pd;
   capacity_ = capacity;
   managed_ = managed;
   cq_ = cq;

@@ -119,8 +119,10 @@ class CompletionQueue {
 // One direction of a queue pair (send queue or receive queue).
 class WorkQueue {
  public:
+  // `slots` is registered memory of `pd`, the QP's device's.
   void Init(QueuePair* qp, bool is_send, std::byte* slots, std::uint32_t capacity,
-            bool managed, CompletionQueue* cq, int pu_index);
+            bool managed, CompletionQueue* cq, int pu_index,
+            ProtectionDomain& pd);
 
   QueuePair* qp() const { return qp_; }
   bool is_send() const { return is_send_; }
@@ -140,7 +142,7 @@ class WorkQueue {
   // Raw slot view for absolute index `idx` (wraps modulo capacity).
   WqeView Slot(std::uint64_t idx) const { return SlotAtB(BufSlot(idx)); }
   WqeView SlotAtB(std::size_t s) const {
-    return WqeView(slots_ + s * kWqeSize);
+    return WqeView(slots_ + s * kWqeSize, *pd_);
   }
   std::uint64_t SlotAddr(std::uint64_t idx, WqeField f) const {
     return Slot(idx).FieldAddr(f);
@@ -186,6 +188,7 @@ class WorkQueue {
   QueuePair* qp_ = nullptr;
   bool is_send_ = true;
   std::byte* slots_ = nullptr;
+  ProtectionDomain* pd_ = nullptr;
   std::uint32_t capacity_ = 0;
   bool managed_ = false;
   CompletionQueue* cq_ = nullptr;

@@ -23,6 +23,9 @@ const char* OpcodeName(Opcode op) {
   }
 }
 
-void WqeView::Clear() { std::memset(base_, 0, kWqeSize); }
+void WqeView::Clear() {
+  pd_->BeforeStore(addr(), kWqeSize);
+  std::memset(base_, 0, kWqeSize);
+}
 
 }  // namespace redn::rnic

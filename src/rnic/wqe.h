@@ -148,9 +148,11 @@ static_assert(offsetof(WqeImage, ctrl) == FieldOffset(WqeField::kCtrl) &&
 
 // Mutable view over 64 raw WQE bytes in host memory. The driver (verbs
 // layer) uses it to post WRs; RDMA verbs modify the same bytes via dma::*.
+// The ring is registered memory of `pd`, so every store passes its
+// copy-on-write hook first.
 class WqeView {
  public:
-  explicit WqeView(std::byte* base) : base_(base) {}
+  WqeView(std::byte* base, ProtectionDomain& pd) : base_(base), pd_(&pd) {}
 
   std::uint64_t addr() const { return dma::AddrOf(base_); }
   std::uint64_t FieldAddr(WqeField f) const { return addr() + FieldOffset(f); }
@@ -163,7 +165,10 @@ class WqeView {
     dma::Read(&img, addr(), kWqeSize);
     return img;
   }
-  void Store(const WqeImage& img) { dma::Write(addr(), &img, kWqeSize); }
+  void Store(const WqeImage& img) {
+    pd_->BeforeStore(addr(), kWqeSize);
+    dma::Write(addr(), &img, kWqeSize);
+  }
   // True when the raw slot bytes equal `img`: at fetch, one memcmp decides
   // whether the slot's last decoded image is still current.
   bool Matches(const WqeImage& img) const {
@@ -173,7 +178,10 @@ class WqeView {
 
   // Typed field accessors (reads/writes through dma helpers).
   std::uint64_t ctrl() const { return dma::ReadU64(FieldAddr(WqeField::kCtrl)); }
-  void set_ctrl(std::uint64_t v) { dma::WriteU64(FieldAddr(WqeField::kCtrl), v); }
+  void set_ctrl(std::uint64_t v) {
+    pd_->BeforeStore(FieldAddr(WqeField::kCtrl), 8);
+    dma::WriteU64(FieldAddr(WqeField::kCtrl), v);
+  }
   Opcode opcode() const { return CtrlOpcode(ctrl()); }
   void set_opcode(Opcode op) { set_ctrl(PackCtrl(op, CtrlWrId(ctrl()))); }
   std::uint64_t wr_id() const { return CtrlWrId(ctrl()); }
@@ -181,6 +189,7 @@ class WqeView {
 
  private:
   std::byte* base_;
+  ProtectionDomain* pd_;
 };
 
 }  // namespace redn::rnic

@@ -61,8 +61,16 @@ Transport::Transport(Simulator& sim, Fabric& fabric, TransportConfig cfg)
       fabric_(fabric),
       cfg_(cfg),
       default_fault_{cfg.loss, 0.0} {
-  assert(cfg_.mtu > 0 && "mtu must be positive");
-  assert(cfg_.window > 0 && "window must be positive");
+  // Checked in every build: mtu = 0 divides by zero when a message is
+  // segmented, and window = 0 never lets a packet out.
+  if (cfg_.mtu == 0) {
+    throw std::invalid_argument(
+        "TransportConfig: mtu (payload bytes per packet) must be >= 1, got 0");
+  }
+  if (cfg_.window == 0) {
+    throw std::invalid_argument(
+        "TransportConfig: window (packets in flight) must be >= 1, got 0");
+  }
 }
 
 TransportCounters Transport::counters() const {

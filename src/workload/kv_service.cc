@@ -465,7 +465,8 @@ class KvService {
     Shard& S = shard(s);
     const std::uint64_t ptr = S.heap->ReserveForOverwrite(cfg_.value_len);
     if (versioned_) {
-      kv::WriteVersionedValue(ptr, cfg_.value_len, key, /*version=*/0);
+      kv::WriteVersionedValue(S.dev->pd(), ptr, cfg_.value_len, key,
+                              /*version=*/0);
     } else {
       // PutPattern layout: byte i is (key + i) mod 256.
       kv::FillRamp(reinterpret_cast<void*>(ptr), cfg_.value_len,
@@ -673,6 +674,7 @@ class KvService {
 
   bool PostPut(const Tenant& T, const Link& L) {
     if (!L.req_cli->Usable()) return false;
+    T.dev->pd().BeforeStore(T.ptx_mr.addr, cfg_.value_len);
     rnic::dma::WriteU64(T.ptx_mr.addr, T.key);
     // Payload byte i is (key + i) mod 256.
     kv::FillRamp(
@@ -864,6 +866,7 @@ class KvService {
                                       static_cast<std::uint64_t>(kPutSlots));
     const std::uint64_t a =
         L.ack_tx_mr.addr + static_cast<std::uint64_t>(slot) * kAckBytes;
+    shard(s).dev->pd().BeforeStore(a, kAckBytes);
     rnic::dma::WriteU64(a, key);
     rnic::dma::WriteU64(a + 8, version);
     rnic::dma::WriteU64(a + 16, mask);
@@ -893,7 +896,7 @@ class KvService {
     const std::uint64_t addr = key < S.vaddr.size() ? S.vaddr[key] : 0;
     if (addr == 0) return;  // not a replica of this key
     const std::uint64_t version = kv::ValueVersion(addr) + 1;
-    kv::WriteVersionedValue(addr, cfg_.value_len, key, version);
+    kv::WriteVersionedValue(S.dev->pd(), addr, cfg_.value_len, key, version);
     const int p = primary_[key];
     if (s != p) {
       // Degraded head: the tenant routed here because the primary was
@@ -1023,8 +1026,8 @@ class KvService {
         S.dev->ReviveProcessResources(kShardPidBase + s);
         for (std::uint64_t key = 1; key < S.vaddr.size(); ++key) {
           if (S.vaddr[key] == 0) continue;
-          kv::WriteVersionedValue(S.vaddr[key], cfg_.value_len, key,
-                                  /*version=*/0);
+          kv::WriteVersionedValue(S.dev->pd(), S.vaddr[key], cfg_.value_len,
+                                  key, /*version=*/0);
         }
         break;
     }

@@ -2,6 +2,10 @@
 // unrolled `while` with and without `break`.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "offloads/array_search.h"
 #include "testbed.h"
 
@@ -132,6 +136,23 @@ TEST_F(ArraySearchTest, WrBudgetScalesLinearly) {
                         large.resp.rkey());
   EXPECT_NEAR(o8.wrs_posted(), 4 * o2.wrs_posted() - 3 * 1, 8);
   b.sim.Run();
+}
+
+// The asserts these replace compiled out in Release, where an array of 16
+// or more elements overran UnrolledLoop's 16-entry injection table.
+TEST(ArraySearchConfig, RejectsSizesOutsideOneToFifteen) {
+  for (const std::size_t n : {std::size_t{0}, std::size_t{16}}) {
+    TestBed bed;
+    SearchRig rig(bed, std::vector<std::uint64_t>(n, 7));
+    try {
+      ArraySearchOffload off(bed.server, rig.array, rig.srv, {},
+                             rig.resp.addr(), rig.resp.rkey());
+      ADD_FAILURE() << "an array of " << n << " elements was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("[1, 15]"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -472,11 +472,12 @@ TEST_F(ResyncBed, ReconcilesByVersionTagAndKeepsNewerLocalValues) {
   Seed(8, 128);
   for (int i = 0; i < 8; ++i) {
     const std::uint64_t key = items_[i].key;
-    kv::WriteVersionedValue(DonorAddr(i), 128, key, 5);
+    kv::WriteVersionedValue(bed.server.pd(), DonorAddr(i), 128, key, 5);
     // Chain-order violation injection: values 0..2 carry a HIGHER local
     // version than the donor stages — the shape a dual-applied put (or an
     // out-of-order transfer) leaves behind. They must survive untouched.
-    kv::WriteVersionedValue(LocalAddr(i), 128, key, i < 3 ? 7 : 2);
+    kv::WriteVersionedValue(bed.client.pd(), LocalAddr(i), 128, key,
+                            i < 3 ? 7 : 2);
   }
   kv::ResyncSession::Stats done;
   kv::ResyncSession s(bed.sim, SessionConfig(), items_,
@@ -501,8 +502,10 @@ TEST_F(ResyncBed, ReconcilesByVersionTagAndKeepsNewerLocalValues) {
 TEST_F(ResyncBed, TieGoesToThePeerSoRerunningIsIdempotent) {
   Seed(4, 64);
   for (int i = 0; i < 4; ++i) {
-    kv::WriteVersionedValue(DonorAddr(i), 64, items_[i].key, 3);
-    kv::WriteVersionedValue(LocalAddr(i), 64, items_[i].key, i == 0 ? 3 : 1);
+    kv::WriteVersionedValue(bed.server.pd(), DonorAddr(i), 64, items_[i].key,
+                            3);
+    kv::WriteVersionedValue(bed.client.pd(), LocalAddr(i), 64, items_[i].key,
+                            i == 0 ? 3 : 1);
   }
   kv::ResyncSession first(bed.sim, SessionConfig(), items_, nullptr);
   first.Start();
@@ -538,8 +541,10 @@ TEST_F(ResyncBed, EmptyItemListFinishesSynchronously) {
 TEST_F(ResyncBed, DonorDeathMidSyncMarksFailedAndLeavesLocalValuesAlone) {
   Seed(6, 128);
   for (int i = 0; i < 6; ++i) {
-    kv::WriteVersionedValue(DonorAddr(i), 128, items_[i].key, 9);
-    kv::WriteVersionedValue(LocalAddr(i), 128, items_[i].key, 1);
+    kv::WriteVersionedValue(bed.server.pd(), DonorAddr(i), 128,
+                            items_[i].key, 9);
+    kv::WriteVersionedValue(bed.client.pd(), LocalAddr(i), 128,
+                            items_[i].key, 1);
   }
   dq->owner_pid = 42;
   bed.server.KillProcessResources(42);  // donor dies before any READ lands

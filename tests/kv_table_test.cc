@@ -279,7 +279,7 @@ TEST_F(TableTest, VersionedValueIntactFlagsAnyFlippedPayloadByte) {
           256 + static_cast<std::uint8_t>(start - 131 * kVersion -
                                           kv::kValueVersionBytes);
       const std::uint64_t addr = heap.ReserveForOverwrite(len);
-      kv::WriteVersionedValue(addr, len, key, kVersion);
+      kv::WriteVersionedValue(bed.server.pd(), addr, len, key, kVersion);
       auto* p = reinterpret_cast<std::uint8_t*>(addr);
       EXPECT_EQ(kv::ValueVersion(addr), kVersion);
       for (std::uint32_t i = kv::kValueVersionBytes; i < len; ++i) {
@@ -303,7 +303,7 @@ TEST_F(TableTest, VersionedValueIntactFlagsAnyFlippedPayloadByte) {
         EXPECT_TRUE(kv::VersionedValueIntact(addr, len, key));
       }
       // A bumped version tag no longer matches the payload it heads.
-      kv::SetValueVersion(addr, kVersion + 1);
+      kv::SetValueVersion(bed.server.pd(), addr, kVersion + 1);
       EXPECT_EQ(kv::VersionedValueIntact(addr, len, key), empty) << len;
     }
   }

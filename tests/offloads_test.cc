@@ -513,6 +513,23 @@ TEST_F(OffloadTest, BreakStopsLaterIterationsCompletely) {
   EXPECT_EQ(reads, 1u);
 }
 
+// The assert this replaces compiled out in Release, where 16 or more
+// iterations overran UnrolledLoop's 16-entry injection table.
+TEST_F(OffloadTest, ListTraversalRejectsIterationsOutsideOneToFifteen) {
+  ListRig rig(bed, 8, 64);
+  for (const int iterations : {0, 16}) {
+    try {
+      ListTraversalOffload off(bed.server, rig.list, rig.srv_qp,
+                               {.iterations = iterations}, rig.resp.addr(),
+                               rig.resp.rkey());
+      ADD_FAILURE() << iterations << " iterations were accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("iterations"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // RPC offloads
 // ---------------------------------------------------------------------------

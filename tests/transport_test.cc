@@ -88,6 +88,26 @@ TEST(Transport, SegmentsAndDeliversExactTiming) {
   EXPECT_EQ(s.events_processed(), 6u);
 }
 
+// mtu = 0 would divide by zero when a message is segmented and window = 0
+// would never send a packet, so both throw in every build type, naming the
+// field.
+TEST(Transport, RejectsZeroMtuAndWindow) {
+  sim::Simulator s;
+  sim::Fabric f;
+  f.Attach({8.0, 100});
+  for (const char* field : {"mtu", "window"}) {
+    TransportConfig cfg = LegibleConfig();
+    (std::string(field) == "mtu" ? cfg.mtu : cfg.window) = 0;
+    try {
+      Transport tr(s, f, cfg);
+      ADD_FAILURE() << field << " = 0 was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Transport, ZeroByteMessageStillCrossesTheWire) {
   sim::Simulator s;
   sim::Fabric f;

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "sim/fabric.h"
 #include "testbed.h"
 
 namespace redn::test {
@@ -26,6 +27,44 @@ class VerbsTest : public ::testing::Test {
  protected:
   TestBed bed;
 };
+
+// The asserts these replace compiled out in Release, where a missing CQ was
+// stored and a bad port indexed the port tables out of bounds.
+TEST_F(VerbsTest, CreateQpAndAttachPortRejectBadConfigs) {
+  const auto expect_throw = [](const char* what, const char* needle,
+                               const auto& call) {
+    try {
+      call();
+      ADD_FAILURE() << what << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << what << ": " << e.what();
+    }
+  };
+  RnicDevice& dev = bed.client;
+  QpConfig ok;
+  ok.send_cq = dev.CreateCq();
+  ok.recv_cq = dev.CreateCq();
+  QpConfig no_send = ok;
+  no_send.send_cq = nullptr;
+  expect_throw("a QP without a send CQ", "send_cq",
+               [&] { dev.CreateQp(no_send); });
+  QpConfig no_recv = ok;
+  no_recv.recv_cq = nullptr;
+  expect_throw("a QP without a recv CQ", "recv_cq",
+               [&] { dev.CreateQp(no_recv); });
+  QpConfig bad_port = ok;
+  bad_port.port = dev.config().ports;
+  expect_throw("a QP on a port past the last", "port",
+               [&] { dev.CreateQp(bad_port); });
+
+  sim::Fabric fabric;
+  expect_throw("attaching port -1", "port",
+               [&] { dev.AttachPort(-1, fabric, {25.0, 125}); });
+  dev.AttachPort(0, fabric, {25.0, 125});
+  expect_throw("attaching port 0 twice", "already attached",
+               [&] { dev.AttachPort(0, fabric, {25.0, 125}); });
+}
 
 TEST_F(VerbsTest, RemoteWriteMovesData) {
   auto [cqp, sqp] = bed.ConnectedPair();

@@ -188,7 +188,7 @@ TEST_F(WqeCacheTest, RecvScatterIntoRingSlotExecutesNextLap) {
   img.lkey = src.lkey();
   img.remote_addr = dst.addr();
   img.rkey = dst.rkey();
-  rnic::WqeView(staged.bytes()).Store(img);
+  rnic::WqeView(staged.bytes(), bed.client.pd()).Store(img);
 
   verbs::RecvWr recv;
   recv.local_addr = chain->sq.SlotAddr(0, WqeField::kCtrl);

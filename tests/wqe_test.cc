@@ -49,7 +49,8 @@ TEST(WqeCtrl, NoopWithIdEqualsBareId) {
 
 TEST(WqeView, StoreLoadRoundTrip) {
   alignas(8) std::array<std::byte, kWqeSize> slot{};
-  WqeView view(slot.data());
+  ProtectionDomain pd;
+  WqeView view(slot.data(), pd);
   WqeImage img;
   img.ctrl = PackCtrl(Opcode::kCompSwap, 42);
   img.remote_addr = 0x1111222233334444ULL;
@@ -81,7 +82,8 @@ TEST(WqeView, OpcodeRewriteViaCasLikeWrite) {
   // The self-modification primitive: overwriting the ctrl word flips the
   // opcode while preserving the id.
   alignas(8) std::array<std::byte, kWqeSize> slot{};
-  WqeView view(slot.data());
+  ProtectionDomain pd;
+  WqeView view(slot.data(), pd);
   view.set_ctrl(PackCtrl(Opcode::kNoop, 777));
   EXPECT_EQ(view.opcode(), Opcode::kNoop);
   // Simulate the CAS swap: write {WRITE, 777} at the ctrl address.
@@ -92,7 +94,8 @@ TEST(WqeView, OpcodeRewriteViaCasLikeWrite) {
 
 TEST(WqeView, FieldAddrPointsIntoSlot) {
   alignas(8) std::array<std::byte, kWqeSize> slot{};
-  WqeView view(slot.data());
+  ProtectionDomain pd;
+  WqeView view(slot.data(), pd);
   EXPECT_EQ(view.FieldAddr(WqeField::kCtrl), dma::AddrOf(slot.data()));
   EXPECT_EQ(view.FieldAddr(WqeField::kSwap), dma::AddrOf(slot.data()) + 48);
 }
@@ -100,7 +103,8 @@ TEST(WqeView, FieldAddrPointsIntoSlot) {
 TEST(WqeView, ClearZeroesSlot) {
   alignas(8) std::array<std::byte, kWqeSize> slot;
   std::memset(slot.data(), 0xff, kWqeSize);
-  WqeView view(slot.data());
+  ProtectionDomain pd;
+  WqeView view(slot.data(), pd);
   view.Clear();
   EXPECT_EQ(view.ctrl(), 0u);
   EXPECT_EQ(view.opcode(), Opcode::kNoop);
