@@ -13,11 +13,9 @@ int main() {
   bench::Title("Throughput through a Memcached process crash at t=5s",
                "Fig 16 (and Table 6)");
 
-  workload::FailoverConfig base;
-  base.rate_per_sec = 1000;
+  workload::FailoverConfig base;  // 1000 gets/s over 10'000 keys
   base.horizon = sim::Seconds(12);
   base.crash_at = sim::Seconds(5);
-  base.keys = 10'000;
 
   auto vanilla_cfg = base;
   vanilla_cfg.redn = false;

@@ -68,13 +68,12 @@ struct Run {
 
 Run WriteOnce(double loss, sim::TransportMode mode) {
   sim::TransportConfig tcfg;
-  tcfg.mtu = 4096;
   tcfg.loss = loss;  // every link drops packets with this probability
   tcfg.rto = 50'000;
   tcfg.mode = mode;
   Bed bed(tcfg);
 
-  constexpr std::size_t kLen = 64 << 10;  // 16 packets at mtu 4096
+  constexpr std::size_t kLen = 64 << 10;  // 16 packets of 4096 B
   auto src = std::make_unique<std::byte[]>(kLen);
   auto dst = std::make_unique<std::byte[]>(kLen);
   std::memset(src.get(), 0x42, kLen);
@@ -99,7 +98,6 @@ Run WriteOnce(double loss, sim::TransportMode mode) {
 // (doubling each consecutive NAK) until the receiver comes back.
 bool StalledReceiverDemo(sim::TransportMode mode) {
   sim::TransportConfig tcfg;
-  tcfg.mtu = 4096;
   tcfg.mode = mode;
   tcfg.rnr_retry_count = 7;   // budget: consecutive NAKs before RNR_RETRY_EXC
   tcfg.min_rnr_timer = 4;     // first backoff 4096ns << 4 = 65.5 us

@@ -3,8 +3,8 @@
 # bench_simcore + bench_scale_fanout (Release) and enforce perf floors, run
 # every example program, and smoke-run the repo benchmark (bench/e2e). The
 # test suite includes the byte-identity checks (golden_* in ctest): all 15
-# fig/table paper benches diffed against committed golden stdout and the KV
-# scale benches' seed-1 JSON records against tests/golden/scale/, so
+# fig/table paper benches diffed against committed golden stdout and the
+# scale benches' JSON records against tests/golden/scale/, so
 # semantic regressions (timing, ordering, completion counting) fail loudly
 # in every ctest stage instead of rotting silently.
 #

@@ -3,13 +3,21 @@
 #include <vector>
 
 namespace redn::kv {
+namespace {
+// The store's hash buckets and value-heap bytes, and the vanilla restart
+// cost: process bootstrap, then a metadata/hash rebuild pass per item.
+constexpr std::size_t kBuckets = 1 << 16;
+constexpr std::size_t kHeapBytes = 512 << 20;
+constexpr sim::Nanos kRestartTime = sim::Seconds(1.0);
+constexpr sim::Nanos kRebuildPerItem = sim::Micros(125);
+}  // namespace
 
 MemcachedServer::MemcachedServer(rnic::RnicDevice& dev, Config cfg)
     : dev_(dev),
       cfg_(cfg),
-      table_(dev, {.buckets = cfg.buckets}),
-      heap_(dev, cfg.heap_bytes),
-      rpc_(dev, table_, heap_, cfg.rpc_mode, cfg.rpc_cal) {}
+      table_(dev, {.buckets = kBuckets}),
+      heap_(dev, kHeapBytes),
+      rpc_(dev, table_, heap_, cfg.rpc_mode) {}
 
 void MemcachedServer::Set(std::uint64_t key, const void* value,
                           std::uint32_t len) {
@@ -39,8 +47,8 @@ void MemcachedServer::CrashProcess() {
   // systemd-style immediate restart, then a pass over all data items to
   // regenerate the hash table (Fig 16's ~1 s + ~1.25 s phases).
   const sim::Nanos rebuild =
-      static_cast<sim::Nanos>(table_.size()) * cfg_.rebuild_per_item;
-  dev_.sim().After(cfg_.restart_time + rebuild, [this] {
+      static_cast<sim::Nanos>(table_.size()) * kRebuildPerItem;
+  dev_.sim().After(kRestartTime + rebuild, [this] {
     process_alive_ = true;
     rpc_.set_alive(true);
   });

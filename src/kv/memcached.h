@@ -11,8 +11,9 @@
 // process or by an empty-hull parent process (the fork trick of [38]).
 // CrashProcess() kills the app: the OS reclaims its resources — which
 // terminates any RDMA program whose QPs it owned — and restarts Memcached,
-// which needs restart_time plus a pass over every item to rebuild its
-// table. With hull ownership, pre-posted chains keep serving throughout.
+// which needs 1 s to restart plus a 125 us-per-item pass to rebuild its
+// table (Fig 16's two phases). With hull ownership, pre-posted chains keep
+// serving throughout.
 #pragma once
 
 #include <cstdint>
@@ -30,16 +31,10 @@ class MemcachedServer {
   static constexpr int kAppPid = 7;
 
   struct Config {
-    std::size_t buckets = 1 << 16;
-    std::size_t heap_bytes = 512 << 20;
     baseline::TwoSidedKvServer::Mode rpc_mode =
         baseline::TwoSidedKvServer::Mode::kVma;
-    baseline::BaselineCalibration rpc_cal = {};
     // Own RDMA resources via an empty-hull parent (survives app crashes).
     bool hull_parent = false;
-    // Vanilla restart cost: process bootstrap, then metadata/hash rebuild.
-    sim::Nanos restart_time = sim::Seconds(1.0);
-    sim::Nanos rebuild_per_item = sim::Micros(125);
   };
 
   MemcachedServer(rnic::RnicDevice& dev, Config cfg);

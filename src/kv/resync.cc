@@ -10,6 +10,10 @@
 #include "verbs/verbs.h"
 
 namespace redn::kv {
+namespace {
+// RDMA READs a session keeps in flight (fewer when it has fewer items).
+constexpr std::size_t kWindow = 32;
+}  // namespace
 
 ResyncSession::ResyncSession(sim::Simulator& sim, Config cfg,
                              std::vector<Item> items, DoneFn on_done)
@@ -20,9 +24,6 @@ ResyncSession::ResyncSession(sim::Simulator& sim, Config cfg,
   if (cfg_.qp == nullptr) {
     throw std::invalid_argument("ResyncSession: a requester QP is required");
   }
-  if (cfg_.window < 1) {
-    throw std::invalid_argument("ResyncSession: window must be >= 1");
-  }
   for (const Item& it : items_) {
     if (it.len < kValueVersionBytes) {
       throw std::invalid_argument(
@@ -30,19 +31,14 @@ ResyncSession::ResyncSession(sim::Simulator& sim, Config cfg,
     }
     slot_bytes_ = std::max(slot_bytes_, it.len);
   }
-  if (slot_bytes_ == 0) slot_bytes_ = kValueVersionBytes;
-  if (static_cast<std::size_t>(cfg_.window) > items_.size() &&
-      !items_.empty()) {
-    cfg_.window = static_cast<int>(items_.size());
-  }
-  const std::size_t bytes =
-      static_cast<std::size_t>(cfg_.window) * slot_bytes_;
+  const int window = static_cast<int>(std::min(kWindow, items_.size()));
+  const std::size_t bytes = static_cast<std::size_t>(window) * slot_bytes_;
   staging_ = std::make_unique<std::byte[]>(bytes);
   std::memset(staging_.get(), 0, bytes);
   staging_mr_ =
       cfg_.qp->device->pd().Register(staging_.get(), bytes, rnic::kAccessAll);
-  slot_item_.assign(static_cast<std::size_t>(cfg_.window), 0);
-  for (int s = cfg_.window - 1; s >= 0; --s) free_slots_.push_back(s);
+  slot_item_.assign(static_cast<std::size_t>(window), 0);
+  for (int s = window - 1; s >= 0; --s) free_slots_.push_back(s);
 }
 
 void ResyncSession::Start() {

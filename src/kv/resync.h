@@ -14,11 +14,12 @@
 // shard's resync a tie means both replicas already applied the same put. The >= is
 // what makes re-running a session idempotent.
 //
-// The session runs open-loop over a window of in-flight READs (wr_id =
-// staging-slot index) and reconciles each value as its READ completes, so
-// the transfer overlaps with normal traffic — including dual-apply: puts
-// forwarded to the resyncing shard while the session runs land with higher
-// versions and are never clobbered by the stale bytes the session stages.
+// The session runs open-loop over a window of up to 32 in-flight READs
+// (wr_id = staging-slot index) and reconciles each value as its READ
+// completes, so the transfer overlaps with normal traffic — including
+// dual-apply: puts forwarded to the resyncing shard while the session runs
+// land with higher versions and are never clobbered by the stale bytes the
+// session stages.
 #pragma once
 
 #include <cstddef>
@@ -49,7 +50,6 @@ class ResyncSession {
     // CQ host-notify hook for its lifetime.
     rnic::QueuePair* qp = nullptr;
     std::uint32_t remote_rkey = 0;  // donor value-heap rkey
-    int window = 32;                // READs kept in flight
   };
 
   struct Stats {
@@ -85,8 +85,8 @@ class ResyncSession {
   std::vector<Item> items_;
   DoneFn on_done_;
 
-  // Staging: `window` slots of max item length each, registered on the
-  // resyncing shard's device so READ responses can land in them.
+  // Staging: one slot of max item length per READ in flight, registered
+  // on the resyncing shard's device so READ responses can land in them.
   std::unique_ptr<std::byte[]> staging_;
   rnic::MemoryRegion staging_mr_;
   std::uint32_t slot_bytes_ = 0;

@@ -26,6 +26,9 @@ constexpr std::array<std::uint8_t, 512> kRamp = [] {
   return r;
 }();
 
+// Buckets in a key's hopscotch neighbourhood, from its H1 bucket on.
+constexpr int kNeighborhoodBuckets = 6;
+
 // The versioned payload's first byte: (key + 131 * version + 8) mod 256.
 std::uint8_t PayloadStart(std::uint64_t key, std::uint64_t version) {
   return static_cast<std::uint8_t>(key + 131 * version + kValueVersionBytes);
@@ -158,7 +161,7 @@ Placement RdmaHashTable::Insert(std::uint64_t key, std::uint64_t ptr,
   if (!force_second && TryPlace(base, key, ptr, len)) return Placement::kBucket;
   if (TryPlace(IndexOf2(key), key, ptr, len)) return Placement::kBucket;
   // Hopscotch-style fallback: try the rest of the H1 neighbourhood.
-  for (int i = 1; i < cfg_.neighborhood; ++i) {
+  for (int i = 1; i < kNeighborhoodBuckets; ++i) {
     if (TryPlace((base + i) & (cfg_.buckets - 1), key, ptr, len)) {
       return Placement::kNeighborhood;
     }
@@ -187,7 +190,7 @@ bool RdmaHashTable::Erase(std::uint64_t key) {
   };
   if (clear(IndexOf2(key))) return true;
   const std::size_t base = IndexOf1(key);
-  for (int i = 0; i < cfg_.neighborhood; ++i) {
+  for (int i = 0; i < kNeighborhoodBuckets; ++i) {
     if (clear((base + i) & (cfg_.buckets - 1))) return true;
   }
   return false;
@@ -212,7 +215,7 @@ std::optional<RdmaHashTable::Entry> RdmaHashTable::Lookup(
   };
   if (auto e = probe(IndexOf2(key))) return e;
   const std::size_t base = IndexOf1(key);
-  for (int i = 0; i < cfg_.neighborhood; ++i) {
+  for (int i = 0; i < kNeighborhoodBuckets; ++i) {
     if (auto e = probe((base + i) & (cfg_.buckets - 1))) return e;
   }
   return std::nullopt;
@@ -229,13 +232,13 @@ std::uint64_t RdmaHashTable::BucketAddr2(std::uint64_t key) const {
 std::uint64_t RdmaHashTable::NeighborhoodAddr(std::uint64_t key) const {
   // Clamp so the window stays inside the table (no wraparound read).
   std::size_t base = IndexOf1(key & kKeyMask);
-  const std::size_t max_base = cfg_.buckets - cfg_.neighborhood;
+  const std::size_t max_base = cfg_.buckets - kNeighborhoodBuckets;
   if (base > max_base) base = max_base;
   return SlotAddr(base);
 }
 
 std::uint32_t RdmaHashTable::NeighborhoodBytes() const {
-  return static_cast<std::uint32_t>(cfg_.neighborhood * kBucketSize);
+  return static_cast<std::uint32_t>(kNeighborhoodBuckets * kBucketSize);
 }
 
 }  // namespace redn::kv

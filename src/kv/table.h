@@ -17,7 +17,7 @@
 //
 // Hashing is 2-choice (the paper's H = 2, "common in practice [24]"): a key
 // lives in bucket H1(k) or H2(k). For the FaRM-style one-sided baseline the
-// table also exposes hopscotch neighbourhoods of H1 (default size 6).
+// table also exposes hopscotch neighbourhoods of H1 (6 buckets).
 #pragma once
 
 #include <cstddef>
@@ -123,7 +123,6 @@ class RdmaHashTable {
  public:
   struct Config {
     std::size_t buckets = 1 << 16;  // power of two
-    int neighborhood = 6;           // hopscotch window for one-sided reads
   };
 
   RdmaHashTable(rnic::RnicDevice& dev, Config cfg);

@@ -83,12 +83,12 @@ void HashGetOffload::ArmBucketChain(Program& prog, QueuePair* chain,
   // kv/table.h. remote_addr is injected by the trigger RECV.
   verbs::SendWr read;
   read.opcode = Opcode::kRead;
-  read.sge_table = prog.MakeSgeTable({
+  const rnic::Sge scatter[] = {
       resp.FieldSge(WqeField::kCtrl),
       resp.FieldSge(WqeField::kLocalAddr),
       resp.FieldSge(WqeField::kLength, 4),
-  });
-  read.sge_count = 3;
+  };
+  prog.SetSgeTable(read, scatter);
   read.remote_addr = 0;  // <- bucket address via trigger RECV
   read.rkey = table_.rkey();
   read.length = 20;

@@ -57,7 +57,7 @@ class HashGetOffload {
     sim::Fabric* fabric = nullptr;
     // When additionally set (requires `fabric`), the QPs connect through
     // the packetized go-back-N transport: payloads segment into MTU
-    // packets, links drop/corrupt them per the transport's config, and
+    // packets, links drop them per the transport's config, and
     // retransmission recovers — the lossy-wire scenario.
     sim::Transport* transport = nullptr;
     // Make the CLIENT-side send queues of a HashGetHarness built with this

@@ -73,15 +73,22 @@ WrRef Program::Post(QueuePair* q, const verbs::SendWr& wr) {
   return WrRef{q, idx, retired_at};
 }
 
-const Sge* Program::MakeSgeTable(std::span<const Sge> sges) {
+const Sge* Program::CarveSgeTable(std::span<const Sge> sges,
+                                  std::uint32_t* lkey) {
   if (sge_used_ + sges.size() > sge_cap_) {
     sge_cap_ = std::max(kSgeChunk, sges.size());
     sge_chunks_.push_back(std::make_unique_for_overwrite<Sge[]>(sge_cap_));
+    sge_lkey_ = dev_.pd()
+                    .Register(sge_chunks_.back().get(), sge_cap_ * sizeof(Sge),
+                              rnic::kLocalRead)
+                    .lkey;
     sge_used_ = 0;
   }
   Sge* table = sge_chunks_.back().get() + sge_used_;
+  dev_.pd().BeforeStore(rnic::dma::AddrOf(table), sges.size() * sizeof(Sge));
   std::copy(sges.begin(), sges.end(), table);
   sge_used_ += sges.size();
+  *lkey = sge_lkey_;
   return table;
 }
 
@@ -153,8 +160,7 @@ void Program::TriggerRecv(QueuePair* q, std::span<const Sge> injections,
                           std::uint64_t wr_id) {
   verbs::RecvWr rwr;
   rwr.wr_id = wr_id;
-  rwr.sge_table = MakeSgeTable(injections);
-  rwr.sge_count = static_cast<std::uint32_t>(injections.size());
+  SetSgeTable(rwr, injections);
   verbs::PostRecv(q, rwr);
 }
 
@@ -208,9 +214,7 @@ void UnrolledLoop::Iterate(const Sge& payload, std::uint64_t read_addr,
   sges[0] = target.FieldSge(WqeField::kCtrl);
   std::copy(scatter.begin(), scatter.end(), sges + 1);
   verbs::SendWr read = verbs::MakeRead(0, read_len, 0, read_addr, read_rkey);
-  read.sge_table =
-      prog_.MakeSgeTable(std::span<const Sge>(sges, scatter.size() + 1));
-  read.sge_count = static_cast<std::uint32_t>(scatter.size() + 1);
+  prog_.SetSgeTable(read, std::span<const Sge>(sges, scatter.size() + 1));
   const WrRef rd = prog_.Post(chain_, read);
   assert(rd.idx == read_slot.idx);
 

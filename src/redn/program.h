@@ -107,12 +107,14 @@ class Program {
   // count, and records a signaled WR's retired_at.
   WrRef Post(QueuePair* q, const verbs::SendWr& wr);
 
-  // Arena-owned copy of a scatter/gather table (stable storage the NIC reads
-  // late). Tables are carved from fixed chunks, so posting a pre-armed chain
-  // costs no heap allocation per table.
-  const Sge* MakeSgeTable(std::span<const Sge> sges);
-  const Sge* MakeSgeTable(std::initializer_list<Sge> sges) {
-    return MakeSgeTable(std::span<const Sge>(sges.begin(), sges.size()));
+  // Points `wr` (a SendWr or RecvWr) at an arena copy of the SGE table
+  // `sges`, stable storage the NIC reads late, and sets wr.lkey to the key
+  // it is registered under for local read. Tables are carved from fixed
+  // chunks, so a pre-armed chain costs no heap allocation per table.
+  template <class Wr>
+  void SetSgeTable(Wr& wr, std::span<const Sge> sges) {
+    wr.sge_table = CarveSgeTable(sges, &wr.lkey);
+    wr.sge_count = static_cast<std::uint32_t>(sges.size());
   }
 
   // --- control-queue emitters ----------------------------------------------
@@ -187,6 +189,9 @@ class Program {
  private:
   // A loopback queue with its own CQs, owned by this program.
   QueuePair* NewQueue(std::uint32_t depth, bool managed);
+  // Copies `sges` into the arena and returns the copy; `*lkey` gets the key
+  // of the chunk holding it.
+  const Sge* CarveSgeTable(std::span<const Sge> sges, std::uint32_t* lkey);
   // `cq`'s entry in signals_, created at its hardware count on first use.
   std::uint64_t& SignalCount(const CompletionQueue* cq);
 
@@ -197,8 +202,9 @@ class Program {
   // SGE table arena: chunks never move and a table never straddles two.
   static constexpr std::size_t kSgeChunk = 1024;
   std::vector<std::unique_ptr<Sge[]>> sge_chunks_;
-  std::size_t sge_used_ = 0;  // entries taken from the newest chunk
-  std::size_t sge_cap_ = 0;   // entries in the newest chunk
+  std::size_t sge_used_ = 0;   // entries taken from the newest chunk
+  std::size_t sge_cap_ = 0;    // entries in the newest chunk
+  std::uint32_t sge_lkey_ = 0;  // the newest chunk's key
   // Signaled WRs posted per CQ. A program touches only a few CQs, so a
   // linear scan beats hashing.
   std::vector<std::pair<const CompletionQueue*, std::uint64_t>> signals_;

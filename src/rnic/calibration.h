@@ -104,17 +104,15 @@ struct NicConfig {
   int pus_per_port = 8;
   // Copy-verb PU service time; scales the generation's verb throughput.
   sim::Nanos pu_copy_service = 127;
-  // Non-managed prefetch granularity (how many WQEs one DMA read snapshots).
-  int prefetch_batch = 8;
 
   static NicConfig ConnectX3(int ports = 1) {
-    return NicConfig{"ConnectX-3", ports, 2, 133, 8};
+    return NicConfig{"ConnectX-3", ports, 2, 133};
   }
   static NicConfig ConnectX5(int ports = 1) {
-    return NicConfig{"ConnectX-5", ports, 8, 127, 8};
+    return NicConfig{"ConnectX-5", ports, 8, 127};
   }
   static NicConfig ConnectX6(int ports = 1) {
-    return NicConfig{"ConnectX-6", ports, 16, 143, 8};
+    return NicConfig{"ConnectX-6", ports, 16, 143};
   }
 
   // Applies the generation's copy-verb service time to a calibration.

@@ -16,6 +16,9 @@ namespace {
 // (virtual address, rkey, length) beyond the per-packet header the
 // transport already charges.
 constexpr std::uint64_t kReadRequestBytes = 16;
+// WQEs one prefetch DMA read snapshots when a non-managed queue executes
+// past its snapshot.
+constexpr std::uint64_t kPrefetchBatch = 8;
 }  // namespace
 
 RnicDevice::RnicDevice(sim::Simulator& sim, NicConfig cfg, Calibration cal,
@@ -58,6 +61,13 @@ QueuePair* RnicDevice::CreateQp(const QpConfig& qcfg) {
         " must be a CQ of this device, got null");
   }
   CheckPort("QpConfig", qcfg.port);
+  // A ring of no slots has nowhere to post; its first enable would divide
+  // by zero mapping an index to a slot.
+  if (qcfg.sq_depth == 0 || qcfg.rq_depth == 0) {
+    throw std::invalid_argument(std::string("QpConfig: ") +
+                                (qcfg.sq_depth == 0 ? "sq_depth" : "rq_depth") +
+                                " (ring slots) must be >= 1, got 0");
+  }
   auto qp = std::make_unique<QueuePair>();
   qp->id = static_cast<std::uint32_t>(qps_.size());
   qp->device = this;
@@ -184,7 +194,11 @@ void RnicDevice::KillProcessResources(int pid) {
 void RnicDevice::ReviveProcessResources(int pid) {
   for (auto& qp : qps_) {
     if (qp->owner_pid == pid && !qp->alive) {
-      qp->alive = true;  // still kError + latched; Rearm makes it Usable
+      // Back in ERROR and latched, as Kill left it, even if a Rearm ran
+      // while it was dead: only the owner's Rearm makes it Usable.
+      qp->alive = true;
+      qp->state = QpState::kError;
+      qp->sq.error = true;
     }
   }
 }
@@ -250,7 +264,7 @@ void RnicDevice::Advance(WorkQueue& wq) {
     }
     // Non-managed queue executing beyond its snapshot (recycling a plain
     // queue): fetch now, batch-granular.
-    SnapshotRange(wq, idx + cfg_.prefetch_batch);
+    SnapshotRange(wq, idx + kPrefetchBatch);
   }
   Issue(wq, idx);
 }
@@ -354,22 +368,30 @@ void RnicDevice::FinishControlVerb(WorkQueue& wq, std::uint64_t idx,
   Advance(wq);
 }
 
-void RnicDevice::ResolveSges(const WqeImage& img, SgeScratch& out) const {
-  if (img.uses_sge_table()) {
-    int count = static_cast<int>(img.length);
-    if (count > kMaxSges) count = kMaxSges;
-    out.count = count;
-    dma::Read(out.entries.data(), img.local_addr, sizeof(Sge) * count);
-  } else {
+bool RnicDevice::ResolveSges(const WqeImage& img, SgeScratch& out,
+                             WcStatus* err) const {
+  if (!img.uses_sge_table()) {
     out.count = 1;
     out.entries[0] = Sge{img.local_addr, img.length, img.lkey};
+    return true;
   }
+  const std::size_t bytes = sizeof(Sge) * img.length;
+  if (img.length > static_cast<std::uint32_t>(kMaxSges) ||
+      pd_.CheckLocal(img.local_addr, bytes, img.lkey, kLocalRead) !=
+          MemCheck::kOk) {
+    *err = WcStatus::kLocalAccessError;
+    return false;
+  }
+  out.count = static_cast<int>(img.length);
+  dma::Read(out.entries.data(), img.local_addr, bytes);
+  return true;
 }
 
 std::uint64_t RnicDevice::ReadLength(const WqeImage& img) const {
   if (!img.uses_sge_table()) return img.length;
   SgeScratch sges;
-  ResolveSges(img, sges);
+  WcStatus err;  // a READ with a bad table fails when its response scatters
+  if (!ResolveSges(img, sges, &err)) return 0;
   std::uint64_t len = 0;
   for (const Sge& sge : sges) len += sge.length;
   return len;
@@ -381,7 +403,7 @@ static_assert(CarriedBytes::kMaxExtents >= kMaxSges,
 bool RnicDevice::GatherLocal(const WqeImage& img, bool defer,
                              CarriedBytes& out, WcStatus* err) {
   SgeScratch sges;
-  ResolveSges(img, sges);
+  if (!ResolveSges(img, sges, err)) return false;
   for (const Sge& sge : sges) {
     if (sge.length == 0) continue;
     const MemCheck mc =
@@ -405,7 +427,7 @@ bool RnicDevice::ScatterList(const WqeImage& img, const CarriedBytes& data,
   const std::uint64_t len = data.len;
   std::uint64_t consumed = 0;
   SgeScratch sges;
-  ResolveSges(img, sges);
+  if (!ResolveSges(img, sges, err)) return false;
   for (const Sge& sge : sges) {
     if (consumed >= len) break;
     const std::size_t chunk = static_cast<std::size_t>(

@@ -243,7 +243,8 @@ class RnicDevice {
 
   // --- Resource setup -------------------------------------------------------
   CompletionQueue* CreateCq();
-  // Throws std::invalid_argument for a missing CQ or a port out of range.
+  // Throws std::invalid_argument for a missing CQ, a port out of range or
+  // a ring depth (sq_depth, rq_depth) of 0.
   QueuePair* CreateQp(const QpConfig& cfg);
   CompletionQueue* GetCq(std::uint32_t id);
   QueuePair* GetQp(std::uint32_t id);
@@ -270,7 +271,8 @@ class RnicDevice {
   // injector, resets the QP's outbound transport flow to a fresh PSN space
   // (in-flight work there is discarded silently), and leaves the QP in
   // RTS. Recovering from kError bumps counters().qp_rearms. A killed QP
-  // stays dead (not Usable) until ReviveProcessResources.
+  // stays dead (not Usable): ReviveProcessResources brings it back in
+  // ERROR, and only a Rearm after that makes it Usable.
   void Rearm(QueuePair* qp);
   // ibv_modify_qp -> ERR: latches the send queue and flushes every queued
   // SQ WQE and unconsumed RECV (FlushQueued). A transport budget death
@@ -304,8 +306,9 @@ class RnicDevice {
   void KillProcessResources(int pid);
   // Re-join: the killed process (or a spare replacement adopting its pid
   // and resources) comes back. Every QP the kill marked dead becomes alive
-  // again but stays in ERROR with its send queue latched, so it is not
-  // Usable until the owner Rearms it, like any other errored QP.
+  // again in ERROR with its send queue latched, even if it was re-armed
+  // while dead, so it is not Usable until the owner Rearms it, like any
+  // other errored QP.
   void ReviveProcessResources(int pid);
   bool HasLiveQps() const;
 
@@ -482,9 +485,13 @@ class RnicDevice {
   bool SameDomain(const QueuePair* peer) const {
     return &peer->device->sim_ == &sim_;
   }
-  void ResolveSges(const WqeImage& img, SgeScratch& out) const;
-  // Remote byte count of a READ: with a scatter table the WQE length field
-  // holds the SGE count, so the byte count is the sum of the entries.
+  // The one reader of a WQE's SGE list. A table (WQE length = its entry
+  // count, lkey = its region) must be registered here for local read and
+  // hold at most kMaxSges entries; else false, with *err the
+  // LOCAL_ACCESS_ERROR its WR fails with.
+  bool ResolveSges(const WqeImage& img, SgeScratch& out, WcStatus* err) const;
+  // Remote byte count of a READ: with a scatter table the byte count is
+  // the sum of the entries (0 for a table ResolveSges rejects).
   std::uint64_t ReadLength(const WqeImage& img) const;
 
   sim::Nanos PuService(Opcode op) const;
@@ -547,7 +554,7 @@ void ConnectOverFabric(QueuePair* a, QueuePair* b);
 // ConnectOverFabric plus the packetized go-back-N transport: opens one
 // transport flow per direction, so WRITE/SEND/READ payloads between these
 // QPs segment into MTU packets, experience the transport's configured
-// loss/corruption, and recover via retransmission. `t` must be built over
+// loss, and recover via retransmission. `t` must be built over
 // the same fabric the QPs' ports are attached to. NOOPs and atomics keep
 // the constant-latency control path (see docs/NET.md).
 void ConnectOverTransport(QueuePair* a, QueuePair* b, sim::Transport& t);

@@ -61,6 +61,7 @@ const char* OpcodeName(Opcode op);
 enum WqeFlags : std::uint32_t {
   kFlagSignaled = 1u << 0,  // produce a CQE (and count toward WAIT)
   kFlagSgeTable = 1u << 1,  // local_addr points to an Sge[length] table
+                            // in the region lkey names
 };
 
 // Scatter/gather element for multi-entry lists (RECV scatter, READ response

@@ -97,7 +97,7 @@ class Fabric {
   // reserves RX at port arrival, possibly on another shard), and so the
   // packetized transport can model partial traversals: a packet eaten at
   // the sender's egress reserves TX only and never occupies the receiver's
-  // pipe, while one dropped or corrupted at the receiver has already burned
+  // pipe, while one dropped at the receiver has already burned
   // both pipes' bandwidth.
   Nanos ReserveTx(int ep, Nanos t, std::uint64_t bytes) {
     return eps_[ep].tx.Reserve(t, bytes);

@@ -16,6 +16,11 @@ constexpr std::uint32_t kMaxBackoffShift = 10;
 // or the RTO (the sender must never mis-learn an unreported hole as
 // received, so `high` clamps to the last reported range).
 constexpr std::size_t kMaxSackRanges = 8;
+// Payload bytes per packet, packets in flight beyond a flow's lowest
+// unacked PSN, and in-order packets per coalesced ACK.
+constexpr std::uint32_t kMtu = 4096;
+constexpr std::uint64_t kWindow = 64;
+constexpr std::uint32_t kAckEvery = 4;
 // Per-packet wire overhead (LRH+BTH+ICRC) and the ACK/NAK wire size.
 constexpr std::uint32_t kHeaderBytes = 30;
 constexpr std::uint32_t kAckBytes = 30;
@@ -42,7 +47,6 @@ TransportCounters& TransportCounters::operator+=(const TransportCounters& o) {
   nak_gobacks += o.nak_gobacks;
   dropped_tx += o.dropped_tx;
   dropped_rx += o.dropped_rx;
-  corrupted += o.corrupted;
   duplicates += o.duplicates;
   out_of_order += o.out_of_order;
   acks_sent += o.acks_sent;
@@ -57,21 +61,7 @@ TransportCounters& TransportCounters::operator+=(const TransportCounters& o) {
 }
 
 Transport::Transport(Simulator& sim, Fabric& fabric, TransportConfig cfg)
-    : sim_(sim),
-      fabric_(fabric),
-      cfg_(cfg),
-      default_fault_{cfg.loss, 0.0} {
-  // Checked in every build: mtu = 0 divides by zero when a message is
-  // segmented, and window = 0 never lets a packet out.
-  if (cfg_.mtu == 0) {
-    throw std::invalid_argument(
-        "TransportConfig: mtu (payload bytes per packet) must be >= 1, got 0");
-  }
-  if (cfg_.window == 0) {
-    throw std::invalid_argument(
-        "TransportConfig: window (packets in flight) must be >= 1, got 0");
-  }
-}
+    : sim_(sim), fabric_(fabric), cfg_(cfg) {}
 
 TransportCounters Transport::counters() const {
   TransportCounters total;
@@ -112,10 +102,10 @@ std::uint64_t Transport::FlowSeed(int flow, int side) const {
 
 void Transport::EnsureLinkTables() {
   const std::size_t n = fabric_.endpoint_count();
-  if (faults_.size() < n) {
+  if (losses_.size() < n) {
     assert(EventDomain::Current() == nullptr &&
            "link tables grow only outside sharded rounds");
-    faults_.resize(n, default_fault_);
+    losses_.resize(n, cfg_.loss);
   }
   if (delays_.size() < n) {
     assert(EventDomain::Current() == nullptr &&
@@ -146,20 +136,20 @@ int Transport::OpenFlow(int src_ep, int dst_ep) {
   f.ddom = DomainOf(dst_ep);
   f.snd.rng = Rng(FlowSeed(f.id, 0));
   f.rcv.rng = Rng(FlowSeed(f.id, 1));
-  // Size the per-endpoint fault/delay tables now, while single-threaded:
+  // Size the per-endpoint loss/delay tables now, while single-threaded:
   // mid-round SetLinkFaults/SetLinkDelay then writes its own slot in place.
   EnsureLinkTables();
   return f.id;
 }
 
-void Transport::SetLinkFaults(int ep, double loss, double corrupt) {
+void Transport::SetLinkFaults(int ep, double loss) {
   AssertOn(DomainOf(ep));
-  if (faults_.size() <= static_cast<std::size_t>(ep)) {
+  if (losses_.size() <= static_cast<std::size_t>(ep)) {
     assert(EventDomain::Current() == nullptr &&
            "link tables grow only outside sharded rounds");
-    faults_.resize(static_cast<std::size_t>(ep) + 1, default_fault_);
+    losses_.resize(static_cast<std::size_t>(ep) + 1, cfg_.loss);
   }
-  faults_[static_cast<std::size_t>(ep)] = LinkFault{loss, corrupt};
+  losses_[static_cast<std::size_t>(ep)] = loss;
 }
 
 void Transport::SetLinkDelay(int ep, Nanos extra) {
@@ -170,11 +160,6 @@ void Transport::SetLinkDelay(int ep, Nanos extra) {
     delays_.resize(static_cast<std::size_t>(ep) + 1, 0);
   }
   delays_[static_cast<std::size_t>(ep)] = extra;
-}
-
-const Transport::LinkFault& Transport::FaultAt(int ep) const {
-  const auto i = static_cast<std::size_t>(ep);
-  return i < faults_.size() ? faults_[i] : default_fault_;
 }
 
 Nanos Transport::RnrDelay(std::uint32_t attempt) const {
@@ -190,10 +175,9 @@ Transport::PacketView Transport::PacketOf(const Flow& f,
   // window's message count.
   for (const Message& m : f.snd.msgs) {
     if (psn <= m.last_psn) {
-      const std::uint64_t off = (psn - m.first_psn) *
-                                static_cast<std::uint64_t>(cfg_.mtu);
+      const std::uint64_t off = (psn - m.first_psn) * kMtu;
       const std::uint64_t rem = m.len > off ? m.len - off : 0;
-      const std::uint64_t take = rem < cfg_.mtu ? rem : cfg_.mtu;
+      const std::uint64_t take = rem < kMtu ? rem : kMtu;
       return PacketView{static_cast<std::uint32_t>(take), m.ready, &m};
     }
   }
@@ -228,7 +212,7 @@ void Transport::SendMessageEx(int flow, Nanos t, std::uint64_t bytes,
   }
   if (t < SNow(f)) t = SNow(f);
   const std::uint64_t segs =
-      bytes == 0 ? 1 : (bytes + cfg_.mtu - 1) / cfg_.mtu;
+      bytes == 0 ? 1 : (bytes + kMtu - 1) / kMtu;
   Message m;
   m.len = bytes;
   m.ready = t;
@@ -254,7 +238,7 @@ void Transport::SendMessageEx(int flow, Nanos t, std::uint64_t bytes,
 
 void Transport::TrySend(Flow& f) {
   SenderHalf& s = f.snd;
-  const std::uint64_t limit = s.base + cfg_.window;
+  const std::uint64_t limit = s.base + kWindow;
   while (s.send_cursor < s.next_psn && s.send_cursor < limit) {
     SendPacket(f, s.send_cursor, PacketOf(f, s.send_cursor));
     ++s.send_cursor;
@@ -276,28 +260,25 @@ void Transport::SendPacket(Flow& f, std::uint64_t psn, const PacketView& p) {
   // downstream eats it; losses only decide how far along the path the
   // bytes billed.
   const Nanos tx_done = fabric_.ReserveTx(f.src, t, wire);
-  if (TakeForced(&force_drop_data_) || Draw(s.rng, FaultAt(f.src).loss)) {
+  if (TakeForced(&force_drop_data_) || Draw(s.rng, LossAt(f.src))) {
     ++s.ctr.dropped_tx;
     return;
   }
-  // The sender's half of the wire crossing ends here: the src-side
-  // corruption verdict rides the leg, and the receiver half finishes the
-  // path (its own delay, RX reservation, ingress loss/corruption).
-  const bool src_corrupt = Draw(s.rng, FaultAt(f.src).corrupt);
+  // The sender's half of the wire crossing ends here; the receiver half
+  // finishes the path (its own delay, RX reservation, ingress loss).
   std::shared_ptr<RxDesc> desc;
   if (psn == p.msg->first_psn) desc = p.msg->desc;
   Cross(f.sdom, f.ddom,
         tx_done + fabric_.OneWay(f.src, f.dst) + DelayAt(f.src),
-        [this, fp = &f, psn, wire, gen = s.gen, src_corrupt,
+        [this, fp = &f, psn, wire, gen = s.gen,
          desc = std::move(desc)](Nanos at) mutable {
-          OnDataIngress(*fp, at, psn, wire, gen, src_corrupt,
-                        std::move(desc));
+          OnDataIngress(*fp, at, psn, wire, gen, std::move(desc));
         });
 }
 
 void Transport::OnDataIngress(Flow& f, Nanos at, std::uint64_t psn,
                               std::uint64_t wire, std::uint64_t gen,
-                              bool src_corrupt, std::shared_ptr<RxDesc> desc) {
+                              std::shared_ptr<RxDesc> desc) {
   ReceiverHalf& r = f.rcv;
   if (gen < r.gen) return;  // a dead incarnation's packet; never bill it
   if (gen > r.gen) {
@@ -305,14 +286,8 @@ void Transport::OnDataIngress(Flow& f, Nanos at, std::uint64_t psn,
     AdoptGen(f, gen);
   }
   const Nanos arrive = fabric_.ReserveRx(f.dst, at + DelayAt(f.dst), wire);
-  if (Draw(r.rng, FaultAt(f.dst).loss)) {
+  if (Draw(r.rng, LossAt(f.dst))) {
     ++r.ctr.dropped_rx;
-    return;
-  }
-  if (src_corrupt || Draw(r.rng, FaultAt(f.dst).corrupt)) {
-    // Bad ICRC at the receiver: silently discarded, exactly like a loss
-    // except the bytes crossed the whole path first.
-    ++r.ctr.corrupted;
     return;
   }
   if (desc && desc->last_psn >= r.expected) {
@@ -356,7 +331,7 @@ void Transport::OnData(Flow& f, std::uint64_t psn) {
       SendAck(f, AckKind::kRnr);
       return;
     }
-    if (boundary || r.rx_unacked >= cfg_.ack_every) {
+    if (boundary || r.rx_unacked >= kAckEvery) {
       SendAck(f, AckKind::kAck);
     } else {
       ArmAckTimer(f);
@@ -456,7 +431,7 @@ void Transport::SendAck(Flow& f, AckKind kind) {
   r.ctr.wire_bytes_sent += wire;
   const std::uint64_t upto = r.expected;
   const Nanos tx_done = fabric_.ReserveTx(f.dst, DNow(f), wire);
-  if (TakeForced(&force_drop_acks_) || Draw(r.rng, FaultAt(f.dst).loss)) {
+  if (TakeForced(&force_drop_acks_) || Draw(r.rng, LossAt(f.dst))) {
     ++r.ctr.acks_dropped;
     return;
   }
@@ -477,7 +452,7 @@ void Transport::OnAckIngress(Flow& f, Nanos at, std::uint64_t upto,
                              std::uint64_t gen) {
   SenderHalf& s = f.snd;
   const Nanos arrive = fabric_.ReserveRx(f.src, at + DelayAt(f.src), wire);
-  if (Draw(s.rng, FaultAt(f.src).loss)) {
+  if (Draw(s.rng, LossAt(f.src))) {
     ++s.ctr.acks_dropped;
     return;
   }
@@ -556,7 +531,7 @@ void Transport::OnAck(Flow& f, std::uint64_t upto, AckKind kind,
     }
   }
   if (kind == AckKind::kRnr) {
-    // An ack_every/delayed ACK can advance base into a multi-segment SEND
+    // A kAckEvery/delayed ACK can advance base into a multi-segment SEND
     // before the rnr_probe rejects it at the message boundary; the RNR NAK
     // then carries the receiver's rewound expected (the message's first
     // PSN), below base. Take those PSNs back as unacked — every retransmit
@@ -621,7 +596,7 @@ void Transport::OnAck(Flow& f, std::uint64_t upto, AckKind kind,
 
 void Transport::RetransmitMissing(Flow& f) {
   SenderHalf& s = f.snd;
-  const std::uint64_t hi = std::min(s.high_water, s.base + cfg_.window);
+  const std::uint64_t hi = std::min(s.high_water, s.base + kWindow);
   for (std::uint64_t psn = s.base; psn < hi; ++psn) {
     if (s.known_received.Contains(psn)) continue;
     SendPacket(f, psn, PacketOf(f, psn));

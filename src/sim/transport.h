@@ -8,18 +8,18 @@
 //
 // Transport adds the missing layer, modeled on an InfiniBand RC engine:
 //
-//  - MTU segmentation: a message of L bytes becomes ceil(L/mtu) packets
-//    (min 1 — a header-only message still crosses the wire), each carrying
-//    `kHeaderBytes` of overhead. Every packet pays its own TX and RX pipe
-//    reservations, so packetized flows contend on the fabric exactly where
-//    whole-message flows do, plus header tax.
+//  - MTU segmentation: a message of L bytes becomes ceil(L/kMtu) packets
+//    of at most kMtu = 4096 payload bytes (min 1 — a header-only message
+//    still crosses the wire), each carrying `kHeaderBytes` of overhead.
+//    Every packet pays its own TX and RX pipe reservations, so packetized
+//    flows contend on the fabric exactly where whole-message flows do,
+//    plus header tax.
 //  - Per-flow PSN sequencing: a flow is one direction of one QP connection.
 //    Packets carry consecutive PSNs; delivery to the caller is always in
 //    order and duplicates are filtered by design.
-//  - Loss/corruption injection: each endpoint link has independent loss and
-//    corruption probabilities (loss defaults to the config's, corruption to
-//    none; SetLinkFaults overrides both per link). A packet eaten at the
-//    sender's egress reserves TX bandwidth only; one dropped or corrupted
+//  - Loss injection: each endpoint link has its own loss probability (the
+//    config's by default; SetLinkFaults overrides it per link). A packet
+//    eaten at the sender's egress reserves TX bandwidth only; one dropped
 //    on ingress has burned both pipes.
 //  - Loss recovery, two modes (TransportConfig::mode):
 //      * go-back-N (default): the receiver buffers nothing and NAKs the
@@ -46,10 +46,14 @@
 //    the message's first PSN and answers an RNR NAK; the requester backs
 //    off 4096ns × 2^min_rnr_timer, doubling per consecutive NAK, then
 //    retransmits. A late-posted RECV lets the retry complete normally.
+//  - Send window: a flow keeps at most kWindow = 64 packets in flight
+//    beyond its lowest unacked PSN.
 //  - ACK coalescing: cumulative ACKs are sent on message boundaries, every
-//    `ack_every` in-order packets, and after at most `kAckDelay` (the
+//    kAckEvery = 4 in-order packets, and after at most `kAckDelay` (the
 //    delayed-ACK backstop that keeps a window-limited sender alive). ACKs
 //    ride the reverse-direction pipes and are themselves subject to loss.
+//    The packet size, window and coalescing count are fixed, like the RC
+//    engine of the ConnectX-5 NICs the paper measures.
 //
 // Callers observe two instants per message: `on_deliver` fires when the
 // last byte lands in order at the receiver, `on_acked` when the sender's
@@ -64,7 +68,7 @@
 // ReceiverHalf (reassembly, duplicate discard, SACK/NAK generation,
 // delayed-ACK timers). Each half lives on its endpoint's EventDomain — the
 // domain its device attached the fabric port with — and draws its losses
-// and corruptions from its own seeded stream (keyed off cfg.seed and the
+// from its own seeded stream (keyed off cfg.seed and the
 // flow id). A flow's draw order therefore depends only on its own packets:
 // not on unrelated traffic, and not on the shard count.
 //
@@ -80,7 +84,7 @@
 //
 // Ownership discipline (Debug builds assert it, mirroring EventDomain's
 // tls check): sender-half state, the src endpoint's fabric pipes, and the
-// src link's fault/delay entries are touched only on the sender's domain;
+// src link's loss/delay entries are touched only on the sender's domain;
 // likewise for the receiver half and dst. SendMessage/ResetFlow/
 // FlowErrored are sender-half calls; SetLinkFaults/SetLinkDelay belong to
 // the endpoint's owning shard. FailFlow/ResetFlow flush through a reset
@@ -122,9 +126,6 @@ enum class TransportMode : std::uint8_t {
 };
 
 struct TransportConfig {
-  std::uint32_t mtu = 4096;         // payload bytes per packet
-  std::uint32_t window = 64;        // send window, packets
-  std::uint32_t ack_every = 4;      // coalesce: ack every Nth in-order packet
   // Base retransmission timeout; doubles per consecutive timeout on the
   // same PSN. The IB ibv_qp_attr::timeout encoding t is rto = 4096ns << t.
   Nanos rto = 50'000;
@@ -161,7 +162,6 @@ struct TransportCounters {
   std::uint64_t nak_gobacks = 0;      // NAK-triggered go-back-N rewinds
   std::uint64_t dropped_tx = 0;       // eaten at the sender's egress
   std::uint64_t dropped_rx = 0;       // eaten at the receiver's ingress
-  std::uint64_t corrupted = 0;        // delivered, failed the CRC, discarded
   std::uint64_t duplicates = 0;       // PSN below expected, discarded
   std::uint64_t out_of_order = 0;     // PSN above expected (a gap)
   std::uint64_t acks_sent = 0;
@@ -173,9 +173,7 @@ struct TransportCounters {
   std::uint64_t rnr_exhausted = 0;    // flows failed: RNR budget spent
   std::uint64_t flow_resets = 0;      // ResetFlow() re-arms
 
-  std::uint64_t PacketsLost() const {
-    return dropped_tx + dropped_rx + corrupted;
-  }
+  std::uint64_t PacketsLost() const { return dropped_tx + dropped_rx; }
 
   TransportCounters& operator+=(const TransportCounters& o);
   bool operator==(const TransportCounters&) const = default;
@@ -271,11 +269,11 @@ class Transport {
   // Must be called on the flow's sender-half domain.
   void ResetFlow(int flow);
 
-  // Overrides the loss/corruption probabilities of one endpoint's link
-  // (both directions); endpoints default to the config-wide values.
+  // Overrides the loss probability of one endpoint's link (both
+  // directions); endpoints default to the config-wide value.
   // Owned by the endpoint's shard: call on the domain the endpoint's
   // device attached with (Debug builds assert, like EventDomain::At).
-  void SetLinkFaults(int ep, double loss, double corrupt);
+  void SetLinkFaults(int ep, double loss);
 
   // Gray-failure hook: adds `extra` one-way latency to every packet and ACK
   // that touches endpoint `ep` (either end of the flow), on top of the
@@ -389,11 +387,6 @@ class Transport {
     ReceiverHalf rcv;
   };
 
-  struct LinkFault {
-    double loss = 0.0;
-    double corrupt = 0.0;
-  };
-
   struct PacketView {
     std::uint32_t bytes;  // payload bytes (wire adds kHeaderBytes)
     Nanos ready;
@@ -443,7 +436,10 @@ class Transport {
   std::uint64_t FlowSeed(int flow, int side) const;
 
   PacketView PacketOf(const Flow& f, std::uint64_t psn) const;
-  const LinkFault& FaultAt(int ep) const;
+  double LossAt(int ep) const {
+    const std::size_t i = static_cast<std::size_t>(ep);
+    return i < losses_.size() ? losses_[i] : cfg_.loss;
+  }
   Nanos DelayAt(int ep) const {
     const std::size_t i = static_cast<std::size_t>(ep);
     return i < delays_.size() ? delays_[i] : 0;
@@ -507,8 +503,7 @@ class Transport {
   // DATA-leg ingress at the receiver's endpoint, reached through Cross at
   // the leg's arrival instant `at`.
   void OnDataIngress(Flow& f, Nanos at, std::uint64_t psn, std::uint64_t wire,
-                     std::uint64_t gen, bool src_corrupt,
-                     std::shared_ptr<RxDesc> desc);
+                     std::uint64_t gen, std::shared_ptr<RxDesc> desc);
   // Files a message's descriptor in first-PSN order, once.
   static void FileDesc(ReceiverHalf& r, std::shared_ptr<RxDesc> desc);
   void OnData(Flow& f, std::uint64_t psn);
@@ -537,9 +532,8 @@ class Transport {
   std::array<std::unique_ptr<std::unique_ptr<Flow>[]>, kMaxFlows / kFlowChunk>
       flow_chunks_;
   std::size_t flow_count_ = 0;
-  std::vector<LinkFault> faults_;  // indexed by endpoint
-  std::vector<Nanos> delays_;      // per-endpoint added latency (kSlow)
-  LinkFault default_fault_;
+  std::vector<double> losses_;  // per-endpoint loss probability
+  std::vector<Nanos> delays_;   // per-endpoint added latency (kSlow)
   std::atomic<int> force_drop_data_{0};
   std::atomic<int> force_drop_acks_{0};
 };

@@ -19,8 +19,8 @@ rnic::WqeImage ToImage(const SendWr& wr) {
   } else {
     img.local_addr = wr.local_addr;
     img.length = wr.length;
-    img.lkey = wr.lkey;
   }
+  img.lkey = wr.lkey;
   img.compare_add = wr.compare_add != 0 ? wr.compare_add : wr.threshold;
   img.swap = wr.swap;
   img.target_id = wr.target_id;
@@ -178,8 +178,8 @@ std::uint64_t PostRecv(QueuePair* qp, const RecvWr& wr) {
   } else {
     img.local_addr = wr.local_addr;
     img.length = wr.length;
-    img.lkey = wr.lkey;
   }
+  img.lkey = wr.lkey;
   const std::uint64_t idx = qp->rq.posted;
   qp->rq.Slot(idx).Store(img);
   qp->device->NotifyRecvPosted(qp);

@@ -27,8 +27,10 @@ using rnic::WcStatus;
 using rnic::WqeField;
 
 // A work request in builder form. Exactly one of {inline gather (local_addr/
-// length/lkey), sge_table} is used; sge_table points to caller-owned stable
-// storage (the NIC reads it at execution time).
+// length), sge_table} is used; sge_table points to caller-owned stable
+// storage the NIC reads at execution time, registered for local read. lkey
+// names the region of the inline gather, or of the table when sge_table is
+// set.
 struct SendWr {
   Opcode opcode = Opcode::kNoop;
   std::uint64_t wr_id = 0;

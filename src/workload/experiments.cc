@@ -26,10 +26,16 @@ using baseline::TwoSidedKvServer;
 
 // RunFabricScale's packetized transport's rto when timeout_exp is 0.
 constexpr sim::Nanos kFabricRto = 60'000;
+// RunFabricScale's domain for the server NIC and the transport; client i
+// runs on domain i % shards.
+constexpr int kServerShard = 0;
 
-// RunFailover's throughput-timeline bucket and value size.
+// RunFailover's throughput-timeline bucket, value size, open-loop get
+// rate and keyspace (Fig 16's 1000 gets/s over 10'000 keys).
 constexpr sim::Nanos kFailoverBucket = sim::Seconds(0.25);
 constexpr std::uint32_t kFailoverValueLen = 64;
+constexpr double kFailoverRate = 1000;
+constexpr int kFailoverKeys = 10'000;
 
 // Starts `writers` closed-loop set clients against `server`. Each writer
 // owns a distinct 10K-key range and walks it sequentially (the paper's
@@ -94,22 +100,6 @@ FabricScaleResult RunFabricScale(const FabricScaleConfig& cfg) {
         "FabricScaleConfig: selective_repeat and timeout_exp require "
         "packetized = true");
   }
-  if (!cfg.placement.empty() &&
-      cfg.placement.size() != static_cast<std::size_t>(cfg.clients)) {
-    throw std::invalid_argument(
-        "FabricScaleConfig: placement must be empty or name a shard per "
-        "client");
-  }
-  for (const int p : cfg.placement) {
-    if (p < 0 || p >= cfg.shards) {
-      throw std::invalid_argument(
-          "FabricScaleConfig: placement entry out of shard range");
-    }
-  }
-  if (cfg.server_shard < 0 || cfg.server_shard >= cfg.shards) {
-    throw std::invalid_argument(
-        "FabricScaleConfig: server_shard out of shard range");
-  }
 
   sim::ShardedSimulator ssim(cfg.shards);
   sim::Fabric fabric;
@@ -122,11 +112,11 @@ FabricScaleResult RunFabricScale(const FabricScaleConfig& cfg) {
     tc.seed = cfg.transport_seed;
     tc.mode = cfg.selective_repeat ? sim::TransportMode::kSelectiveRepeat
                                    : sim::TransportMode::kGoBackN;
-    transport = std::make_unique<sim::Transport>(ssim.shard(cfg.server_shard),
+    transport = std::make_unique<sim::Transport>(ssim.shard(kServerShard),
                                                  fabric, tc);
   }
-  rnic::RnicDevice sdev(ssim.shard(cfg.server_shard),
-                        rnic::NicConfig::ConnectX5(), {}, "server");
+  rnic::RnicDevice sdev(ssim.shard(kServerShard), rnic::NicConfig::ConnectX5(),
+                        {}, "server");
   sdev.AttachPort(0, fabric, kPortLink);
 
   // One store on the server NIC serves every client's harness; clients on
@@ -166,8 +156,7 @@ FabricScaleResult RunFabricScale(const FabricScaleConfig& cfg) {
   std::vector<Client> clients(static_cast<std::size_t>(cfg.clients));
   for (int i = 0; i < cfg.clients; ++i) {
     Client& c = clients[static_cast<std::size_t>(i)];
-    c.shard = cfg.placement.empty() ? i % cfg.shards
-                                    : cfg.placement[static_cast<std::size_t>(i)];
+    c.shard = i % cfg.shards;
     c.rng = sim::Rng(cfg.seed +
                      0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(i + 1));
     c.dev = std::make_unique<rnic::RnicDevice>(
@@ -342,9 +331,8 @@ FailoverResult RunFailover(const FailoverConfig& cfg) {
   std::uint64_t sent = 0;
   auto served = std::make_shared<std::uint64_t>(0);
   const std::uint64_t total_ops = static_cast<std::uint64_t>(
-      cfg.rate_per_sec * sim::ToSeconds(cfg.horizon));
-  const sim::Nanos gap =
-      static_cast<sim::Nanos>(1e9 / cfg.rate_per_sec);
+      kFailoverRate * sim::ToSeconds(cfg.horizon));
+  const sim::Nanos gap = static_cast<sim::Nanos>(1e9 / kFailoverRate);
 
   std::unique_ptr<kv::MemcachedServer> mc;
   std::unique_ptr<offloads::HashGetHarness> harness;
@@ -357,7 +345,7 @@ FailoverResult RunFailover(const FailoverConfig& cfg) {
             .buckets = 2,  // keys displaced to their H2 bucket stay visible
             .max_requests = static_cast<int>(total_ops) + 32},
         kv::RdmaHashTable::Config{.buckets = 1 << 16});
-    for (int k = 1; k <= cfg.keys; ++k) {
+    for (int k = 1; k <= kFailoverKeys; ++k) {
       harness->PutPattern(static_cast<std::uint64_t>(k), kFailoverValueLen);
     }
     harness->SetServerOwner(cfg.hull_parent ? kv::MemcachedServer::kHullPid
@@ -378,7 +366,7 @@ FailoverResult RunFailover(const FailoverConfig& cfg) {
     mcfg.rpc_mode = TwoSidedKvServer::Mode::kPolling;
     mcfg.hull_parent = cfg.hull_parent;
     mc = std::make_unique<kv::MemcachedServer>(sdev, mcfg);
-    for (int k = 1; k <= cfg.keys; ++k) {
+    for (int k = 1; k <= kFailoverKeys; ++k) {
       mc->SetPattern(static_cast<std::uint64_t>(k), kFailoverValueLen);
     }
     client = std::make_unique<TwoSidedKvClient>(cdev, mc->rpc(), 4096);
@@ -388,7 +376,7 @@ FailoverResult RunFailover(const FailoverConfig& cfg) {
   sim::Rng rng(99);
   std::function<void()> tick = [&] {
     if (sim.now() >= cfg.horizon) return;
-    const std::uint64_t key = 1 + rng.NextBelow(cfg.keys);
+    const std::uint64_t key = 1 + rng.NextBelow(kFailoverKeys);
     if (cfg.redn) {
       harness->SendTrigger(key);
     } else {

@@ -52,20 +52,17 @@ struct FabricScaleConfig {
 
   // --- sharded parallel engine ----------------------------------------------
   // The topology runs on a ShardedSimulator of `shards` domains (1 = one
-  // domain, the degenerate case of the same driver): each client NIC is
-  // pinned to `placement[i]` (empty = round-robin over shards), the server
-  // to `server_shard`, and cross-shard verbs ride the conservative mailbox
-  // sync whose lookahead floor is the fabric's one-way link latency. Both
-  // are validated at every shard count. The determinism key is
-  // (seed, shards): same-config reruns are bit-stable, but different shard
-  // counts may order same-instant RX reservations differently (see
-  // docs/PARSIM.md). Each client draws its keys from its own stream.
-  // Composes with `packetized`: every transport flow runs as per-endpoint
-  // halves with per-flow RNG streams (docs/NET.md), so lossy GBN/SR
-  // recovery runs sharded.
+  // domain, the degenerate case of the same driver). The placement is
+  // fixed: the server NIC and the transport run on domain 0 and client i
+  // on domain i % shards, and cross-shard verbs ride the conservative
+  // mailbox sync whose lookahead floor is the fabric's one-way link
+  // latency. The determinism key is (seed, shards): same-config reruns are
+  // bit-stable, but different shard counts may order same-instant RX
+  // reservations differently (see docs/PARSIM.md). Each client draws its
+  // keys from its own stream. Composes with `packetized`: every transport
+  // flow runs as per-endpoint halves with per-flow RNG streams
+  // (docs/NET.md), so lossy GBN/SR recovery runs sharded.
   int shards = 1;
-  std::vector<int> placement;      // client i -> shard id; empty = i % shards
-  int server_shard = 0;
 };
 
 struct FabricScaleResult {
@@ -84,7 +81,7 @@ struct FabricScaleResult {
   std::uint64_t data_packets = 0;
   std::uint64_t retransmits = 0;
   std::uint64_t timeouts = 0;
-  std::uint64_t packets_lost = 0;  // dropped at egress/ingress + corrupted
+  std::uint64_t packets_lost = 0;  // dropped at egress or ingress
   std::uint64_t acks = 0;
   double goodput_gbps = 0;         // delivered payload bits / duration
   // Reliability-engine accounting (all zero on the default config).
@@ -104,8 +101,7 @@ struct FabricScaleResult {
 };
 
 // Throws std::invalid_argument naming the field on a malformed config
-// (clients, keys or shards < 1, placement or server_shard out of range,
-// reliability knobs without packetized).
+// (clients, keys or shards < 1, reliability knobs without packetized).
 FabricScaleResult RunFabricScale(const FabricScaleConfig& cfg);
 
 // --- Fig 15: performance isolation under CPU contention ---------------------
@@ -128,16 +124,15 @@ ContentionResult RunRedNContention(int writers, int n_gets,
 
 // --- Fig 16: failure resiliency ---------------------------------------------
 //
-// An open-loop client issues gets of 64 B values at `rate_per_sec` for
-// `horizon`; the Memcached process is killed at `crash_at`. Returns served
-// throughput per 0.25 s bucket, normalized to the pre-crash plateau.
+// An open-loop client issues gets of 64 B values over 10'000 keys at 1000
+// gets/s for `horizon`; the Memcached process is killed at `crash_at`.
+// Returns served throughput per 0.25 s bucket, normalized to the pre-crash
+// plateau.
 struct FailoverConfig {
   bool redn = false;        // NIC-served gets vs two-sided vanilla Memcached
   bool hull_parent = true;  // RDMA resources owned by the empty-hull parent
-  double rate_per_sec = 2000;
   sim::Nanos horizon = sim::Seconds(12);
   sim::Nanos crash_at = sim::Seconds(5);
-  int keys = 10'000;
 };
 
 struct FailoverResult {

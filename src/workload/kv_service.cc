@@ -60,8 +60,6 @@ constexpr int kPutSlots = 4;
 constexpr std::uint32_t kAckBytes = 24;
 constexpr std::uint64_t kFwdRing = 256;
 constexpr sim::Nanos kPutApplyCost = 500;
-// Anti-entropy re-sync: RDMA READs a session keeps in flight.
-constexpr int kResyncWindow = 32;
 
 std::size_t Pow2AtLeast(std::size_t n) {
   std::size_t p = 1024;
@@ -954,7 +952,7 @@ class KvService {
     ++out_.faults_applied;
     switch (e.kind) {
       case FaultKind::kBlackhole:
-        transport_.SetLinkFaults(ep, 1.0, 0.0);
+        transport_.SetLinkFaults(ep, 1.0);
         break;
       case FaultKind::kRnrStall:
         for (int t = 0; t < cfg_.tenants; ++t) {
@@ -982,12 +980,12 @@ class KvService {
     if (!flaky_on_[ei]) return;
     const FaultEntry& e = cfg_.faults.entries[ei];
     const int ep = shard(e.server).dev->fabric_endpoint(0);
-    transport_.SetLinkFaults(ep, e.flaky_loss, 0.0);
+    transport_.SetLinkFaults(ep, e.flaky_loss);
     const sim::Nanos burst = static_cast<sim::Nanos>(
         (0.5 + flaky_rng_[ei].NextDouble()) *
         static_cast<double>(e.flaky_burst));
     sim_.After(burst, [this, ei, ep] {
-      if (flaky_on_[ei]) transport_.SetLinkFaults(ep, cfg_.loss, 0.0);
+      if (flaky_on_[ei]) transport_.SetLinkFaults(ep, cfg_.loss);
       const sim::Nanos gap = static_cast<sim::Nanos>(
           (0.5 + flaky_rng_[ei].NextDouble()) *
           static_cast<double>(cfg_.faults.entries[ei].flaky_gap));
@@ -1006,7 +1004,7 @@ class KvService {
         flaky_on_[ei] = 0;
         [[fallthrough]];
       case FaultKind::kBlackhole:
-        transport_.SetLinkFaults(ep, cfg_.loss, 0.0);
+        transport_.SetLinkFaults(ep, cfg_.loss);
         break;
       case FaultKind::kSlow:
         // Added latency drops nothing: no QP errored, no write was
@@ -1270,8 +1268,7 @@ class KvService {
       }
       ++out_.resyncs_started;
       const kv::ResyncSession::Config rc{.qp = rq,
-                                         .remote_rkey = shard(d).heap->rkey(),
-                                         .window = kResyncWindow};
+                                         .remote_rkey = shard(d).heap->rkey()};
       std::vector<std::uint64_t> read;
       for (const auto& it : items) read.push_back(it.key);
       sessions_.push_back(std::make_unique<kv::ResyncSession>(

@@ -168,11 +168,8 @@ TEST_F(BaselineTest, OneSidedMissReturnsNotFound) {
 }
 
 TEST_F(BaselineTest, MemcachedFacadeServesAndCrashes) {
-  kv::MemcachedServer::Config cfg;
-  cfg.rpc_mode = TwoSidedKvServer::Mode::kPolling;
-  cfg.restart_time = sim::Millis(10);
-  cfg.rebuild_per_item = sim::Micros(10);
-  kv::MemcachedServer mc(bed.server, cfg);
+  kv::MemcachedServer mc(bed.server,
+                         {.rpc_mode = TwoSidedKvServer::Mode::kPolling});
   mc.SetPattern(5, 64);
   TwoSidedKvClient client(bed.client, mc.rpc());
   EXPECT_TRUE(client.Get(5).ok);
@@ -181,18 +178,15 @@ TEST_F(BaselineTest, MemcachedFacadeServesAndCrashes) {
   EXPECT_FALSE(mc.process_alive());
   EXPECT_FALSE(client.Get(5, sim::Micros(300)).ok);
 
-  // After restart + rebuild the server answers again.
-  bed.sim.RunUntil(bed.sim.now() + sim::Millis(15));
+  // After the 1 s restart + the 125 us rebuild the server answers again.
+  bed.sim.RunUntil(bed.sim.now() + sim::Seconds(1.001));
   EXPECT_TRUE(mc.process_alive());
   EXPECT_TRUE(client.Get(5).ok);
 }
 
 TEST_F(BaselineTest, MemcachedRebuildScalesWithItems) {
-  kv::MemcachedServer::Config cfg;
-  cfg.rpc_mode = TwoSidedKvServer::Mode::kPolling;
-  cfg.restart_time = sim::Millis(1);
-  cfg.rebuild_per_item = sim::Micros(100);
-  kv::MemcachedServer mc(bed.server, cfg);
+  kv::MemcachedServer mc(bed.server,
+                         {.rpc_mode = TwoSidedKvServer::Mode::kPolling});
   for (int k = 1; k <= 1000; ++k) mc.SetPattern(k, 8);
   const sim::Nanos t0 = bed.sim.now();
   mc.CrashProcess();
@@ -200,8 +194,8 @@ TEST_F(BaselineTest, MemcachedRebuildScalesWithItems) {
     if (!bed.sim.Step()) break;
   }
   const sim::Nanos downtime = bed.sim.now() - t0;
-  // 1 ms restart + 1000 * 100 us rebuild = ~101 ms.
-  EXPECT_NEAR(sim::ToSeconds(downtime), 0.101, 0.01);
+  // 1 s restart + 1000 * 125 us rebuild = 1.125 s.
+  EXPECT_NEAR(sim::ToSeconds(downtime), 1.125, 0.01);
 }
 
 TEST_F(BaselineTest, MemcachedSetUpdatesInPlace) {

@@ -75,13 +75,67 @@ TEST_F(EdgeTest, SixteenScatterEntriesWork) {
     sges.push_back({dst.addr() + (15 - i) * 8, 8, dst.lkey()});
   }
   verbs::RecvWr rwr;
-  rwr.sge_table = sges.data();
-  rwr.sge_count = 16;
+  Buffer table = bed.SetSgeTable(rwr, bed.server, sges);
   verbs::PostRecv(sqp, rwr);
   PostSendNow(cqp, verbs::MakeSend(src.addr(), 16 * 8, src.lkey()));
   Cqe cqe;
   ASSERT_TRUE(AwaitCqe(bed.sim, bed.server, sqp->recv_cq, &cqe));
   for (int i = 0; i < 16; ++i) EXPECT_EQ(dst.U64(15 - i), 100u + i);
+}
+
+TEST_F(EdgeTest, SgeTableOfMoreThanSixteenEntriesFailsTheWr) {
+  // A WRITE gathering from a registered table of 20 entries fails with a
+  // local protection error instead of sending entries 0-15 and silently
+  // dropping 16-19.
+  QueuePair* qp = bed.Loopback(bed.client);
+  Buffer src = bed.Alloc(bed.client, 20 * 8);
+  Buffer dst = bed.Alloc(bed.client, 20 * 8);
+  src.Fill(0x5a, 20 * 8);
+  std::vector<rnic::Sge> sges;
+  for (int i = 0; i < 20; ++i) {
+    sges.push_back({src.addr() + i * 8, 8, src.lkey()});
+  }
+  verbs::SendWr write = MakeWrite(0, 0, 0, dst.addr(), dst.rkey());
+  Buffer table = bed.SetSgeTable(write, bed.client, sges);
+  PostSendNow(qp, write);
+  Cqe cqe;
+  ASSERT_TRUE(AwaitCqe(bed.sim, bed.client, qp->send_cq, &cqe));
+  EXPECT_EQ(cqe.status, rnic::WcStatus::kLocalAccessError);
+  EXPECT_EQ(dst.U64(0), 0u);  // nothing was written
+}
+
+TEST_F(EdgeTest, SgeTableOutsideRegisteredMemoryFailsTheWr) {
+  // A table pointer naming no registered memory fails its WR with a local
+  // protection error: a WRITE when it gathers, a READ and a RECV when they
+  // scatter. The NIC never reads the table.
+  const auto* nowhere = reinterpret_cast<const rnic::Sge*>(0x10);
+  Buffer buf = bed.Alloc(bed.client, 64);
+  Cqe cqe;
+
+  QueuePair* wq = bed.Loopback(bed.client);
+  verbs::SendWr write = MakeWrite(0, 0, 0, buf.addr(), buf.rkey());
+  write.sge_table = nowhere;
+  write.sge_count = 2;
+  PostSendNow(wq, write);
+  ASSERT_TRUE(AwaitCqe(bed.sim, bed.client, wq->send_cq, &cqe));
+  EXPECT_EQ(cqe.status, rnic::WcStatus::kLocalAccessError);
+
+  QueuePair* rq = bed.Loopback(bed.client);
+  verbs::SendWr read = verbs::MakeRead(0, 8, 0, buf.addr(), buf.rkey());
+  read.sge_table = nowhere;
+  read.sge_count = 2;
+  PostSendNow(rq, read);
+  ASSERT_TRUE(AwaitCqe(bed.sim, bed.client, rq->send_cq, &cqe));
+  EXPECT_EQ(cqe.status, rnic::WcStatus::kLocalAccessError);
+
+  auto [cqp, sqp] = bed.ConnectedPair();
+  verbs::RecvWr rwr;
+  rwr.sge_table = nowhere;
+  rwr.sge_count = 2;
+  verbs::PostRecv(sqp, rwr);
+  PostSendNow(cqp, verbs::MakeSend(buf.addr(), 16, buf.lkey()));
+  ASSERT_TRUE(AwaitCqe(bed.sim, bed.server, sqp->recv_cq, &cqe));
+  EXPECT_EQ(cqe.status, rnic::WcStatus::kLocalAccessError);
 }
 
 TEST_F(EdgeTest, MultipleWaitersOnOneCqAllWake) {

@@ -34,14 +34,12 @@ TEST(Contention, TwoSidedTailExplodesWithWriters) {
 TEST(Failover, VanillaMemcachedHasOutage) {
   FailoverConfig cfg;
   cfg.redn = false;
-  cfg.rate_per_sec = 400;
   cfg.horizon = sim::Seconds(10);
   cfg.crash_at = sim::Seconds(4);
-  cfg.keys = 2000;
   const auto r = RunFailover(cfg);
   ASSERT_GT(r.served, 0u);
-  // Restart (1 s) + rebuild (2000 * 125 us = 0.25 s) -> >1 s outage.
-  EXPECT_GT(r.outage_seconds, 0.9);
+  // Restart (1 s) + rebuild (10'000 * 125 us = 1.25 s) -> >2 s outage.
+  EXPECT_GT(r.outage_seconds, 2.0);
   // Service resumes by the end.
   EXPECT_GT(r.normalized.back(), 0.5);
 }
@@ -50,14 +48,16 @@ TEST(Failover, RedNWithHullSurvivesCrash) {
   FailoverConfig cfg;
   cfg.redn = true;
   cfg.hull_parent = true;
-  cfg.rate_per_sec = 400;
   cfg.horizon = sim::Seconds(10);
   cfg.crash_at = sim::Seconds(4);
-  cfg.keys = 2000;
   const auto r = RunFailover(cfg);
   EXPECT_EQ(r.outage_seconds, 0.0);
-  // Every request after warmup is served.
-  EXPECT_GE(r.served + 5, r.sent);
+  // The crash costs no get: a run without it serves exactly as many. (A
+  // get of a key that fell back to the hopscotch neighbourhood, invisible
+  // to the 2-bucket NIC probe, goes unanswered in both.)
+  EXPECT_GE(r.served * 100, r.sent * 99);
+  cfg.crash_at = cfg.horizon + sim::Seconds(2);
+  EXPECT_EQ(r.served, RunFailover(cfg).served);
 }
 
 TEST(Failover, RedNWithoutHullDiesWithProcess) {
@@ -66,10 +66,8 @@ TEST(Failover, RedNWithoutHullDiesWithProcess) {
   FailoverConfig cfg;
   cfg.redn = true;
   cfg.hull_parent = false;
-  cfg.rate_per_sec = 400;
   cfg.horizon = sim::Seconds(8);
   cfg.crash_at = sim::Seconds(3);
-  cfg.keys = 1000;
   const auto r = RunFailover(cfg);
   EXPECT_GT(r.outage_seconds, 3.0);
   EXPECT_LT(r.normalized.back(), 0.1);

@@ -449,12 +449,8 @@ class ResyncBed : public ::testing::Test {
   std::uint64_t LocalAddr(int i) const { return local_.addr() + i * len_; }
   std::uint64_t DonorAddr(int i) const { return donor_.addr() + i * len_; }
 
-  kv::ResyncSession::Config SessionConfig(int window = 4) {
-    kv::ResyncSession::Config c;
-    c.qp = rq;
-    c.remote_rkey = donor_.rkey();
-    c.window = window;
-    return c;
+  kv::ResyncSession::Config SessionConfig() {
+    return kv::ResyncSession::Config{.qp = rq, .remote_rkey = donor_.rkey()};
   }
 
   TestBed bed;
@@ -469,8 +465,10 @@ class ResyncBed : public ::testing::Test {
 };
 
 TEST_F(ResyncBed, ReconcilesByVersionTagAndKeepsNewerLocalValues) {
-  Seed(8, 128);
-  for (int i = 0; i < 8; ++i) {
+  // 40 keys through the session's 32 staging slots: the last 8 READs
+  // reuse slots the first completions freed.
+  Seed(40, 128);
+  for (int i = 0; i < 40; ++i) {
     const std::uint64_t key = items_[i].key;
     kv::WriteVersionedValue(bed.server.pd(), DonorAddr(i), 128, key, 5);
     // Chain-order violation injection: values 0..2 carry a HIGHER local
@@ -487,12 +485,12 @@ TEST_F(ResyncBed, ReconcilesByVersionTagAndKeepsNewerLocalValues) {
 
   ASSERT_TRUE(s.done());
   EXPECT_FALSE(done.failed);
-  EXPECT_EQ(done.keys_scanned, 8u);
-  EXPECT_EQ(done.keys_applied, 5u);
+  EXPECT_EQ(done.keys_scanned, 40u);
+  EXPECT_EQ(done.keys_applied, 37u);
   EXPECT_EQ(done.keys_kept_local, 3u);
-  EXPECT_EQ(done.bytes_read, 8u * 128u);
+  EXPECT_EQ(done.bytes_read, 40u * 128u);
   EXPECT_GT(done.finished, done.started);
-  for (int i = 0; i < 8; ++i) {
+  for (int i = 0; i < 40; ++i) {
     const std::uint64_t key = items_[i].key;
     EXPECT_EQ(kv::ValueVersion(LocalAddr(i)), i < 3 ? 7u : 5u) << i;
     EXPECT_TRUE(kv::VersionedValueIntact(LocalAddr(i), 128, key)) << i;
@@ -549,7 +547,7 @@ TEST_F(ResyncBed, DonorDeathMidSyncMarksFailedAndLeavesLocalValuesAlone) {
   dq->owner_pid = 42;
   bed.server.KillProcessResources(42);  // donor dies before any READ lands
   kv::ResyncSession::Stats done;
-  kv::ResyncSession s(bed.sim, SessionConfig(/*window=*/2), items_,
+  kv::ResyncSession s(bed.sim, SessionConfig(), items_,
                       [&](const kv::ResyncSession::Stats& st) { done = st; });
   s.Start();
   bed.sim.Run();
@@ -567,10 +565,6 @@ TEST_F(ResyncBed, MalformedSessionsThrow) {
   Seed(2, 64);
   kv::ResyncSession::Config bad = SessionConfig();
   bad.qp = nullptr;
-  EXPECT_THROW(kv::ResyncSession(bed.sim, bad, items_, nullptr),
-               std::invalid_argument);
-  bad = SessionConfig();
-  bad.window = 0;
   EXPECT_THROW(kv::ResyncSession(bed.sim, bad, items_, nullptr),
                std::invalid_argument);
   auto runt = items_;

@@ -120,7 +120,7 @@ TEST_F(TableTest, ManyKeysAllRetrievable) {
 // probe finds them), kNeighborhood keys only elsewhere in the H1 window
 // (host Lookup finds them), kNone keys nowhere.
 TEST_F(TableTest, InsertReportsWhereTheKeyLandsAndItStaysThere) {
-  RdmaHashTable t(bed.server, {.buckets = 64, .neighborhood = 6});
+  RdmaHashTable t(bed.server, {.buckets = 64});
   std::vector<Placement> at(201);
   int n[3] = {0, 0, 0};
   for (std::uint64_t k = 1; k <= 200; ++k) {
@@ -146,7 +146,7 @@ TEST_F(TableTest, InsertReportsWhereTheKeyLandsAndItStaysThere) {
 }
 
 TEST_F(TableTest, ForceSecondReportsItsBucketThenTheNeighbourhood) {
-  RdmaHashTable t(bed.server, {.buckets = 64, .neighborhood = 6});
+  RdmaHashTable t(bed.server, {.buckets = 64});
   ASSERT_EQ(t.Insert(5, 0x100, 8, /*force_second=*/true), Placement::kBucket);
   EXPECT_EQ(rnic::dma::ReadU64(t.BucketAddr2(5)), 5u);
   // A second key forced into the same H2 bucket finds it taken and falls
@@ -164,7 +164,7 @@ TEST_F(TableTest, ForceSecondReportsItsBucketThenTheNeighbourhood) {
 }
 
 TEST_F(TableTest, UpdateInPlaceReportsTheSlotItKeeps) {
-  RdmaHashTable t(bed.server, {.buckets = 64, .neighborhood = 6});
+  RdmaHashTable t(bed.server, {.buckets = 64});
   std::vector<Placement> at(201);
   for (std::uint64_t k = 1; k <= 200; ++k) at[k] = t.Insert(k, k, 8);
   const std::size_t size = t.size();
@@ -179,7 +179,7 @@ TEST_F(TableTest, UpdateInPlaceReportsTheSlotItKeeps) {
 }
 
 TEST_F(TableTest, FullNeighbourhoodReportsNotPlaced) {
-  RdmaHashTable t(bed.server, {.buckets = 8, .neighborhood = 6});
+  RdmaHashTable t(bed.server, {.buckets = 8});
   for (std::uint64_t k = 1; t.size() < 8 && k < 10'000; ++k) t.Insert(k, k, 8);
   ASSERT_EQ(t.size(), 8u);
   // Every slot is taken: a new key has no bucket and no neighbour left.
@@ -310,7 +310,7 @@ TEST_F(TableTest, VersionedValueIntactFlagsAnyFlippedPayloadByte) {
 }
 
 TEST_F(TableTest, NeighborhoodCoversConfiguredBuckets) {
-  RdmaHashTable t(bed.server, {.buckets = 1024, .neighborhood = 6});
+  RdmaHashTable t(bed.server, {.buckets = 1024});
   EXPECT_EQ(t.NeighborhoodBytes(), 6 * kv::kBucketSize);
   // Neighborhood address is within table bounds even for edge hashes.
   for (std::uint64_t k = 1; k < 500; ++k) {

@@ -400,12 +400,11 @@ TEST(ShardedDevice, CrossShardTransportConnectsAndDelivers) {
 // message.
 // ---------------------------------------------------------------------------
 
-// Same legible arithmetic as transport_test.cc: 8 Gbps = 1 ns/byte.
+// Same legible arithmetic as transport_test.cc: 8 Gbps = 1 ns/byte, so a
+// full 4096 B packet takes 4126 ns, and a 100 us RTO.
 sim::TransportConfig SplitConfig() {
   sim::TransportConfig cfg;
-  cfg.mtu = 1000;
-  cfg.ack_every = 4;
-  cfg.rto = 20'000;
+  cfg.rto = 100'000;
   return cfg;
 }
 
@@ -439,7 +438,7 @@ TEST(ShardedTransport, DataLegLossRecoversAcrossTheMailbox) {
     SplitFlowBed bed(2, cfg);
     bed.tr->DropNextData(1);
     std::vector<Nanos> delivered;
-    bed.tr->SendMessage(bed.flow, 0, 3000,
+    bed.tr->SendMessage(bed.flow, 0, 12'000,
                         [&](Nanos t) { delivered.push_back(t); });
     bed.ssim.Run();
     EXPECT_EQ(delivered.size(), 1u);
@@ -517,7 +516,7 @@ TEST(ShardedTransport, RandomLossRecoversAndRepliesBitStably) {
     SplitFlowBed bed(2, cfg);
     int delivered = 0;
     for (int i = 0; i < 40; ++i) {
-      bed.tr->SendMessage(bed.flow, 0, 2500, [&](Nanos) { ++delivered; });
+      bed.tr->SendMessage(bed.flow, 0, 10'000, [&](Nanos) { ++delivered; });
     }
     bed.ssim.Run();
     EXPECT_EQ(delivered, 40);
@@ -571,36 +570,17 @@ TEST(ShardedWorkload, FabricScaleBitStableAcrossReruns) {
 }
 
 TEST(ShardedWorkload, FabricScaleRefillsWindowsAcrossDomains) {
-  // Every client sits off the server's domain and issues 300 gets, so its
-  // 128-request window refills four times (at its 65th, 130th, 195th and
-  // 260th trigger), each time on the server's domain. Every get is
-  // answered and a rerun is bit-stable.
+  // At 2 domains clients 1 and 3 sit off the server's domain 0. Every
+  // client issues 300 gets, so its 128-request window refills four times
+  // (at its 65th, 130th, 195th and 260th trigger), each time on the
+  // server's domain. Every get is answered and a rerun is bit-stable.
   auto cfg = SweepConfig(2);
   cfg.gets_per_client = 300;
-  cfg.server_shard = 1;
-  cfg.placement = {0, 0, 0, 0};
   const auto a = workload::RunFabricScale(cfg);
   EXPECT_EQ(a.gets, 1200u);
   EXPECT_EQ(a.error_cqes, 0u);
   EXPECT_GT(a.mailbox_sends, 0u);
   EXPECT_EQ(a, workload::RunFabricScale(cfg));
-}
-
-TEST(ShardedWorkload, FabricScaleValidatesShardConfig) {
-  // One shard is no exemption: a bad placement or server shard throws at
-  // every shard count instead of silently running a different topology.
-  for (const int shards : {1, 2}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    auto cfg = SweepConfig(shards);
-    cfg.placement = {0};  // 4 clients need 4 entries
-    EXPECT_THROW(workload::RunFabricScale(cfg), std::invalid_argument);
-    cfg = SweepConfig(shards);
-    cfg.placement = {0, 1, 2, 0};  // shard 2 does not exist
-    EXPECT_THROW(workload::RunFabricScale(cfg), std::invalid_argument);
-    cfg = SweepConfig(shards);
-    cfg.server_shard = 5;
-    EXPECT_THROW(workload::RunFabricScale(cfg), std::invalid_argument);
-  }
 }
 
 TEST(ShardedWorkload, PacketizedLossySweepBitStableAcrossReruns) {

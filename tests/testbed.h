@@ -56,6 +56,20 @@ class TestBed {
     return b;
   }
 
+  // Copies `sges` into a buffer registered on `dev` and points `wr` (a
+  // SendWr or RecvWr) at it: the table, its entry count and its lkey. The
+  // caller keeps the returned buffer alive until the WR has executed.
+  template <class Wr>
+  Buffer SetSgeTable(Wr& wr, RnicDevice& dev,
+                     const std::vector<rnic::Sge>& sges) {
+    Buffer table = Alloc(dev, sges.size() * sizeof(rnic::Sge));
+    std::memcpy(table.bytes(), sges.data(), sges.size() * sizeof(rnic::Sge));
+    wr.sge_table = reinterpret_cast<const rnic::Sge*>(table.bytes());
+    wr.sge_count = static_cast<std::uint32_t>(sges.size());
+    wr.lkey = table.lkey();
+    return table;
+  }
+
   // A connected pair of QPs across the wire (client-side first).
   std::pair<QueuePair*, QueuePair*> ConnectedPair(bool server_managed = false,
                                                   std::uint32_t depth = 256) {

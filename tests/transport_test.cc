@@ -44,14 +44,17 @@ std::uint64_t SeedOffset() {
   return s == nullptr ? 0 : std::strtoull(s, nullptr, 10);
 }
 
-// 8 Gbps = 1 ns/byte and small fixed overheads keep the arithmetic legible.
+// 8 Gbps = 1 ns/byte and small fixed overheads keep the arithmetic
+// legible: a full packet (4096 B + the 30 B header) serializes in 4126 ns.
+// The 100 us RTO leaves room for a go-back-N round of a few such packets.
 TransportConfig LegibleConfig() {
   TransportConfig cfg;
-  cfg.mtu = 1000;
-  cfg.ack_every = 4;
-  cfg.rto = 20'000;
+  cfg.rto = 100'000;
   return cfg;
 }
+
+// Bytes in `n` full packets.
+constexpr std::uint64_t Packets(std::uint64_t n) { return n * 4096; }
 
 // --- protocol-level ---------------------------------------------------------
 
@@ -64,48 +67,31 @@ TEST(Transport, SegmentsAndDeliversExactTiming) {
   const int flow = tr.OpenFlow(a, b);
 
   std::vector<Nanos> delivered, acked;
-  tr.SendMessage(flow, 0, 2500,
+  tr.SendMessage(flow, 0, 10'240,
                  [&](Nanos t) { delivered.push_back(t); },
                  [&](Nanos t) { acked.push_back(t); });
   s.Run();
 
-  // 2500 B at mtu 1000 = packets of 1000/1000/500 payload (+30 header).
-  // TX reservations finish at 1030/2060/2590; each packet then rides
-  // prop(100) + prop(100) and queues into b's RX pipe, where the last one
-  // clears at 3820. The boundary ACK (30 B) goes straight back:
-  // 3820 + 30 + 200 + 30 = 4080.
+  // 10240 B = packets of 4096/4096/2048 payload (+30 header). TX
+  // reservations finish at 4126/8252/10330; each packet then rides
+  // prop(100) + prop(100) and queues into b's RX pipe, which clears them
+  // at 8452/12578/14656. The boundary ACK (30 B) goes straight back:
+  // 14656 + 30 + 200 + 30 = 14916.
   ASSERT_EQ(delivered.size(), 1u);
-  EXPECT_EQ(delivered[0], 3820);
+  EXPECT_EQ(delivered[0], 14'656);
   ASSERT_EQ(acked.size(), 1u);
-  EXPECT_EQ(acked[0], 4080);
+  EXPECT_EQ(acked[0], 14'916);
   EXPECT_EQ(tr.counters().data_packets, 3u);
   EXPECT_EQ(tr.counters().retransmits, 0u);
-  EXPECT_EQ(tr.counters().acks_sent, 1u);  // coalesced: one boundary ACK
-  EXPECT_EQ(tr.counters().payload_bytes_delivered, 2500u);
-  // Co-located halves cross inline: one event per packet (3 DATA + 1 ACK
-  // arrivals) plus the RTO and delayed-ACK timers, never a second event
-  // per leg.
-  EXPECT_EQ(s.events_processed(), 6u);
-}
-
-// mtu = 0 would divide by zero when a message is segmented and window = 0
-// would never send a packet, so both throw in every build type, naming the
-// field.
-TEST(Transport, RejectsZeroMtuAndWindow) {
-  sim::Simulator s;
-  sim::Fabric f;
-  f.Attach({8.0, 100});
-  for (const char* field : {"mtu", "window"}) {
-    TransportConfig cfg = LegibleConfig();
-    (std::string(field) == "mtu" ? cfg.mtu : cfg.window) = 0;
-    try {
-      Transport tr(s, f, cfg);
-      ADD_FAILURE() << field << " = 0 was accepted";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
-          << e.what();
-    }
-  }
+  // At 1 ns/byte the next packet lands 4126 ns after the last, past the
+  // 2 us delayed-ACK backstop, which therefore acks packets 0 and 1 each;
+  // the boundary ACK covers packet 2.
+  EXPECT_EQ(tr.counters().acks_sent, 3u);
+  EXPECT_EQ(tr.counters().payload_bytes_delivered, 10'240u);
+  // Co-located halves cross inline: one event per packet (3 DATA + 3 ACK
+  // arrivals) plus the two delayed-ACK timers and the RTO timer, never a
+  // second event per leg.
+  EXPECT_EQ(s.events_processed(), 9u);
 }
 
 TEST(Transport, ZeroByteMessageStillCrossesTheWire) {
@@ -132,11 +118,11 @@ TEST(Transport, GapTriggersNakGoBackBeforeRto) {
 
   tr.DropNextData(1);  // eat the first packet of the message
   std::vector<Nanos> delivered;
-  tr.SendMessage(flow, 0, 3000, [&](Nanos t) { delivered.push_back(t); });
+  tr.SendMessage(flow, 0, Packets(3), [&](Nanos t) { delivered.push_back(t); });
   s.Run();
 
   ASSERT_EQ(delivered.size(), 1u);
-  // Recovered well before the 20 us RTO: packets 1-2 arrive out of order,
+  // Recovered well before the 100 us RTO: packets 1-2 arrive out of order,
   // the NAK rewinds the sender, and the full window retransmits.
   EXPECT_LT(delivered[0], LegibleConfig().rto);
   EXPECT_EQ(tr.counters().timeouts, 0u);
@@ -174,43 +160,64 @@ TEST(Transport, EatenAckCausesSpuriousRetransmitButSingleDelivery) {
   EXPECT_EQ(tr.counters().messages_acked, 1u);
 }
 
-TEST(Transport, WindowStallRescuedByDelayedAck) {
+TEST(Transport, MessageWiderThanTheWindowStallsMidMessage) {
+  // An 80-packet message: only the 64 packets the window holds leave at
+  // once, the other 16 as ACKs slide it, and none is sent twice.
   sim::Simulator s;
   sim::Fabric f;
   const int a = f.Attach({8.0, 100});
   const int b = f.Attach({8.0, 100});
-  TransportConfig cfg = LegibleConfig();
-  cfg.window = 2;     // stalls mid-message
-  cfg.ack_every = 8;  // never reaches the count threshold mid-message
-  Transport tr(s, f, cfg);
+  Transport tr(s, f, LegibleConfig());
   const int flow = tr.OpenFlow(a, b);
   int delivered = 0;
-  tr.SendMessage(flow, 0, 5000, [&](Nanos) { ++delivered; });
+  tr.SendMessage(flow, 0, Packets(80), [&](Nanos) { ++delivered; });
+  EXPECT_EQ(tr.counters().data_packets, 64u);
   s.Run();
-  // Interior packets only ever ACK via the delayed-ACK backstop, so the
-  // 5-packet message needs it repeatedly to slide the 2-packet window.
   EXPECT_EQ(delivered, 1);
-  EXPECT_GE(tr.counters().acks_sent, 2u);
+  EXPECT_EQ(tr.counters().data_packets, 80u);
   EXPECT_EQ(tr.counters().retransmits, 0u);
 }
 
-TEST(Transport, CorruptionCountsAndRecovers) {
+TEST(Transport, AcksCoalesceEveryFourthInOrderPacket) {
+  // On 100 Gbps links a full packet crosses a pipe in 330 ns, so four land
+  // inside the 2 us delayed-ACK backstop: a 10-packet message draws one
+  // ACK after its 4th and 8th packets and one at its boundary.
   sim::Simulator s;
   sim::Fabric f;
-  const int a = f.Attach({8.0, 100});
-  const int b = f.Attach({8.0, 100});
-  TransportConfig cfg = LegibleConfig();
-  Transport tr(s, f, cfg);
-  tr.SetLinkFaults(b, /*loss=*/0.0, /*corrupt=*/0.4);
+  const int a = f.Attach({100.0, 100});
+  const int b = f.Attach({100.0, 100});
+  Transport tr(s, f, LegibleConfig());
   const int flow = tr.OpenFlow(a, b);
   int delivered = 0;
-  for (int i = 0; i < 20; ++i) {
-    tr.SendMessage(flow, 0, 3000, [&](Nanos) { ++delivered; });
-  }
+  tr.SendMessage(flow, 0, Packets(10), [&](Nanos) { ++delivered; });
   s.Run();
-  EXPECT_EQ(delivered, 20);
-  EXPECT_GT(tr.counters().corrupted, 0u);
-  EXPECT_GT(tr.counters().retransmits, 0u);
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(tr.counters().data_packets, 10u);
+  EXPECT_EQ(tr.counters().acks_sent, 3u);
+}
+
+TEST(Transport, DelayedAckCoversInOrderPacketsBeforeALostTail) {
+  // A 62-packet message pre-loads the window, which leaves room for the
+  // first 2 packets of a 4-packet message; its last 2 leave only as ACKs
+  // slide the window, and both are lost. Neither a 4th in-order packet
+  // nor a boundary follows the 2 that arrived, so only the delayed-ACK
+  // backstop acks them, and the go-back-N RTO resends just the lost 2.
+  sim::Simulator s;
+  sim::Fabric f;
+  const int a = f.Attach({100.0, 100});
+  const int b = f.Attach({100.0, 100});
+  Transport tr(s, f, LegibleConfig());
+  const int flow = tr.OpenFlow(a, b);
+  int delivered = 0;
+  tr.SendMessage(flow, 0, Packets(62), [&](Nanos) { ++delivered; });
+  tr.SendMessage(flow, 0, Packets(4), [&](Nanos) { ++delivered; });
+  ASSERT_EQ(tr.counters().data_packets, 64u);  // PSNs 0-63 left at once
+  tr.DropNextData(2);                          // PSNs 64 and 65
+  s.Run();
+  EXPECT_EQ(delivered, 2);
+  EXPECT_EQ(tr.counters().dropped_tx, 2u);
+  EXPECT_EQ(tr.counters().timeouts, 1u);
+  EXPECT_EQ(tr.counters().retransmits, 2u);  // from base 64, not 62
 }
 
 TEST(Transport, FlowCountersIsolatePerFlow) {
@@ -225,15 +232,15 @@ TEST(Transport, FlowCountersIsolatePerFlow) {
   const int ab = tr.OpenFlow(a, b);
   const int ac = tr.OpenFlow(a, c);
   int delivered = 0;
-  tr.SendMessage(ab, 0, 2500, [&](Nanos) { ++delivered; });  // 3 packets
-  tr.SendMessage(ac, 0, 500, [&](Nanos) { ++delivered; });   // 1 packet
+  tr.SendMessage(ab, 0, 10'000, [&](Nanos) { ++delivered; });  // 3 packets
+  tr.SendMessage(ac, 0, 500, [&](Nanos) { ++delivered; });     // 1 packet
   s.Run();
   EXPECT_EQ(delivered, 2);
   const auto fab = tr.FlowCounters(ab);
   const auto fac = tr.FlowCounters(ac);
   EXPECT_EQ(fab.data_packets, 3u);
   EXPECT_EQ(fac.data_packets, 1u);
-  EXPECT_EQ(fab.payload_bytes_delivered, 2500u);
+  EXPECT_EQ(fab.payload_bytes_delivered, 10'000u);
   EXPECT_EQ(fac.payload_bytes_delivered, 500u);
   EXPECT_EQ(fab.messages_delivered, 1u);
   EXPECT_EQ(fab.retransmits, 0u);
@@ -267,10 +274,10 @@ TEST(Transport, LossesDoNotDependOnUnrelatedTraffic) {
     const int cd = tr.OpenFlow(c, d);
     Trace out;
     for (int i = 0; i < 40; ++i) {
-      tr.SendMessage(ab, 0, 2500,
+      tr.SendMessage(ab, 0, 10'000,
                      [&](Nanos t) { out.delivered.push_back(t); },
                      [&](Nanos t) { out.acked.push_back(t); });
-      if (busy_neighbour) tr.SendMessage(cd, 0, 2500, [](Nanos) {});
+      if (busy_neighbour) tr.SendMessage(cd, 0, 10'000, [](Nanos) {});
     }
     s.Run();
     out.ctr = tr.FlowCounters(ab);
@@ -303,7 +310,7 @@ TEST(Transport, SameSeedReplaysBitIdentically) {
     const int flow = tr.OpenFlow(a, b);
     std::vector<Nanos> times;
     for (int i = 0; i < 30; ++i) {
-      tr.SendMessage(flow, 0, 2500, [&](Nanos t) { times.push_back(t); });
+      tr.SendMessage(flow, 0, 10'000, [&](Nanos t) { times.push_back(t); });
     }
     s.Run();
     times.push_back(static_cast<Nanos>(tr.counters().retransmits));
@@ -330,7 +337,6 @@ class TransportBed : public ::testing::Test {
 
   static TransportConfig DeviceConfig() {
     TransportConfig cfg;
-    cfg.mtu = 1024;
     cfg.rto = 20'000;
     return cfg;
   }
@@ -356,7 +362,7 @@ class TransportBed : public ::testing::Test {
 
 TEST_F(TransportBed, WriteSegmentsDeliversAndCompletes) {
   auto [cqp, sqp] = ConnectedPair();
-  constexpr std::size_t kLen = 8192;
+  constexpr std::size_t kLen = Packets(8);
   Buffer src = bed.Alloc(bed.client, kLen);
   Buffer dst = bed.Alloc(bed.server, kLen);
   src.Fill(0xab, kLen);
@@ -367,8 +373,8 @@ TEST_F(TransportBed, WriteSegmentsDeliversAndCompletes) {
   EXPECT_EQ(cqe.status, rnic::WcStatus::kSuccess);
   EXPECT_EQ(cqe.byte_len, kLen);
   EXPECT_EQ(std::memcmp(src.bytes(), dst.bytes(), kLen), 0);
-  // 8 KiB at mtu 1024 = 8 packets, and the completion waited for the
-  // transport-level cumulative ACK.
+  // 32 KiB = 8 packets, and the completion waited for the transport-level
+  // cumulative ACK.
   EXPECT_EQ(tr.counters().data_packets, 8u);
   EXPECT_GE(tr.counters().acks_sent, 1u);
   EXPECT_EQ(tr.counters().messages_acked, 1u);
@@ -376,7 +382,7 @@ TEST_F(TransportBed, WriteSegmentsDeliversAndCompletes) {
 
 TEST_F(TransportBed, SendImmCarriesImmAndPayloadThroughLoss) {
   auto [cqp, sqp] = ConnectedPair();
-  constexpr std::size_t kLen = 3000;
+  constexpr std::size_t kLen = 12'000;  // 3 packets
   Buffer src = bed.Alloc(bed.client, kLen);
   Buffer dst = bed.Alloc(bed.server, kLen);
   src.Fill(0x5c, kLen);
@@ -484,7 +490,7 @@ TEST_F(TransportBed, ResetOfHealthyQpWithInflightWrDiscardsSilentlyAndRearms) {
   // work silently: no CQE, no ERROR transition — the flush fired by the
   // flow teardown must not re-latch the error state the reset just cleared.
   const int server_ep = bed.server.fabric_endpoint(0);
-  tr.SetLinkFaults(server_ep, /*loss=*/1.0, /*corrupt=*/0.0);
+  tr.SetLinkFaults(server_ep, /*loss=*/1.0);
   PostSendNow(cqp, MakeWrite(src.addr(), kLen, src.lkey(), dst.addr(),
                              dst.rkey()));
   bed.sim.RunUntil(100'000);  // a few RTO rounds in; the WR is still queued
@@ -496,7 +502,7 @@ TEST_F(TransportBed, ResetOfHealthyQpWithInflightWrDiscardsSilentlyAndRearms) {
 
   // Heal the link: the re-armed QP moves fresh traffic, and the discarded
   // WRITE never surfaces a CQE — the success below is the only completion.
-  tr.SetLinkFaults(server_ep, 0.0, 0.0);
+  tr.SetLinkFaults(server_ep, 0.0);
   src.SetU64(0, 0xabcd);
   PostSendNow(cqp, MakeWrite(src.addr(), 8, src.lkey(), dst.addr(),
                              dst.rkey()));
@@ -527,7 +533,8 @@ TEST(TransportSr, SingleLossRetransmitsOnePacketWhereGoBackNRewinds) {
     const int flow = tr.OpenFlow(a, b);
     tr.DropNextData(1);
     std::vector<Nanos> delivered;
-    tr.SendMessage(flow, 0, 3000, [&](Nanos t) { delivered.push_back(t); });
+    tr.SendMessage(flow, 0, Packets(3),
+                   [&](Nanos t) { delivered.push_back(t); });
     s.Run();
     EXPECT_EQ(delivered.size(), 1u);
     EXPECT_LT(delivered[0], cfg.rto);  // NAK recovery, no timeout in either
@@ -559,7 +566,7 @@ TEST(TransportSr, OutRetransmitsGoBackNUnderRandomLossSameSeed) {
     const int flow = tr.OpenFlow(a, b);
     int delivered = 0;
     for (int i = 0; i < 40; ++i) {
-      tr.SendMessage(flow, 0, 2500, [&](Nanos) { ++delivered; });
+      tr.SendMessage(flow, 0, 10'000, [&](Nanos) { ++delivered; });
     }
     s.Run();
     EXPECT_EQ(delivered, 40);
@@ -597,7 +604,7 @@ TEST(TransportSr, LossyFlowsOfBothModesPutNoEventOnTheHeap) {
     const int flow = tr.OpenFlow(a, b);
     int delivered = 0;
     for (int i = 0; i < 40; ++i) {
-      tr.SendMessage(flow, 0, 2500, [&](Nanos) { ++delivered; });
+      tr.SendMessage(flow, 0, 10'000, [&](Nanos) { ++delivered; });
     }
     s.Run();
     EXPECT_EQ(delivered, 40);
@@ -607,30 +614,34 @@ TEST(TransportSr, LossyFlowsOfBothModesPutNoEventOnTheHeap) {
 }
 
 TEST(TransportSr, HolesOnBothSidesOfPsnWordEdgesResendOnceInOrder) {
-  // A window of 256 keeps four 64-PSN words of holes and SACK state live
-  // at once. Each hole is one lost single-packet message, placed on both
-  // sides of the word edges; each must be resent exactly once from the
-  // SACK ranges, and everything delivered once, in order.
+  // Each hole is one lost single-packet message, placed on both sides of
+  // the 64-PSN word edges at 64 and 128. Messages go out in batches that
+  // start with the flow idle and fit the 64-packet window, and the
+  // batches starting at 63 and 127 keep holes and SACK state live in two
+  // words at once. Each hole must be resent exactly once from the SACK
+  // ranges, and everything delivered once, in order.
   sim::Simulator s;
   sim::Fabric f;
   const int a = f.Attach({8.0, 100});
   const int b = f.Attach({8.0, 100});
   TransportConfig cfg = LegibleConfig();
   cfg.mode = sim::TransportMode::kSelectiveRepeat;
-  cfg.window = 256;
   cfg.rto = 10'000'000;  // the SACKs alone must recover every hole
   Transport tr(s, f, cfg);
   const int flow = tr.OpenFlow(a, b);
   const std::vector<int> holes = {63, 64, 127, 128, 191};
   std::vector<int> order;
-  for (int i = 0; i < 200; ++i) {
-    // The window is open, so message i's one packet (PSN i) leaves now.
-    if (std::find(holes.begin(), holes.end(), i) != holes.end()) {
-      tr.DropNextData(1);
+  int i = 0;
+  for (const int batch_end : {63, 127, 191, 200}) {
+    for (; i < batch_end; ++i) {
+      // The window is open, so message i's one packet (PSN i) leaves now.
+      if (std::find(holes.begin(), holes.end(), i) != holes.end()) {
+        tr.DropNextData(1);
+      }
+      tr.SendMessage(flow, 0, 500, [&order, i](Nanos) { order.push_back(i); });
     }
-    tr.SendMessage(flow, 0, 500, [&order, i](Nanos) { order.push_back(i); });
+    s.Run();
   }
-  s.Run();
   ASSERT_EQ(order.size(), 200u);
   for (int i = 0; i < 200; ++i) EXPECT_EQ(order[i], i);
   EXPECT_EQ(tr.counters().dropped_tx, holes.size());
@@ -727,7 +738,7 @@ TEST(TransportRnr, BudgetExhaustionFailsFlowFlushesQueueAndResetRevives) {
 }
 
 TEST(TransportRnr, MidMessageAckedIntoBodyThenRnrRewindStillRecovers) {
-  // Regression: ack_every/delayed ACKs land mid-message (advancing the
+  // Regression: coalesced/delayed ACKs land mid-message (advancing the
   // sender's base into the 8-segment SEND) before the rnr_probe rejects it
   // at the boundary; the RNR rewind then drops the receiver's expected to
   // PSN 0, *below* the acked base. The sender must reclaim [0, base) as
@@ -757,7 +768,7 @@ TEST(TransportRnr, MidMessageAckedIntoBodyThenRnrRewindStillRecovers) {
     ops.on_failed = [&](Nanos, sim::MsgFailure why) {
       failures.push_back(why);
     };
-    tr.SendMessageEx(flow, 0, 8000, std::move(ops));  // 8 segments
+    tr.SendMessageEx(flow, 0, Packets(8), std::move(ops));  // 8 segments
     s.Run();
 
     EXPECT_TRUE(failures.empty());
@@ -779,7 +790,8 @@ TEST(TransportRnr, MidMessageAckedIntoBodyThenRnrRewindStillRecovers) {
 }
 
 TEST(TransportRnr, RewindOfAMessageWiderThanTheWindowResendsOnePacket) {
-  // The shape above at window 64 with 80- and 200-segment messages: the
+  // The shape above with 80- and 200-segment messages, wider than the
+  // 64-packet window: the
   // RNR rewind takes the sender's base back to PSN 0 while the NAK's SACK
   // marks PSNs 1 to segs - 1 received, and the receiver re-holds that
   // same span. Both PSN sets then span more than the window, so a ring of
@@ -792,7 +804,6 @@ TEST(TransportRnr, RewindOfAMessageWiderThanTheWindowResendsOnePacket) {
     const int b = f.Attach({8.0, 100});
     TransportConfig cfg = LegibleConfig();
     cfg.mode = sim::TransportMode::kSelectiveRepeat;
-    cfg.window = 64;
     cfg.rnr_retry_count = 7;
     cfg.min_rnr_timer = 1;
     cfg.retry_count = 3;  // a regression fails fast here instead of hanging
@@ -808,8 +819,7 @@ TEST(TransportRnr, RewindOfAMessageWiderThanTheWindowResendsOnePacket) {
     ops.on_deliver = [&](Nanos) { ++delivered; };
     ops.on_acked = [&](Nanos) { ++acked; };
     ops.on_failed = [&](Nanos, sim::MsgFailure) { ++failed; };
-    tr.SendMessageEx(flow, 0, static_cast<std::uint64_t>(segs) * 1000,
-                     std::move(ops));
+    tr.SendMessageEx(flow, 0, Packets(segs), std::move(ops));
     s.Run();
 
     SCOPED_TRACE(segs);
@@ -841,7 +851,7 @@ TEST(Transport, RtoSetsTheFirstTimeoutInterval) {
   s.Run();
   ASSERT_EQ(acked.size(), 1u);
   // First RTO fires one 16384 ns base interval after the send completes —
-  // below LegibleConfig's 20 us, so the configured rto is in charge.
+  // far below LegibleConfig's 100 us, so the configured rto is in charge.
   EXPECT_GT(acked[0], Nanos{16'384});
   EXPECT_LT(acked[0], Nanos{20'000});
   EXPECT_EQ(tr.counters().rto_fires, 1u);
@@ -859,27 +869,28 @@ TEST(Transport, ProgressAfterABackedOffTimeoutRearmsAtTheBaseInterval) {
   sim::Fabric f;
   const int a = f.Attach({8.0, 100});
   const int b = f.Attach({8.0, 100});
-  Transport tr(s, f, LegibleConfig());  // rto 20 us, go-back-N
+  Transport tr(s, f, LegibleConfig());  // rto 100 us, go-back-N
   const int flow = tr.OpenFlow(a, b);
   std::vector<Nanos> acked;
   auto on_acked = [&](Nanos t) { acked.push_back(t); };
   tr.DropNextData(1);
   tr.SendMessage(flow, 0, 500, [](Nanos) {}, on_acked);
-  // The RTO at 20000 resends PSN 0 and re-arms for 20000 + 40000. Queue a
-  // second one-packet message behind the resend, and lose it too.
-  s.At(20'100, [&] {
+  // The RTO at 100000 resends PSN 0 and re-arms for 100000 + 200000.
+  // Queue a second one-packet message behind the resend, and lose it too.
+  s.At(100'100, [&] {
     tr.DropNextData(1);
     tr.SendMessage(flow, s.now(), 500, [](Nanos) {}, on_acked);
   });
   s.Run();
 
-  // PSN 0's resend clears a's TX pipe at 20530 and b's RX pipe at 21260;
-  // its ACK lands at 21520. That progress re-arms the RTO for
-  // 21520 + 20000 = 41520, which resends PSN 1 (TX 42050, RX 42780) and
-  // its ACK lands at 43040. The doubled instant would have acked ~61500.
+  // PSN 0's resend clears a's TX pipe at 100530 and b's RX pipe at
+  // 101260; its ACK lands at 101520. That progress re-arms the RTO for
+  // 101520 + 100000 = 201520, which resends PSN 1 (TX 202050, RX 202780)
+  // and its ACK lands at 203040. The doubled instant would have acked
+  // ~301500.
   ASSERT_EQ(acked.size(), 2u);
-  EXPECT_EQ(acked[0], 21'520);
-  EXPECT_EQ(acked[1], 43'040);
+  EXPECT_EQ(acked[0], 101'520);
+  EXPECT_EQ(acked[1], 203'040);
   EXPECT_EQ(tr.counters().rto_fires, 2u);
   EXPECT_EQ(tr.counters().timeouts, 2u);
   EXPECT_EQ(tr.counters().retransmits, 2u);
@@ -909,7 +920,7 @@ TEST_F(ReliabilityBed, RetryExhaustionErrorsFlushesAndRearmedQpResumes) {
 
   // Blackhole the server's link: every retransmission round dies too.
   const int server_ep = bed.server.fabric_endpoint(0);
-  tr.SetLinkFaults(server_ep, /*loss=*/1.0, /*corrupt=*/0.0);
+  tr.SetLinkFaults(server_ep, /*loss=*/1.0);
   PostSendNow(cqp, MakeWrite(src.addr(), kLen, src.lkey(), dst.addr(),
                              dst.rkey()));
   PostSendNow(cqp, MakeWrite(src.addr(), kLen, src.lkey(), dst.addr(),
@@ -930,7 +941,7 @@ TEST_F(ReliabilityBed, RetryExhaustionErrorsFlushesAndRearmedQpResumes) {
   EXPECT_GE(tr.counters().retry_exhausted, 1u);
 
   // Heal, re-arm both ends, go again.
-  tr.SetLinkFaults(server_ep, 0.0, 0.0);
+  tr.SetLinkFaults(server_ep, 0.0);
   for (rnic::QueuePair* qp : {cqp, sqp}) qp->device->Rearm(qp);
   EXPECT_EQ(bed.client.counters().qp_rearms, 1u);
   EXPECT_EQ(cqp->state, rnic::QpState::kRts);
@@ -952,7 +963,7 @@ TEST_F(ReliabilityBed, LostReadRequestExhaustsBudgetInsteadOfHanging) {
   // Unlike ReadRecoversFromLostRequest, the link stays dead: the 16-byte
   // READ request burns its whole retry budget and must surface the error
   // on the requester's CQ, not hang the closed loop.
-  tr.SetLinkFaults(bed.server.fabric_endpoint(0), 1.0, 0.0);
+  tr.SetLinkFaults(bed.server.fabric_endpoint(0), 1.0);
   PostSendNow(cqp, MakeRead(local.addr(), 8, local.lkey(), remote.addr(),
                             remote.rkey()));
   Cqe cqe;
@@ -998,7 +1009,7 @@ TEST_F(ReliabilityBed, StalledReceiverRnrNaksThenLateRecvDelivers) {
 
 TEST_F(ReliabilityBed, MultiSegmentSendSurvivesRnrStallAfterMidMessageAck) {
   auto [cqp, sqp] = ConnectedPair();
-  constexpr std::size_t kLen = 8192;  // 8 segments at mtu 1024, ack_every 4
+  constexpr std::size_t kLen = Packets(8);  // 8 segments
   Buffer src = bed.Alloc(bed.client, kLen);
   Buffer dst = bed.Alloc(bed.server, kLen);
   src.Fill(0x3d, kLen);
@@ -1157,7 +1168,7 @@ TEST_F(ReliabilityBed, QpLifecycleLatchDeathKillAndRearm) {
   // is queued behind it flushes: a WAIT blocking the send queue, the WRITE
   // behind that WAIT, and a RECV nothing consumed.
   const int server_ep = bed.server.fabric_endpoint(0);
-  tr.SetLinkFaults(server_ep, /*loss=*/1.0, /*corrupt=*/0.0);
+  tr.SetLinkFaults(server_ep, /*loss=*/1.0);
   PostRecv(cqp, verbs::RecvWr{});
   PostSendNow(cqp, MakeWrite(local.addr(), 8, local.lkey(), remote.addr(),
                              remote.rkey()));
@@ -1182,7 +1193,7 @@ TEST_F(ReliabilityBed, QpLifecycleLatchDeathKillAndRearm) {
   EXPECT_EQ(ctr.qp_errors, 1u);
   EXPECT_EQ(ctr.wrs_flushed, 3u);
   EXPECT_EQ(ctr.error_completions, 1u + 4u);  // the READ's NAK, then these
-  tr.SetLinkFaults(server_ep, 0.0, 0.0);
+  tr.SetLinkFaults(server_ep, 0.0);
   bed.client.Rearm(cqp);
   EXPECT_TRUE(cqp->Usable());
   EXPECT_EQ(cqp->state, rnic::QpState::kRts);
@@ -1200,12 +1211,12 @@ TEST_F(ReliabilityBed, QpLifecycleLatchDeathKillAndRearm) {
   EXPECT_EQ(cqp->state, rnic::QpState::kRts);
   EXPECT_FALSE(cqp->Usable());
   EXPECT_EQ(ctr.qp_rearms, 2u);
-  // Reviving the process leaves the killed QP errored and latched until
-  // its owner re-arms it.
-  bed.client.Kill(cqp);
+  // Reviving the process brings the QP back errored and latched, although
+  // it was re-armed while dead, until its owner re-arms it.
   bed.client.ReviveProcessResources(cqp->owner_pid);
   EXPECT_TRUE(cqp->alive);
   EXPECT_EQ(cqp->state, rnic::QpState::kError);
+  EXPECT_TRUE(cqp->sq.error);
   EXPECT_FALSE(cqp->Usable());
   bed.client.Rearm(cqp);
   EXPECT_TRUE(cqp->Usable());

@@ -29,7 +29,9 @@ class VerbsTest : public ::testing::Test {
 };
 
 // The asserts these replace compiled out in Release, where a missing CQ was
-// stored and a bad port indexed the port tables out of bounds.
+// stored and a bad port indexed the port tables out of bounds. A ring of
+// no slots was accepted, and the first enable of such a send queue divided
+// by zero mapping a WQE index to a slot.
 TEST_F(VerbsTest, CreateQpAndAttachPortRejectBadConfigs) {
   const auto expect_throw = [](const char* what, const char* needle,
                                const auto& call) {
@@ -57,6 +59,14 @@ TEST_F(VerbsTest, CreateQpAndAttachPortRejectBadConfigs) {
   bad_port.port = dev.config().ports;
   expect_throw("a QP on a port past the last", "port",
                [&] { dev.CreateQp(bad_port); });
+  QpConfig no_sq = ok;
+  no_sq.sq_depth = 0;
+  expect_throw("a send queue of depth 0", "sq_depth",
+               [&] { dev.CreateQp(no_sq); });
+  QpConfig no_rq = ok;
+  no_rq.rq_depth = 0;
+  expect_throw("a receive queue of depth 0", "rq_depth",
+               [&] { dev.CreateQp(no_rq); });
 
   sim::Fabric fabric;
   expect_throw("attaching port -1", "port",
@@ -164,11 +174,9 @@ TEST_F(VerbsTest, SendScattersAcrossSgeTable) {
   msg.SetU64(0, 0xaaaa);
   msg.SetU64(1, 0xbbbb);
 
-  std::vector<rnic::Sge> sges = {{a.addr(), 8, a.lkey()},
-                                 {b.addr(), 8, b.lkey()}};
   RecvWr rwr;
-  rwr.sge_table = sges.data();
-  rwr.sge_count = 2;
+  Buffer table = bed.SetSgeTable(
+      rwr, bed.server, {{a.addr(), 8, a.lkey()}, {b.addr(), 8, b.lkey()}});
   PostRecv(sqp, rwr);
 
   PostSendNow(cqp, MakeSend(msg.addr(), 16, msg.lkey()));
